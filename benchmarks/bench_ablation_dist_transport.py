@@ -21,7 +21,7 @@ The ``repro.dist`` PR's claims, measured and machine-recorded:
 
 ``BENCH_dist.json`` (path overridable via ``REPRO_BENCH_DIST_JSON``)
 is the machine-readable artifact CI uploads next to
-``BENCH_parallel.json`` and ``BENCH_shards.json``.
+``BENCH_parallel.json``.
 
 Run explicitly (the tier-1 suite collects only tests/)::
 

@@ -1,8 +1,9 @@
 """Ablation: the flat edge-indexed engine vs the paper's in-memory pair.
 
-``method="flat"`` runs the same bin-sorted peeling as TD-inmem+ but
-over the CSR snapshot's canonical edge-id arrays instead of dict-of-set
-adjacency (see :mod:`repro.core.flat`).  The claims asserted here:
+``method="flat"`` peels the same levels as TD-inmem+, as
+level-synchronous waves over the CSR snapshot's canonical edge-id
+arrays instead of dict-of-set adjacency (see :mod:`repro.core.flat`).
+The claims asserted here:
 
 * flat produces the identical trussness map on every registry dataset
   (the harness asserts equality before reporting any time);

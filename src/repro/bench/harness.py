@@ -273,7 +273,6 @@ def parallel_scaling_rows(
     names: Optional[Sequence[str]] = None,
     jobs_list: Sequence[int] = (1, 2, 4, 8),
     repeats: int = 2,
-    shards: Optional[str] = None,
 ) -> List[Dict]:
     """``method="parallel"`` across worker counts, parity-checked.
 
@@ -283,8 +282,7 @@ def parallel_scaling_rows(
     tracemalloc.  Wave statistics from the ``jobs_list[0]`` run ride
     along so the scaling (or non-scaling) can be explained: a graph
     peeled in a handful of huge waves amortizes the per-wave IPC
-    barriers; thousands of tiny waves cannot.  ``shards`` picks the
-    frontier-partitioning mode (``None``: the dynamic default).
+    barriers; thousands of tiny waves cannot.
     """
     rows = []
     for name in names or MASSIVE_DATASETS:
@@ -303,9 +301,7 @@ def parallel_scaling_rows(
             seconds = None
             for _ in range(max(1, repeats)):
                 run = measure(
-                    lambda: truss_decomposition_parallel(
-                        g, jobs=jobs, shards=shards
-                    ),
+                    lambda: truss_decomposition_parallel(g, jobs=jobs),
                     track_memory=False,
                 )
                 assert run.result == ref.result, (name, jobs)
@@ -330,70 +326,6 @@ def parallel_scaling_rows(
             row[f"jobs={first} (s)"] / max(row[f"jobs={last} (s)"], 1e-9)
         )
         row.update(wave_stats)
-        rows.append(row)
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Ablation — static edge-id shards vs the per-wave dynamic split
-# ---------------------------------------------------------------------------
-def static_shard_rows(
-    scale: float = 1.0,
-    names: Optional[Sequence[str]] = None,
-    jobs: int = 2,
-    repeats: int = 2,
-) -> List[Dict]:
-    """Owner-computes static shards against the dynamic per-wave split.
-
-    Both modes are parity-checked against the flat engine before any
-    time is reported (the shard mode never changes the wave schedule).
-    Alongside best-of-``repeats`` wall time, each mode's message volume
-    is reported: ``ipc_bytes`` totals every array that crossed the
-    worker pool's channel (frontier/triangle slices out, candidate
-    lists and decrement buffers or sub-frontiers back), and
-    ``B/wave`` divides it by the wave count — the per-wave exchange
-    size a distributed peel would put on the wire.
-    """
-    rows = []
-    for name in names or MASSIVE_DATASETS:
-        g = load_dataset(name, scale=scale)
-        ref = measure(
-            lambda: truss_decomposition_flat(g), track_memory=False
-        )
-        row: Dict = {
-            "dataset": name,
-            "|E|": g.num_edges,
-            "kmax": ref.result.kmax,
-            "flat (s)": ref.seconds,
-            "jobs": jobs,
-        }
-        for mode in ("dynamic", "static"):
-            seconds = None
-            extra: Dict = {}
-            for _ in range(max(1, repeats)):
-                run = measure(
-                    lambda: truss_decomposition_parallel(
-                        g, jobs=jobs, shards=mode
-                    ),
-                    track_memory=False,
-                )
-                assert run.result == ref.result, (name, mode)
-                extra = run.result.stats.extra
-                seconds = (
-                    run.seconds
-                    if seconds is None
-                    else min(seconds, run.seconds)
-                )
-            waves = max(int(extra.get("waves", 0)), 1)
-            row[f"{mode} (s)"] = seconds
-            row[f"{mode} peel (s)"] = extra.get("peel_s", 0.0)
-            row[f"{mode} IPC (B)"] = extra.get("ipc_bytes", 0)
-            row[f"{mode} B/wave"] = extra.get("ipc_bytes", 0) / waves
-        # the wave schedule is mode-invariant, so one column suffices
-        row["waves"] = extra.get("waves", 0)
-        row["static speedup"] = row["dynamic (s)"] / max(
-            row["static (s)"], 1e-9
-        )
         rows.append(row)
     return rows
 

@@ -16,17 +16,17 @@ Commands:
 * ``generate``  — emit one of the registry's synthetic datasets.
 
 Every command reads/writes the SNAP-style text edge-list format.
+``decompose`` and ``update`` report a bad input file, a bad option
+value or a failed run as one ``error: ...`` line and exit status 2.
 
 ``decompose --method flat|parallel|dist`` takes the ingest fast path:
 the file is streamed straight into CSR arrays (no dict-of-set graph
 build) and handed to the flat, parallel or distributed engine;
-``--jobs N`` sets the parallel engine's worker-process count and
-``--shards dynamic|static`` picks between the per-wave frontier split
-and the static owner-computes edge-id shards.  For ``--method dist``,
-``--ranks N`` sets the rank count (one owned static edge shard per
-rank), ``--transport loopback|tcp`` picks the message fabric —
-in-process queues or rank processes over framed localhost sockets —
-``--timeout SECONDS`` bounds every blocking transport step, and
+``--jobs N`` sets the parallel engine's worker-process count.  For
+``--method dist``, ``--ranks N`` sets the rank count (one owned static
+edge shard per rank), ``--transport loopback|tcp`` picks the message
+fabric — in-process queues or rank processes over framed localhost
+sockets — ``--timeout SECONDS`` bounds every blocking transport step, and
 ``--on-failure raise|retry|fallback_flat`` picks the supervisor's
 policy when a rank dies mid-run (respawn + checkpoint rewind, or
 degrade to the flat engine).
@@ -99,6 +99,7 @@ from repro.core import (
 )
 from repro.cores import GraphStatistics, average_clustering, max_core
 from repro.datasets import dataset_names, load_dataset
+from repro.errors import ReproError
 from repro.exio import IOStats, MemoryBudget
 from repro.graph import CSRGraph, Graph, read_edge_list, write_edge_list
 
@@ -118,6 +119,12 @@ def _budget(g: Graph, fraction: Optional[int]) -> Optional[MemoryBudget]:
     return MemoryBudget(units=max(16, g.size // fraction))
 
 
+def _error(problem) -> int:
+    """Report a failed command as one ``error:`` line; exit status 2."""
+    print(f"error: {problem}", file=sys.stderr)
+    return 2
+
+
 def _write_metrics(path: str, stats) -> None:
     """Dump a run's metrics registry: JSON for ``*.json``, else Prometheus."""
     import json
@@ -135,73 +142,70 @@ def _write_metrics(path: str, stats) -> None:
 def cmd_decompose(args: argparse.Namespace) -> int:
     for flag, value, owner in (
         ("--jobs", args.jobs, "parallel"),
-        ("--shards", args.shards, "parallel"),
         ("--ranks", args.ranks, "dist"),
         ("--transport", args.transport, "dist"),
         ("--timeout", args.timeout, "dist"),
         ("--on-failure", args.on_failure, "dist"),
     ):
         if value is not None and args.method != owner:
-            print(
-                f"error: {flag} only applies to --method {owner} "
-                f"(got --method {args.method})",
-                file=sys.stderr,
+            return _error(
+                f"{flag} only applies to --method {owner} "
+                f"(got --method {args.method})"
             )
-            return 2
     for flag, value in (
         ("--index-storage", args.index_storage),
         ("--kernel", args.kernel),
     ):
         if value is not None and args.method not in CSR_METHODS:
-            print(
-                f"error: {flag} only applies to --method "
-                f"{'|'.join(CSR_METHODS)} (got --method {args.method})",
-                file=sys.stderr,
+            return _error(
+                f"{flag} only applies to --method "
+                f"{'|'.join(CSR_METHODS)} (got --method {args.method})"
             )
-            return 2
     if args.method in CSR_METHODS and (
         args.top is not None or args.memory_fraction is not None
     ):
-        print(
-            f"error: --top/--memory-fraction do not apply to "
-            f"--method {args.method}",
-            file=sys.stderr,
+        return _error(
+            f"--top/--memory-fraction do not apply to "
+            f"--method {args.method}"
         )
-        return 2
     stats = IOStats()
-    if args.method in CSR_METHODS:
-        # ingest fast path: file -> CSR -> engine, no dict-of-set build;
-        # like the legacy branch, time= covers only the decomposition
-        # (the load line reports the ingest seconds separately)
-        t0 = time.perf_counter()
-        csr = CSRGraph.from_edge_list_file(args.input)
-        print(
-            f"loaded {args.input}: n={csr.num_vertices:,} "
-            f"m={csr.num_edges:,} (streaming CSR ingest, "
-            f"{time.perf_counter() - t0:.2f}s)",
-            file=sys.stderr,
-        )
-        start = time.perf_counter()
-        td = truss_decomposition(
-            csr, method=args.method, jobs=args.jobs, shards=args.shards,
-            ranks=args.ranks, transport=args.transport,
-            timeout=args.timeout, on_failure=args.on_failure,
-            index_storage=args.index_storage, kernel=args.kernel,
-            trace_path=args.trace,
-        )
-        elapsed = time.perf_counter() - start
-    else:
-        g = _load(args.input)
-        start = time.perf_counter()
-        td = truss_decomposition(
-            g,
-            method=args.method,
-            memory_budget=_budget(g, args.memory_fraction),
-            io_stats=stats if args.method in ("bottomup", "topdown") else None,
-            top_t=args.top,
-            trace_path=args.trace,
-        )
-        elapsed = time.perf_counter() - start
+    try:
+        if args.method in CSR_METHODS:
+            # ingest fast path: file -> CSR -> engine, no dict-of-set
+            # build; like the legacy branch, time= covers only the
+            # decomposition (the load line reports the ingest seconds)
+            t0 = time.perf_counter()
+            csr = CSRGraph.from_edge_list_file(args.input)
+            print(
+                f"loaded {args.input}: n={csr.num_vertices:,} "
+                f"m={csr.num_edges:,} (streaming CSR ingest, "
+                f"{time.perf_counter() - t0:.2f}s)",
+                file=sys.stderr,
+            )
+            start = time.perf_counter()
+            td = truss_decomposition(
+                csr, method=args.method, jobs=args.jobs,
+                ranks=args.ranks, transport=args.transport,
+                timeout=args.timeout, on_failure=args.on_failure,
+                index_storage=args.index_storage, kernel=args.kernel,
+                trace_path=args.trace,
+            )
+        else:
+            g = _load(args.input)
+            start = time.perf_counter()
+            td = truss_decomposition(
+                g,
+                method=args.method,
+                memory_budget=_budget(g, args.memory_fraction),
+                io_stats=(
+                    stats if args.method in ("bottomup", "topdown") else None
+                ),
+                top_t=args.top,
+                trace_path=args.trace,
+            )
+    except (ReproError, OSError) as exc:
+        return _error(exc)
+    elapsed = time.perf_counter() - start
     if args.metrics:
         _write_metrics(args.metrics, td.stats)
     out = open(args.output, "w") if args.output else sys.stdout
@@ -226,38 +230,37 @@ def cmd_update(args: argparse.Namespace) -> int:
     from repro.stream.updates import read_update_stream
 
     if args.batch < 1:
-        print(f"error: --batch must be >= 1 (got {args.batch})", file=sys.stderr)
-        return 2
+        return _error(f"--batch must be >= 1 (got {args.batch})")
     try:
         # one parser for the CLI, the server's bulk endpoint and the
         # WAL (repro.stream.updates); '-' reads the stream from stdin
         updates = read_update_stream(args.updates)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    t0 = time.perf_counter()
-    csr = CSRGraph.from_edge_list_file(args.input)
-    tracer, owned = open_tracer(trace_path=args.trace)
+    except (OSError, ValueError) as exc:
+        return _error(exc)
     try:
-        tm = TrussMaintainer.from_graph(
-            csr, kernel=args.kernel, trace=tracer
-        )
-        print(
-            f"loaded {args.input}: n={csr.num_vertices:,} m={csr.num_edges:,} "
-            f"(decomposed once, {time.perf_counter() - t0:.2f}s)",
-            file=sys.stderr,
-        )
-        start = time.perf_counter()
-        applied = 0
-        for i in range(0, len(updates), args.batch):
-            applied += tm.apply_batch(updates[i : i + args.batch])
-        elapsed = time.perf_counter() - start
-    finally:
-        if owned:
-            tracer.close()
+        t0 = time.perf_counter()
+        csr = CSRGraph.from_edge_list_file(args.input)
+        tracer, owned = open_tracer(trace_path=args.trace)
+        try:
+            tm = TrussMaintainer.from_graph(
+                csr, kernel=args.kernel, trace=tracer
+            )
+            print(
+                f"loaded {args.input}: n={csr.num_vertices:,} "
+                f"m={csr.num_edges:,} "
+                f"(decomposed once, {time.perf_counter() - t0:.2f}s)",
+                file=sys.stderr,
+            )
+            start = time.perf_counter()
+            applied = 0
+            for i in range(0, len(updates), args.batch):
+                applied += tm.apply_batch(updates[i : i + args.batch])
+            elapsed = time.perf_counter() - start
+        finally:
+            if owned:
+                tracer.close()
+    except (ReproError, OSError) as exc:
+        return _error(exc)
     td = tm.as_decomposition()
     if args.metrics:
         _write_metrics(args.metrics, tm.stats)
@@ -302,8 +305,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     try:
         run_server(cfg)
     except ServeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc)
     return 0
 
 
@@ -312,12 +314,8 @@ def cmd_trace_report(args: argparse.Namespace) -> int:
 
     try:
         print(render_trace_report(args.trace))
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (OSError, ValueError) as exc:
+        return _error(exc)
     return 0
 
 
@@ -406,17 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "worker processes for --method parallel (default: auto — "
             "serial on small graphs, one per core otherwise)"
-        ),
-    )
-    p.add_argument(
-        "--shards",
-        default=None,
-        choices=["dynamic", "static"],
-        help=(
-            "frontier partitioning for --method parallel: 'dynamic' "
-            "re-splits each wave, 'static' fixes incidence-balanced "
-            "edge-id shards owned by one worker for the whole peel "
-            "(default: dynamic)"
         ),
     )
     p.add_argument(

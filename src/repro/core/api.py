@@ -20,15 +20,15 @@ topdown    Algorithm 7 (TD-topdown)              only the top-t classes
 mapreduce  Cohen's TD-MR                         comparison only
 ========== ==================================== =========================
 
-``flat`` (see :mod:`repro.core.flat`) is not in the paper: it runs the
-same bin-sorted peeling as ``improved`` but over the CSR snapshot's
-canonical edge ids — integer arrays instead of dict-of-set adjacency.
+``flat`` (see :mod:`repro.core.flat`) is not in the paper: it peels
+the same levels as ``improved``, as level-synchronous waves over the
+CSR snapshot's canonical edge ids — integer arrays instead of
+dict-of-set adjacency.  Without numpy the three CSR methods run
+``improved`` itself on the same edges.
 ``parallel`` (see :mod:`repro.core.parallel`) fans the flat engine's
 level-synchronous waves out over a pool of worker processes sharing
 the triangle index through ``multiprocessing.shared_memory``; the
-``jobs`` knob sets the worker count and ``shards`` picks between the
-per-wave dynamic frontier split and the static owner-computes edge-id
-shards of :mod:`repro.partition.edge_shards`.  ``dist`` (see
+``jobs`` knob sets the worker count.  ``dist`` (see
 :mod:`repro.core.dist` and :mod:`repro.dist`) replaces the pool
 barriers with a real message transport: one rank process/thread per
 static edge shard, exchanging candidate/dead-triangle buffers over
@@ -89,7 +89,6 @@ def truss_decomposition(
     io_stats: Optional[IOStats] = None,
     top_t: Optional[int] = None,
     jobs: Optional[int] = None,
-    shards: Optional[str] = None,
     ranks: Optional[int] = None,
     transport: Optional[str] = None,
     timeout: Optional[float] = None,
@@ -102,8 +101,8 @@ def truss_decomposition(
     """Compute the truss decomposition of ``g``.
 
     Args:
-        g: the input graph (undirected, simple).  The ``flat`` and
-            ``parallel`` methods also accept a ready
+        g: the input graph (undirected, simple).  The CSR methods
+            (:data:`CSR_METHODS`) also accept a ready
             :class:`~repro.graph.csr.CSRGraph` snapshot.
         method: one of :data:`METHODS`.
         memory_budget: simulated memory ``M`` for the external methods.
@@ -114,10 +113,6 @@ def truss_decomposition(
         jobs: with ``method='parallel'``, the worker-process count
             (``None``: auto — serial on small graphs, one worker per
             core otherwise).
-        shards: with ``method='parallel'``, the frontier-partitioning
-            strategy: ``"dynamic"`` (default) re-splits each wave's
-            frontier; ``"static"`` fixes an incidence-balanced edge-id
-            shard per worker for the whole peel (owner-computes).
         ranks: with ``method='dist'``, the rank count — one owned
             static edge shard per rank (``None``: auto, like ``jobs``).
         transport: with ``method='dist'``, the message fabric:
@@ -157,7 +152,6 @@ def truss_decomposition(
     """
     gated = (
         ("jobs", jobs, "parallel"),
-        ("shards", shards, "parallel"),
         ("ranks", ranks, "dist"),
         ("transport", transport, "dist"),
         ("timeout", timeout, "dist"),
@@ -198,7 +192,7 @@ def truss_decomposition(
         if method == "parallel":
             _reject_external_args(method, memory_budget, partitioner, io_stats, top_t)
             return truss_decomposition_parallel(
-                g, jobs=jobs, shards=shards, index_storage=index_storage,
+                g, jobs=jobs, index_storage=index_storage,
                 kernel=kernel, trace=tracer,
             )
         if method == "dist":
@@ -279,7 +273,6 @@ def decompose_file(
     method: str = "flat",
     *,
     jobs: Optional[int] = None,
-    shards: Optional[str] = None,
     ranks: Optional[int] = None,
     transport: Optional[str] = None,
     timeout: Optional[float] = None,
@@ -303,7 +296,7 @@ def decompose_file(
     if method in CSR_METHODS:
         csr = CSRGraph.from_edge_list_file(path)
         return truss_decomposition(
-            csr, method=method, jobs=jobs, shards=shards, ranks=ranks,
+            csr, method=method, jobs=jobs, ranks=ranks,
             transport=transport, timeout=timeout,
             on_failure=on_failure, index_storage=index_storage,
             kernel=kernel, trace=trace, trace_path=trace_path, **kwargs
@@ -311,7 +304,7 @@ def decompose_file(
     from repro.graph.io import read_edge_list
 
     return truss_decomposition(
-        read_edge_list(path), method=method, jobs=jobs, shards=shards,
+        read_edge_list(path), method=method, jobs=jobs,
         ranks=ranks, transport=transport, timeout=timeout,
         on_failure=on_failure, index_storage=index_storage,
         kernel=kernel, trace=trace, trace_path=trace_path, **kwargs

@@ -56,8 +56,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.decomposition import DecompositionStats, TrussDecomposition
 from repro.core.flat import (
     _as_csr,
-    _initial_supports_python,
-    _peel_wedge_bisect,
+    _stdlib_fallback,
     resolve_index_storage,
     result_from_phi,
 )
@@ -78,7 +77,7 @@ from repro.kernels import resolve_kernel
 from repro.obs import NULL_TRACER, warn_degraded
 from repro.partition.edge_shards import plan_edge_shards
 
-try:  # optional accelerator; the stdlib fallback degrades to core.flat
+try:  # optional accelerator; without it the method degrades to improved
     import numpy as _np
 except ImportError:  # pragma: no cover
     _np = None
@@ -599,31 +598,14 @@ def truss_decomposition_dist(
             raise DecompositionError(
                 f"max_retries must be >= 0, got {max_retries}"
             )
-    csr = _as_csr(g)
-    m = csr.num_edges
+    nranks = _resolve_ranks(ranks, g.num_edges)
     stats = DecompositionStats(method="dist")
-    stats.record("transport", mode)
     tr = trace if trace is not None else NULL_TRACER
     if _np is None or _mp is None:
-        # no vectorized substrate: degrade to the stdlib flat engine
-        if tr.enabled:
-            tr.event("run_start", engine="dist", m=int(m),
-                     transport=mode, ranks=1)
-        if m:
-            warn_degraded(tr, stats.metrics, "stdlib_fallback",
-                          engine="dist")
-        stats.record("stdlib_fallback", 1)
-        stats.record("ranks", 1)
-        t0 = time.perf_counter()
-        sup = _initial_supports_python(csr, m)
-        eu, ev = csr.edge_endpoints()
-        phi, k = _peel_wedge_bisect(csr, m, sup, eu, ev)
-        peel_s = time.perf_counter() - t0
-        stats.record("peel_s", round(peel_s, 6))
-        if tr.enabled:
-            tr.complete_span("peel", peel_s, engine="dist")
-        return result_from_phi(csr, phi, k if m else 2, stats)
-    nranks = _resolve_ranks(ranks, m)
+        return _stdlib_fallback(g, stats, tr, transport=mode, ranks=1)
+    csr = _as_csr(g)
+    m = csr.num_edges
+    stats.record("transport", mode)
     stats.record("ranks", nranks)
     stats.record("index_storage", storage)
     stats.record("kernel", kname)

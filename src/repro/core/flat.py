@@ -3,42 +3,27 @@
 ``truss_decomposition_flat`` computes the same trussness map as
 :func:`repro.core.truss_improved.truss_decomposition_improved` but runs
 the whole pipeline over the CSR snapshot's canonical edge ids instead
-of dict-of-set adjacency:
-
-1. **support initialization** is compact-forward triangle counting
-   (Schank/Latapy, the paper's Step 2) done by *merge-style sorted
-   intersection* of rank-oriented adjacency runs — every closing edge's
-   id comes straight out of the parallel ``eids`` arrays, with zero
-   hash probes.  With numpy available the same intersection is done in
-   bulk: rank-DAG wedges are materialized in chunks and closed with one
-   ``searchsorted`` against the sorted oriented-edge keys;
-2. **peeling** is the paper's bin-sorted edge array (supports, bin
-   starts, positions) held in ``array('q')`` plus an ``alive`` bitmap
-   (``bytearray``), with the O(1) bucket-move decrement of
-   :class:`repro.core.truss_improved._EdgePeeler`;
-3. **triangle enumeration** on removal of ``(u, v)`` walks the smaller
-   endpoint's adjacency run by index and closes each wedge by binary
-   search in the other run — set membership never enters the hot path.
-   Runs live in mutable copies of the CSR arrays and are compacted in
-   place (a stable filter, so they stay sorted) once half their slots
-   are dead, keeping every scan O(remaining degree) like the improved
-   method's shrinking dicts rather than O(original degree).
-
-With numpy, steps 2-3 are replaced wholesale by :func:`_peel_waves`, a
-level-synchronous wave peel over the materialized triangle index in
-the shared-memory style of Kabir & Madduri — same unique trussness
-map, 2-3x faster than the improved method end to end.  The index
-itself comes from the streaming two-pass counting builder
+of dict-of-set adjacency: :func:`_peel_waves` is a level-synchronous
+wave peel over the materialized triangle index in the shared-memory
+style of Kabir & Madduri — same unique trussness map, 2-3x faster than
+the improved method end to end.  The index itself comes from the
+streaming two-pass counting builder
 (:mod:`repro.triangles.index_builder`), in RAM or mmapped from disk
 (``index_storage``), so building it never costs a triangle-scale sort
 or concatenation.
 
-The result is bit-identical to the other in-memory methods; the flat
-integer substrate (``sup``/``order``/``pos``/``alive`` indexed by edge
+The wave peel needs numpy.  Without it, every CSR method (flat,
+parallel, dist) degrades through :func:`_stdlib_fallback` to the
+paper's own stdlib peel, ``method="improved"``, on the same edge set —
+the oracle the waves are pinned against, so the map is the same bits.
+
+The flat integer substrate (``sup``/``alive``/``phi`` indexed by edge
 id) is what the scaling work builds on: :mod:`repro.core.parallel`
 fans the same waves out over a shared-memory worker pool,
 :mod:`repro.core.semi_external` initializes its per-edge state through
-:func:`initial_supports`, and the streaming ingest
+:func:`initial_supports` (compact-forward counting by merge-style
+sorted intersection of rank-oriented runs when numpy is absent), and
+the streaming ingest
 (:meth:`~repro.graph.csr.CSRGraph.from_edge_list_file`) feeds
 :func:`truss_decomposition_flat` a ready CSR snapshot with no
 dict-of-set round trip.
@@ -48,11 +33,11 @@ from __future__ import annotations
 
 import tempfile
 from array import array
-from bisect import bisect_left
 from time import perf_counter as _perf
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.core.decomposition import DecompositionStats, TrussDecomposition
+from repro.core.truss_improved import truss_decomposition_improved
 from repro.errors import DecompositionError
 from repro.graph.adjacency import Graph
 from repro.graph.csr import CSRGraph
@@ -174,32 +159,6 @@ def _initial_supports_python(csr: CSRGraph, m: int) -> array:
             if count:
                 sup[oeids[t]] += count
     return sup
-
-
-def _bin_sort(sup: array, m: int) -> Tuple[array, array, array]:
-    """The _EdgePeeler layout over arrays: ``(bin_start, order, pos)``.
-
-    ``order`` holds edge ids ascending by support, ``pos`` the inverse
-    permutation, ``bin_start[s]`` the first position of support-``s``
-    edges — the edge analogue of Batagelj-Zaversnik bin sort.
-    """
-    max_sup = max(sup) if m else 0
-    bin_start = array("q", [0]) * (max_sup + 2)
-    for s in sup:
-        bin_start[s + 1] += 1
-    for s in range(1, max_sup + 2):
-        bin_start[s] += bin_start[s - 1]
-    bin_start = bin_start[:-1]
-    order = array("q", [0]) * m
-    pos = array("q", [0]) * m
-    fill = array("q", bin_start)
-    for eid in range(m):
-        s = sup[eid]
-        p = fill[s]
-        pos[eid] = p
-        order[p] = eid
-        fill[s] += 1
-    return bin_start, order, pos
 
 
 def initial_supports(csr: CSRGraph) -> array:
@@ -363,6 +322,21 @@ def run_wave_peel(
     }
 
 
+def _peel_state(tri: TriangleIndex, m: int) -> Dict[str, object]:
+    """The mutable peel state over a built index: ``sup``/``alive``/``tdead``.
+
+    One layout definition for the serial and the pooled peel, so the
+    two can never drift on dtypes, sizing or key names.  Unlike the
+    index these arrays are written every wave, so they always live in
+    RAM (and in shared memory when a pool runs).
+    """
+    return {
+        "sup": tri.initial_supports(),
+        "alive": _np.ones(m, dtype=bool),
+        "tdead": _np.zeros(tri.num_triangles, dtype=bool),
+    }
+
+
 def _peel_over_index(
     tri: TriangleIndex,
     m: int,
@@ -374,11 +348,7 @@ def _peel_over_index(
     e1, e2, e3 = tri.e1, tri.e2, tri.e3
     tptr, tinc = tri.tptr, tri.tinc
     kern = kern if kern is not None else get_kernel()
-    views = {
-        "sup": tri.initial_supports(),
-        "alive": _np.ones(m, dtype=bool),
-        "tdead": _np.zeros(tri.num_triangles, dtype=bool),
-    }
+    views = _peel_state(tri, m)
     if stats is not None:
         stats.record("index_storage", tri.storage)
         stats.record("triangles", tri.num_triangles)
@@ -415,8 +385,7 @@ def _peel_waves(
     ndarrays (the classic time/space trade of shared-memory truss
     codes), ``"mmap"`` to stream the O(|△G|) structure to disk and
     peel over read-only maps, or ``None`` to let the builder decide by
-    size after the counting pass.  The wedge-closing peel below is the
-    index-free stdlib fallback.
+    size after the counting pass.
     """
     mode = resolve_index_storage(index_storage)
     tr = tracer if tracer is not None else NULL_TRACER
@@ -445,104 +414,6 @@ def _record_index_build(tri, seconds, stats, tracer) -> None:
         )
 
 
-def _peel_wedge_bisect(
-    csr: CSRGraph, m: int, sup: array, eu: array, ev: array
-) -> Tuple[array, int]:
-    """Peel by closing wedges in the CSR runs (stdlib path).
-
-    Removing ``(u, v)`` walks the smaller endpoint's adjacency run by
-    index and binary-searches each surviving neighbor in the other run
-    — no set membership.  Runs live in mutable copies of the CSR
-    arrays; peeled edges are only flagged in the ``alive`` bitmap, and
-    a region is compacted in place (a stable filter, so it stays
-    sorted) once it exceeds twice its live degree, keeping every scan
-    O(remaining degree).
-    """
-    bin_start, order, pos = _bin_sort(sup, m)
-    indptr = csr.indptr.tolist()
-    indices = csr.indices.tolist()
-    eids = csr.eids.tolist()
-    end = indptr[1:]
-    deg = [indptr[i + 1] - indptr[i] for i in range(csr.num_vertices)]
-
-    alive = bytearray(b"\x01") * m
-    phi = array("q", [0]) * m
-    bisect = bisect_left
-    k = 2
-    for i in range(m):
-        eid = order[i]
-        s = sup[eid]
-        if s + 2 > k:
-            k = s + 2
-        phi[eid] = k
-        alive[eid] = 0
-        u, v = eu[eid], ev[eid]
-        deg[u] -= 1
-        deg[v] -= 1
-        u_lo, u_end = indptr[u], end[u]
-        v_lo, v_end = indptr[v], end[v]
-        if u_end - u_lo > v_end - v_lo:
-            u, v = v, u
-            u_lo, u_end, v_lo, v_end = v_lo, v_end, u_lo, u_end
-        # walk the smaller run; close each wedge in the other by bisect
-        for ta in range(u_lo, u_end):
-            f_uw = eids[ta]
-            if not alive[f_uw]:
-                continue
-            w = indices[ta]
-            tb = bisect(indices, w, v_lo, v_end)
-            if tb == v_end or indices[tb] != w:
-                continue
-            f_vw = eids[tb]
-            if not alive[f_vw]:
-                continue
-            # clamp: never push a support below the current floor s
-            sf = sup[f_uw]
-            if sf > s:
-                first = bin_start[sf]
-                other = order[first]
-                if other != f_uw:
-                    p = pos[f_uw]
-                    order[first] = f_uw
-                    order[p] = other
-                    pos[f_uw] = first
-                    pos[other] = p
-                bin_start[sf] += 1
-                sup[f_uw] = sf - 1
-            sf = sup[f_vw]
-            if sf > s:
-                first = bin_start[sf]
-                other = order[first]
-                if other != f_vw:
-                    p = pos[f_vw]
-                    order[first] = f_vw
-                    order[p] = other
-                    pos[f_vw] = first
-                    pos[other] = p
-                bin_start[sf] += 1
-                sup[f_vw] = sf - 1
-        if u_end - u_lo > 2 * deg[u]:
-            # stable in-place compaction of u's region
-            t = u_lo
-            for ta in range(u_lo, u_end):
-                e = eids[ta]
-                if alive[e]:
-                    indices[t] = indices[ta]
-                    eids[t] = e
-                    t += 1
-            end[u] = t
-        if v_end - v_lo > 2 * deg[v]:
-            t = v_lo
-            for tb in range(v_lo, v_end):
-                e = eids[tb]
-                if alive[e]:
-                    indices[t] = indices[tb]
-                    eids[t] = e
-                    t += 1
-            end[v] = t
-    return phi, k
-
-
 def _as_csr(g) -> CSRGraph:
     """Accept either a mutable :class:`Graph` or a ready CSR snapshot.
 
@@ -567,6 +438,43 @@ def result_from_phi(
     )
 
 
+def _stdlib_fallback(
+    g, stats: DecompositionStats, tracer, **knobs
+) -> TrussDecomposition:
+    """Without numpy, run Algorithm 2 on the same edge set.
+
+    The shared degradation of the CSR methods: their wave peels need
+    numpy, so ``g`` (a :class:`CSRGraph` becomes a :class:`Graph`
+    first) goes to
+    :func:`~repro.core.truss_improved.truss_decomposition_improved`,
+    the paper's stdlib peel and the oracle the waves are pinned against
+    — same map, bit for bit.  ``stats`` keeps the caller's method tag;
+    the run counts ``stdlib_fallback`` as degraded and records
+    ``peel_s``, ``kmax`` and ``knobs`` (the serial worker/rank count
+    the caller reports).
+    """
+    graph = Graph(g.edges_original()) if isinstance(g, CSRGraph) else g
+    m = graph.num_edges
+    engine = stats.method
+    if tracer.enabled:
+        tracer.event("run_start", engine=engine, m=int(m), **knobs)
+    if m:
+        warn_degraded(tracer, stats.metrics, "stdlib_fallback",
+                      engine=engine)
+    stats.record("stdlib_fallback", 1)
+    for key, value in knobs.items():
+        stats.record(key, value)
+    t0 = _perf()
+    td = truss_decomposition_improved(graph)
+    peel_s = _perf() - t0
+    stats.record("peel_s", round(peel_s, 6))
+    stats.record("kmax", td.kmax)
+    if tracer.enabled:
+        tracer.complete_span("peel", peel_s, engine=engine)
+    td.stats = stats
+    return td
+
+
 def truss_decomposition_flat(
     g,
     index_storage: Optional[str] = None,
@@ -586,39 +494,30 @@ def truss_decomposition_flat(
     """
     resolve_index_storage(index_storage)  # validate eagerly, any path
     kname = resolve_kernel(kernel)
-    csr = _as_csr(g)
-    m = csr.num_edges
     stats = DecompositionStats(method="flat")
     tr = trace if trace is not None else NULL_TRACER
+    if _np is None:
+        return _stdlib_fallback(g, stats, tr)
+    csr = _as_csr(g)
+    m = csr.num_edges
     if tr.enabled:
         tr.event("run_start", engine="flat", m=int(m), kernel=kname,
                  index_storage=index_storage or "auto")
-    if _np is not None and m:
-        stats.record("kernel", kname)
-        if kname == "python" and kernel in (None, "auto"):
-            warn_degraded(tr, stats.metrics, "kernel_auto_python",
-                          engine="flat")
-        kern = get_kernel(kname)
-        if tr.enabled:
-            kern = CountingKernel(kern)
-        t0 = _perf()
-        phi, k = _peel_waves(csr, m, index_storage, stats, kern, tracer=tr)
-        build_s = stats.metrics.value("index_build_s") or 0.0
-        peel_s = max(_perf() - t0 - build_s, 0.0)
-        stats.record("peel_s", round(peel_s, 6))
-        if tr.enabled:
-            tr.complete_span("peel", peel_s, engine="flat")
-            kern.flush_into(stats.metrics)
-    else:
-        if m:
-            warn_degraded(tr, stats.metrics, "stdlib_fallback",
-                          engine="flat")
-        t0 = _perf()
-        sup = _initial_supports_python(csr, m)
-        eu, ev = csr.edge_endpoints()
-        phi, k = _peel_wedge_bisect(csr, m, sup, eu, ev)
-        peel_s = _perf() - t0
-        stats.record("peel_s", round(peel_s, 6))
-        if tr.enabled:
-            tr.complete_span("peel", peel_s, engine="flat")
-    return result_from_phi(csr, phi, k if m else 2, stats)
+    if not m:
+        return result_from_phi(csr, array("q"), 2, stats)
+    stats.record("kernel", kname)
+    if kname == "python" and kernel in (None, "auto"):
+        warn_degraded(tr, stats.metrics, "kernel_auto_python",
+                      engine="flat")
+    kern = get_kernel(kname)
+    if tr.enabled:
+        kern = CountingKernel(kern)
+    t0 = _perf()
+    phi, k = _peel_waves(csr, m, index_storage, stats, kern, tracer=tr)
+    build_s = stats.metrics.value("index_build_s") or 0.0
+    peel_s = max(_perf() - t0 - build_s, 0.0)
+    stats.record("peel_s", round(peel_s, 6))
+    if tr.enabled:
+        tr.complete_span("peel", peel_s, engine="flat")
+        kern.flush_into(stats.metrics)
+    return result_from_phi(csr, phi, k, stats)

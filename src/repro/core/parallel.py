@@ -10,29 +10,28 @@ matches Jakkula & Karypis's batch formulation (arXiv:1908.10550).
 Layout
 ------
 The mutable peel state — the support array and the ``alive``/``tdead``
-bitmaps (plus ``phi``/histogram rows in static mode) — lives in
-:mod:`multiprocessing.shared_memory` blocks wrapped as numpy views, so
-workers attach once (pool initializer) and never receive more than
-their slice of the current frontier over the IPC channel.  The
-read-only O(|△G|) triangle index (``e1``/``e2``/``e3`` edge columns,
-the ``tptr``/``tinc`` edge->triangle incidence) comes from the
-streaming counting builder (:mod:`repro.triangles.index_builder`) and
-travels by ``index_storage``: ``"ram"`` shares it through the same shm
-blocks, ``"mmap"`` streams it to disk and every process (coordinator
-and workers alike) maps the ``.npy`` files read-only — the page cache
-is the sharing medium and no triangle-length shm copy exists.
+bitmaps — lives in :mod:`multiprocessing.shared_memory` blocks wrapped
+as numpy views, so workers attach once (pool initializer) and never
+receive more than their slice of the current frontier over the IPC
+channel.  The read-only O(|△G|) triangle index (``e1``/``e2``/``e3``
+edge columns, the ``tptr``/``tinc`` edge->triangle incidence) comes
+from the streaming counting builder
+(:mod:`repro.triangles.index_builder`) and travels by
+``index_storage``: ``"ram"`` shares it through the same shm blocks,
+``"mmap"`` streams it to disk and every process (coordinator and
+workers alike) maps the ``.npy`` files read-only — the page cache is
+the sharing medium and no triangle-length shm copy exists.
 Zero-length arrays (a triangle-free graph has empty
 ``e1``/``tinc``/``tdead``) are never backed by a shared block at all —
 each worker materializes its own empty view.
 
-Wave protocols
---------------
-Two shard modes share the level/wave schedule (and therefore produce
-the identical trussness map):
-
-``shards="dynamic"`` (the default) re-partitions every wave's frontier
-into fresh contiguous edge-id ranges and keeps all mutable state
-coordinator-merged.  Each wave is two synchronous phases over the pool:
+Wave protocol
+-------------
+The pool runs :func:`repro.core.flat.run_wave_peel`, the serial
+engine's own loop, with a worker pool's ``map`` and two range
+partitioners plugged in.  Every wave's frontier is re-partitioned into
+fresh contiguous edge-id ranges and all mutable state stays
+coordinator-merged; each wave is two synchronous phases over the pool:
 
 1. **collect** — the frontier, already sorted by edge id, is
    partitioned into contiguous edge-id ranges (balanced by incidence
@@ -49,52 +48,22 @@ coordinator-merged.  Each wave is two synchronous phases over the pool:
    alive-support histogram, and gathers the next frontier from the
    touched edges that fell to the floor.
 
-``shards="static"`` is the **owner-computes** layout: a
-:class:`repro.partition.edge_shards.EdgeShardPlan` assigns each
-canonical edge id to exactly one shard *at construction time*
-(contiguous ranges balanced by triangle-incidence weight from
-``tptr``), and shard ``s`` owns the ``sup``/``alive``/``phi`` entries
-of its edge range plus row ``s`` of a per-shard alive-support
-histogram for the whole peel.  The shard-ownership protocol per wave:
-
-1. **collect** — the coordinator routes the sorted frontier through
-   the static bounds (one ``searchsorted``), sending shard ``s`` *only
-   the frontier edges it owns*; the owning task pops them itself
-   (sets ``phi``, clears ``alive``, debits its histogram row) and
-   returns destroyed-triangle candidates, which the coordinator
-   dedupes into ``tdead`` exactly as above;
-2. **decrement** — the coordinator routes each dead triangle to the
-   shard(s) owning its partner edges (deduped per shard, so a triangle
-   decrements each partner exactly once); the owning task applies the
-   decrements to its *own* support slice and histogram row and returns
-   the owned edges that fell to the floor — no coordinator-side
-   bincount merge exists in this mode.  The routed per-shard buffers
-   are precisely the messages a distributed peel would exchange; the
-   coordinator's remaining jobs (triangle dedupe, floor scan over
-   histogram column sums) are the reduction half of that exchange.
-
-Because both phases are barriers, and static-mode tasks write only the
-slices their shard owns, workers never write a block another worker
-(or the coordinator) touches in the same phase; no locks are needed.
-A ``multiprocessing.Pool`` does not pin task ``s`` to OS process
-``s`` — ownership is carried by the task, not the process — but the
-message pattern (who is sent what, who writes what) is exactly the
-owner-computes one.
+Both phases are barriers and workers only read the shared blocks, so
+no locks are needed.  The owner-computes alternative, where each
+worker keeps one edge-id shard for the whole peel and the routed
+buffers are real messages, is ``method="dist"`` (:mod:`repro.core.dist`).
 
 ``jobs=1`` executes the identical protocol in-process (no pool, no
 shared-memory copies), which is also the fallback when the graph is
 too small for process fan-out to pay (see ``_resolve_jobs``).  Without
-numpy the method degrades to the stdlib flat engine — same result,
+numpy the method degrades to ``method="improved"`` — same result,
 ``stdlib_fallback`` recorded in the stats.
 
 Scaling expectations: each wave costs two IPC round trips, so speedup
 appears once waves are large (massive graphs, small kmax) and cores
 are real; on a single-core container or CI runner the pool can only
 add overhead — ``benchmarks/bench_ablation_parallel_scaling.py``
-measures exactly where the crossover lands, and
-``benchmarks/bench_ablation_static_shards.py`` compares the two shard
-modes' wall time and per-wave IPC bytes (``ipc_bytes`` in the stats)
-in ``BENCH_shards.json``.
+measures exactly where the crossover lands.
 """
 
 from __future__ import annotations
@@ -108,28 +77,24 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.decomposition import DecompositionStats, TrussDecomposition
 from repro.core.flat import (
     _as_csr,
-    _initial_supports_python,
-    _peel_wedge_bisect,
+    _peel_state,
     _record_index_build,
+    _stdlib_fallback,
     resolve_index_storage,
     result_from_phi,
     run_wave_peel,
 )
 from repro.errors import DecompositionError
 from repro.kernels import PeelKernel, get_kernel, resolve_kernel
-from repro.obs import NULL_TRACER, CountingKernel, warn_degraded
+from repro.obs import NULL_TRACER, CountingKernel
 from repro.graph.csr import CSRGraph
-from repro.partition.edge_shards import (
-    balanced_prefix_cuts,
-    plan_edge_shards,
-    route_dead_triangles,
-)
+from repro.partition.edge_shards import balanced_prefix_cuts
 from repro.triangles.index_builder import (
     TriangleIndex,
     build_triangle_index,
 )
 
-try:  # optional accelerator; the stdlib fallback degrades to core.flat
+try:  # optional accelerator; without it the method degrades to improved
     import numpy as _np
 except ImportError:  # pragma: no cover
     _np = None
@@ -144,9 +109,6 @@ except ImportError:  # pragma: no cover - CPython always ships it
 #: below this edge count, ``jobs=None`` resolves to a serial run — the
 #: per-wave IPC round trips dominate any fan-out win on small graphs
 _MIN_PARALLEL_EDGES = 50_000
-
-#: the frontier-partitioning strategies of the parallel peel
-SHARD_MODES = ("dynamic", "static")
 
 #: worker-side state: name -> numpy view over an attached shm block
 _WORKER_VIEWS: Dict[str, object] = {}
@@ -167,21 +129,12 @@ def _worker_kernel() -> PeelKernel:
 def _resolve_jobs(jobs: Optional[int], m: int) -> int:
     """An explicit ``jobs`` is honored exactly; ``None`` is heuristic."""
     if jobs is not None:
-        return max(1, int(jobs))
+        if jobs < 1:
+            raise DecompositionError(f"need at least 1 job, got {jobs}")
+        return int(jobs)
     if m < _MIN_PARALLEL_EDGES:
         return 1
     return os.cpu_count() or 1
-
-
-def _resolve_shards(shards: Optional[str]) -> str:
-    """Validate the shard mode (``None`` means the dynamic default)."""
-    if shards is None:
-        return "dynamic"
-    if shards not in SHARD_MODES:
-        raise DecompositionError(
-            f"unknown shards mode {shards!r}; expected one of {SHARD_MODES}"
-        )
-    return shards
 
 
 # ---------------------------------------------------------------------------
@@ -258,69 +211,15 @@ def _count_decrements(hit):
     )
 
 
-# --- static-shard tasks: ownership travels with the task, and every
-# --- write lands inside the owning shard's slices
-def _static_collect_views(views, task, kern: PeelKernel):
-    """Phase 1 (static): the owning shard pops its frontier edges.
-
-    ``task`` is ``(shard, owned_frontier, k)``.  The shard writes only
-    state it owns — its ``phi``/``alive`` entries and histogram row
-    (the kernel pop over the shared views plus row ``s`` of the
-    per-shard histogram) — then gathers the destroyed-triangle
-    candidates from its edges' incidence windows.
-    """
-    s, part, k = task
-    kern.pop_frontier(
-        views["sup"], views["alive"], views["phi"],
-        views["hist"][s], part, k,
-    )
-    return kern.gather_incident(
-        views["tptr"], views["tinc"], part, views["tdead"]
-    )
-
-
-def _static_decrement_views(views, task, kern: PeelKernel):
-    """Phase 2 (static): the owning shard applies its routed decrements.
-
-    ``task`` is ``(shard, routed_triangles, k)``: the dead triangles
-    with at least one partner edge in this shard, deduped by the
-    router.  The shard counts its owned still-alive partners (the
-    kernel's bounded scatter count — partners outside ``[lo, hi)``
-    belong to other shards; ``base=0``, the views are global), commits
-    them to its own support slice and histogram row, and returns the
-    owned edges that fell to the wave floor — the shard's contribution
-    to the next frontier.
-    """
-    s, tris, k = task
-    bounds = views["shard_bounds"]
-    lo, hi = int(bounds[s]), int(bounds[s + 1])
-    touched, dec = kern.count_decrements(
-        views["e1"], views["e2"], views["e3"], tris, views["alive"],
-        lo=lo, hi=hi,
-    )
-    return kern.apply_decrements(
-        views["sup"], views["hist"][s], touched, dec, k
-    )
-
-
-def _static_collect(task):
-    """Picklable pool entry for :func:`_static_collect_views`."""
-    return _static_collect_views(_WORKER_VIEWS, task, _worker_kernel())
-
-
-def _static_decrement(task):
-    """Picklable pool entry for :func:`_static_decrement_views`."""
-    return _static_decrement_views(_WORKER_VIEWS, task, _worker_kernel())
-
-
 # ---------------------------------------------------------------------------
 # coordinator side
 # ---------------------------------------------------------------------------
 def _split_weighted(frontier, tptr, jobs: int) -> List:
     """Contiguous edge-id-range partition, balanced by incidence count.
 
-    Same charge and cut rule as the static shard planner — one shared
-    kernel, so the two modes can never drift apart on the cost model.
+    Same charge and cut rule as the dist engine's edge-shard planner
+    (:func:`repro.partition.edge_shards.balanced_prefix_cuts`), so the
+    two fan-outs can never drift apart on the cost model.
     """
     if jobs <= 1 or frontier.size <= 1:
         return [frontier]
@@ -366,185 +265,10 @@ class _SharedBlocks:
                 pass
 
 
-def run_static_wave_peel(
-    m: int,
-    views,
-    plan,
-    collect,
-    decrement,
-    run_map=None,
-    account_ipc: bool = False,
-    tracer=None,
-    metrics=None,
-):
-    """The owner-computes wave peel over a static edge-shard plan.
-
-    The same level/wave schedule as :func:`repro.core.flat.run_wave_peel`
-    — every live edge at or below the floor pops in one wave, supports
-    stay exact via the deduped ``tdead`` — but all mutable edge state
-    (``sup``/``alive``/``phi`` and one histogram row per shard) is
-    written exclusively by the shard that owns the edge range, with the
-    coordinator reduced to routing and triangle dedupe.  ``plan`` is
-    the static :class:`~repro.partition.edge_shards.EdgeShardPlan`
-    (its ``split_sorted`` is the frontier router); ``views`` must hold
-    ``phi`` (int64) and ``hist`` (``(num_shards, max_sup + 1)`` int64)
-    in addition to the peel state, all sliced by the plan's bounds.
-
-    With ``account_ipc``, totals the bytes of every routed array
-    (frontier and triangle slices out, candidates and sub-frontiers
-    back) into the ``ipc_bytes`` wave stat.  ``tracer``/``metrics``
-    emit the same wave/level spans and frontier histogram as
-    :func:`repro.core.flat.run_wave_peel`.
-
-    Returns ``(phi, k, wave_stats)`` — ``phi`` is the shared view.
-    """
-    if run_map is None:
-        run_map = lambda fn, tasks: [fn(t) for t in tasks]  # noqa: E731
-    tr = tracer if tracer is not None else NULL_TRACER
-    trace_on = tr.enabled
-    sup, alive, tdead = views["sup"], views["alive"], views["tdead"]
-    e1, e2, e3 = views["e1"], views["e2"], views["e3"]
-    phi, hist = views["phi"], views["hist"]
-    bounds = _np.asarray(plan.bounds, dtype=_np.int64)
-    stride = max(len(e1), 1)
-    floor = 0
-    k = 2
-    remaining = m
-    waves = levels = max_wave = 0
-    ipc_bytes = 0
-    while remaining:
-        while not int(hist[:, floor].sum()):
-            floor += 1
-        if floor + 2 > k:
-            k = floor + 2
-        levels += 1
-        if trace_on:
-            level_t0 = _perf()
-            level_waves = level_popped = 0
-        frontier = _np.flatnonzero(alive & (sup <= k - 2))
-        while frontier.size:
-            waves += 1
-            wave_size = int(frontier.size)
-            max_wave = max(max_wave, wave_size)
-            remaining -= wave_size
-            if trace_on:
-                wave_t0 = _perf()
-                wave_ipc0 = ipc_bytes
-                level_waves += 1
-                level_popped += wave_size
-                if metrics is not None:
-                    metrics.observe("repro_wave_frontier_edges", wave_size)
-            # route: each shard is sent only the frontier edges it owns
-            pieces = plan.split_sorted(frontier)
-            tasks = [
-                (s, piece, k)
-                for s, piece in enumerate(pieces)
-                if piece.size
-            ]
-            cands = run_map(collect, tasks)
-            if account_ipc:
-                ipc_bytes += sum(int(t[1].nbytes) for t in tasks)
-                ipc_bytes += sum(int(c.nbytes) for c in cands)
-            hit = cands[0] if len(cands) == 1 else _np.unique(
-                _np.concatenate(cands)
-            )
-            if hit.size == 0:
-                if trace_on:
-                    tr.complete_span(
-                        "wave", _perf() - wave_t0, k=int(k),
-                        frontier=wave_size, killed=0,
-                        ipc_bytes=ipc_bytes - wave_ipc0,
-                    )
-                break
-            tdead[hit] = True
-            # route: each dead triangle goes to the owner shard(s) of
-            # its partner edges, once per shard (the shared unique over
-            # (owner, triangle) keys is the exactly-once guarantee)
-            routed = route_dead_triangles(bounds, stride, hit, e1, e2, e3)
-            tasks = [
-                (s, tris, k)
-                for s, tris in enumerate(routed)
-                if tris.size
-            ]
-            outs = run_map(decrement, tasks)
-            if account_ipc:
-                ipc_bytes += sum(int(t[1].nbytes) for t in tasks)
-                ipc_bytes += sum(int(o.nbytes) for o in outs)
-            # shard outputs are sorted and shard ranges ascend, so the
-            # concatenation is the globally sorted next frontier
-            frontier = (
-                _np.concatenate(outs)
-                if outs
-                else _np.zeros(0, dtype=_np.int64)
-            )
-            if trace_on:
-                tr.complete_span(
-                    "wave", _perf() - wave_t0, k=int(k),
-                    frontier=wave_size, killed=int(hit.size),
-                    ipc_bytes=ipc_bytes - wave_ipc0,
-                )
-        if trace_on:
-            tr.complete_span(
-                "level", _perf() - level_t0, k=int(k),
-                waves=level_waves, popped=level_popped, floor=int(floor),
-            )
-    return phi, k, {
-        "waves": waves,
-        "levels": levels,
-        "max_wave": max_wave,
-        "ipc_bytes": ipc_bytes,
-    }
-
-
-def _index_views(tri: TriangleIndex) -> Dict[str, object]:
-    """The read-only triangle index, keyed like the worker views."""
-    return {name: getattr(tri, name) for name in TriangleIndex.FIELDS}
-
-
-def _mutable_arrays(tri: TriangleIndex, m: int) -> Dict[str, object]:
-    """The peel state both shard modes share, keyed for the shm spec.
-
-    One layout definition — ``sup``/``alive``/``tdead`` — so the two
-    modes can never drift on dtypes, sizing or key names.  Unlike the
-    index views these are written every wave, so they always live in
-    RAM (and in shared memory when a pool runs).
-    """
-    return {
-        "sup": tri.initial_supports(),
-        "alive": _np.ones(m, dtype=bool),
-        "tdead": _np.zeros(tri.num_triangles, dtype=bool),
-    }
-
-
-def _static_extras(
-    tri: TriangleIndex, sup, m: int, jobs: int
-) -> Tuple[Dict[str, object], object]:
-    """The owner-computes additions to the mutable peel state.
-
-    The shard bounds, the sharded ``phi``, and the per-shard
-    alive-support histogram (row ``s`` counts shard ``s``'s live edges
-    by support value; the global histogram is the column sum).
-    Returns ``(arrays, plan)`` — the plan is the coordinator's router,
-    the bounds array its worker-visible twin.
-    """
-    plan = plan_edge_shards(m, jobs, weights=tri.initial_supports())
-    height = int(sup.max()) + 1 if m else 1
-    hist = _np.zeros((plan.num_shards, height), dtype=_np.int64)
-    for s, lo, hi in plan.iter_shards():
-        if hi > lo:
-            hist[s] = _np.bincount(sup[lo:hi], minlength=height)
-    return {
-        "phi": _np.zeros(m, dtype=_np.int64),
-        "hist": hist,
-        "shard_bounds": _np.asarray(plan.bounds, dtype=_np.int64),
-    }, plan
-
-
 def _peel_waves_shared(
     csr: CSRGraph,
     m: int,
     jobs: int,
-    shards: str,
     stats: DecompositionStats,
     index_storage: Optional[str] = None,
     kname: Optional[str] = None,
@@ -552,11 +276,9 @@ def _peel_waves_shared(
 ) -> Tuple[array, int]:
     """The wave peel of ``flat``, fanned out over ``jobs`` workers.
 
-    One loop per shard mode serves jobs=1 and jobs>1 alike —
-    :func:`repro.core.flat.run_wave_peel` for the dynamic per-wave
-    split, :func:`run_static_wave_peel` for the owner-computes static
-    plan — so the wave/level schedule (and therefore the trussness
-    map) is identical by construction across modes and worker counts.
+    One loop — :func:`repro.core.flat.run_wave_peel` — serves jobs=1
+    and jobs>1 alike, so the wave/level schedule (and therefore the
+    trussness map) is identical by construction across worker counts.
     With ``jobs=1`` the phases run inline on plain local arrays; with
     ``jobs>1`` the mutable peel state is copied into shared memory
     once, a persistent pool attaches to it, and every wave is two
@@ -578,75 +300,9 @@ def _peel_waves_shared(
         )
         _record_index_build(tri, _perf() - t0, stats, tr)
         stats.record("index_storage", tri.storage)
-        index_views = _index_views(tri)
-        mutable = _mutable_arrays(tri, m)
-        if shards == "static":
-            extras, plan = _static_extras(tri, mutable["sup"], m, jobs)
-            mutable.update(extras)
-
-            def run_pooled(views, pool):
-                return run_static_wave_peel(
-                    m,
-                    views,
-                    plan,
-                    _static_collect,  # workers write attached views
-                    _static_decrement,
-                    run_map=pool.map,
-                    account_ipc=True,
-                    tracer=tr,
-                    metrics=stats.metrics,
-                )
-
-            def run_inline(views):
-                return run_static_wave_peel(
-                    m,
-                    views,
-                    plan,
-                    lambda t: _static_collect_views(views, t, kern),
-                    lambda t: _static_decrement_views(views, t, kern),
-                    tracer=tr,
-                    metrics=stats.metrics,
-                )
-        else:
-            tptr, tinc = index_views["tptr"], index_views["tinc"]
-            e1, e2, e3 = (
-                index_views["e1"], index_views["e2"], index_views["e3"]
-            )
-
-            def run_pooled(views, pool):
-                return run_wave_peel(
-                    m,
-                    views,
-                    _collect_hits,  # workers read attached views
-                    _count_decrements,
-                    kernel=kern,
-                    split_frontier=lambda f: _split_weighted(
-                        f, tptr, jobs
-                    ),
-                    split_hits=lambda h: _np.array_split(h, jobs),
-                    run_map=pool.map,
-                    account_ipc=True,
-                    tracer=tr,
-                    metrics=stats.metrics,
-                )
-
-            def run_inline(views):
-                # inline closures over the local arrays: no pool, no
-                # shared memory, no module globals — one kernel instance
-                return run_wave_peel(
-                    m,
-                    views,
-                    lambda f: kern.gather_incident(
-                        tptr, tinc, f, views["tdead"]
-                    ),
-                    lambda h: kern.count_decrements(
-                        e1, e2, e3, h, views["alive"]
-                    ),
-                    kernel=kern,
-                    tracer=tr,
-                    metrics=stats.metrics,
-                )
-
+        state = _peel_state(tri, m)
+        tptr, tinc = tri.tptr, tri.tinc
+        e1, e2, e3 = tri.e1, tri.e2, tri.e3
         blocks = None
         pool = None
         try:
@@ -656,21 +312,48 @@ def _peel_waves_shared(
                 # or as the mmapped files themselves (mmap); the
                 # mutable state is always shm
                 if tri.storage == "mmap":
-                    blocks = _SharedBlocks(mutable)
+                    blocks = _SharedBlocks(state)
                     initargs = (blocks.spec, str(tri.dirpath), kern.name)
                 else:
-                    blocks = _SharedBlocks({**index_views, **mutable})
+                    index = {
+                        name: getattr(tri, name)
+                        for name in TriangleIndex.FIELDS
+                    }
+                    blocks = _SharedBlocks({**index, **state})
                     initargs = (blocks.spec, None, kern.name)
                 pool = _mp.get_context().Pool(
                     processes=jobs,
                     initializer=_attach_worker,
                     initargs=initargs,
                 )
-                views = {**index_views, **blocks.views}
-                phi, k, wave_stats = run_pooled(views, pool)
+                phi, k, wave_stats = run_wave_peel(
+                    m,
+                    blocks.views,
+                    _collect_hits,  # workers read attached views
+                    _count_decrements,
+                    kernel=kern,
+                    split_frontier=lambda f: _split_weighted(f, tptr, jobs),
+                    split_hits=lambda h: _np.array_split(h, jobs),
+                    run_map=pool.map,
+                    account_ipc=True,
+                    tracer=tr,
+                    metrics=stats.metrics,
+                )
             else:
-                phi, k, wave_stats = run_inline(
-                    {**index_views, **mutable}
+                # inline closures over the local arrays: no pool, no
+                # shared memory, no module globals — one kernel instance
+                phi, k, wave_stats = run_wave_peel(
+                    m,
+                    state,
+                    lambda f: kern.gather_incident(
+                        tptr, tinc, f, state["tdead"]
+                    ),
+                    lambda h: kern.count_decrements(
+                        e1, e2, e3, h, state["alive"]
+                    ),
+                    kernel=kern,
+                    tracer=tr,
+                    metrics=stats.metrics,
                 )
             peel_s = _perf() - t_peel
             stats.record("peel_s", round(peel_s, 6))
@@ -679,7 +362,7 @@ def _peel_waves_shared(
             stats.record("triangles", tri.num_triangles)
             if tr.enabled:
                 tr.complete_span("peel", peel_s, engine="parallel",
-                                 jobs=int(jobs), shards=shards)
+                                 jobs=int(jobs))
                 kern.flush_into(stats.metrics)
             return array("q", phi.tobytes()), k
         finally:
@@ -693,7 +376,6 @@ def _peel_waves_shared(
 def truss_decomposition_parallel(
     g,
     jobs: Optional[int] = None,
-    shards: Optional[str] = None,
     index_storage: Optional[str] = None,
     kernel: Optional[str] = None,
     trace=None,
@@ -706,13 +388,8 @@ def truss_decomposition_parallel(
         jobs: worker processes.  ``None`` picks ``os.cpu_count()`` for
             graphs with at least ``_MIN_PARALLEL_EDGES`` edges and a
             serial in-process run below that; an explicit value is
-            honored exactly (``jobs=1`` forces the serial path).
-        shards: frontier-partitioning strategy, one of
-            :data:`SHARD_MODES`.  ``"dynamic"`` (the default) splits
-            each wave's frontier into fresh balanced ranges;
-            ``"static"`` fixes an incidence-balanced edge-id shard per
-            worker up front and runs the owner-computes protocol (see
-            the module docstring).
+            honored exactly (``jobs=1`` forces the serial path) and
+            must be at least 1.
         index_storage: the triangle index destination — ``"ram"``
             (shared-memory blocks), ``"mmap"`` (streamed to disk, every
             process maps it read-only), or ``None`` (auto by size).
@@ -722,45 +399,26 @@ def truss_decomposition_parallel(
             coordinator *and* every pool worker.
 
     Returns the identical trussness map as ``method="flat"`` and
-    ``method="improved"`` — neither the worker count, the shard mode,
-    the index storage nor the kernel changes the wave schedule.
+    ``method="improved"`` — neither the worker count, the index
+    storage nor the kernel changes the wave schedule.
     """
-    mode = _resolve_shards(shards)
     resolve_index_storage(index_storage)  # validate eagerly, any path
     kname = resolve_kernel(kernel)
-    csr = _as_csr(g)
-    m = csr.num_edges
+    njobs = _resolve_jobs(jobs, g.num_edges)
     stats = DecompositionStats(method="parallel")
-    stats.record("shards", mode)
     tr = trace if trace is not None else NULL_TRACER
     if _np is None or _shm is None:
-        # no vectorized substrate: degrade to the stdlib flat engine
-        if tr.enabled:
-            tr.event("run_start", engine="parallel", m=int(m),
-                     shards=mode, jobs=1)
-        if m:
-            warn_degraded(tr, stats.metrics, "stdlib_fallback",
-                          engine="parallel")
-        stats.record("stdlib_fallback", 1)
-        stats.record("jobs", 1)
-        t0 = _perf()
-        sup = _initial_supports_python(csr, m)
-        eu, ev = csr.edge_endpoints()
-        phi, k = _peel_wedge_bisect(csr, m, sup, eu, ev)
-        peel_s = _perf() - t0
-        stats.record("peel_s", round(peel_s, 6))
-        if tr.enabled:
-            tr.complete_span("peel", peel_s, engine="parallel")
-        return result_from_phi(csr, phi, k if m else 2, stats)
-    njobs = _resolve_jobs(jobs, m)
+        return _stdlib_fallback(g, stats, tr, jobs=1)
+    csr = _as_csr(g)
+    m = csr.num_edges
     stats.record("jobs", njobs)
     stats.record("kernel", kname)
     if tr.enabled:
         tr.event("run_start", engine="parallel", m=int(m), kernel=kname,
-                 jobs=int(njobs), shards=mode)
+                 jobs=int(njobs))
     if not m:
         return result_from_phi(csr, array("q"), 2, stats)
     phi, k = _peel_waves_shared(
-        csr, m, njobs, mode, stats, index_storage, kname, tracer=tr
+        csr, m, njobs, stats, index_storage, kname, tracer=tr
     )
     return result_from_phi(csr, phi, k, stats)

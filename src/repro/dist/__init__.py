@@ -1,10 +1,9 @@
-"""Rank-based distributed peeling over the static edge shards.
+"""Rank-based distributed peeling over static edge shards.
 
-PR 3 shaped the static-shard peel as owner-computes message exchanges
-riding ``pool.map`` barriers; this package replaces those barriers with
-a real transport, so ``method="dist"`` (driven by
-:mod:`repro.core.dist`) runs one :class:`~repro.dist.rank.Rank` per
-shard of an :class:`~repro.partition.edge_shards.EdgeShardPlan`, each
+The owner-computes peel over a real message transport:
+``method="dist"`` (driven by :mod:`repro.core.dist`) runs one
+:class:`~repro.dist.rank.Rank` per shard of an
+:class:`~repro.partition.edge_shards.EdgeShardPlan`, each
 owning only its slice of the peel state plus a read-only mmap of the
 triangle index — no process holds the global triangle set, the global
 dedupe state, or another rank's supports.

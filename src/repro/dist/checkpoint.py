@@ -129,6 +129,10 @@ def _read_manifest(root, epoch: int, rank: int) -> dict:
         raise CheckpointError(
             f"rank {rank} epoch {epoch}: unreadable manifest: {exc}"
         ) from exc
+    if not isinstance(manifest, dict):
+        raise CheckpointError(
+            f"rank {rank} epoch {epoch}: manifest is not an object"
+        )
     if (
         manifest.get("format") != FORMAT
         or manifest.get("epoch") != epoch
@@ -136,6 +140,20 @@ def _read_manifest(root, epoch: int, rank: int) -> dict:
     ):
         raise CheckpointError(
             f"rank {rank} epoch {epoch}: manifest header mismatch"
+        )
+    arrays = manifest.get("arrays")
+    if (
+        not isinstance(arrays, dict)
+        or not isinstance(manifest.get("scalars"), dict)
+        or not all(
+            isinstance(entry, dict)
+            and isinstance(entry.get("crc"), int)
+            and isinstance(entry.get("nbytes"), int)
+            for entry in arrays.values()
+        )
+    ):
+        raise CheckpointError(
+            f"rank {rank} epoch {epoch}: malformed manifest body"
         )
     return manifest
 

@@ -2,8 +2,8 @@
 
 Every CSR peel engine — ``flat`` serial waves
 (:func:`repro.core.flat.run_wave_peel`), the shared-memory ``parallel``
-pool in both shard modes (:mod:`repro.core.parallel`) and the
-rank-distributed ``dist`` peel (:meth:`repro.dist.rank.Rank.run`) —
+pool (:mod:`repro.core.parallel`) and the rank-distributed ``dist``
+peel (:meth:`repro.dist.rank.Rank.run`) —
 executes the same bulk-synchronous wave inner step, the loop Kabir &
 Madduri's PKT (arXiv:1707.02000) shows saturating shared-memory
 hardware when it is a tight kernel.  This package owns that step behind

@@ -23,8 +23,7 @@ Every engine emits the same catalogue:
     the triangle-index build — attrs ``storage``, ``triangles``.
 ``peel``
     the whole peel loop — attrs ``engine`` and the engine's knobs
-    (``jobs``/``shards`` for parallel, ``ranks``/``transport`` for
-    dist).
+    (``jobs`` for parallel, ``ranks``/``transport`` for dist).
 ``wave``
     one wave of the level-synchronous peel — attrs ``k`` (level),
     ``frontier`` (edges popped), ``killed`` (triangles destroyed);

@@ -6,8 +6,7 @@ Public surface::
     SequentialPartitioner   greedy in-order packing
     DominatingSetPartitioner  seed-clustered packing
     RandomizedPartitioner   seeded uniform bucketing
-    EdgeShardPartitioner    static contiguous edge-id shards (parallel peel)
-    EdgeShardPlan, plan_edge_shards   the native edge-shard API
+    EdgeShardPlan, plan_edge_shards   static edge-id shards (dist peel)
     extract_block, iter_block_subgraphs   NS(P_i) materialization
     default_partitioner     the library default (sequential)
 """
@@ -22,11 +21,8 @@ from repro.partition.base import (
 from repro.partition.dominating import DominatingSetPartitioner
 from repro.partition.edge_shards import (
     EdgeShardError,
-    EdgeShardPartitioner,
     EdgeShardPlan,
     balanced_prefix_cuts,
-    edge_shard_source,
-    incidence_weights,
     plan_edge_shards,
 )
 from repro.partition.extract import extract_block, iter_block_subgraphs
@@ -55,11 +51,9 @@ def partitioner_by_name(name: str, seed: int = 0) -> Partitioner:
         return DominatingSetPartitioner()
     if name == "randomized":
         return RandomizedPartitioner(seed=seed)
-    if name == "edge_shards":
-        return EdgeShardPartitioner()
     raise ValueError(
         f"unknown partitioner {name!r}; expected one of "
-        "'sequential', 'dominating', 'randomized', 'edge_shards'"
+        "'sequential', 'dominating', 'randomized'"
     )
 
 
@@ -73,11 +67,8 @@ __all__ = [
     "DominatingSetPartitioner",
     "RandomizedPartitioner",
     "EdgeShardError",
-    "EdgeShardPartitioner",
     "EdgeShardPlan",
     "balanced_prefix_cuts",
-    "edge_shard_source",
-    "incidence_weights",
     "plan_edge_shards",
     "extract_block",
     "iter_block_subgraphs",

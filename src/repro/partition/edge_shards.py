@@ -1,30 +1,27 @@
-"""Static edge-id shard partitioner for owner-computes peeling.
+"""Static edge-id shards for the owner-computes distributed peel.
 
 The vertex-cut partitioners in this package slice *vertices* into
 memory-bounded blocks for the paper's external algorithms.  This module
 slices the **canonical edge-id space** ``0..m-1`` into contiguous
 shards balanced by *triangle-incidence weight* — the unit of work a
-peel spends on an edge — so that a worker can own its shard's support/
-alive/histogram slices for an entire decomposition instead of being
-handed a fresh range every wave (see :mod:`repro.core.parallel`,
-``shards="static"``).
+peel spends on an edge — so that each rank of ``method="dist"``
+(:mod:`repro.core.dist`, :mod:`repro.dist`) owns its shard's support/
+alive/histogram slices for an entire decomposition.
 
 Contiguity is deliberate: ownership of a sorted edge-id array is then
-a single ``searchsorted`` against the shard bounds, per-shard routing
-is ``np.split``, and a shard's state is a dense slice of the flat
-arrays, not a gather.  This is the same owner-computes layout PKT-style
-shared-memory truss codes use, and the stepping stone to distributed
-peeling where the routed per-wave buffers become message exchanges.
+a single ``searchsorted`` against the shard bounds, and a shard's state
+is a dense slice of the flat arrays, not a gather.  This is the same
+owner-computes layout PKT-style truss codes use; the routed per-wave
+buffers are the ranks' message exchanges.
 
-Two entry points:
+Entry points:
 
-* :func:`plan_edge_shards` — the native API: incidence weights in, an
-  immutable :class:`EdgeShardPlan` (the bounds + routing helpers) out;
-* :class:`EdgeShardPartitioner` — the same split exposed through the
-  package's :class:`~repro.partition.base.Partitioner` protocol (items
-  are edge ids, the "degree" of an edge is its triangle incidence), so
-  ``check_partition`` and the budget-driven call sites treat edge
-  shards exactly like vertex blocks.
+* :func:`plan_edge_shards` — incidence weights in, an immutable
+  :class:`EdgeShardPlan` (the shard bounds) out;
+* :func:`balanced_prefix_cuts` — the cost model the plan and the
+  parallel engine's per-wave frontier split share;
+* :func:`route_dead_triangles` — each dead triangle to the owner
+  shard(s) of its partner edges, exactly once per shard.
 """
 
 from __future__ import annotations
@@ -34,8 +31,6 @@ from bisect import bisect_left, bisect_right
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
-from repro.exio.memory import MemoryBudget
-from repro.partition.base import Partitioner, PartitionSource
 
 try:  # optional accelerator; every code path has a stdlib fallback
     import numpy as _np
@@ -95,28 +90,6 @@ class EdgeShardPlan:
         for s in range(self.num_shards):
             yield (s, self.bounds[s], self.bounds[s + 1])
 
-    def split_sorted(self, eids):
-        """Route a sorted edge-id array into per-shard pieces.
-
-        Returns a list of ``num_shards`` sub-arrays (numpy views when
-        ``eids`` is an ndarray, lists otherwise); piece ``s`` holds the
-        ids shard ``s`` owns, in order.  Input order is preserved, so a
-        globally sorted input yields globally sorted concatenation.
-        """
-        inner = list(self.bounds)[1:-1]
-        if _np is not None and isinstance(eids, _np.ndarray):
-            return _np.split(eids, _np.searchsorted(eids, inner))
-        out: List[List[int]] = []
-        lo = 0
-        seq = list(eids)
-        for b in inner + [self.num_edges]:
-            hi = lo
-            while hi < len(seq) and seq[hi] < b:
-                hi += 1
-            out.append(seq[lo:hi])
-            lo = hi
-        return out
-
     def shard_loads(self, weights: Sequence[int]) -> List[int]:
         """Total per-shard weight under ``weights`` (one entry per edge)."""
         if len(weights) != self.num_edges:
@@ -127,19 +100,6 @@ class EdgeShardPlan:
             sum(weights[lo:hi]) for _s, lo, hi in self.iter_shards()
         ]
 
-    def blocks(self) -> List[List[int]]:
-        """The plan as base-protocol blocks (lists of owned edge ids).
-
-        Empty shards are dropped, matching the vertex partitioners'
-        output shape; use :meth:`iter_shards` when the shard index
-        matters.
-        """
-        return [
-            list(range(lo, hi))
-            for _s, lo, hi in self.iter_shards()
-            if hi > lo
-        ]
-
 
 def balanced_prefix_cuts(weights, parts: int):
     """Cut positions splitting ``weights`` into ``parts`` balanced runs.
@@ -148,10 +108,11 @@ def balanced_prefix_cuts(weights, parts: int):
     ``weights[i] + 1`` (its triangle incidence plus the pop itself), and
     the cuts are the balanced-prefix positions of the charged cumulative
     sum, so every run's load is within one max charge of the ideal
-    ``total / parts``.  Used by :func:`plan_edge_shards` for the static
-    shard bounds and by :func:`repro.core.parallel._split_weighted` for
-    the dynamic per-wave frontier split — change the cost model here
-    and both modes stay in lockstep.  Returns the ``parts - 1`` cut
+    ``total / parts``.  Used by :func:`plan_edge_shards` for the dist
+    ranks' static shard bounds and by
+    :func:`repro.core.parallel._split_weighted` for the parallel
+    engine's per-wave frontier split — change the cost model here and
+    both engines stay in lockstep.  Returns the ``parts - 1`` cut
     indices (an ndarray with numpy, a list without; both paths use the
     identical first-index-with-cum>=target rule, so a mixed deployment
     cannot disagree about ownership).
@@ -171,20 +132,6 @@ def balanced_prefix_cuts(weights, parts: int):
     ]
 
 
-def incidence_weights(tptr) -> Sequence[int]:
-    """Per-edge triangle-incidence counts from the ``tptr`` pointers.
-
-    ``tptr`` is the CSR-style edge->triangle incidence index built by
-    :func:`repro.triangles.index_builder.build_triangle_index`; the
-    weight of edge ``e``
-    is its incidence window length — the number of triangle slots a
-    peel touches when ``e`` pops.
-    """
-    if _np is not None and not isinstance(tptr, (list, array)):
-        return _np.diff(_np.asarray(tptr))
-    return [tptr[e + 1] - tptr[e] for e in range(len(tptr) - 1)]
-
-
 def plan_edge_shards(
     m: int, shards: int, weights: Optional[Sequence[int]] = None
 ) -> EdgeShardPlan:
@@ -193,8 +140,8 @@ def plan_edge_shards(
     ``weights`` are per-edge work estimates (triangle-incidence counts
     in the peel; ``None`` means uniform) and the cuts come from
     :func:`balanced_prefix_cuts` — the identical charge and cut rule
-    the dynamic per-wave splitter uses — so every shard's load is
-    within one max-edge-charge of the ideal ``total / shards``.  The
+    the parallel engine's per-wave splitter uses — so every shard's
+    load is within one max-edge-charge of the ideal ``total / shards``.  The
     plan is a pure function of ``(m, shards, weights)`` — every worker
     of a distributed peel could compute it independently and agree.
     """
@@ -214,18 +161,16 @@ def plan_edge_shards(
 def route_dead_triangles(bounds, stride: int, tris, e1, e2, e3):
     """Route dead triangles to the owner shard(s) of their partner edges.
 
-    The exactly-once convention both peels share (numpy-only, like the
-    peels themselves): each triangle in ``tris`` goes to every shard
-    owning at least one of its partner edges, *once per shard*, via a
-    ``np.unique`` over ``owner * stride + triangle`` keys — change the
-    key scheme here and the shared-memory owner-computes peel
-    (:func:`repro.core.parallel.run_static_wave_peel`) and the
-    distributed rank peel (:meth:`repro.dist.rank.Rank.run`) stay in
-    lockstep.  ``bounds`` is the plan's ``num_shards + 1`` int64 bound
-    array, ``stride`` any value ``> max(tris)`` (the triangle count),
-    ``e1``/``e2``/``e3`` the triangle index's edge columns (arrays or
-    mmaps).  Returns ``num_shards`` sorted arrays; piece ``s`` holds
-    the triangle ids with a partner edge in shard ``s``.
+    The exactly-once convention of the distributed rank peel
+    (:meth:`repro.dist.rank.Rank.run`; numpy-only, like the peel
+    itself): each triangle in ``tris`` goes to every shard owning at
+    least one of its partner edges, *once per shard*, via a
+    ``np.unique`` over ``owner * stride + triangle`` keys.  ``bounds``
+    is the plan's ``num_shards + 1`` int64 bound array, ``stride`` any
+    value ``> max(tris)`` (the triangle count), ``e1``/``e2``/``e3``
+    the triangle index's edge columns (arrays or mmaps).  Returns
+    ``num_shards`` sorted arrays; piece ``s`` holds the triangle ids
+    with a partner edge in shard ``s``.
     """
     partners = _np.concatenate((e1[tris], e2[tris], e3[tris]))
     owner = _np.searchsorted(bounds, partners, side="right") - 1
@@ -235,67 +180,3 @@ def route_dead_triangles(bounds, stride: int, tris, e1, e2, e3):
     return _np.split(
         key - owners * stride, _np.searchsorted(owners, shard_ids)
     )
-
-
-def edge_shard_source(tptr) -> PartitionSource:
-    """A :class:`PartitionSource` over edge ids with incidence degrees.
-
-    The adapter that lets edge shards ride the package's base protocol:
-    the "vertices" are the canonical edge ids and a vertex's "degree"
-    is its triangle incidence, so ``check_partition`` and budget-driven
-    sizing apply unchanged.  Edge-id space has no edge relation of its
-    own, hence the empty scan.
-    """
-    degrees = {
-        e: int(w) for e, w in enumerate(incidence_weights(tptr))
-    }
-    return PartitionSource(degrees=degrees, iter_edges=lambda: iter(()))
-
-
-class EdgeShardPartitioner(Partitioner):
-    """The static edge-id splitter behind the base ``Partitioner`` face.
-
-    ``partition(source, budget)`` treats the source's id space as edge
-    ids (see :func:`edge_shard_source`) and returns the contiguous
-    weight-balanced ranges as blocks.  The shard count is fixed at
-    construction, or — like the vertex partitioners — derived from the
-    budget's partition capacity when left ``None``.  Unlike the vertex
-    partitioners the split is *static by design*: repeated calls return
-    identical bounds (no phase rotation), because ownership must not
-    move between waves.
-    """
-
-    name = "edge_shards"
-
-    def __init__(self, shards: Optional[int] = None) -> None:
-        super().__init__()
-        if shards is not None and shards < 1:
-            raise EdgeShardError(f"need at least 1 shard, got {shards}")
-        self.shards = shards
-
-    def partition(
-        self, source: PartitionSource, budget: MemoryBudget
-    ) -> List[List[int]]:
-        m = source.num_vertices
-        ids = sorted(source.degrees)
-        if ids != list(range(m)):
-            raise EdgeShardError(
-                "edge-shard sources must cover a dense 0..m-1 id space"
-            )
-        weights = [source.degrees[e] for e in ids]
-        if self.shards is not None:
-            n_shards = self.shards
-        else:
-            total = m + sum(weights)
-            n_shards = max(1, -(-total // budget.partition_capacity()))
-        return self.plan(m, n_shards, weights).blocks()
-
-    def plan(
-        self,
-        m: int,
-        shards: Optional[int] = None,
-        weights: Optional[Sequence[int]] = None,
-    ) -> EdgeShardPlan:
-        """The native entry point: a full :class:`EdgeShardPlan`."""
-        n_shards = shards if shards is not None else (self.shards or 1)
-        return plan_edge_shards(m, n_shards, weights)

@@ -12,8 +12,11 @@ new generation under::
 following the :mod:`repro.dist.checkpoint` atomicity recipe: the state
 file lands first (fsynced), then the manifest — carrying the file's
 CRC32 and byte length — is written to a temp name, fsynced and
-:func:`os.replace`d into place.  A generation without a complete,
-checksum-clean manifest does not exist as far as
+:func:`os.replace`d into place.  The snapshot root is fsynced once the
+generation directory exists and the generation directory once the
+manifest is renamed into it, so the new entries are durable before the
+caller prunes older generations or WAL segments.  A generation without
+a complete, checksum-clean manifest does not exist as far as
 :func:`latest_valid_generation` is concerned, so a torn publish costs
 readers nothing but one older generation.
 
@@ -41,6 +44,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
+from repro.serve.wal import fsync_dir
 
 Edge = Tuple[int, int]
 
@@ -105,6 +109,7 @@ def write_generation(
         )
     dirpath = _gen_dir(root, gen)
     dirpath.mkdir(parents=True, exist_ok=True)
+    fsync_dir(root)
     blob = b"".join(
         ROW.pack(u, v, phi[(u, v)], sup[(u, v)])
         for u, v in sorted(phi)
@@ -128,6 +133,7 @@ def write_generation(
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, dirpath / MANIFEST)
+    fsync_dir(dirpath)
     return dirpath
 
 
@@ -141,6 +147,8 @@ def read_manifest(root, gen: int) -> dict:
         raise SnapshotError(
             f"generation {gen}: unreadable manifest: {exc}"
         ) from exc
+    if not isinstance(manifest, dict):
+        raise SnapshotError(f"generation {gen}: manifest is not an object")
     if manifest.get("format") != FORMAT or manifest.get("gen") != gen:
         raise SnapshotError(f"generation {gen}: manifest header mismatch")
     for key in ("wal_seq", "rows", "nbytes", "crc"):
@@ -254,7 +262,8 @@ def read_head(root) -> Optional[dict]:
             head = json.load(fh)
     except (OSError, ValueError):
         return None
-    if not all(isinstance(head.get(k), int)
-               for k in ("gen", "wal_seq", "applied_seq")):
+    if not isinstance(head, dict) or not all(
+        isinstance(head.get(k), int) for k in ("gen", "wal_seq", "applied_seq")
+    ):
         return None
     return head

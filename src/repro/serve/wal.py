@@ -85,6 +85,15 @@ def _parse_record(line: str) -> Optional[Tuple[int, str, int, int]]:
     return seq, op, u, v
 
 
+def fsync_dir(path) -> None:
+    """Make the entries of directory ``path`` durable."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 class WriteAheadLog:
     """Append-only, fsync-before-ack update log over segment files.
 
@@ -137,13 +146,8 @@ class WriteAheadLog:
         self._sync_dir()
 
     def _sync_dir(self) -> None:
-        if not self._fsync:
-            return
-        fd = os.open(self.root, os.O_RDONLY)
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
+        if self._fsync:
+            fsync_dir(self.root)
 
     @staticmethod
     def _scan_segment(path: Path, first_seq: int) -> Tuple[int, int]:

@@ -1,9 +1,16 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import main
 from repro.graph import complete_graph, read_edge_list, write_edge_list
+from repro.kernels import available_kernels
 
 
 @pytest.fixture
@@ -62,12 +69,11 @@ class TestDecompose:
         assert "streaming CSR ingest" in err
         assert "kmax=5" in err
 
-    @pytest.mark.parametrize("shards", ["dynamic", "static"])
-    def test_shard_modes(self, graph_file, tmp_path, shards):
+    def test_pooled_parallel_matches_flat(self, graph_file, tmp_path):
         out = tmp_path / "phi.txt"
         assert main([
             "decompose", str(graph_file), "-o", str(out),
-            "--method", "parallel", "--jobs", "2", "--shards", shards,
+            "--method", "parallel", "--jobs", "2",
         ]) == 0
         reference = tmp_path / "flat.txt"
         assert main([
@@ -95,13 +101,6 @@ class TestDecompose:
             "decompose", str(graph_file), "--method", "flat", "--jobs", "2",
         ]) == 2
         assert "--jobs only applies" in capsys.readouterr().err
-
-    def test_shards_rejected_without_parallel(self, graph_file, capsys):
-        assert main([
-            "decompose", str(graph_file), "--method", "flat",
-            "--shards", "static",
-        ]) == 2
-        assert "--shards only applies" in capsys.readouterr().err
 
     def test_ranks_rejected_without_dist(self, graph_file, capsys):
         assert main([
@@ -206,6 +205,138 @@ class TestDecompose:
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 10  # only the 5-class
         assert all(line.endswith(" 5") for line in lines)
+
+
+class TestErrors:
+    """Library errors surface as one ``error:`` line and exit status 2."""
+
+    @pytest.fixture
+    def malformed_file(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("0 1\nx 2\n")
+        return path
+
+    @staticmethod
+    def _fails_cleanly(capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(lines) == 1, err
+        return lines[0]
+
+    @pytest.mark.parametrize("method", ["improved", "flat", "dist"])
+    def test_malformed_line_keeps_file_and_line(
+        self, malformed_file, capsys, method
+    ):
+        line = self._fails_cleanly(capsys, [
+            "decompose", str(malformed_file), "--method", method,
+        ])
+        assert f"{malformed_file}:2: non-integer vertex id" in line
+
+    @pytest.mark.parametrize("method", ["improved", "flat"])
+    def test_missing_input_file(self, tmp_path, capsys, method):
+        missing = tmp_path / "absent.txt"
+        line = self._fails_cleanly(capsys, [
+            "decompose", str(missing), "--method", method,
+        ])
+        assert str(missing) in line
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--method", "dist", "--ranks", "0"], "at least 1 rank"),
+        (["--method", "dist", "--timeout", "0"], "timeout must be positive"),
+        (["--method", "parallel", "--jobs", "0"], "at least 1 job"),
+        (["--method", "parallel", "--jobs", "-3"], "at least 1 job"),
+    ])
+    def test_bad_engine_option(self, graph_file, capsys, flags, message):
+        line = self._fails_cleanly(
+            capsys, ["decompose", str(graph_file), *flags]
+        )
+        assert message in line
+
+    @pytest.mark.skipif(
+        "numba" in available_kernels(), reason="numba is installed"
+    )
+    @pytest.mark.parametrize("command", ["decompose", "update"])
+    def test_absent_numba_kernel(self, graph_file, tmp_path, capsys, command):
+        argv = [command, str(graph_file)]
+        if command == "update":
+            updates = tmp_path / "updates.txt"
+            updates.write_text("+ 1 10\n")
+            argv.append(str(updates))
+        else:
+            argv += ["--method", "flat"]
+        line = self._fails_cleanly(capsys, [*argv, "--kernel", "numba"])
+        assert "numba" in line
+
+    def test_update_malformed_graph(self, malformed_file, tmp_path, capsys):
+        updates = tmp_path / "updates.txt"
+        updates.write_text("+ 1 10\n")
+        line = self._fails_cleanly(capsys, [
+            "update", str(malformed_file), str(updates),
+        ])
+        assert f"{malformed_file}:2: non-integer vertex id" in line
+
+    def test_update_missing_graph(self, tmp_path, capsys):
+        updates = tmp_path / "updates.txt"
+        updates.write_text("+ 1 10\n")
+        missing = tmp_path / "absent.txt"
+        line = self._fails_cleanly(capsys, [
+            "update", str(missing), str(updates),
+        ])
+        assert str(missing) in line
+
+
+class TestNumpyFreeParity:
+    """Without numpy the CSR methods print exactly what improved prints.
+
+    Runs the CLI in a fresh interpreter whose first ``PYTHONPATH``
+    entry is a ``numpy.py`` that raises ``ImportError``.
+    """
+
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("numpy_free")
+        blocker = root / "blocker"
+        blocker.mkdir()
+        (blocker / "numpy.py").write_text(
+            'raise ImportError("numpy blocked")\n'
+        )
+        graph = root / "g.txt"
+        g = complete_graph(5)
+        g.add_edges([(0, 10), (10, 11), (11, 0), (4, 20)])
+        write_edge_list(g, graph)
+        src_root = Path(repro.__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(blocker), str(src_root), env.get("PYTHONPATH", "")]
+        ).rstrip(os.pathsep)
+
+        def decompose(method):
+            out = root / f"{method}.txt"
+            metrics = root / f"{method}.prom"
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", "decompose", str(graph),
+                 "--method", method, "-o", str(out),
+                 "--metrics", str(metrics)],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            return out.read_bytes(), metrics.read_text()
+
+        return decompose
+
+    @pytest.fixture(scope="class")
+    def expected(self, run):
+        return run("improved")[0]
+
+    @pytest.mark.parametrize("method", ["flat", "parallel", "dist"])
+    def test_output_and_degraded_counter(self, run, expected, method):
+        out, metrics = run(method)
+        assert out == expected
+        assert 'repro_degraded_total{path="stdlib_fallback"} 1' in (
+            metrics.splitlines()
+        )
 
 
 class TestOtherCommands:

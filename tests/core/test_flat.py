@@ -2,16 +2,19 @@
 
 The contract: ``method="flat"`` produces the *identical* trussness map
 as every other method, on every graph family, through both the numpy
-wave peel and the pure-stdlib wedge-closing fallback.
+wave peel and the stdlib fallback (Algorithm 2, ``method="improved"``).
 """
 
 import pytest
 from hypothesis import given, settings
 
+import repro.core.dist as dist_mod
 import repro.core.flat as flat_mod
+import repro.core.parallel as parallel_mod
 from repro.core import truss_decomposition, truss_decomposition_flat
-from repro.core.flat import _initial_supports_python, _peel_wedge_bisect
+from repro.core.flat import _initial_supports_python
 from repro.graph import CSRGraph, Graph, complete_graph, cycle_graph
+from repro.obs import Tracer
 from repro.datasets import (
     manager_graph,
     running_example_graph,
@@ -127,17 +130,31 @@ class TestInternals:
             u, v = labels[eu[e]], labels[ev[e]]
             assert sup[e] == brute[(u, v)], (u, v)
 
-    @pytest.mark.skipif(
-        flat_mod._np is None, reason="wave peel needs the numpy accelerator"
-    )
-    def test_wedge_peel_equals_wave_peel(self):
-        """The stdlib peel and the numpy wave peel, edge for edge."""
-        g = random_graph(35, 0.3, seed=77)
-        csr = CSRGraph.from_graph(g)
-        m = csr.num_edges
-        eu, ev = csr.edge_endpoints()
-        sup = _initial_supports_python(csr, m)
-        phi_wedge, k_wedge = _peel_wedge_bisect(csr, m, sup, eu, ev)
-        phi_wave, k_wave = flat_mod._peel_waves(csr, m)
-        assert list(phi_wedge) == list(phi_wave)
-        assert k_wedge == k_wave
+
+class TestStdlibFallback:
+    """Without numpy every CSR method runs Algorithm 2 on the same edges."""
+
+    @pytest.mark.parametrize("as_csr", [False, True], ids=["graph", "csr"])
+    @pytest.mark.parametrize("method", ["flat", "parallel", "dist"])
+    def test_degrades_to_improved(self, monkeypatch, method, as_csr):
+        for mod in (flat_mod, parallel_mod, dist_mod):
+            monkeypatch.setattr(mod, "_np", None)
+        g = random_graph(30, 0.25, seed=7)
+        tracer = Tracer(sink=None)
+        td = truss_decomposition(
+            CSRGraph.from_graph(g) if as_csr else g,
+            method=method, trace=tracer,
+        )
+        assert td == truss_decomposition(g, method="improved")
+        stats = td.stats
+        assert stats.method == method
+        assert stats.metrics.value(
+            "repro_degraded_total", path="stdlib_fallback"
+        ) == 1
+        assert stats.extra["kmax"] == td.kmax
+        assert stats.extra["peel_s"] >= 0
+        events = tracer.drain()
+        warnings = [e for e in events if e["name"] == "degraded"]
+        assert [w["attrs"]["path"] for w in warnings] == ["stdlib_fallback"]
+        assert [e["attrs"]["engine"] for e in events
+                if e["name"] == "peel"] == [method]

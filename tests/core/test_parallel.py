@@ -3,9 +3,8 @@
 The contract: ``method="parallel"`` produces the *identical* trussness
 map as ``flat`` and ``improved`` at every worker count — the wave
 schedule does not depend on how the frontier is partitioned — through
-the pooled path (jobs>1), the serial in-process path (jobs=1), the
-static owner-computes shard mode, and the stdlib degradation (no
-numpy).
+the pooled path (jobs>1), the serial in-process path (jobs=1), and the
+stdlib degradation (no numpy).
 """
 
 import pytest
@@ -120,7 +119,11 @@ class TestInputsAndDispatch:
         assert _resolve_jobs(None, 10) == 1
         assert _resolve_jobs(None, parallel_mod._MIN_PARALLEL_EDGES) >= 1
         assert _resolve_jobs(2, 10) == 2
-        assert _resolve_jobs(0, 10) == 1
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_nonpositive_jobs_rejected(self, jobs):
+        with pytest.raises(DecompositionError, match="at least 1 job"):
+            truss_decomposition_parallel(complete_graph(4), jobs=jobs)
 
     @pytest.mark.skipif(
         parallel_mod._np is None, reason="wave stats need the numpy engine"
@@ -133,72 +136,15 @@ class TestInputsAndDispatch:
         assert extra["triangles"] == 20
         assert extra["kmax"] == 6
 
-
-class TestStaticShards:
-    """The owner-computes mode: same map, shard-sliced state."""
-
-    @pytest.mark.parametrize("jobs", [1, 2, 3])
-    def test_registry_parity(self, jobs):
-        g = load_dataset("hep", scale=0.05)
-        ref = truss_decomposition_flat(g)
-        td = truss_decomposition_parallel(g, jobs=jobs, shards="static")
-        assert td == ref
-
-    def test_running_example_classes(self):
-        td = truss_decomposition_parallel(
-            running_example_graph(), jobs=2, shards="static"
-        )
-        for k, edges in RUNNING_EXAMPLE_CLASSES.items():
-            assert sorted(td.k_class(k)) == sorted(edges), k
-
-    def test_more_shards_than_edges(self):
-        g = Graph([(0, 1), (1, 2), (0, 2)])
-        td = truss_decomposition_parallel(g, jobs=8, shards="static")
-        assert set(td.trussness.values()) == {3}
-
-    def test_api_dispatch_records_mode(self):
-        g = random_graph(25, 0.3, seed=9)
-        td = truss_decomposition(g, method="parallel", jobs=2, shards="static")
-        assert td == truss_decomposition(g)
-        assert td.stats.extra["shards"] == "static"
-        default = truss_decomposition(g, method="parallel", jobs=1)
-        assert default.stats.extra["shards"] == "dynamic"
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(DecompositionError, match="shards"):
-            truss_decomposition_parallel(complete_graph(4), shards="wavy")
-        with pytest.raises(DecompositionError, match="shards"):
-            truss_decomposition(
-                complete_graph(4), method="parallel", shards="wavy"
-            )
-
-    def test_shards_rejected_for_other_methods(self):
-        with pytest.raises(DecompositionError, match="shards"):
-            truss_decomposition(
-                complete_graph(4), method="flat", shards="static"
-            )
-
     @pytest.mark.skipif(
         parallel_mod._np is None, reason="IPC stats need the numpy engine"
     )
-    @pytest.mark.parametrize("mode", ["dynamic", "static"])
-    def test_ipc_bytes_recorded(self, mode, two_communities):
-        pooled = truss_decomposition_parallel(
-            two_communities, jobs=2, shards=mode
-        )
-        inline = truss_decomposition_parallel(
-            two_communities, jobs=1, shards=mode
-        )
+    def test_ipc_bytes_recorded(self, two_communities):
+        pooled = truss_decomposition_parallel(two_communities, jobs=2)
+        inline = truss_decomposition_parallel(two_communities, jobs=1)
         assert pooled == inline
         assert pooled.stats.extra["ipc_bytes"] > 0  # arrays crossed the pool
         assert inline.stats.extra["ipc_bytes"] == 0  # nothing crossed
-
-    def test_decompose_file_static(self, tmp_path):
-        g = random_graph(35, 0.25, seed=11)
-        path = tmp_path / "g.txt"
-        write_edge_list(g, path)
-        td = decompose_file(path, method="parallel", jobs=2, shards="static")
-        assert td == truss_decomposition_improved(g)
 
 
 class TestSharedMemoryHygiene:
@@ -225,52 +171,42 @@ class TestSharedMemoryHygiene:
         monkeypatch.setattr(parallel_mod._shm, "SharedMemory", Spy)
         return created
 
-    @pytest.mark.parametrize("mode", ["dynamic", "static"])
-    def test_jobs1_never_allocates(self, spy_shm, mode):
+    def test_jobs1_never_allocates(self, spy_shm):
         for g in (Graph(), cycle_graph(8), complete_graph(5)):
-            td = truss_decomposition_parallel(g, jobs=1, shards=mode)
+            td = truss_decomposition_parallel(g, jobs=1)
             td.verify(g)
         assert spy_shm == []
 
-    @pytest.mark.parametrize("mode", ["dynamic", "static"])
-    def test_empty_graph_pooled_never_allocates(self, spy_shm, mode):
-        td = truss_decomposition_parallel(Graph(), jobs=2, shards=mode)
+    def test_empty_graph_pooled_never_allocates(self, spy_shm):
+        td = truss_decomposition_parallel(Graph(), jobs=2)
         assert td.kmax == 2
         assert spy_shm == []
 
     def test_triangle_free_pooled_skips_empty_arrays(self, spy_shm):
         g = cycle_graph(8)
-        td = truss_decomposition_parallel(g, jobs=2, shards="dynamic")
+        td = truss_decomposition_parallel(g, jobs=2)
         assert set(td.trussness.values()) == {2}
         # of the 8 shared peel arrays only tptr, sup and alive hold
         # bytes here; e1/e2/e3/tinc/tdead are empty and get no segment
         assert len(spy_shm) == 3
         assert all(size > 0 for size in spy_shm)
 
-    def test_triangle_free_pooled_static_skips_empty_arrays(self, spy_shm):
-        g = cycle_graph(8)
-        td = truss_decomposition_parallel(g, jobs=2, shards="static")
-        assert set(td.trussness.values()) == {2}
-        # static adds phi, hist and shard_bounds to the shared set; the
-        # five empty triangle arrays still get no segment
-        assert len(spy_shm) == 6
-        assert all(size > 0 for size in spy_shm)
-
 
 class TestStdlibFallback:
-    @pytest.mark.parametrize("shards", [None, "static"])
-    def test_degrades_without_numpy(self, monkeypatch, shards):
+    @pytest.mark.parametrize("jobs", [None, 4])
+    def test_degrades_without_numpy(self, monkeypatch, jobs):
         monkeypatch.setattr(parallel_mod, "_np", None)
         g = random_graph(30, 0.25, seed=7)
-        td = truss_decomposition_parallel(g, jobs=4, shards=shards)
+        td = truss_decomposition_parallel(g, jobs=jobs)
         assert td == truss_decomposition_improved(g)
         assert td.stats.method == "parallel"
         assert td.stats.extra["stdlib_fallback"] == 1
+        assert td.stats.extra["jobs"] == 1  # the fallback runs serial
 
-    def test_invalid_shards_rejected_without_numpy(self, monkeypatch):
+    def test_invalid_jobs_rejected_without_numpy(self, monkeypatch):
         monkeypatch.setattr(parallel_mod, "_np", None)
-        with pytest.raises(DecompositionError, match="shards"):
-            truss_decomposition_parallel(complete_graph(4), shards="wavy")
+        with pytest.raises(DecompositionError, match="at least 1 job"):
+            truss_decomposition_parallel(complete_graph(4), jobs=0)
 
 
 class TestFileFastPath:

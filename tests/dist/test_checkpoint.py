@@ -115,6 +115,23 @@ class TestTornWrites:
         mpath.write_text(json.dumps(doc))
         assert not manifest_valid(tmp_path, 1, 0)
 
+    @pytest.mark.parametrize("reshape", [
+        lambda doc: [1, 2],
+        lambda doc: 7,
+        lambda doc: "x",
+        lambda doc: {**doc, "arrays": list(doc["arrays"])},
+    ], ids=["list", "int", "str", "arrays-list"])
+    def test_wrong_shaped_manifest_is_invalid(self, tmp_path, reshape):
+        for epoch in (1, 2):
+            arrays, scalars = _state(epoch)
+            write_rank_checkpoint(tmp_path, epoch, 0, arrays, scalars)
+        mpath = tmp_path / "epoch_00000002" / "rank_0" / MANIFEST
+        mpath.write_text(json.dumps(reshape(json.loads(mpath.read_text()))))
+        assert not manifest_valid(tmp_path, 2, 0)
+        with pytest.raises(CheckpointError):
+            load_rank_checkpoint(tmp_path, 2, 0)
+        assert latest_common_epoch(tmp_path, 1) == 1
+
     def test_no_tmp_manifest_left_behind(self, tmp_path):
         arrays, scalars = _state(7)
         write_rank_checkpoint(tmp_path, 1, 0, arrays, scalars)

@@ -3,7 +3,7 @@
 DESIGN.md §5 pins the contract: every method produces the identical
 trussness map, on every graph family, under every memory budget and
 partitioner.  These tests sweep that matrix on mid-sized inputs, and —
-since the parallel engine grew worker counts and shard modes — promote
+since the parallel engine grew worker counts — promote
 the "identical trussness map" claim from a handful of fixed examples
 to a hypothesis property over randomized ER/powerlaw/star-heavy
 graphs, pinned to the brute-force oracle.
@@ -49,10 +49,7 @@ class TestAllMethodsAgree:
         assert truss_decomposition(g, method="flat") == ref
         assert truss_decomposition(g, method="baseline") == ref
         assert truss_decomposition(g, method="mapreduce") == ref
-        assert (
-            truss_decomposition(g, method="parallel", jobs=2, shards="static")
-            == ref
-        )
+        assert truss_decomposition(g, method="parallel", jobs=2) == ref
         assert (
             truss_decomposition(g, method="dist", ranks=2)
             == ref
@@ -74,8 +71,8 @@ class TestRandomizedParityProperty:
 
     Every hypothesis-generated graph (three structural families with
     very different wave schedules) is decomposed by the flat engine and
-    by the parallel engine at jobs 1/2/4 in both shard modes, and every
-    map must equal the brute-force oracle bit for bit.  jobs>1 runs
+    by the parallel engine at jobs 1/2/4, and every map must equal the
+    brute-force oracle bit for bit.  jobs>1 runs
     spawn real worker pools, so examples are few but each one sweeps
     the full engine matrix.
     """
@@ -91,12 +88,9 @@ class TestRandomizedParityProperty:
         flat = truss_decomposition(g, method="flat")
         assert dict(flat.trussness) == oracle
         for jobs in (1, 2, 4):
-            for shards in ("dynamic", "static"):
-                td = truss_decomposition(
-                    g, method="parallel", jobs=jobs, shards=shards
-                )
-                assert dict(td.trussness) == oracle, (jobs, shards)
-                assert td == flat, (jobs, shards)
+            td = truss_decomposition(g, method="parallel", jobs=jobs)
+            assert dict(td.trussness) == oracle, jobs
+            assert td == flat, jobs
 
     @settings(
         max_examples=3,

@@ -32,8 +32,7 @@ pytestmark = pytest.mark.skipif(
 #: every engine configuration the shape pins sweep
 ENGINES = (
     ("flat", {}),
-    ("parallel", {"jobs": 2, "shards": "dynamic"}),
-    ("parallel", {"jobs": 2, "shards": "static"}),
+    ("parallel", {"jobs": 2}),
     ("dist", {"ranks": 2}),
 )
 

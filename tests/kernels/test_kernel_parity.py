@@ -4,7 +4,7 @@ The kernel contract (see :mod:`repro.kernels`) promises bit-for-bit
 interchangeable backends.  This suite promotes that promise to a
 hypothesis property: every generated graph is decomposed by every
 available backend under every engine configuration — flat, parallel at
-jobs 1/2 in both shard modes, dist at ranks 1/2 over loopback — and
+jobs 1/2, dist at ranks 1/2 over loopback — and
 every run must reproduce the brute-force oracle *and* the reference
 run's wave/level schedule exactly.  A numba leg mirrors the sweep and
 skips wherever the optional package is absent (tier-1 CI); the tier-2
@@ -32,10 +32,8 @@ pytestmark = pytest.mark.skipif(
 #: the engine matrix one backend must sweep: method plus its knobs
 ENGINE_SWEEP = (
     ("flat", {}),
-    ("parallel", {"jobs": 1, "shards": "dynamic"}),
-    ("parallel", {"jobs": 1, "shards": "static"}),
-    ("parallel", {"jobs": 2, "shards": "dynamic"}),
-    ("parallel", {"jobs": 2, "shards": "static"}),
+    ("parallel", {"jobs": 1}),
+    ("parallel", {"jobs": 2}),
     ("dist", {"ranks": 1}),
     ("dist", {"ranks": 2}),
 )

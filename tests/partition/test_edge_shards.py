@@ -1,11 +1,10 @@
-"""Tests for the static edge-id shard partitioner.
+"""Tests for the static edge-id shard planner.
 
-The invariants the owner-computes peel relies on: every canonical edge
-id is owned by exactly one shard, shards are contiguous ranges, loads
-are incidence-balanced within the greedy-prefix tolerance, routing a
-sorted id array through the bounds loses and reorders nothing, and the
-per-shard decrement buffers of a routed wave sum to exactly the serial
-flat decrements.
+The invariants the owner-computes dist peel relies on: every canonical
+edge id is owned by exactly one shard, shards are contiguous ranges,
+loads are incidence-balanced within the greedy-prefix tolerance, and
+the per-shard decrement buffers of a routed wave sum to exactly the
+serial flat decrements.
 """
 
 import pytest
@@ -13,16 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.partition.edge_shards as shards_mod
-from repro.exio import MemoryBudget
-from repro.partition import (
-    EdgeShardError,
-    EdgeShardPartitioner,
-    EdgeShardPlan,
-    check_partition,
-    edge_shard_source,
-    partitioner_by_name,
-    plan_edge_shards,
-)
+from repro.partition import EdgeShardError, EdgeShardPlan, plan_edge_shards
 
 from helpers import random_graph
 
@@ -91,24 +81,6 @@ class TestPlanInvariants:
             # greedy prefix cuts overshoot by at most one edge's charge
             assert max(loads) <= ideal + max(charged)
 
-    @settings(max_examples=40, deadline=None)
-    @given(weighted_splits(), st.data())
-    def test_split_sorted_routes_losslessly(self, req, data):
-        m, n_shards, weights = req
-        plan = plan_edge_shards(m, n_shards, weights)
-        ids = sorted(
-            data.draw(
-                st.sets(st.integers(min_value=0, max_value=max(m - 1, 0)))
-            )
-        ) if m else []
-        pieces = plan.split_sorted(list(ids))
-        assert len(pieces) == n_shards
-        rejoined = [e for piece in pieces for e in piece]
-        assert rejoined == list(ids)  # nothing lost, order preserved
-        for s, piece in enumerate(pieces):
-            lo, hi = plan.range_of(s)
-            assert all(lo <= e < hi for e in piece)
-
     @pytest.mark.skipif(np is None, reason="needs numpy to compare against")
     def test_stdlib_matches_numpy_bounds(self, monkeypatch):
         # the plan is a pure function of (m, shards, weights): both
@@ -146,63 +118,6 @@ class TestPlanInvariants:
             plan_edge_shards(4, 2).owner_of(4)
         with pytest.raises(EdgeShardError):
             EdgeShardPlan([0, 3, 2])
-
-
-class TestBaseProtocol:
-    """The partitioner face: edge shards as ordinary partition blocks."""
-
-    def _tptr(self, incidences):
-        out = [0]
-        for w in incidences:
-            out.append(out[-1] + w)
-        return out
-
-    def test_partition_contract(self):
-        tptr = self._tptr([2, 0, 5, 1, 1, 3, 0, 4])
-        source = edge_shard_source(tptr)
-        blocks = EdgeShardPartitioner(shards=3).partition(
-            source, MemoryBudget(units=64)
-        )
-        check_partition(blocks, source)  # exactly-once coverage
-        flat = [e for b in blocks for e in b]
-        assert flat == sorted(flat)  # contiguous ascending ranges
-
-    def test_budget_derived_shard_count(self):
-        tptr = self._tptr([1] * 40)
-        source = edge_shard_source(tptr)
-        blocks = EdgeShardPartitioner().partition(
-            source, MemoryBudget(units=40)
-        )
-        check_partition(blocks, source)
-        assert len(blocks) >= 2  # 80 units of work cannot fit one 20-cap shard
-
-    def test_static_across_calls(self):
-        # unlike the vertex partitioners there is no phase rotation:
-        # ownership must never move between waves
-        tptr = self._tptr([3, 1, 4, 1, 5, 9, 2, 6])
-        p = EdgeShardPartitioner(shards=3)
-        source = edge_shard_source(tptr)
-        budget = MemoryBudget(units=32)
-        first = p.partition(source, budget)
-        assert all(
-            p.partition(source, budget) == first for _ in range(3)
-        )
-
-    def test_registry_lookup(self):
-        assert isinstance(
-            partitioner_by_name("edge_shards"), EdgeShardPartitioner
-        )
-
-    def test_non_dense_source_rejected(self):
-        from repro.partition import PartitionSource
-
-        sparse = PartitionSource(
-            degrees={0: 1, 2: 1}, iter_edges=lambda: iter(())
-        )
-        with pytest.raises(EdgeShardError):
-            EdgeShardPartitioner(shards=2).partition(
-                sparse, MemoryBudget(units=16)
-            )
 
 
 @pytest.mark.skipif(np is None, reason="the routed peel needs numpy")

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import json
+import os
+import shutil
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.core import truss_decomposition
 from repro.graph import Graph, write_edge_list
 from repro.obs import Tracer
+from repro.serve import snapshot as snap
 from repro.serve.chaos import tear_snapshot, tear_wal_tail
 from repro.serve.service import (
     DeadlineExpiredError,
@@ -114,6 +119,29 @@ class TestRecovery:
         assert "serve_wal_torn" in svc2.registry.to_prometheus()
         svc2.close()
 
+    @pytest.mark.parametrize("shape", [[1, 2], 7, "x"],
+                             ids=["list", "int", "str"])
+    def test_wrong_shaped_manifests_are_skipped(self, tmp_path, graph_file,
+                                                shape):
+        with _service(tmp_path, graph_file, snapshot_every=100) as svc:
+            svc.apply_write([("insert", 5, 7)])
+            svc.apply_write([("insert", 6, 7)])
+            expect = dict(svc.maintainer.trussness)
+        manifests = sorted(
+            (tmp_path / "data" / "snapshots").glob("gen_*/" + snap.MANIFEST)
+        )
+        assert len(manifests) == 2
+        for path in manifests:
+            path.write_text(json.dumps(shape))
+        svc2 = _service(tmp_path, graph_file)
+        svc2.open()
+        # every generation skipped: re-seeded from the graph, whole WAL
+        assert dict(svc2.maintainer.trussness) == expect
+        assert svc2.registry.value(
+            "repro_degraded_total", path="serve_torn_snapshot"
+        ) == 2
+        svc2.close()
+
     def test_recovered_state_matches_flat(self, tmp_path, graph_file):
         updates = [("insert", 5, 7), ("insert", 6, 7), ("delete", 0, 3)]
         with _service(tmp_path, graph_file, snapshot_every=2) as svc:
@@ -134,6 +162,47 @@ class TestRecovery:
         svc.close()
         names = [e["name"] for e in tracer.drain()]
         assert "recover" in names and "publish" in names
+
+
+class TestPublishDurability:
+    def test_directory_entries_durable_before_prune(self, tmp_path,
+                                                    graph_file, monkeypatch):
+        data = tmp_path / "data"
+        calls = []
+
+        def record(name, real, arg=0):
+            def wrapped(*args, **kwargs):
+                path = args[arg]
+                if str(path).startswith(str(data)):
+                    calls.append((name, Path(path)))
+                return real(*args, **kwargs)
+            return wrapped
+
+        with _service(tmp_path, graph_file) as svc:
+            svc.apply_write([("insert", 5, 7)])  # generation 1
+            monkeypatch.setattr(
+                snap, "fsync_dir", record("fsync_dir", snap.fsync_dir)
+            )
+            monkeypatch.setattr(os, "replace", record("rename", os.replace, 1))
+            monkeypatch.setattr(shutil, "rmtree", record("prune", shutil.rmtree))
+            monkeypatch.setattr(os, "unlink", record("prune", os.unlink))
+            # generation 2: prunes generation 0 and the first WAL segment
+            svc.apply_write([("insert", 6, 7)])
+            monkeypatch.undo()
+        snaps = data / "snapshots"
+        gen2 = snaps / "gen_00000002"
+        pruned = [path for name, path in calls if name == "prune"]
+        assert snaps / "gen_00000000" in pruned
+        assert any(path.parent == data / "wal" for path in pruned)
+        first_prune = min(
+            i for i, (name, _) in enumerate(calls) if name == "prune"
+        )
+        assert (
+            calls.index(("fsync_dir", snaps))
+            < calls.index(("rename", gen2 / snap.MANIFEST))
+            < calls.index(("fsync_dir", gen2))
+            < first_prune
+        )
 
 
 class TestDeadlinesAndBackpressure:

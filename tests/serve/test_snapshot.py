@@ -44,6 +44,18 @@ class TestGenerations:
         with pytest.raises(snap.SnapshotError):
             snap.load_generation(tmp_path, 0)
 
+    @pytest.mark.parametrize("shape", [[1, 2], 7, "x"],
+                             ids=["list", "int", "str"])
+    def test_wrong_shaped_manifest_never_validates(self, tmp_path, shape):
+        snap.write_generation(tmp_path, 0, PHI, SUP, wal_seq=1)
+        snap.write_generation(tmp_path, 1, PHI, SUP, wal_seq=5)
+        man = tmp_path / "gen_00000001" / snap.MANIFEST
+        man.write_text(json.dumps(shape))
+        assert not snap.generation_valid(tmp_path, 1)
+        with pytest.raises(snap.SnapshotError):
+            snap.load_generation(tmp_path, 1)
+        assert snap.latest_valid_generation(tmp_path) == 0
+
     def test_latest_valid_skips_torn_newest(self, tmp_path):
         snap.write_generation(tmp_path, 0, PHI, SUP, wal_seq=1)
         snap.write_generation(tmp_path, 1, PHI, SUP, wal_seq=5)
@@ -88,6 +100,12 @@ class TestHead:
         (tmp_path / snap.HEAD).write_text("{not json")
         assert snap.read_head(tmp_path) is None
         (tmp_path / snap.HEAD).write_text('{"gen": "x"}')
+        assert snap.read_head(tmp_path) is None
+
+    @pytest.mark.parametrize("shape", [[1, 2], 7, "x"],
+                             ids=["list", "int", "str"])
+    def test_wrong_shaped_head_is_none(self, tmp_path, shape):
+        (tmp_path / snap.HEAD).write_text(json.dumps(shape))
         assert snap.read_head(tmp_path) is None
 
 

@@ -126,12 +126,9 @@ class TestDecompositionParity:
     def test_pooled_peel_over_both_storages(self, storage):
         g = random_graph(22, 0.35, seed=72)
         ref = truss_decomposition_flat(g)
-        for shards in ("dynamic", "static"):
-            td = truss_decomposition_parallel(
-                g, jobs=2, shards=shards, index_storage=storage
-            )
-            assert td == ref, (storage, shards)
-            assert td.stats.extra["index_storage"] == storage
+        td = truss_decomposition_parallel(g, jobs=2, index_storage=storage)
+        assert td == ref, storage
+        assert td.stats.extra["index_storage"] == storage
 
     def test_auto_threshold_picks_mmap(self, monkeypatch):
         # shrink the auto cutoff so even a toy graph spills to disk
