@@ -80,21 +80,15 @@ than a hang or silent corruption:
   stale and is discarded, a dropped frame leaves a gap the receiver's
   next frame exposes immediately.
 
-Checkpoint manifest format
---------------------------
+Checkpoint format
+-----------------
 At level barriers every ``checkpoint_interval`` waves, each rank
-snapshots its shard-local state (:mod:`repro.dist.checkpoint`) under
-``<ckpt>/epoch_<NNNNNNNN>/rank_<r>/``: one ``.npy`` file per array —
-``sup``/``alive``/``phi``/``hist``/``owned_dead``, the same layout the
-triangle index uses — then a ``manifest.json`` written via temp file +
-fsync + ``os.replace``.  The manifest carries ``format``, ``epoch``
-(the completed-level count at the barrier; identical on every rank by
-schedule determinism), ``rank``, a CRC32 + byte length + dtype per
-array, and the scalar loop state (``floor``, ``k``, ``remaining``,
-``waves``, ``levels``, ``max_wave``, ``exchange_rounds``).  A snapshot
-without a complete, checksum-clean manifest does not exist to the
-recovery protocol, so a torn write is never restored.  Each rank keeps
-its two newest epochs and prunes the rest, bounding disk.
+snapshots its shard-local state (:mod:`repro.dist.checkpoint`) as one
+:mod:`repro.durable` entry, ``<ckpt>/epoch_<NNNNNNNN>/rank_<r>/``: an
+``np.save`` payload per array (``sup``/``alive``/``phi``/``hist``/
+``owned_dead``), with the epoch (the completed-level count at the
+barrier, identical on every rank), the rank and the scalar loop state
+in the manifest header.  Each rank keeps its two newest epochs.
 
 Recovery protocol and ``on_failure``
 ------------------------------------

@@ -33,10 +33,10 @@ those into a bounded, observable outcome:
 * **Durability.**  A mutation is acknowledged only after its WAL
   records are fsynced.  What was acked is exactly what recovery
   replays; what was never acked may vanish, and nothing else changes.
-* **Atomic publication.**  Snapshot state lands fully (state file
-  fsynced, then a CRC-carrying manifest atomically replaced into
-  place) or does not exist.  A torn generation is *detected* —
-  checksum or length mismatch — counted
+* **Atomic publication.**  A generation is a :mod:`repro.durable`
+  entry holding one packed ``'<4q'`` state payload (the store's
+  docstring gives the format): it lands fully or does not exist.  A
+  torn generation is *detected*, counted
   (``repro_degraded_total{path="serve_torn_snapshot"}``) and skipped,
   never served.  A torn WAL tail is truncated on reopen and counted
   (``path="serve_wal_torn"``); replay stops at the first invalid
@@ -66,7 +66,8 @@ Restart after any death runs one deterministic sequence:
    (:meth:`~repro.stream.TrussMaintainer.from_state`) — or, with no
    valid snapshot at all, from the seed graph file;
 3. truncate any torn WAL tail, then replay every record after the
-   snapshot's ``wal_seq`` through ``apply_batch``;
+   snapshot's ``wal_seq`` through ``apply_batch`` — or, when the WAL
+   lacks any seq up to its newest, fail with a ``ServeError``;
 4. publish the recovered state as a fresh generation and only then
    report ready (``/readyz``).
 

@@ -32,7 +32,6 @@ generator find a server that bound port 0.
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
 import signal
@@ -47,6 +46,7 @@ from multiprocessing.connection import Client, Listener
 from pathlib import Path
 from typing import List, Optional
 
+from repro import durable
 from repro.obs import MetricsRegistry, open_tracer
 from repro.serve.http import TrussHTTPServer
 from repro.serve.service import (
@@ -88,19 +88,14 @@ class ServeConfig:
 
 # --------------------------------------------------------------- endpoint
 def write_endpoint(data_dir, host: str, port: int, pid: int) -> None:
-    payload = json.dumps({"host": host, "port": port, "pid": pid})
-    tmp = Path(data_dir) / (ENDPOINT + ".tmp")
-    tmp.write_text(payload, encoding="utf-8")
-    os.replace(tmp, Path(data_dir) / ENDPOINT)
+    durable.write_json(
+        Path(data_dir) / ENDPOINT, {"host": host, "port": port, "pid": pid}
+    )
 
 
 def read_endpoint(data_dir) -> Optional[dict]:
     """``{host, port, pid}`` of a (possibly dead) server, or None."""
-    try:
-        with open(Path(data_dir) / ENDPOINT, encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, ValueError):
-        return None
+    return durable.read_json(Path(data_dir) / ENDPOINT)
 
 
 # ------------------------------------------------------------ writer IPC

@@ -174,14 +174,27 @@ class TrussService:
             self._gen = gen
         replayed = 0
         last_seq = base_seq
+        gap_end = self._wal.last_seq
         batch: List[Update] = []
         for seq, upd in self._wal.replay(after_seq=base_seq):
+            if seq != last_seq + 1:
+                gap_end = seq - 1
+                break
             batch.append(upd)
             last_seq = seq
             if len(batch) >= 256:
                 self._tm.apply_batch(batch)
                 replayed += len(batch)
                 batch = []
+        if last_seq < gap_end:
+            # acked records the base state does not cover and the WAL
+            # cannot replay: serving on would silently drop them
+            self._wal.close()
+            base = f"generation {self._gen}" if chosen else "the seed graph"
+            raise ServeError(
+                f"WAL records {last_seq + 1}..{gap_end} are missing: "
+                f"recovery from {base} would drop acknowledged writes"
+            )
         if batch:
             self._tm.apply_batch(batch)
             replayed += len(batch)

@@ -3,22 +3,12 @@
 The server's read side never touches the live maintainer: after every
 applied write batch (or every ``snapshot_every``-th, see
 :mod:`repro.serve.service`) the writer *publishes* the full state as a
-new generation under::
+new generation, one :mod:`repro.durable` entry (the store gives the
+format, and a torn generation costs readers one older one)::
 
     <root>/gen_<NNNNNNNN>/state.bin       packed '<4q' rows (u, v, phi, sup)
-    <root>/gen_<NNNNNNNN>/manifest.json   {format, gen, wal_seq, rows, nbytes, crc}
+    <root>/gen_<NNNNNNNN>/manifest.json   header {gen, wal_seq}
     <root>/HEAD.json                      {gen, wal_seq, applied_seq} freshness pointer
-
-following the :mod:`repro.dist.checkpoint` atomicity recipe: the state
-file lands first (fsynced), then the manifest — carrying the file's
-CRC32 and byte length — is written to a temp name, fsynced and
-:func:`os.replace`d into place.  The snapshot root is fsynced once the
-generation directory exists and the generation directory once the
-manifest is renamed into it, so the new entries are durable before the
-caller prunes older generations or WAL segments.  A generation without
-a complete, checksum-clean manifest does not exist as far as
-:func:`latest_valid_generation` is concerned, so a torn publish costs
-readers nothing but one older generation.
 
 Rows are sorted by ``(u, v)`` with ``u < v`` canonical edges; ``phi``
 is the edge's trussness and ``sup`` its support — together exactly the
@@ -34,17 +24,12 @@ Recovery never trusts it — the generation scan does.
 
 from __future__ import annotations
 
-import json
-import os
-import re
-import shutil
 import struct
-import zlib
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
+from repro import durable
 from repro.errors import ReproError
-from repro.serve.wal import fsync_dir
 
 Edge = Tuple[int, int]
 
@@ -53,12 +38,9 @@ class SnapshotError(ReproError):
     """A generation is absent, torn, or fails its manifest validation."""
 
 
-MANIFEST = "manifest.json"
+MANIFEST = durable.MANIFEST
 STATE = "state.bin"
 HEAD = "HEAD.json"
-
-#: manifest schema version; bump on incompatible layout changes
-FORMAT = 1
 
 #: generations kept on disk: the newest valid one plus its predecessor,
 #: so a crash *during* a publish always leaves one valid behind
@@ -67,25 +49,12 @@ KEEP_GENERATIONS = 2
 #: one row: u, v, phi, sup — little-endian int64, sorted by (u, v)
 ROW = struct.Struct("<4q")
 
-_GEN_DIR = re.compile(r"^gen_(\d{8})$")
-
-
-def _gen_dir(root, gen: int) -> Path:
-    return Path(root) / f"gen_{gen:08d}"
+_PREFIX = "gen"
 
 
 def generations(root) -> List[int]:
     """Every generation id present under ``root`` (valid or not), asc."""
-    try:
-        names = os.listdir(root)
-    except OSError:
-        return []
-    out = []
-    for name in names:
-        m = _GEN_DIR.match(name)
-        if m:
-            out.append(int(m.group(1)))
-    return sorted(out)
+    return durable.entries(root, _PREFIX)
 
 
 def write_generation(
@@ -107,56 +76,37 @@ def write_generation(
             "phi and sup must cover the same edges "
             f"({len(phi)} vs {len(sup)})"
         )
-    dirpath = _gen_dir(root, gen)
-    dirpath.mkdir(parents=True, exist_ok=True)
-    fsync_dir(root)
     blob = b"".join(
         ROW.pack(u, v, phi[(u, v)], sup[(u, v)])
         for u, v in sorted(phi)
     )
-    state_path = dirpath / STATE
-    with open(state_path, "wb") as fh:
-        fh.write(blob)
-        fh.flush()
-        os.fsync(fh.fileno())
-    manifest = {
-        "format": FORMAT,
-        "gen": int(gen),
-        "wal_seq": int(wal_seq),
-        "rows": len(phi),
-        "nbytes": len(blob),
-        "crc": zlib.crc32(blob),
-    }
-    tmp = dirpath / (MANIFEST + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, dirpath / MANIFEST)
-    fsync_dir(dirpath)
+    dirpath = durable.entry_dir(root, _PREFIX, gen)
+    durable.publish(
+        dirpath, {STATE: blob}, {"gen": int(gen), "wal_seq": int(wal_seq)}
+    )
     return dirpath
 
 
-def read_manifest(root, gen: int) -> dict:
-    """The validated manifest header of one generation (no state read)."""
-    path = _gen_dir(root, gen) / MANIFEST
+def _read(root, gen: int) -> Tuple[dict, bytes]:
+    """``(manifest, state bytes)`` of a checksum-clean generation."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise SnapshotError(
-            f"generation {gen}: unreadable manifest: {exc}"
-        ) from exc
-    if not isinstance(manifest, dict):
-        raise SnapshotError(f"generation {gen}: manifest is not an object")
-    if manifest.get("format") != FORMAT or manifest.get("gen") != gen:
-        raise SnapshotError(f"generation {gen}: manifest header mismatch")
-    for key in ("wal_seq", "rows", "nbytes", "crc"):
-        if not isinstance(manifest.get(key), int):
-            raise SnapshotError(
-                f"generation {gen}: manifest missing {key!r}"
-            )
-    return manifest
+        manifest, payloads = durable.read(
+            durable.entry_dir(root, _PREFIX, gen),
+            {"gen": gen, "wal_seq": int},
+        )
+    except durable.StoreError as exc:
+        raise SnapshotError(f"generation {gen}: {exc}") from exc
+    state = payloads.get(STATE)
+    if state is None or len(state) % ROW.size:
+        raise SnapshotError(f"generation {gen}: no whole state rows")
+    return manifest, state
+
+
+def read_manifest(root, gen: int) -> dict:
+    """The validated manifest of one generation; ``nbytes`` is the
+    state file's byte length."""
+    manifest, state = _read(root, gen)
+    return {**manifest, "nbytes": len(state)}
 
 
 def load_generation(
@@ -169,26 +119,10 @@ def load_generation(
     that only serve queries pass ``want_sup=False`` and get ``None``
     in the middle slot.
     """
-    manifest = read_manifest(root, gen)
-    path = _gen_dir(root, gen) / STATE
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise SnapshotError(
-            f"generation {gen}: unreadable state file: {exc}"
-        ) from exc
-    if len(blob) != manifest["nbytes"] or zlib.crc32(blob) != manifest["crc"]:
-        raise SnapshotError(
-            f"generation {gen}: state file fails its manifest checksum"
-        )
-    if len(blob) != manifest["rows"] * ROW.size:
-        raise SnapshotError(
-            f"generation {gen}: row count disagrees with byte length"
-        )
+    manifest, state = _read(root, gen)
     phi: Dict[Edge, int] = {}
     sup: Optional[Dict[Edge, int]] = {} if want_sup else None
-    for u, v, p, s in ROW.iter_unpack(blob):
+    for u, v, p, s in ROW.iter_unpack(state):
         phi[(u, v)] = p
         if sup is not None:
             sup[(u, v)] = s
@@ -198,7 +132,7 @@ def load_generation(
 def generation_valid(root, gen: int) -> bool:
     """Whether a complete, checksum-clean generation exists."""
     try:
-        load_generation(root, gen, want_sup=False)
+        _read(root, gen)
     except SnapshotError:
         return False
     return True
@@ -206,10 +140,10 @@ def generation_valid(root, gen: int) -> bool:
 
 def latest_valid_generation(root) -> Optional[int]:
     """The newest generation that fully validates, or ``None``."""
-    for gen in reversed(generations(root)):
-        if generation_valid(root, gen):
-            return gen
-    return None
+    return next(
+        (g for g in reversed(generations(root)) if generation_valid(root, g)),
+        None,
+    )
 
 
 def prune_generations(root, keep: int = KEEP_GENERATIONS) -> None:
@@ -220,13 +154,7 @@ def prune_generations(root, keep: int = KEEP_GENERATIONS) -> None:
     pointer is never part of the computation, so pruning can race a
     reader at worst into one retried load.
     """
-    valid = [g for g in generations(root) if generation_valid(root, g)]
-    if len(valid) <= keep:
-        return
-    cutoff = valid[-keep]
-    for gen in generations(root):
-        if gen < cutoff:
-            shutil.rmtree(_gen_dir(root, gen), ignore_errors=True)
+    durable.prune(root, _PREFIX, keep, lambda g: generation_valid(root, g))
 
 
 def oldest_retained_wal_seq(root, keep: int = KEEP_GENERATIONS) -> int:
@@ -237,31 +165,21 @@ def oldest_retained_wal_seq(root, keep: int = KEEP_GENERATIONS) -> int:
     folded into a snapshot recovery will never fall behind.
     """
     valid = [g for g in generations(root) if generation_valid(root, g)]
-    if not valid:
-        return 0
-    return read_manifest(root, valid[-keep] if len(valid) >= keep
-                         else valid[0])["wal_seq"]
+    return read_manifest(root, valid[-keep:][0])["wal_seq"] if valid else 0
 
 
 def write_head(root, gen: int, wal_seq: int, applied_seq: int) -> None:
     """Atomically replace the advisory freshness pointer."""
-    payload = json.dumps(
+    durable.write_json(
+        Path(root) / HEAD,
         {"gen": int(gen), "wal_seq": int(wal_seq),
-         "applied_seq": int(applied_seq)}
+         "applied_seq": int(applied_seq)},
     )
-    tmp = Path(root) / (HEAD + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(payload)
-    os.replace(tmp, Path(root) / HEAD)
 
 
 def read_head(root) -> Optional[dict]:
     """The freshness pointer, or ``None`` when absent/unreadable."""
-    try:
-        with open(Path(root) / HEAD, "r", encoding="utf-8") as fh:
-            head = json.load(fh)
-    except (OSError, ValueError):
-        return None
+    head = durable.read_json(Path(root) / HEAD)
     if not isinstance(head, dict) or not all(
         isinstance(head.get(k), int) for k in ("gen", "wal_seq", "applied_seq")
     ):

@@ -40,6 +40,7 @@ import zlib
 from pathlib import Path
 from typing import Iterable, Iterator, List, Optional, Tuple
 
+from repro.durable import fsync_dir
 from repro.errors import ReproError
 from repro.stream.updates import Update, format_update, parse_update_line
 
@@ -83,15 +84,6 @@ def _parse_record(line: str) -> Optional[Tuple[int, str, int, int]]:
         return None
     op, u, v = parsed
     return seq, op, u, v
-
-
-def fsync_dir(path) -> None:
-    """Make the entries of directory ``path`` durable."""
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
 
 
 class WriteAheadLog:

@@ -8,6 +8,9 @@ at which every rank holds a complete, valid snapshot.
 """
 
 import json
+import os
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -119,7 +122,7 @@ class TestTornWrites:
         lambda doc: [1, 2],
         lambda doc: 7,
         lambda doc: "x",
-        lambda doc: {**doc, "arrays": list(doc["arrays"])},
+        lambda doc: {**doc, "payloads": list(doc["payloads"])},
     ], ids=["list", "int", "str", "arrays-list"])
     def test_wrong_shaped_manifest_is_invalid(self, tmp_path, reshape):
         for epoch in (1, 2):
@@ -186,3 +189,53 @@ class TestPruning:
         prune_rank_checkpoints(tmp_path, 0, keep=1)
         assert rank_epochs(tmp_path, 0) == [3]
         assert rank_epochs(tmp_path, 1) == [2, 3]
+
+
+class TestPublishDurability:
+    """The checkpoint's fsync order, pinned like the snapshot's."""
+
+    def test_payloads_and_dirs_durable_before_rename_before_prune(
+        self, tmp_path, monkeypatch
+    ):
+        for epoch in (1, 2):
+            write_rank_checkpoint(tmp_path, epoch, 0, *_state(epoch))
+        calls = []
+        fds = {}
+        real_open, real_fsync = os.open, os.fsync
+
+        def opened(path, *args, **kwargs):
+            fd = real_open(path, *args, **kwargs)
+            fds[fd] = Path(path)
+            return fd
+
+        def fsynced(fd):
+            calls.append(("fsync", fds[fd]))  # files and directories
+            return real_fsync(fd)
+
+        def record(name, real, arg=0):
+            def wrapped(*args, **kwargs):
+                calls.append((name, Path(args[arg])))
+                return real(*args, **kwargs)
+            return wrapped
+
+        arrays, scalars = _state(3)
+        monkeypatch.setattr(os, "open", opened)
+        monkeypatch.setattr(os, "fsync", fsynced)
+        monkeypatch.setattr(os, "replace", record("rename", os.replace, 1))
+        monkeypatch.setattr(shutil, "rmtree", record("prune", shutil.rmtree))
+        # epoch 3: prunes this rank's epoch 1
+        write_rank_checkpoint(tmp_path, 3, 0, arrays, scalars)
+        monkeypatch.undo()
+        epoch_dir = tmp_path / "epoch_00000003"
+        entry = epoch_dir / "rank_0"
+        rename = calls.index(("rename", entry / MANIFEST))
+        prunes = [i for i, (name, _) in enumerate(calls) if name == "prune"]
+        assert [calls[i][1] for i in prunes] == [
+            tmp_path / "epoch_00000001" / "rank_0"
+        ]
+        synced = {path for name, path in calls[:rename] if name == "fsync"}
+        # every payload, the manifest, and the directories that gained
+        # the new epoch and rank entries
+        assert {entry / f"{name}.npy" for name in arrays} <= synced
+        assert {entry / (MANIFEST + ".tmp"), tmp_path, epoch_dir} <= synced
+        assert rename < calls.index(("fsync", entry)) < prunes[0]

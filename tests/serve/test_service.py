@@ -5,12 +5,15 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
 
 import pytest
 
+from repro import durable
 from repro.core import truss_decomposition
 from repro.graph import Graph, write_edge_list
 from repro.obs import Tracer
@@ -142,6 +145,36 @@ class TestRecovery:
         ) == 2
         svc2.close()
 
+    def test_wal_gap_refuses_to_serve(self, tmp_path, graph_file):
+        """Every retained generation torn, the WAL already pruned past
+        the seed: re-seeding would silently drop acked writes."""
+        with _service(tmp_path, graph_file) as svc:
+            for v in range(7, 13):
+                svc.apply_write([("insert", 6, v)])
+        snaps = tmp_path / "data" / "snapshots"
+        assert snap.generations(snaps) == [5, 6]
+        wal = sorted(p.name for p in (tmp_path / "data" / "wal").iterdir())
+        assert wal == ["wal_0000000000000006.log", "wal_0000000000000007.log"]
+        for gen in (5, 6):
+            tear_snapshot(snaps, gen=gen, mode="flip")
+        svc2 = _service(tmp_path, graph_file)
+        with pytest.raises(ServeError, match=r"records 1\.\.5 are missing"):
+            svc2.open()
+        assert not svc2.ready
+        svc2.close()
+        # nothing was published over the evidence
+        assert snap.generations(snaps) == [5, 6]
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", str(graph_file),
+             "--data", str(tmp_path / "data"), "--port", "0"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        errors = [ln for ln in proc.stderr.splitlines()
+                  if ln.startswith("error:")]
+        assert len(errors) == 1 and "1..5" in errors[0], proc.stderr
+
     def test_recovered_state_matches_flat(self, tmp_path, graph_file):
         updates = [("insert", 5, 7), ("insert", 6, 7), ("delete", 0, 3)]
         with _service(tmp_path, graph_file, snapshot_every=2) as svc:
@@ -181,7 +214,7 @@ class TestPublishDurability:
         with _service(tmp_path, graph_file) as svc:
             svc.apply_write([("insert", 5, 7)])  # generation 1
             monkeypatch.setattr(
-                snap, "fsync_dir", record("fsync_dir", snap.fsync_dir)
+                durable, "fsync_dir", record("fsync_dir", durable.fsync_dir)
             )
             monkeypatch.setattr(os, "replace", record("rename", os.replace, 1))
             monkeypatch.setattr(shutil, "rmtree", record("prune", shutil.rmtree))
