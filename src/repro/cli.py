@@ -125,6 +125,35 @@ def _error(problem) -> int:
     return 2
 
 
+#: output lines per write: one ``"".join`` per block keeps the string
+#: being built small next to the trussness map it is formatted from
+_EMIT_LINES = 1 << 14
+
+
+def _emit(path: Optional[str], phi) -> int:
+    """Write ``phi`` as sorted ``u v phi`` lines, to stdout without a
+    ``path``; 0, or 2 after an ``error:`` line if it cannot be written.
+
+    The output of ``decompose`` and ``update``, so both print the same
+    bytes for the same map.
+    """
+    try:
+        out = open(path, "w") if path else sys.stdout
+        try:
+            keys = sorted(phi)
+            for i in range(0, len(keys), _EMIT_LINES):
+                out.write("".join([
+                    f"{u} {v} {phi[u, v]}\n"
+                    for u, v in keys[i : i + _EMIT_LINES]
+                ]))
+        finally:
+            if path:
+                out.close()
+    except OSError as exc:
+        return _error(exc)
+    return 0
+
+
 def _write_metrics(path: str, stats) -> None:
     """Dump a run's metrics registry: JSON for ``*.json``, else Prometheus."""
     import json
@@ -208,13 +237,9 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     elapsed = time.perf_counter() - start
     if args.metrics:
         _write_metrics(args.metrics, td.stats)
-    out = open(args.output, "w") if args.output else sys.stdout
-    try:
-        for (u, v), k in sorted(td.trussness.items()):
-            print(f"{u} {v} {k}", file=out)
-    finally:
-        if args.output:
-            out.close()
+    rc = _emit(args.output, td.trussness)
+    if rc:
+        return rc
     print(
         f"method={args.method} kmax={td.kmax} classes="
         f"{len(td.k_classes())} time={elapsed:.2f}s "
@@ -264,13 +289,9 @@ def cmd_update(args: argparse.Namespace) -> int:
     td = tm.as_decomposition()
     if args.metrics:
         _write_metrics(args.metrics, tm.stats)
-    out = open(args.output, "w") if args.output else sys.stdout
-    try:
-        for (u, v), k in sorted(td.trussness.items()):
-            print(f"{u} {v} {k}", file=out)
-    finally:
-        if args.output:
-            out.close()
+    rc = _emit(args.output, td.trussness)
+    if rc:
+        return rc
     extra = tm.stats.extra
     print(
         f"updates={len(updates)} applied={applied} batch={args.batch} "

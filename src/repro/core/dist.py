@@ -704,4 +704,4 @@ def truss_decomposition_dist(
         max(st["dedupe_bytes"] for st in rank_stats),
     )
     stats.record("triangles", n_tri)
-    return result_from_phi(csr, array("q", phi.tobytes()), k, stats)
+    return result_from_phi(csr, phi, k, stats)

@@ -26,7 +26,10 @@ sorted intersection of rank-oriented runs when numpy is absent), and
 the streaming ingest
 (:meth:`~repro.graph.csr.CSRGraph.from_edge_list_file`) feeds
 :func:`truss_decomposition_flat` a ready CSR snapshot with no
-dict-of-set round trip.
+dict-of-set round trip.  :func:`truss_decomposition_flat` is
+:func:`peel_flat_arrays` — trussness and initial supports as arrays
+in edge-id order, what :mod:`repro.stream` seeds its maintainer from
+— plus :func:`result_from_phi`, which builds the result's dict.
 """
 
 from __future__ import annotations
@@ -343,8 +346,13 @@ def _peel_over_index(
     stats: Optional[DecompositionStats],
     kern: Optional[PeelKernel] = None,
     tracer=None,
-) -> Tuple[array, int]:
-    """:func:`run_wave_peel` with the identity map over a built index."""
+) -> Tuple["_np.ndarray", "_np.ndarray", int]:
+    """:func:`run_wave_peel` with the identity map over a built index.
+
+    Returns ``(phi, sup, k)``: trussness and initial support per edge
+    id (the supports are the index's incidence runs, so they cost no
+    second triangle-counting pass), and the top level.
+    """
     e1, e2, e3 = tri.e1, tri.e2, tri.e3
     tptr, tinc = tri.tptr, tri.tinc
     kern = kern if kern is not None else get_kernel()
@@ -366,7 +374,7 @@ def _peel_over_index(
     if stats is not None:
         for key, value in wave_stats.items():
             stats.record(key, value)
-    return array("q", phi.tobytes()), k
+    return phi, tri.initial_supports(), k
 
 
 def _peel_waves(
@@ -376,7 +384,7 @@ def _peel_waves(
     stats: Optional[DecompositionStats] = None,
     kern: Optional[PeelKernel] = None,
     tracer=None,
-) -> Tuple[array, int]:
+) -> Tuple["_np.ndarray", "_np.ndarray", int]:
     """Serial wave peeling over the streamed triangle index (numpy).
 
     The index is built by the two-pass counting builder
@@ -423,18 +431,25 @@ def _as_csr(g) -> CSRGraph:
     return g if isinstance(g, CSRGraph) else CSRGraph.from_graph(g)
 
 
+def edge_keys(csr: CSRGraph):
+    """The canonical ``(u, v)`` key of every edge, in edge-id order.
+
+    Labels ascend and ``eu[e] < ev[e]``, so the keys are canonical
+    already; they hold the int objects of ``csr.labels`` rather than a
+    fresh int per endpoint.
+    """
+    eu, ev = csr.edge_endpoints()
+    get = csr.labels.__getitem__
+    return zip(map(get, eu), map(get, ev))
+
+
 def result_from_phi(
-    csr: CSRGraph, phi: array, k: int, stats: DecompositionStats
+    csr: CSRGraph, phi, k: int, stats: DecompositionStats
 ) -> TrussDecomposition:
     """Package an edge-id-indexed ``phi`` array as a decomposition."""
-    eu, ev = csr.edge_endpoints()
-    m = len(eu)
-    stats.record("kmax", k if m else 2)
-    # labels ascend, eu[e] < ev[e], phi >= 2: keys are canonical already
-    labels = csr.labels
+    stats.record("kmax", k if csr.num_edges else 2)
     return TrussDecomposition.from_canonical(
-        {(labels[eu[e]], labels[ev[e]]): phi[e] for e in range(m)},
-        stats=stats,
+        dict(zip(edge_keys(csr), phi.tolist())), stats=stats
     )
 
 
@@ -475,6 +490,62 @@ def _stdlib_fallback(
     return td
 
 
+def peel_flat_arrays(
+    csr: CSRGraph,
+    index_storage: Optional[str] = None,
+    kernel: Optional[str] = None,
+    trace=None,
+):
+    """The array core of :func:`truss_decomposition_flat`.
+
+    Builds the triangle index, peels it and returns ``(phi, sup, k,
+    stats)``: ``phi[e]`` and ``sup[e]`` are the trussness and initial
+    support of edge id ``e`` of ``csr`` (int64 ndarrays, or
+    ``array('q')`` without numpy), ``k`` the top level.  One index
+    build yields both maps, which is what
+    :meth:`repro.stream.TrussMaintainer.from_graph` seeds from.
+    Without numpy the stdlib fallback's map comes back in edge-id
+    order (:meth:`~repro.graph.csr.CSRGraph.edges_original` order) with
+    the merge-intersection supports.
+    """
+    resolve_index_storage(index_storage)  # validate eagerly, any path
+    kname = resolve_kernel(kernel)
+    stats = DecompositionStats(method="flat")
+    tr = trace if trace is not None else NULL_TRACER
+    m = csr.num_edges
+    if _np is None:
+        td = _stdlib_fallback(csr, stats, tr)
+        phi = td.trussness
+        return (
+            array("q", [phi[e] for e in csr.edges_original()]),
+            _initial_supports_python(csr, m),
+            td.kmax,
+            stats,
+        )
+    if tr.enabled:
+        tr.event("run_start", engine="flat", m=int(m), kernel=kname,
+                 index_storage=index_storage or "auto")
+    if not m:
+        empty = _np.zeros(0, dtype=_np.int64)
+        return empty, empty, 2, stats
+    stats.record("kernel", kname)
+    if kname == "python" and kernel in (None, "auto"):
+        warn_degraded(tr, stats.metrics, "kernel_auto_python",
+                      engine="flat")
+    kern = get_kernel(kname)
+    if tr.enabled:
+        kern = CountingKernel(kern)
+    t0 = _perf()
+    phi, sup, k = _peel_waves(csr, m, index_storage, stats, kern, tracer=tr)
+    build_s = stats.metrics.value("index_build_s") or 0.0
+    peel_s = max(_perf() - t0 - build_s, 0.0)
+    stats.record("peel_s", round(peel_s, 6))
+    if tr.enabled:
+        tr.complete_span("peel", peel_s, engine="flat")
+        kern.flush_into(stats.metrics)
+    return phi, sup, k, stats
+
+
 def truss_decomposition_flat(
     g,
     index_storage: Optional[str] = None,
@@ -492,32 +563,12 @@ def truss_decomposition_flat(
     ``trace`` takes an enabled :class:`repro.obs.Tracer` to emit the
     run's spans and events into (``None``: the no-op tracer).
     """
-    resolve_index_storage(index_storage)  # validate eagerly, any path
-    kname = resolve_kernel(kernel)
-    stats = DecompositionStats(method="flat")
-    tr = trace if trace is not None else NULL_TRACER
     if _np is None:
-        return _stdlib_fallback(g, stats, tr)
+        # the stdlib peel runs on a Graph: no CSR snapshot, no supports
+        resolve_index_storage(index_storage)
+        resolve_kernel(kernel)
+        tr = trace if trace is not None else NULL_TRACER
+        return _stdlib_fallback(g, DecompositionStats(method="flat"), tr)
     csr = _as_csr(g)
-    m = csr.num_edges
-    if tr.enabled:
-        tr.event("run_start", engine="flat", m=int(m), kernel=kname,
-                 index_storage=index_storage or "auto")
-    if not m:
-        return result_from_phi(csr, array("q"), 2, stats)
-    stats.record("kernel", kname)
-    if kname == "python" and kernel in (None, "auto"):
-        warn_degraded(tr, stats.metrics, "kernel_auto_python",
-                      engine="flat")
-    kern = get_kernel(kname)
-    if tr.enabled:
-        kern = CountingKernel(kern)
-    t0 = _perf()
-    phi, k = _peel_waves(csr, m, index_storage, stats, kern, tracer=tr)
-    build_s = stats.metrics.value("index_build_s") or 0.0
-    peel_s = max(_perf() - t0 - build_s, 0.0)
-    stats.record("peel_s", round(peel_s, 6))
-    if tr.enabled:
-        tr.complete_span("peel", peel_s, engine="flat")
-        kern.flush_into(stats.metrics)
+    phi, _sup, k, stats = peel_flat_arrays(csr, index_storage, kernel, trace)
     return result_from_phi(csr, phi, k, stats)

@@ -273,7 +273,7 @@ def _peel_waves_shared(
     index_storage: Optional[str] = None,
     kname: Optional[str] = None,
     tracer=None,
-) -> Tuple[array, int]:
+) -> Tuple["_np.ndarray", int]:
     """The wave peel of ``flat``, fanned out over ``jobs`` workers.
 
     One loop — :func:`repro.core.flat.run_wave_peel` — serves jobs=1
@@ -364,7 +364,7 @@ def _peel_waves_shared(
                 tr.complete_span("peel", peel_s, engine="parallel",
                                  jobs=int(jobs))
                 kern.flush_into(stats.metrics)
-            return array("q", phi.tobytes()), k
+            return phi, k
         finally:
             if pool is not None:
                 pool.close()

@@ -88,9 +88,7 @@ class CSRGraph:
         v = _np.searchsorted(lab, flat[1::2])
         src = _np.concatenate((u, v))
         dst = _np.concatenate((v, u))
-        by_row = _np.lexsort((dst, src))
-        indptr = _np.zeros(n + 1, dtype=_np.int64)
-        _np.cumsum(_np.bincount(src, minlength=n), out=indptr[1:])
+        indptr, by_row = _rows(src, dst, n)
         return cls(
             array("q", indptr.tobytes()),
             array("q", dst[by_row].tobytes()),
@@ -181,27 +179,23 @@ class CSRGraph:
         u, v = u[keep], v[keep]
         if not len(u):
             return cls(array("q", [0]), array("q"), [])
-        lo = _np.minimum(u, v)
-        hi = _np.maximum(u, v)
-        verts = _np.unique(_np.concatenate((lo, hi)))  # sorted labels
+        ends = _np.concatenate((_np.minimum(u, v), _np.maximum(u, v)))
+        verts = _sorted_unique(ends)  # sorted labels
         n = len(verts)
         # labels are sorted, so searchsorted IS the original->compact map
-        comp = _np.searchsorted(verts, _np.concatenate((lo, hi)))
-        cl, ch = comp[: len(lo)], comp[len(lo) :]
-        key = cl * n + ch
+        comp = _np.searchsorted(verts, ends)
+        key = comp[: len(u)] * n + comp[len(u) :]
         if len(key) > 1 and bool(_np.all(key[1:] > key[:-1])):
             # already canonical, sorted, duplicate-free (the repo's own
             # write_edge_list emits exactly this): skip the dedupe sort
             ukey = key
         else:
-            ukey = _np.unique(key)  # dedupe; ascending == canonical
+            ukey = _sorted_unique(key)  # dedupe; ascending == canonical
         cu = ukey // n
         cv = ukey - cu * n
         src = _np.concatenate((cu, cv))
         dst = _np.concatenate((cv, cu))
-        by_row = _np.lexsort((dst, src))
-        indptr = _np.zeros(n + 1, dtype=_np.int64)
-        _np.cumsum(_np.bincount(src, minlength=n), out=indptr[1:])
+        indptr, by_row = _rows(src, dst, n)
         # the slot's canonical id is its edge's position among the
         # sorted unique keys — eids come free with the dedupe
         m = len(ukey)
@@ -406,6 +400,30 @@ class CSRGraph:
         every triangle counted exactly once.
         """
         return sorted(range(self.num_vertices), key=lambda i: (self.degree(i), i))
+
+
+def _sorted_unique(a: "_np.ndarray") -> "_np.ndarray":
+    """The distinct values of ``a``, ascending: one sort, adjacent diff.
+
+    What ``np.unique`` returns, without its hashing pass.
+    """
+    s = _np.sort(a)
+    keep = _np.empty(len(s), dtype=bool)
+    keep[:1] = True
+    _np.not_equal(s[1:], s[:-1], out=keep[1:])
+    return s[keep]
+
+
+def _rows(src: "_np.ndarray", dst: "_np.ndarray", n: int):
+    """``(indptr, by_row)`` of the directed slots ``src -> dst``.
+
+    ``by_row`` orders the slots by ``(src, dst)``: one argsort of the
+    combined key, which is unique because the slots are, so any sort
+    order is the same permutation.
+    """
+    indptr = _np.zeros(n + 1, dtype=_np.int64)
+    _np.cumsum(_np.bincount(src, minlength=n), out=indptr[1:])
+    return indptr, _np.argsort(src * n + dst)
 
 
 def _line_token_counts(chunk: bytes):

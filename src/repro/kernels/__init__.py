@@ -184,16 +184,22 @@ _FACTORIES: Dict[str, Callable[[], PeelKernel]] = {
 #: one stateless instance per backend per process
 _INSTANCES: Dict[str, PeelKernel] = {}
 
+#: the factory's message for each backend that failed to construct; a
+#: failed import is never retried, so every ``resolve_kernel("auto")``
+#: of a repair stays a dict lookup
+_FAILED: Dict[str, str] = {}
+
 
 def kernel_available(name: str) -> bool:
     """Whether backend ``name`` can be constructed in this process."""
-    if name not in _FACTORIES:
+    if name not in _FACTORIES or name in _FAILED:
         return False
     if name in _INSTANCES:
         return True
     try:
         _INSTANCES[name] = _FACTORIES[name]()
-    except DecompositionError:
+    except DecompositionError as exc:
+        _FAILED[name] = str(exc)
         return False
     return True
 
@@ -225,10 +231,7 @@ def resolve_kernel(kernel: Optional[str]) -> str:
         )
     if not kernel_available(kernel):
         # surface the factory's specific message (missing numpy/numba)
-        _FACTORIES[kernel]()
-        raise DecompositionError(  # pragma: no cover - factory raised
-            f"kernel {kernel!r} is unavailable"
-        )
+        raise DecompositionError(_FAILED[kernel])
     return kernel
 
 

@@ -1,11 +1,12 @@
 """``TrussMaintainer`` — trussness kept fresh under edge updates.
 
-Construction decomposes once with the flat engine (seeding trussness
-from :func:`repro.core.flat.truss_decomposition_flat` and supports from
-:func:`repro.core.flat.initial_supports` over the CSR snapshot); every
-subsequent :meth:`insert_edge` / :meth:`delete_edge` /
-:meth:`apply_batch` repairs only the bounded affected set computed by
-:mod:`repro.stream.affected` and re-peeled by
+Construction decomposes once with the flat engine's array core
+(:func:`repro.core.flat.peel_flat_arrays`): one triangle-index build
+over the CSR snapshot yields both the trussness and the initial
+supports, in edge-id order, and the state dicts are zipped straight
+from those arrays.  Every subsequent :meth:`insert_edge` /
+:meth:`delete_edge` / :meth:`apply_batch` repairs only the bounded
+affected set computed by :mod:`repro.stream.affected` and re-peeled by
 :mod:`repro.stream.repeel`.
 
 State lives in dicts keyed by canonical ``(u, v)`` edges rather than
@@ -23,9 +24,15 @@ from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.core.decomposition import DecompositionStats, TrussDecomposition
-from repro.core.flat import _as_csr, initial_supports, truss_decomposition_flat
+from repro.core.flat import (
+    _as_csr,
+    edge_keys,
+    peel_flat_arrays,
+    truss_decomposition_flat,
+)
 from repro.errors import DecompositionError
 from repro.graph.csr import CSRGraph
+from repro.kernels import resolve_kernel
 from repro.obs import NULL_TRACER, warn_degraded
 from repro.stream.affected import canon, common_neighbors, expand_region
 from repro.stream.repeel import repeel_region
@@ -61,6 +68,9 @@ class TrussMaintainer:
         kernel: Optional[str] = None,
         trace=None,
     ) -> None:
+        # a bad kernel name fails here, before any update touches state;
+        # the caller's value is kept so repairs degrade exactly as asked
+        resolve_kernel(kernel)
         self._adj = adj  # vertex -> sorted neighbor list
         self._phi = phi  # canonical edge -> trussness
         self._sup = sup  # canonical edge -> support (common-neighbor count)
@@ -75,29 +85,36 @@ class TrussMaintainer:
     ) -> "TrussMaintainer":
         """Decompose ``g`` (a :class:`Graph` or CSR snapshot) once.
 
-        ``trace`` takes an enabled :class:`repro.obs.Tracer`: the
-        seeding decomposition and every subsequent repair emit their
-        spans (and degradation warnings) into it.
+        One triangle-index build gives both the trussness and the
+        initial supports (:func:`repro.core.flat.peel_flat_arrays`);
+        the phi and support dicts share one list of edge keys, and the
+        adjacency lists are the CSR rows, already sorted.  ``trace``
+        takes an enabled :class:`repro.obs.Tracer`: the seeding
+        decomposition and every subsequent repair emit their spans (and
+        degradation warnings) into it.
         """
         csr = _as_csr(g)
-        adj: Dict[int, List[int]] = {}
-        phi: Dict[Edge, int] = {}
-        sup: Dict[Edge, int] = {}
-        if csr.num_edges:
-            td = truss_decomposition_flat(csr, kernel=kernel, trace=trace)
-            phi.update(td.trussness)
-            raw = initial_supports(csr)
-            labels = csr.labels
-            eu, ev = csr.edge_endpoints()
-            for e in range(csr.num_edges):
-                a, b = int(labels[int(eu[e])]), int(labels[int(ev[e])])
-                sup[canon(a, b)] = int(raw[e])
-            for a, b in phi:
-                adj.setdefault(a, []).append(b)
-                adj.setdefault(b, []).append(a)
-            for lst in adj.values():
-                lst.sort()
-        return cls(adj, phi, sup, kernel=kernel, trace=trace)
+        if not csr.num_edges:
+            return cls({}, {}, {}, kernel=kernel, trace=trace)
+        phi, sup, _k, _stats = peel_flat_arrays(
+            csr, kernel=kernel, trace=trace
+        )
+        keys = list(edge_keys(csr))
+        labels = csr.labels
+        nbrs = list(map(labels.__getitem__, csr.indices))
+        ptr = csr.indptr
+        adj = {
+            labels[i]: nbrs[ptr[i]:ptr[i + 1]]
+            for i in range(csr.num_vertices)
+            if ptr[i] != ptr[i + 1]
+        }
+        return cls(
+            adj,
+            dict(zip(keys, phi.tolist())),
+            dict(zip(keys, sup.tolist())),
+            kernel=kernel,
+            trace=trace,
+        )
 
     @classmethod
     def from_state(

@@ -20,11 +20,13 @@ chunked wedge enumerator:
 2. **scatter** — place each chunk's incidence entries directly into
    their final ``tinc`` slots through per-edge fill cursors
    (``fill = tptr[:-1]``).  Grouping a chunk's entries by edge uses
-   numpy's *stable integer sort* — a radix/counting sort, O(chunk) —
-   so no triangle-scale sort or concatenation ever exists; the entries
-   are interleaved by triangle first, which makes every edge's window
-   come out ascending in triangle id regardless of the chunk size (the
-   layout is chunk-invariant, bit for bit).
+   numpy's *stable sort* — timsort for these int64 keys (numpy
+   radix-sorts only integers of 16 bits or less), O(c log c) for a
+   chunk of c entries — so no triangle-scale sort or concatenation
+   ever exists; the entries are interleaved by triangle first, which
+   makes every edge's window come out ascending in triangle id
+   regardless of the chunk size (the layout is chunk-invariant, bit
+   for bit).
 
 The destination is pluggable, and it decides how the triangle stream
 feeds the two passes.  ``storage="ram"`` enumerates wedges **once**:
@@ -314,10 +316,11 @@ def _scatter_chunk(tinc, fill, e_ab, e_bc, e_ac, t0: int) -> None:
     """Counting-scatter one chunk's incidence entries into ``tinc``.
 
     The chunk's entries are interleaved by triangle, then grouped by
-    edge with a stable (radix) sort: within every edge group, slot
-    order == triangle order, so the windows end up ascending in
-    triangle id at any chunk size.  Each entry lands at its edge's
-    fill cursor plus its within-chunk occurrence rank.
+    edge with a stable sort (timsort on int64 keys, O(c log c)):
+    within every edge group, slot order == triangle order, so the
+    windows end up ascending in triangle id at any chunk size.  Each
+    entry lands at its edge's fill cursor plus its within-chunk
+    occurrence rank.
     """
     c = len(e_ab)
     inc = _np.empty(3 * c, dtype=_np.int64)

@@ -286,6 +286,19 @@ class TestErrors:
         ])
         assert str(missing) in line
 
+    @pytest.mark.parametrize("command", ["decompose", "update"])
+    def test_unwritable_output(self, graph_file, tmp_path, capsys, command):
+        argv = [command, str(graph_file)]
+        if command == "update":
+            updates = tmp_path / "updates.txt"
+            updates.write_text("+ 1 10\n")
+            argv.append(str(updates))
+        else:
+            argv += ["--method", "flat"]
+        target = tmp_path / "missing" / "out.txt"
+        line = self._fails_cleanly(capsys, [*argv, "-o", str(target)])
+        assert str(target) in line
+
 
 class TestNumpyFreeParity:
     """Without numpy the CSR methods print exactly what improved prints.

@@ -61,6 +61,26 @@ class TestRegistry:
         assert KERNELS == ("python", "numpy", "numba")
         assert set(available_kernels()) <= set(KERNELS)
 
+    def test_failed_factory_is_tried_once(self, monkeypatch):
+        import repro.kernels as kernels
+
+        calls = []
+
+        def broken():
+            calls.append(1)
+            raise DecompositionError("kernel 'numba' is broken here")
+
+        monkeypatch.setitem(kernels._FACTORIES, "numba", broken)
+        monkeypatch.delitem(kernels._INSTANCES, "numba", raising=False)
+        monkeypatch.setattr(kernels, "_FAILED", {})
+        for _ in range(5):
+            assert resolve_kernel("auto") != "numba"
+        assert len(calls) == 1
+        # a named request still reports the factory's own message
+        with pytest.raises(DecompositionError, match="broken here"):
+            resolve_kernel("numba")
+        assert len(calls) == 1
+
 
 class TestApiGating:
     """The ``kernel`` knob mirrors ``index_storage``'s method gate."""
@@ -140,6 +160,43 @@ class TestCliGating:
         assert out.read_text() == reference.read_text()
 
 
+#: prelude of the subprocess tests: a meta-path finder that blocks
+#: ``numba`` and counts lookups of the numba backend module
+_BLOCK_NUMBA = """
+import sys
+
+class _BlockNumba:
+    backend_lookups = 0
+
+    def find_spec(self, name, path=None, target=None):
+        if name == "numba" or name.startswith("numba."):
+            raise ImportError("numba blocked for this test")
+        if name == "repro.kernels.numba_backend":
+            _BlockNumba.backend_lookups += 1
+        return None
+
+sys.meta_path.insert(0, _BlockNumba())
+"""
+
+
+def _run_without_numba(body: str) -> str:
+    """Run ``body`` in a fresh interpreter with numba blocked; stdout."""
+    src_root = Path(repro.__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(src_root) + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _BLOCK_NUMBA + textwrap.dedent(body)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 class TestNumbaAbsentImportGuard:
     """The package must import and decompose with numba truly absent.
 
@@ -149,19 +206,8 @@ class TestNumbaAbsentImportGuard:
     """
 
     def test_import_and_decompose_without_numba(self):
-        src_root = Path(repro.__file__).resolve().parent.parent
-        code = textwrap.dedent(
+        out = _run_without_numba(
             """
-            import sys
-
-            class _BlockNumba:
-                def find_spec(self, name, path=None, target=None):
-                    if name == "numba" or name.startswith("numba."):
-                        raise ImportError("numba blocked for this test")
-                    return None
-
-            sys.meta_path.insert(0, _BlockNumba())
-
             from repro.core import truss_decomposition
             from repro.graph import complete_graph
             from repro.kernels import available_kernels, resolve_kernel
@@ -177,16 +223,31 @@ class TestNumbaAbsentImportGuard:
             print("guard-ok")
             """
         )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(src_root) + (
-            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        assert "guard-ok" in out
+
+
+class TestRepairHotPath:
+    """A repair resolves its kernel from the registry's memory.
+
+    A failed numba import is remembered: the repairs after seeding
+    never look the backend module up again (each retry would re-run,
+    and without ``.pyc`` files recompile, the module).
+    """
+
+    def test_repairs_do_not_retry_the_numba_import(self):
+        out = _run_without_numba(
+            """
+            from repro.graph import complete_graph
+            from repro.stream import TrussMaintainer
+
+            tm = TrussMaintainer.from_graph(complete_graph(6))
+            seeded = _BlockNumba.backend_lookups
+            for i in range(25):
+                # the second insert closes a triangle with edge (0, 1)
+                assert tm.apply_batch([("insert", 0, 100 + i)]) == 1
+                assert tm.apply_batch([("insert", 1, 100 + i)]) == 1
+            assert tm.trussness[(0, 100)] == 3, tm.trussness[(0, 100)]
+            print("lookups", _BlockNumba.backend_lookups - seeded)
+            """
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert "guard-ok" in proc.stdout
+        assert "lookups 0" in out, out

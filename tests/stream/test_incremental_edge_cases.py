@@ -141,3 +141,24 @@ def test_stats_counters_accumulate():
     tm.insert_edge(1, 4)
     assert tm.stats.extra["repairs"] == 2
     assert tm.stats.extra["affected_edges"] >= 1
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: TrussMaintainer.from_graph(Graph(), kernel="bogus"),
+        lambda: TrussMaintainer.from_graph(complete_graph(4), kernel="bogus"),
+        lambda: TrussMaintainer.from_state({}, {}, kernel="bogus"),
+        lambda: TrussMaintainer.from_state(
+            {(1, 2): 2}, {(1, 2): 0}, kernel="bogus"
+        ),
+    ],
+    ids=["from_graph-empty", "from_graph", "from_state-empty", "from_state"],
+)
+def test_bad_kernel_name_fails_at_construction(build):
+    # a bad name used to be accepted here and fail in the first repair,
+    # after that update had already changed the adjacency and supports
+    tm = None
+    with pytest.raises(DecompositionError, match="unknown kernel"):
+        tm = build()
+    assert tm is None
