@@ -1,25 +1,29 @@
-"""Ablation: streaming counting-scatter index build vs the legacy argsort.
+"""Ablation: the streaming index build vs the legacy argsort.
 
-The tri-index PR's claims, measured and machine-recorded:
+The tri-index claims, measured and machine-recorded:
 
-* the streaming two-pass builder produces the *same index* as the
-  seed's argsort construction — ``e1``/``e2``/``e3``/``tptr``/``sup``
+* the streaming builder produces the *same index* as the seed's
+  argsort construction — ``e1``/``e2``/``e3``/``tptr``/``sup``
   bit-identical, ``tinc`` windows identical once the legacy slots are
   put into the builder's canonical ascending-triangle-id order
   (asserted before any time is reported);
 * peak extra memory drops: the legacy build holds the three triangle
   columns, their 3·|△G| concatenation, the global argsort result and
-  the tiled id array simultaneously (~15·|△G| int64 slots), the
-  streaming RAM build holds only the 6·|△G|-slot index itself plus
-  O(m + chunk) scratch, and the mmap build keeps even the index out of
-  the heap — O(m + chunk) total.  On every triangle-dense dataset
-  (|△G| comfortably above the wedge chunk) the ordering
-  ``mmap < ram < legacy`` is asserted on the measured tracemalloc
-  peaks;
-* wall time is compared, not hard-gated: the streaming build
-  enumerates wedges twice where the legacy build enumerates once and
-  sorts at triangle scale — the JSON records whichever way that trade
-  lands per dataset.
+  the tiled id array simultaneously (~15·|△G| int64 slots), the RAM
+  build holds the 6·|△G|-slot index plus one |△G|-long id column (and
+  a transient column copy while it concatenates the chunks), and the
+  mmap build keeps even the index out of the heap — O(m + chunk)
+  total.  On every triangle-dense dataset (|△G| comfortably above the
+  wedge chunk) the ordering ``mmap < ram < legacy`` is asserted on the
+  measured tracemalloc peaks;
+* wall time is compared, not hard-gated: the RAM build enumerates
+  wedges once and sorts its unique incidence keys once, in place; the
+  mmap build enumerates twice (count, then scatter) and sorts each
+  chunk's keys; the legacy build enumerates once and stable-argsorts
+  (timsort) at triangle scale.  The legacy yardstick runs on the
+  builder's own enumerator (out(a) wedges closed by ``b->c``, not the
+  seed's out(b) wedges), so the comparison isolates the incidence
+  layout — the JSON records how that lands per dataset.
 
 ``BENCH_triindex.json`` (path overridable via
 ``REPRO_BENCH_TRIINDEX_JSON``) is the machine-readable artifact CI
@@ -71,8 +75,9 @@ def _legacy_argsort_index(csr, m):
 
     Materialize every triangle column in RAM, concatenate all three,
     and derive ``tinc`` with one global stable argsort over 3·|△G|
-    slots — exactly what ``repro.core.flat._triangle_index`` did before
-    the streaming builder replaced it.
+    slots — what ``repro.core.flat._triangle_index`` did before the
+    streaming builder replaced it, over the builder's current wedge
+    enumerator.
     """
     parts = list(_WedgeDAG(csr).iter_triangle_chunks(CHUNK))
     empty = np.zeros(0, dtype=np.int64)
@@ -171,7 +176,7 @@ def test_streaming_vs_legacy_argsort(scale, tmp_path):
     print_table(
         "tri_index",
         rows,
-        "Ablation: streaming counting-scatter index build vs legacy argsort",
+        "Ablation: streaming index build vs legacy argsort",
     )
 
     doc = {

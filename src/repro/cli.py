@@ -154,8 +154,10 @@ def _emit(path: Optional[str], phi) -> int:
     return 0
 
 
-def _write_metrics(path: str, stats) -> None:
-    """Dump a run's metrics registry: JSON for ``*.json``, else Prometheus."""
+def _write_metrics(path: str, stats) -> int:
+    """Dump a run's metrics registry: JSON for ``*.json``, else
+    Prometheus; 0, or 2 after an ``error:`` line if it cannot be
+    written."""
     import json
 
     reg = stats.metrics
@@ -163,9 +165,13 @@ def _write_metrics(path: str, stats) -> None:
         text = json.dumps(reg.to_json(), indent=2, sort_keys=True) + "\n"
     else:
         text = reg.to_prometheus()
-    with open(path, "w") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        return _error(exc)
     print(f"metrics -> {path}", file=sys.stderr)
+    return 0
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
@@ -236,7 +242,9 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         return _error(exc)
     elapsed = time.perf_counter() - start
     if args.metrics:
-        _write_metrics(args.metrics, td.stats)
+        rc = _write_metrics(args.metrics, td.stats)
+        if rc:
+            return rc
     rc = _emit(args.output, td.trussness)
     if rc:
         return rc
@@ -288,7 +296,9 @@ def cmd_update(args: argparse.Namespace) -> int:
         return _error(exc)
     td = tm.as_decomposition()
     if args.metrics:
-        _write_metrics(args.metrics, tm.stats)
+        rc = _write_metrics(args.metrics, tm.stats)
+        if rc:
+            return rc
     rc = _emit(args.output, td.trussness)
     if rc:
         return rc

@@ -36,13 +36,12 @@ in-process queues (``transport="loopback"``) or length-prefixed
 localhost sockets (``transport="tcp"``), with the triangle dedupe
 hash-partitioned across ranks so no node holds the global triangle
 state.  All three peel over one shared triangle-index pipeline — the
-streaming two-pass counting builder of
-:mod:`repro.triangles.index_builder`, whose destination the
-``index_storage`` knob selects (in-RAM arrays or the on-disk mmap
-layout, holding build memory at O(m + chunk)).  All three accept a
-ready :class:`~repro.graph.csr.CSRGraph` in place of a ``Graph``, and
-:func:`decompose_file` feeds them straight from an edge-list file via
-the dict-free streaming ingest.
+streaming builder of :mod:`repro.triangles.index_builder`, whose
+destination the ``index_storage`` knob selects (in-RAM arrays or the
+on-disk mmap layout, holding build memory at O(m + chunk)).  All
+three accept a ready :class:`~repro.graph.csr.CSRGraph` in place of a
+``Graph``, and :func:`decompose_file` feeds them straight from an
+edge-list file via the dict-free streaming ingest.
 """
 
 from __future__ import annotations
@@ -130,7 +129,7 @@ def truss_decomposition(
             in-process flat engine instead of raising).
         index_storage: for the CSR methods (:data:`CSR_METHODS`), the
             triangle index's destination — ``"ram"`` or ``"mmap"``
-            (streamed to disk through the counting builder and mapped
+            (streamed to disk by the builder's counting route, mapped
             read-only).  ``None`` is auto: by size for flat/parallel,
             always on disk for dist (whose ranks mmap it regardless).
         kernel: for the CSR methods, the wave-step backend from

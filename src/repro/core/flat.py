@@ -7,10 +7,10 @@ of dict-of-set adjacency: :func:`_peel_waves` is a level-synchronous
 wave peel over the materialized triangle index in the shared-memory
 style of Kabir & Madduri — same unique trussness map, 2-3x faster than
 the improved method end to end.  The index itself comes from the
-streaming two-pass counting builder
-(:mod:`repro.triangles.index_builder`), in RAM or mmapped from disk
-(``index_storage``), so building it never costs a triangle-scale sort
-or concatenation.
+streaming builder (:mod:`repro.triangles.index_builder`), in RAM or
+mmapped from disk (``index_storage``).  The ram route concatenates the
+enumerated chunks, then sorts the keys that become ``tinc`` once, in
+place; the mmap route holds no triangle-length array at all.
 
 The wave peel needs numpy.  Without it, every CSR method (flat,
 parallel, dist) degrades through :func:`_stdlib_fallback` to the
@@ -43,7 +43,7 @@ from repro.core.decomposition import DecompositionStats, TrussDecomposition
 from repro.core.truss_improved import truss_decomposition_improved
 from repro.errors import DecompositionError
 from repro.graph.adjacency import Graph
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, sorted_unique
 from repro.kernels import PeelKernel, get_kernel, resolve_kernel
 from repro.obs import NULL_TRACER, CountingKernel, warn_degraded
 from repro.triangles.index_builder import (
@@ -213,12 +213,13 @@ def run_wave_peel(
     At level ``k``, every live edge with support <= k-2 pops in one
     wave (Kabir & Madduri's shared-memory style; supports stay *exact*:
     each triangle decrements its partners once, when its first edge
-    pops, with ``np.unique`` deduping triangles reached from several
-    frontier edges — across partitions too).  The level floor is
-    tracked incrementally: ``hist`` counts alive edges per support
-    value and is updated on every pop and decrement, so finding the
-    next non-empty level is a monotone pointer advance instead of an
-    ``O(m)`` ``sup[alive].min()`` re-mask per level.
+    pops, with :func:`~repro.graph.csr.sorted_unique` deduping
+    triangles reached from several frontier edges — across partitions
+    too).  The level floor is tracked incrementally: ``hist`` counts
+    alive edges per support value and is updated on every pop and
+    decrement, so finding the next non-empty level is a monotone
+    pointer advance instead of an ``O(m)`` ``sup[alive].min()``
+    re-mask per level.
 
     With ``account_ipc`` the loop also totals the bytes of every array
     that crosses ``run_map`` (frontier partitions and triangle slices
@@ -284,7 +285,7 @@ def run_wave_peel(
             if account_ipc:
                 ipc_bytes += sum(int(p.nbytes) for p in parts)
                 ipc_bytes += sum(int(h.nbytes) for h in hits)
-            hit = hits[0] if len(hits) == 1 else _np.unique(
+            hit = hits[0] if len(hits) == 1 else sorted_unique(
                 _np.concatenate(hits)
             )
             if hit.size == 0:
@@ -387,7 +388,7 @@ def _peel_waves(
 ) -> Tuple["_np.ndarray", "_np.ndarray", int]:
     """Serial wave peeling over the streamed triangle index (numpy).
 
-    The index is built by the two-pass counting builder
+    The index is built by the streaming builder
     (:func:`repro.triangles.index_builder.build_triangle_index`);
     ``index_storage`` picks its destination — ``"ram"`` for plain
     ndarrays (the classic time/space trade of shared-memory truss

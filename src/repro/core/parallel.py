@@ -15,11 +15,10 @@ as numpy views, so workers attach once (pool initializer) and never
 receive more than their slice of the current frontier over the IPC
 channel.  The read-only O(|△G|) triangle index (``e1``/``e2``/``e3``
 edge columns, the ``tptr``/``tinc`` edge->triangle incidence) comes
-from the streaming counting builder
-(:mod:`repro.triangles.index_builder`) and travels by
-``index_storage``: ``"ram"`` shares it through the same shm blocks,
-``"mmap"`` streams it to disk and every process (coordinator and
-workers alike) maps the ``.npy`` files read-only — the page cache is
+from the streaming builder (:mod:`repro.triangles.index_builder`) and
+travels by ``index_storage``: ``"ram"`` shares it through the same shm
+blocks, ``"mmap"`` streams it to disk and every process (coordinator
+and workers alike) maps the ``.npy`` files read-only — the page cache is
 the sharing medium and no triangle-length shm copy exists.
 Zero-length arrays (a triangle-free graph has empty
 ``e1``/``tinc``/``tdead``) are never backed by a shared block at all —
@@ -283,7 +282,7 @@ def _peel_waves_shared(
     ``jobs>1`` the mutable peel state is copied into shared memory
     once, a persistent pool attaches to it, and every wave is two
     ``pool.map`` barriers.  The triangle index comes from the
-    streaming counting builder: with ``index_storage="ram"`` it is
+    streaming builder: with ``index_storage="ram"`` it is
     shared with the workers through the same shm blocks, with
     ``"mmap"`` every process maps the on-disk index read-only (no
     triangle-length shm copy exists anywhere).

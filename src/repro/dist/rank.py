@@ -39,6 +39,7 @@ from repro.dist.checkpoint import (
 )
 from repro.dist.exchange import allgather, alltoallv
 from repro.dist.transport import DistError, Transport
+from repro.graph.csr import sorted_unique
 from repro.kernels import PeelKernel, get_kernel
 from repro.obs import NULL_TRACER, CountingKernel, Tracer
 from repro.partition.edge_shards import route_dead_triangles
@@ -271,7 +272,7 @@ class Rank:
                 exchange_rounds += 1
                 mine = _np.concatenate(recvd)
                 if mine.size:
-                    mine = _np.unique(mine)
+                    mine = sorted_unique(mine)
                     fresh = mine[~owned_dead[mine // R]]
                     owned_dead[fresh // R] = True
                 else:

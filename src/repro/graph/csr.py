@@ -180,7 +180,7 @@ class CSRGraph:
         if not len(u):
             return cls(array("q", [0]), array("q"), [])
         ends = _np.concatenate((_np.minimum(u, v), _np.maximum(u, v)))
-        verts = _sorted_unique(ends)  # sorted labels
+        verts = sorted_unique(ends)  # sorted labels
         n = len(verts)
         # labels are sorted, so searchsorted IS the original->compact map
         comp = _np.searchsorted(verts, ends)
@@ -190,7 +190,7 @@ class CSRGraph:
             # write_edge_list emits exactly this): skip the dedupe sort
             ukey = key
         else:
-            ukey = _sorted_unique(key)  # dedupe; ascending == canonical
+            ukey = sorted_unique(key)  # dedupe; ascending == canonical
         cu = ukey // n
         cv = ukey - cu * n
         src = _np.concatenate((cu, cv))
@@ -402,10 +402,12 @@ class CSRGraph:
         return sorted(range(self.num_vertices), key=lambda i: (self.degree(i), i))
 
 
-def _sorted_unique(a: "_np.ndarray") -> "_np.ndarray":
+def sorted_unique(a: "_np.ndarray") -> "_np.ndarray":
     """The distinct values of ``a``, ascending: one sort, adjacent diff.
 
-    What ``np.unique`` returns, without its hashing pass.
+    What ``np.unique`` returns, without its hashing pass.  Sorts a
+    copy, so ``a`` may be a read-only map.  Every no-counts dedupe on
+    the numpy paths calls this one helper.
     """
     s = _np.sort(a)
     keep = _np.empty(len(s), dtype=bool)

@@ -3,15 +3,19 @@
 This is the bit-identity baseline of the kernel registry: the gather
 (`repro.core.flat._collect_hits_arrays` before the extraction) and
 scatter count (``_count_decrements_arrays``), plus the frontier pop and
-support/histogram commit the engines used to inline, moved here — not
-rewritten.  Every other backend must reproduce these outputs bit for
-bit (see the package doc for the contract).
+support/histogram commit the engines used to inline, with the same
+outputs.  The gather dedupes with :func:`repro.graph.csr.sorted_unique`
+(one sort, adjacent diff): ``np.unique`` hashes first on numpy >= 2.3,
+which on these arrays is slower than sorting them outright.  Every other
+backend must reproduce these outputs bit for bit (see the package doc
+for the contract).
 """
 
 from __future__ import annotations
 
 import numpy as _np
 
+from repro.graph.csr import sorted_unique
 from repro.kernels import PeelKernel
 
 
@@ -47,7 +51,7 @@ class NumpyKernel(PeelKernel):
         hit = _np.asarray(tinc[slots], dtype=_np.int64)
         if tdead is not None:
             hit = hit[~tdead[hit]]
-        return _np.unique(hit)
+        return sorted_unique(hit)
 
     def count_decrements(
         self, e1, e2, e3, tris, alive, lo=None, hi=None, base=0

@@ -31,6 +31,7 @@ from bisect import bisect_left, bisect_right
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
+from repro.graph.csr import sorted_unique
 
 try:  # optional accelerator; every code path has a stdlib fallback
     import numpy as _np
@@ -165,16 +166,17 @@ def route_dead_triangles(bounds, stride: int, tris, e1, e2, e3):
     (:meth:`repro.dist.rank.Rank.run`; numpy-only, like the peel
     itself): each triangle in ``tris`` goes to every shard owning at
     least one of its partner edges, *once per shard*, via a
-    ``np.unique`` over ``owner * stride + triangle`` keys.  ``bounds``
-    is the plan's ``num_shards + 1`` int64 bound array, ``stride`` any
-    value ``> max(tris)`` (the triangle count), ``e1``/``e2``/``e3``
-    the triangle index's edge columns (arrays or mmaps).  Returns
-    ``num_shards`` sorted arrays; piece ``s`` holds the triangle ids
-    with a partner edge in shard ``s``.
+    :func:`~repro.graph.csr.sorted_unique` over ``owner * stride +
+    triangle`` keys.  ``bounds`` is the plan's ``num_shards + 1``
+    int64 bound array, ``stride`` any value ``> max(tris)`` (the
+    triangle count), ``e1``/``e2``/``e3`` the triangle index's edge
+    columns (arrays or mmaps).  Returns ``num_shards`` sorted arrays;
+    piece ``s`` holds the triangle ids with a partner edge in shard
+    ``s``.
     """
     partners = _np.concatenate((e1[tris], e2[tris], e3[tris]))
     owner = _np.searchsorted(bounds, partners, side="right") - 1
-    key = _np.unique(owner * stride + _np.tile(tris, 3))
+    key = sorted_unique(owner * stride + _np.tile(tris, 3))
     owners = key // stride
     shard_ids = _np.arange(1, len(bounds) - 1, dtype=_np.int64)
     return _np.split(

@@ -5,7 +5,7 @@ Public surface::
     iter_triangles, triangle_count      compact-forward O(m^1.5) listing
     edge_supports, supports_within      Definition 1's sup(e)
     external_edge_supports              partitioned, I/O-accounted variant
-    build_triangle_index                streaming two-pass counting build
+    build_triangle_index                out(a) wedges, key-sorted incidence
     count_edge_incidence                its counting pass (supports only)
     TriangleIndex                       the index bundle + on-disk format
 

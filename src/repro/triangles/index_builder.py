@@ -1,4 +1,4 @@
-"""Streaming two-pass triangle-index construction (numpy substrate).
+"""Streaming triangle-index construction (numpy substrate).
 
 Every CSR peel engine (``flat`` serial waves, ``parallel`` shared
 memory, ``dist`` rank processes) runs over the same materialized
@@ -8,41 +8,41 @@ edge->triangle incidence index: the per-triangle edge columns
 edge ``e``, ascending).  Building that index used to be the slow,
 memory-hungry prefix shared by all of them: list every triangle into
 RAM, concatenate all three columns (3·|△G| slots), and derive ``tinc``
-with one global ``np.argsort`` — O(T log T) time and ~5 simultaneous
-int64 arrays of triangle length.
+with one global stable ``np.argsort`` — timsort on int64 keys and ~5
+simultaneous int64 arrays of triangle length.
 
-This module replaces that with a **two-pass counting build** over the
-chunked wedge enumerator:
+The triangles come from a chunked, re-runnable wedge enumerator
+(:class:`_WedgeDAG`): each triangle ``a < b < c`` (degree-rank order)
+is closed once, from the wedge of out(a) at ``b`` and ``c``, by
+probing the closing edge ``b->c`` — the paper's intersection of
+out(a) with out(b), Σ C(d⁺(v), 2) wedges in all.  Two routes turn that
+stream into the index:
 
-1. **count** — a pass over the triangle stream keeping only a per-edge
-   incidence count: this is ``sup`` (Definition 1's initial supports),
-   and its exclusive prefix sum is ``tptr``;
-2. **scatter** — place each chunk's incidence entries directly into
-   their final ``tinc`` slots through per-edge fill cursors
-   (``fill = tptr[:-1]``).  Grouping a chunk's entries by edge uses
-   numpy's *stable sort* — timsort for these int64 keys (numpy
-   radix-sorts only integers of 16 bits or less), O(c log c) for a
-   chunk of c entries — so no triangle-scale sort or concatenation
-   ever exists; the entries are interleaved by triangle first, which
-   makes every edge's window come out ascending in triangle id
-   regardless of the chunk size (the layout is chunk-invariant, bit
-   for bit).
+* ``storage="ram"`` enumerates wedges **once** and keeps the chunks
+  (they are the index's own ``e1``/``e2``/``e3``, concatenated once).
+  ``tinc`` is then laid out by one in-place sort: the buffer is filled
+  with the unique key ``e * |△G| + t`` of every incidence entry
+  (edge ``e``, triangle ``t``), sorted, and reduced modulo |△G|.
+  Unique keys make any sort algorithm give the same layout — grouped
+  by edge, ascending triangle id in each window.  Peak: the index plus
+  one |△G|-long id column and one transient column copy.
+* ``storage="mmap"`` holds *nothing* triangle-length in RAM, which is
+  what keeps the ``dist`` driver's build at O(m + chunk):
 
-The destination is pluggable, and it decides how the triangle stream
-feeds the two passes.  ``storage="ram"`` enumerates wedges **once**:
-the edge-column chunks are kept (they are the index's own
-``e1``/``e2``/``e3``, concatenated once at the end), and the count +
-scatter passes then run over those stored columns chunk by chunk
-(peak: the index plus one transient column copy and O(m + chunk)
-scratch — never the legacy build's ~15·|△G| slots).
-``storage="mmap"`` holds *nothing* triangle-length in RAM: the counting
-pass consumes one enumeration, preallocates the five on-disk arrays of
-the :class:`TriangleIndex` ``.npy`` layout through
-``np.lib.format.open_memmap``, and a second enumeration scatters into
-them — O(m + chunk) peak however large |△G| gets, which is what drops
-the ``dist`` driver's build memory from O(|△G|) to O(m + chunk).
+  1. **count** — one enumeration keeps only a per-edge incidence count:
+     this is ``sup`` (Definition 1's initial supports), and its
+     exclusive prefix sum is ``tptr``;
+  2. **scatter** — the five on-disk arrays of the
+     :class:`TriangleIndex` ``.npy`` layout are preallocated through
+     ``np.lib.format.open_memmap``, and a second enumeration places
+     each chunk's incidence entries at per-edge fill cursors
+     (``fill = tptr[:-1]``).  A chunk groups its entries by edge with
+     one sort of the unique chunk-local keys ``e * c + local_t``, so
+     every window comes out ascending in triangle id at any chunk size.
+
 ``storage="auto"`` picks between them up front using the DAG's total
-wedge count — a free upper bound on |△G|.
+wedge count — a free upper bound on |△G|.  Both routes, at any chunk
+size, emit the same index bit for bit.
 
 On-disk format (``TriangleIndex.FIELDS``, written by the mmap storage
 and by :meth:`TriangleIndex.write`, read by :meth:`TriangleIndex.open`):
@@ -168,17 +168,21 @@ class _WedgeDAG:
     """The rank-oriented wedge DAG of a CSR snapshot, built once.
 
     Vectorized compact-forward listing state: orient each edge from
-    lower to higher ``(degree, id)`` rank, sort the oriented edges by
-    key ``ra*n + rb``, and a triangle ``ra < rb < rc`` is closed
-    exactly once, at its wedge ``(a->b, b->c)``, by locating key
-    ``ra*n + rc`` among the sorted keys.  All state is O(m) (the one
-    sort here is over *edges*, never triangles); the enumeration
-    itself streams in bounded chunks and is re-runnable, which is what
-    lets the index builder count on pass 1 and scatter on pass 2
-    without ever materializing the full triangle list.
+    lower to higher ``(degree, id)`` rank and sort the oriented edges
+    by key ``ra*n + rb``, so out(a) is one run of slots ascending in
+    tip rank.  Slot ``p`` = a->b pairs with the later slots of its own
+    run, the tips ``c > b`` of out(a); a triangle ``ra < rb < rc`` is
+    closed exactly once, at its wedge ``(a->b, a->c)``, by locating
+    the closing edge's key ``rb*n + rc`` among the sorted keys.  That
+    is Σ C(d⁺(v), 2) wedges (``cum[-1]``), each triangle closing one
+    of them.  All state is O(m) (the one sort here is over *edges*,
+    never triangles); the enumeration itself streams in bounded chunks
+    and is re-runnable, which is what lets the mmap route count on
+    pass 1 and scatter on pass 2 without ever materializing the full
+    triangle list.
     """
 
-    __slots__ = ("n", "total", "key", "e_of", "ra", "rb", "fptr", "wc", "cum")
+    __slots__ = ("n", "total", "key", "e_of", "rb", "wc", "cum")
 
     def __init__(self, csr: CSRGraph) -> None:
         n = csr.num_vertices
@@ -196,21 +200,19 @@ class _WedgeDAG:
         key = ra_all[fwd] * n + rb_all[fwd]
         srt = _np.argsort(key)  # m oriented edges — edge-scale, not 3T
         self.key = key[srt]
-        self.ra = self.key // n  # == sorted oriented sources, rank space
-        self.rb = self.key - self.ra * n
+        ra = self.key // n  # == sorted oriented sources, rank space
+        self.rb = self.key - ra * n
         self.e_of = eids[fwd][srt]
         self.total = len(self.key)
         if self.total:
-            outdeg = _np.bincount(self.ra, minlength=n)
-            self.fptr = _np.concatenate(
-                (_np.zeros(1, dtype=_np.int64), _np.cumsum(outdeg))
-            )
-            self.wc = outdeg[self.rb]  # wedges per edge: tips are out(b)
+            # wedges per slot: the slots after it in its source's run
+            run_end = _np.cumsum(_np.bincount(ra, minlength=n))
+            self.wc = run_end[ra] - _np.arange(1, self.total + 1)
             self.cum = _np.concatenate(
                 (_np.zeros(1, dtype=_np.int64), _np.cumsum(self.wc))
             )
         else:
-            self.fptr = self.wc = self.cum = None
+            self.wc = self.cum = None
 
     def iter_triangle_chunks(
         self, chunk: Optional[int] = None
@@ -218,17 +220,16 @@ class _WedgeDAG:
         """Yield ``(e_ab, e_bc, e_ac)`` edge-id triples, chunk by chunk.
 
         Triangle order is deterministic and chunk-size independent:
-        ascending oriented-edge key, then wedge offset — so triangle
-        ids (positions in this stream) are stable across passes and
-        chunk settings.  Each yielded array holds at most ``chunk``
-        slots (plus the overshoot of a single oversized wedge run).
+        ascending ``(rank a, rank b, rank c)`` — so triangle ids
+        (positions in this stream) are stable across passes and chunk
+        settings.  Each yielded array holds at most ``chunk`` slots
+        (plus the overshoot of a single oversized wedge run).
         """
         if not self.total:
             return
         chunk = chunk or _WEDGE_CHUNK
-        key, ra, rb = self.key, self.ra, self.rb
-        e_of, fptr, wc, cum = self.e_of, self.fptr, self.wc, self.cum
-        n, total = self.n, self.total
+        key, rb, e_of = self.key, self.rb, self.e_of
+        wc, cum, n, total = self.wc, self.cum, self.n, self.total
         t0 = 0
         while t0 < total:
             t1 = int(_np.searchsorted(cum, cum[t0] + chunk, "right")) - 1
@@ -239,16 +240,17 @@ class _WedgeDAG:
             if n_wedges == 0:
                 t0 = t1
                 continue
-            ab = _np.repeat(_np.arange(t0, t1, dtype=_np.int64), w)
-            offs = _np.arange(n_wedges, dtype=_np.int64) - _np.repeat(
-                cum[t0:t1] - cum[t0], w
+            first = _np.arange(t0, t1, dtype=_np.int64)
+            ab = _np.repeat(first, w)
+            # the tips: slot ab + 1 + the wedge's offset in its run
+            ac = _np.arange(n_wedges, dtype=_np.int64) + _np.repeat(
+                first + 1 - (cum[t0:t1] - cum[t0]), w
             )
-            bc = _np.repeat(fptr[rb[t0:t1]], w) + offs
-            want = ra[ab] * n + rb[bc]
+            want = _np.repeat(rb[t0:t1] * n, w) + rb[ac]
             at = _np.minimum(_np.searchsorted(key, want), total - 1)
             hit = key[at] == want
             if hit.any():
-                yield e_of[ab[hit]], e_of[bc[hit]], e_of[at[hit]]
+                yield e_of[ab[hit]], e_of[at[hit]], e_of[ac[hit]]
             t0 = t1
 
 
@@ -312,23 +314,47 @@ class _MmapSlots:
 # ---------------------------------------------------------------------------
 # the builder
 # ---------------------------------------------------------------------------
-def _scatter_chunk(tinc, fill, e_ab, e_bc, e_ac, t0: int) -> None:
-    """Counting-scatter one chunk's incidence entries into ``tinc``.
+def _incidence_keys(m: int, e1, e2, e3, out) -> "_np.ndarray":
+    """Write the key ``e * T + t`` of every incidence entry into ``out``.
 
-    The chunk's entries are interleaved by triangle, then grouped by
-    edge with a stable sort (timsort on int64 keys, O(c log c)):
-    within every edge group, slot order == triangle order, so the
-    windows end up ascending in triangle id at any chunk size.  Each
-    entry lands at its edge's fill cursor plus its within-chunk
-    occurrence rank.
+    Entry (edge ``e``, triangle ``t``) for each of the ``T = len(e1)``
+    triangles and its three edge columns, column by column into the
+    ``3·T`` slots of ``out``.  The keys are unique, so sorting them
+    groups the entries by edge with ascending triangle id inside each
+    group, whatever the sort algorithm.  Edge ids are below ``m``, so
+    the keys are below ``m * T``; past int64 this raises.
+    """
+    n = len(e1)
+    if m * n > _np.iinfo(_np.int64).max:
+        raise DecompositionError(
+            f"incidence keys overflow int64 ({m:,} edges x {n:,} "
+            "triangles); build the index with --index-storage mmap, "
+            "which keys each chunk on its own"
+        )
+    t = _np.arange(n, dtype=_np.int64)
+    for i, col in enumerate((e1, e2, e3)):
+        part = out[i * n:(i + 1) * n]
+        _np.multiply(col, n, out=part)
+        part += t
+    return out
+
+
+def _scatter_chunk(tinc, fill, e_ab, e_bc, e_ac, t0: int) -> None:
+    """Scatter one chunk's incidence entries into ``tinc``.
+
+    One sort of the chunk's unique keys ``edge * c + local_t``
+    (:func:`_incidence_keys`, c = the chunk's triangle count) groups
+    the entries by edge, ascending in triangle id inside each group.
+    Each entry lands at its edge's fill cursor plus its rank within
+    the group, so the windows end up ascending in triangle id at any
+    chunk size.
     """
     c = len(e_ab)
-    inc = _np.empty(3 * c, dtype=_np.int64)
-    inc[0::3] = e_ab
-    inc[1::3] = e_bc
-    inc[2::3] = e_ac
-    order = _np.argsort(inc, kind="stable")
-    inc_s = inc[order]
+    key = _incidence_keys(
+        len(fill), e_ab, e_bc, e_ac, _np.empty(3 * c, dtype=_np.int64)
+    )
+    key.sort()
+    inc_s = key // c
     is_start = _np.empty(3 * c, dtype=bool)
     is_start[0] = True
     _np.not_equal(inc_s[1:], inc_s[:-1], out=is_start[1:])
@@ -338,7 +364,7 @@ def _scatter_chunk(tinc, fill, e_ab, e_bc, e_ac, t0: int) -> None:
         _np.arange(3 * c, dtype=_np.int64)
         - start_pos[_np.cumsum(is_start) - 1]
     )
-    tinc[fill[inc_s] + offs] = t0 + order // 3
+    tinc[fill[inc_s] + offs] = key - inc_s * c + t0
     fill[inc_s[start_pos]] += _np.diff(_np.append(start_pos, 3 * c))
 
 
@@ -350,37 +376,34 @@ def _tptr_from_counts(sup) -> "_np.ndarray":
 
 
 def _build_ram(dag: _WedgeDAG, m: int, chunk: Optional[int]) -> TriangleIndex:
-    """The in-RAM route: one wedge enumeration, columns stored in place.
+    """The in-RAM route: one wedge enumeration, one in-place key sort.
 
     The edge columns are the index's own ``e1``/``e2``/``e3``, so
     keeping the enumerated chunks costs little beyond the result (one
-    transient column copy during the final concatenation); the count
-    and scatter passes then re-chunk those stored columns (cheap
-    slicing — no second wedge enumeration, which is what keeps the
-    serial flat engine's build as fast as the legacy argsort one).
+    transient column copy during the concatenation).  ``tinc`` is its
+    own sort buffer: it is filled with the unique incidence keys
+    ``e * |△G| + t``, sorted in place, and reduced modulo |△G| to the
+    triangle ids — the only other scratch is one |△G|-long id column.
     """
-    parts = []
-    cuts = [0]
-    for triple in dag.iter_triangle_chunks(chunk):
-        parts.append(triple)
-        cuts.append(cuts[-1] + len(triple[0]))
-    empty = _np.zeros(0, dtype=_np.int64)
+    parts = list(dag.iter_triangle_chunks(chunk))
     if parts:
         e1, e2, e3 = (_np.concatenate(cols) for cols in zip(*parts))
     else:
-        e1 = e2 = e3 = empty
+        e1 = e2 = e3 = _np.zeros(0, dtype=_np.int64)
     del parts
     sup = _np.zeros(m, dtype=_np.int64)
     for col in (e1, e2, e3):
         sup += _np.bincount(col, minlength=m)
-    tptr = _tptr_from_counts(sup)
-    tinc = _np.empty(3 * len(e1), dtype=_np.int64)
-    fill = tptr[:-1].copy()  # per-edge incidence cursors
-    for t0, t1 in zip(cuts, cuts[1:]):
-        _scatter_chunk(
-            tinc, fill, e1[t0:t1], e2[t0:t1], e3[t0:t1], t0
-        )
-    return TriangleIndex(e1, e2, e3, tptr, tinc, storage="ram")
+    n_tri = len(e1)
+    tinc = _incidence_keys(
+        m, e1, e2, e3, _np.empty(3 * n_tri, dtype=_np.int64)
+    )
+    tinc.sort()
+    if n_tri:
+        tinc %= n_tri
+    return TriangleIndex(
+        e1, e2, e3, _tptr_from_counts(sup), tinc, storage="ram"
+    )
 
 
 def _build_mmap(
@@ -419,14 +442,17 @@ def build_triangle_index(
     dirpath=None,
     chunk: Optional[int] = None,
 ) -> TriangleIndex:
-    """Build the edge->triangle incidence index by two-pass counting.
+    """Build the edge->triangle incidence index.
 
     Args:
         csr: the CSR snapshot (canonical edge ids index everything).
-        storage: ``"ram"`` (ndarrays, one wedge enumeration),
+        storage: ``"ram"`` (ndarrays: one wedge enumeration, then one
+            in-place sort of the incidence keys that become ``tinc``),
             ``"mmap"`` (count + scatter enumerations streaming into
-            the on-disk ``.npy`` layout under ``dirpath``, O(m +
-            chunk) peak), or ``"auto"`` (mmap once the DAG's wedge
+            the on-disk ``.npy`` layout under ``dirpath``, each chunk
+            sorted on its own keys, O(m + chunk) peak; it is also the
+            route for indexes whose ram keys would overflow int64),
+            or ``"auto"`` (mmap once the DAG's wedge
             count — an upper bound on |△G| — says the index could
             exceed :data:`_AUTO_MMAP_INDEX_BYTES`, ram below).
         dirpath: destination directory for ``"mmap"``/``"auto"``
@@ -440,8 +466,9 @@ def build_triangle_index(
     Returns a :class:`TriangleIndex` whose ``storage`` attribute names
     the destination actually used.  Both routes emit bit-identical
     bundles: ``tinc`` windows are ascending in triangle id, and
-    ``e1``/``e2``/``e3`` follow the deterministic enumeration order of
-    :meth:`_WedgeDAG.iter_triangle_chunks`.
+    triangle ``t`` is the ``t``-th in ascending ``(rank a, rank b,
+    rank c)`` order under the ``(degree, id)`` ranks, with columns
+    ``e1, e2, e3 = a-b, b-c, a-c`` (:meth:`_WedgeDAG.iter_triangle_chunks`).
     """
     if _np is None:
         raise DecompositionError(

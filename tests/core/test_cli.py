@@ -299,6 +299,27 @@ class TestErrors:
         line = self._fails_cleanly(capsys, [*argv, "-o", str(target)])
         assert str(target) in line
 
+    @pytest.mark.parametrize("command, suffix", [
+        ("decompose", "json"), ("update", "prom"),
+    ])
+    def test_unwritable_metrics(
+        self, graph_file, tmp_path, capsys, command, suffix
+    ):
+        # the metrics file is written after the whole run: a bad path
+        # there must still end in one error line, not a traceback
+        argv = [command, str(graph_file)]
+        if command == "update":
+            updates = tmp_path / "updates.txt"
+            updates.write_text("+ 1 10\n")
+            argv.append(str(updates))
+        else:
+            argv += ["--method", "flat"]
+        target = tmp_path / "missing" / f"m.{suffix}"
+        line = self._fails_cleanly(capsys, [
+            *argv, "--metrics", str(target), "-o", str(tmp_path / "out.txt"),
+        ])
+        assert str(target) in line
+
 
 class TestNumpyFreeParity:
     """Without numpy the CSR methods print exactly what improved prints.

@@ -5,8 +5,14 @@ from hypothesis import given
 
 from repro.errors import EdgeNotFoundError, VertexNotFoundError
 from repro.graph import CSRGraph, Graph, complete_graph
+from repro.graph.csr import sorted_unique
 
 from helpers import small_edge_lists
+
+try:
+    import numpy as np
+except ImportError:  # pragma: no cover
+    np = None
 
 
 class TestCSRConstruction:
@@ -139,3 +145,25 @@ class TestEdgeIds:
         g = Graph([(0, 1), (0, 2), (1, 2), (2, 3), (1, 3), (0, 9)])
         c = CSRGraph.from_graph(g)
         assert list(c._build_eids_python()) == list(c.eids)
+
+
+@pytest.mark.skipif(np is None, reason="sorted_unique is numpy-only")
+class TestSortedUnique:
+    """The one sort-and-adjacent-diff dedupe the numpy paths share."""
+
+    @pytest.mark.parametrize("size", [0, 1, 2, 17, 1000])
+    @pytest.mark.parametrize("span", [3, 1 << 40])
+    def test_matches_np_unique(self, size, span):
+        rng = np.random.default_rng(size + span)
+        a = rng.integers(-span, span, size=size, dtype=np.int64)
+        copy = a.copy()
+        got = sorted_unique(a)
+        expect = np.unique(a)
+        assert got.dtype == expect.dtype == np.int64
+        assert np.array_equal(got, expect)
+        assert np.array_equal(a, copy)  # sorts a copy
+
+    def test_read_only_input(self):
+        a = np.array([5, 1, 5, 3, 1], dtype=np.int64)
+        a.flags.writeable = False
+        assert sorted_unique(a).tolist() == [1, 3, 5]

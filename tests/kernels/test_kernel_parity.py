@@ -181,3 +181,64 @@ class TestBackendOpBitIdentity:
             touched, dec = kern.merge_decrements(buffers)
             assert np.array_equal(touched, expect_ids), name
             assert np.array_equal(dec, dense[expect_ids]), name
+
+
+class TestGatherOverMappedIndex:
+    """The gather on the dist ranks' inputs: a read-only mapped ``tinc``.
+
+    Ranks gather with ``tdead=None`` (a triangle's liveness is decided
+    by its hash owner) straight from the ``np.load(mmap_mode="r")``
+    arrays, and frontiers share triangles, so the dedupe must do real
+    work without ever writing into the map.
+    """
+
+    @pytest.fixture
+    def mapped(self, tmp_path):
+        from repro.core.flat import _as_csr
+        from repro.graph import complete_graph
+        from repro.triangles.index_builder import (
+            TriangleIndex,
+            build_triangle_index,
+        )
+
+        g = complete_graph(7)
+        g.add_edges([(0, 10), (1, 10), (10, 11), (0, 11)])
+        built = build_triangle_index(_as_csr(g))
+        TriangleIndex.write(
+            tmp_path, built.e1, built.e2, built.e3, built.tptr, built.tinc
+        )
+        tri = TriangleIndex.open(tmp_path)
+        assert isinstance(tri.tinc, np.memmap)
+        assert not tri.tinc.flags.writeable
+        return tri
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_numpy_gather_matches_python(self, mapped, masked):
+        from repro.kernels import get_kernel
+
+        numpy_k, python_k = get_kernel("numpy"), get_kernel("python")
+        before = np.array(mapped.tinc)
+        m, n_tri = mapped.num_edges, mapped.num_triangles
+        tdead = None
+        if masked:
+            tdead = np.zeros(n_tri, dtype=bool)
+            tdead[::3] = True
+        rng = np.random.default_rng(5)
+        frontiers = [
+            np.arange(m, dtype=np.int64),  # every triangle, thrice
+            np.array([0, 1, 2], dtype=np.int64),
+            np.array([m - 1], dtype=np.int64),
+        ] + [
+            np.sort(rng.choice(m, size=size, replace=False))
+            for size in (2, 5, m // 2)
+        ]
+        for frontier in frontiers:
+            got = numpy_k.gather_incident(
+                mapped.tptr, mapped.tinc, frontier, tdead
+            )
+            expect = python_k.gather_incident(
+                mapped.tptr, mapped.tinc, frontier, tdead
+            )
+            assert got.dtype == np.int64
+            assert np.array_equal(got, expect), frontier
+        assert np.array_equal(mapped.tinc, before)

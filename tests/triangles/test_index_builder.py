@@ -1,11 +1,12 @@
-"""Tests for the streaming two-pass triangle-index builder.
+"""Tests for the streaming triangle-index builder.
 
 The contract under test: both storages, at *any* wedge-chunk size
 (including one wedge run per chunk), produce bit-identical
 ``(e1, e2, e3, tptr, tinc)`` bundles whose supports match the brute
-oracle, whose incidence windows are ascending in triangle id, and over
-which every CSR peel engine computes the same trussness map as the
-dict-based methods.
+oracle, whose triangles come in one pinned order (ascending degree
+ranks, columns ab/bc/ac), whose incidence windows are ascending in
+triangle id, and over which every CSR peel engine computes the same
+trussness map as the dict-based methods.
 """
 
 import tempfile
@@ -25,6 +26,27 @@ from helpers import peel_graphs, random_graph, small_edge_lists
 from oracles import brute_all_supports, brute_triangles
 
 np = pytest.importorskip("numpy")
+
+
+def reference_triangles(csr):
+    """Every triangle as ``(e_ab, e_bc, e_ac)``, in the builder's order.
+
+    ``a < b < c`` under the ``(degree, id)`` ranks; the triangles come
+    sorted by ``(rank a, rank b, rank c)``.  Plain loops over
+    neighbour sets, sharing nothing with the vectorized enumerator.
+    """
+    order = csr.degree_order()
+    rank = {v: r for r, v in enumerate(order)}
+    nbrs = {v: set(csr.neighbors(v)) for v in order}
+    triangles = []
+    eid = csr.edge_id
+    for a in order:
+        out_a = sorted((w for w in nbrs[a] if rank[w] > rank[a]), key=rank.get)
+        for i, b in enumerate(out_a):
+            for c in out_a[i + 1:]:
+                if c in nbrs[b]:
+                    triangles.append((eid(a, b), eid(b, c), eid(a, c)))
+    return triangles
 
 
 def build_all_ways(csr, tmp_path, chunks=(1, 7, None)):
@@ -95,6 +117,40 @@ class TestBuilderProperty:
                     np.asarray(getattr(ref, field)),
                 ), (storage, chunk, field)
         assert_index_matches_oracle(g, csr, ref)
+
+    @settings(max_examples=25, deadline=None)
+    @given(peel_graphs())
+    def test_enumeration_order_is_pinned(self, tmp_path_factory, g):
+        # triangle ids are positions in this order: e1/e2/e3 (and so
+        # every tinc window) must equal the reference exactly
+        csr = _as_csr(g)
+        expect = reference_triangles(csr)
+        cols = [np.array(c, dtype=np.int64) for c in zip(*expect)] or [
+            np.zeros(0, dtype=np.int64)
+        ] * 3
+        tmp = tmp_path_factory.mktemp("triorder")
+        for storage, chunk, tri in build_all_ways(csr, tmp):
+            for field, col in zip(("e1", "e2", "e3"), cols):
+                assert np.array_equal(np.asarray(getattr(tri, field)), col), (
+                    storage, chunk, field
+                )
+
+    @settings(max_examples=25, deadline=None)
+    @given(peel_graphs())
+    def test_wedge_count_is_out_degree_pairs(self, g):
+        # one wedge per pair of out(a) slots: sum of C(d+(v), 2), and
+        # each triangle closes exactly one of them
+        csr = _as_csr(g)
+        order = csr.degree_order()
+        rank = {v: r for r, v in enumerate(order)}
+        pairs = 0
+        for v in order:
+            d_out = sum(1 for w in csr.neighbors(v) if rank[w] > rank[v])
+            pairs += d_out * (d_out - 1) // 2
+        dag = ib._WedgeDAG(csr)
+        wedges = int(dag.cum[-1]) if dag.total else 0
+        assert wedges == pairs
+        assert wedges >= len(brute_triangles(g))
 
     @settings(max_examples=20, deadline=None)
     @given(small_edge_lists())
@@ -196,3 +252,21 @@ class TestEdgeCases:
         csr = _as_csr(complete_graph(4))
         with pytest.raises(DecompositionError):
             ib.build_triangle_index(csr, storage="mmap")
+
+    def test_incidence_key_overflow_names_mmap(self):
+        # the ram route sorts keys e * T + t below m * T: past int64
+        # it must refuse and point at the chunked route
+        col = np.zeros(3, dtype=np.int64)
+        with pytest.raises(DecompositionError, match="--index-storage mmap"):
+            ib._incidence_keys(
+                1 << 62, col, col, col, np.empty(9, dtype=np.int64)
+            )
+
+    def test_incidence_keys_at_the_int64_limit(self):
+        # m * T == 2**63 - 1 exactly: the largest key still fits
+        m, n = (2**63 - 1) // 7, 7
+        col = np.full(n, m - 1, dtype=np.int64)
+        keys = ib._incidence_keys(
+            m, col, col, col, np.empty(3 * n, dtype=np.int64)
+        )
+        assert keys.tolist() == [(m - 1) * n + t for t in range(n)] * 3
