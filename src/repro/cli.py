@@ -18,6 +18,13 @@ Commands:
 Every command reads/writes the SNAP-style text edge-list format.
 ``decompose`` and ``update`` report a bad input file, a bad option
 value or a failed run as one ``error: ...`` line and exit status 2.
+Both print the same sorted ``u v phi`` lines for the same map: a
+column-backed result (the CSR methods of ``decompose``) goes through
+the vectorized formatter
+:func:`~repro.graph.csr.format_int_rows` in edge-id order, which is
+already sorted; a dict-backed one (``update``, the paper's methods,
+and every method without numpy) through a stdlib writer that sorts
+the keys.
 
 ``decompose --method flat|parallel|dist`` takes the ingest fast path:
 the file is streamed straight into CSR arrays (no dict-of-set graph
@@ -102,6 +109,7 @@ from repro.datasets import dataset_names, load_dataset
 from repro.errors import ReproError
 from repro.exio import IOStats, MemoryBudget
 from repro.graph import CSRGraph, Graph, read_edge_list, write_edge_list
+from repro.graph.csr import format_int_rows
 
 
 def _load(path: str) -> Graph:
@@ -125,27 +133,43 @@ def _error(problem) -> int:
     return 2
 
 
-#: output lines per write: one ``"".join`` per block keeps the string
-#: being built small next to the trussness map it is formatted from
+#: output lines per write of the dict writer: one ``"".join`` per block
+#: keeps the string being built small next to the trussness map it is
+#: formatted from
 _EMIT_LINES = 1 << 14
 
+#: output lines per write of the column writer: the block bounds the
+#: formatter's temporaries, a few int64 arrays per value
+_FORMAT_LINES = 1 << 17
 
-def _emit(path: Optional[str], phi) -> int:
-    """Write ``phi`` as sorted ``u v phi`` lines, to stdout without a
+
+def _emit(path: Optional[str], td) -> int:
+    """Write ``td`` as sorted ``u v phi`` lines, to stdout without a
     ``path``; 0, or 2 after an ``error:`` line if it cannot be written.
 
     The output of ``decompose`` and ``update``, so both print the same
-    bytes for the same map.
+    bytes for the same map.  Columns are already in ``(u, v)`` order
+    and go through :func:`format_int_rows`; a dict is sorted and
+    formatted line by line.
     """
     try:
         out = open(path, "w") if path else sys.stdout
         try:
-            keys = sorted(phi)
-            for i in range(0, len(keys), _EMIT_LINES):
-                out.write("".join([
-                    f"{u} {v} {phi[u, v]}\n"
-                    for u, v in keys[i : i + _EMIT_LINES]
-                ]))
+            if td.columns is not None:
+                u, v, phi = td.columns
+                for i in range(0, len(phi), _FORMAT_LINES):
+                    block = slice(i, i + _FORMAT_LINES)
+                    out.write(format_int_rows(
+                        u[block], v[block], phi[block]
+                    ).decode("ascii"))
+            else:
+                phi = td.trussness
+                keys = sorted(phi)
+                for i in range(0, len(keys), _EMIT_LINES):
+                    out.write("".join([
+                        f"{u} {v} {phi[u, v]}\n"
+                        for u, v in keys[i : i + _EMIT_LINES]
+                    ]))
         finally:
             if path:
                 out.close()
@@ -245,12 +269,12 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         rc = _write_metrics(args.metrics, td.stats)
         if rc:
             return rc
-    rc = _emit(args.output, td.trussness)
+    rc = _emit(args.output, td)
     if rc:
         return rc
     print(
         f"method={args.method} kmax={td.kmax} classes="
-        f"{len(td.k_classes())} time={elapsed:.2f}s "
+        f"{len(td.class_sizes())} time={elapsed:.2f}s "
         + (f"blocks={stats.total_blocks}" if stats.total_blocks else ""),
         file=sys.stderr,
     )
@@ -299,7 +323,7 @@ def cmd_update(args: argparse.Namespace) -> int:
         rc = _write_metrics(args.metrics, tm.stats)
         if rc:
             return rc
-    rc = _emit(args.output, td.trussness)
+    rc = _emit(args.output, td)
     if rc:
         return rc
     extra = tm.stats.extra

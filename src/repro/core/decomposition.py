@@ -11,6 +11,13 @@ k-classes, k-trusses, the maximum truss — is derived::
 ``verify`` method that re-checks the defining invariants against the
 source graph — used pervasively by the test suite and available to
 users who want belt-and-braces validation on their own data.
+
+The map has two backings.  The dict-based methods hand over a dict.
+The CSR engines (flat, parallel, dist) hand over three int64 columns
+``u``, ``v`` and ``phi`` in edge-id order, which is ascending
+``(u, v)`` order; ``kmax``, the edge count and the class sizes come
+straight from them, the CLI formats them without a dict, and the dict
+is built on the first access to :attr:`TrussDecomposition.trussness`.
 """
 
 from __future__ import annotations
@@ -73,6 +80,11 @@ class DecompositionStats:
 class TrussDecomposition:
     """Immutable truss decomposition result.
 
+    Backed by a trussness dict, or by ``(u, v, phi)`` columns
+    (:meth:`from_columns`) whose dict :attr:`trussness` builds on first
+    access and keeps.  Either way the results compare, print and derive
+    identically.
+
     >>> from repro.graph import complete_graph
     >>> from repro.core import truss_decomposition
     >>> td = truss_decomposition(complete_graph(4))
@@ -94,8 +106,18 @@ class TrussDecomposition:
                     f"trussness of edge ({u}, {v}) is {k}; minimum is 2"
                 )
             self._phi[norm_edge(u, v)] = k
+        self._columns: Optional[Tuple] = None
         self.stats = stats
         self._classes: Optional[Dict[int, List[Edge]]] = None
+
+    @classmethod
+    def _adopt(cls, trussness, columns, stats) -> "TrussDecomposition":
+        td = cls.__new__(cls)
+        td._phi = trussness
+        td._columns = columns
+        td.stats = stats
+        td._classes = None
+        return td
 
     @classmethod
     def from_canonical(
@@ -106,43 +128,82 @@ class TrussDecomposition:
         """Wrap an already-canonical trussness dict without re-checking.
 
         Fast path for internal engines that construct their result with
-        ``u < v`` keys and ``k >= 2`` values by construction (the flat
-        engine's label arrays guarantee both); skips the per-edge
-        normalization pass of ``__init__``.  The dict is adopted, not
-        copied — callers must hand over ownership.
+        ``u < v`` keys and ``k >= 2`` values by construction; skips the
+        per-edge normalization pass of ``__init__``.  The dict is
+        adopted, not copied — callers must hand over ownership.
         """
-        td = cls.__new__(cls)
-        td._phi = trussness
-        td.stats = stats
-        td._classes = None
-        return td
+        return cls._adopt(trussness, None, stats)
+
+    @classmethod
+    def from_columns(
+        cls, u, v, phi, stats: Optional[DecompositionStats] = None
+    ) -> "TrussDecomposition":
+        """Wrap int64 columns ``u``, ``v``, ``phi`` without a dict.
+
+        Row ``e`` is edge ``(u[e], v[e])`` with trussness ``phi[e]``.
+        The CSR engines guarantee what is not re-checked: ``u < v``,
+        ``phi >= 2``, and rows in ascending ``(u, v)`` order (edge-id
+        order, since compact ids follow ascending labels).  The arrays
+        are adopted, not copied.
+        """
+        return cls._adopt(None, (u, v, phi), stats)
 
     # ------------------------------------------------------------------
     @property
     def trussness(self) -> Mapping[Edge, int]:
-        """The phi(e) map over canonical edges."""
+        """The phi(e) map over canonical edges (built once from columns)."""
+        if self._phi is None:
+            self._phi = self._dict_from_columns()
         return self._phi
+
+    def _dict_from_columns(self) -> Dict[Edge, int]:
+        u, v, phi = self._columns
+        return dict(zip(zip(u.tolist(), v.tolist()), phi.tolist()))
+
+    @property
+    def columns(self) -> Optional[Tuple]:
+        """``(u, v, phi)`` int64 arrays in ascending ``(u, v)`` order,
+        or ``None`` for a dict-backed result."""
+        return self._columns
 
     def phi(self, u: int, v: int) -> int:
         """Trussness of one edge; raises KeyError if absent."""
-        return self._phi[norm_edge(u, v)]
+        return self.trussness[norm_edge(u, v)]
 
     @property
     def num_edges(self) -> int:
         """Number of classified edges."""
+        if self._columns is not None:
+            return len(self._columns[2])
         return len(self._phi)
 
     @property
     def kmax(self) -> int:
         """The largest k with a non-empty k-truss (2 for edgeless input)."""
+        if self._columns is not None:
+            phi = self._columns[2]
+            return int(phi.max()) if len(phi) else 2
         return max(self._phi.values(), default=2)
 
     # ------------------------------------------------------------------
+    def class_sizes(self) -> Dict[int, int]:
+        """``{k: |Phi_k|}`` over the non-empty k-classes, ascending k."""
+        if self._columns is not None:
+            import numpy as np  # columns exist only where numpy does
+
+            counts = np.bincount(self._columns[2])
+            ks = np.flatnonzero(counts)
+            return dict(zip(ks.tolist(), counts[ks].tolist()))
+        sizes: Dict[int, int] = {}
+        for k in self._phi.values():
+            sizes[k] = sizes.get(k, 0) + 1
+        return dict(sorted(sizes.items()))
+
     def k_classes(self) -> Dict[int, List[Edge]]:
         """All non-empty k-classes, edges sorted for determinism."""
         if self._classes is None:
             classes: Dict[int, List[Edge]] = {}
-            for e, k in self._phi.items():
+            for e, k in self.trussness.items():
                 classes.setdefault(k, []).append(e)
             for edges in classes.values():
                 edges.sort()
@@ -188,12 +249,12 @@ class TrussDecomposition:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TrussDecomposition):
             return NotImplemented
-        return self._phi == other._phi
+        return self.trussness == other.trussness
 
     def __repr__(self) -> str:
         return (
             f"TrussDecomposition(m={self.num_edges}, kmax={self.kmax}, "
-            f"classes={sorted(self.k_classes())})"
+            f"classes={list(self.class_sizes())})"
         )
 
     # ------------------------------------------------------------------
@@ -209,7 +270,7 @@ class TrussDecomposition:
            have support < k-2 if added to ``T_k`` (checked via its
            support at its own level).
         """
-        ours = set(self._phi)
+        ours = set(self.trussness)
         theirs = set(g.edges())
         if ours != theirs:
             raise DecompositionError(

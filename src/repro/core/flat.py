@@ -29,7 +29,9 @@ the streaming ingest
 dict-of-set round trip.  :func:`truss_decomposition_flat` is
 :func:`peel_flat_arrays` — trussness and initial supports as arrays
 in edge-id order, what :mod:`repro.stream` seeds its maintainer from
-— plus :func:`result_from_phi`, which builds the result's dict.
+— plus :func:`result_from_phi`, which wraps ``phi`` and each edge's
+endpoint labels as the result's columns; no dict is built unless a
+caller asks for :attr:`~repro.core.decomposition.TrussDecomposition.trussness`.
 """
 
 from __future__ import annotations
@@ -427,9 +429,21 @@ def _as_csr(g) -> CSRGraph:
     """Accept either a mutable :class:`Graph` or a ready CSR snapshot.
 
     Passing a :class:`CSRGraph` (e.g. from the streaming file ingest)
-    skips the dict-of-set round trip entirely.
+    skips the dict-of-set round trip entirely.  The CSR arrays hold
+    int64 ids, so a :class:`Graph` with a vertex id outside that range
+    raises :class:`DecompositionError` naming it.
     """
-    return g if isinstance(g, CSRGraph) else CSRGraph.from_graph(g)
+    if isinstance(g, CSRGraph):
+        return g
+    try:
+        return CSRGraph.from_graph(g)
+    except OverflowError:
+        lo, hi = min(g.vertices()), max(g.vertices())
+        bad = lo if lo < -(1 << 63) else hi
+        raise DecompositionError(
+            f"vertex id {bad} is outside the signed 64-bit range of the "
+            f"CSR engines; method=\"improved\" accepts any integer id"
+        ) from None
 
 
 def edge_keys(csr: CSRGraph):
@@ -447,10 +461,21 @@ def edge_keys(csr: CSRGraph):
 def result_from_phi(
     csr: CSRGraph, phi, k: int, stats: DecompositionStats
 ) -> TrussDecomposition:
-    """Package an edge-id-indexed ``phi`` array as a decomposition."""
+    """Package an edge-id-indexed ``phi`` array as a decomposition.
+
+    The result holds columns, not a dict: the endpoint labels of every
+    edge id, gathered from ``csr.labels``, next to ``phi`` itself (an
+    int64 ndarray, or the empty ``array('q')`` of an edgeless graph).
+    Edge-id order is ascending ``(u, v)`` order.
+    """
     stats.record("kmax", k if csr.num_edges else 2)
-    return TrussDecomposition.from_canonical(
-        dict(zip(edge_keys(csr), phi.tolist())), stats=stats
+    labels = _np.asarray(csr.labels, dtype=_np.int64)
+    eu, ev = csr.edge_endpoints()
+    return TrussDecomposition.from_columns(
+        labels[_np.asarray(eu, dtype=_np.int64)],
+        labels[_np.asarray(ev, dtype=_np.int64)],
+        _np.asarray(phi, dtype=_np.int64),
+        stats=stats,
     )
 
 

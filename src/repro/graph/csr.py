@@ -37,9 +37,23 @@ try:  # optional accelerator; every code path has a stdlib fallback
 except ImportError:  # pragma: no cover
     _np = None
 
-#: bytes per read of the chunked edge-list file parser (~16 MB; the
-#: uniformity scan allocates a few boolean arrays of this length)
+#: bytes per read of the chunked edge-list file parser (~16 MB).  A
+#: block of only digits and whitespace takes the digit path, which
+#: allocates a few byte arrays of this length plus a few int64 arrays
+#: per token; any other block takes the general path, which builds one
+#: ``bytes`` and one ``int`` per token
 _INGEST_CHUNK_BYTES = 1 << 24
+
+#: byte classes of the digit path: 0 for space, tab, CR and LF, 1 for
+#: an ASCII digit, 2 for anything else (the block takes the general
+#: path)
+_BYTE_CLASS = bytes(
+    1 if 0x30 <= b <= 0x39 else 0 if b in b" \t\r\n" else 2
+    for b in range(256)
+)
+
+#: longest token the digit path converts: 18 digits always fit in int64
+_MAX_DIGITS = 18
 
 
 class CSRGraph:
@@ -454,13 +468,20 @@ def _parse_edge_chunk(
 ) -> Optional["_np.ndarray"]:
     """Bulk-parse one line-aligned block of a text edge list (numpy).
 
-    Comment (``#``) and blank lines are skipped.  When every data line
-    provably has the same column count (checked with a vectorized
-    per-line token-count scan, so mixed-width rows can never be
-    silently re-paired) the whole block's tokens are converted in one
-    ``fromiter`` sweep, taking the first two columns; anything ragged
+    Comment (``#``) and blank lines are skipped, and the first two
+    columns of each data line are kept.  Once the leading
+    comment/blank lines are peeled, a block that
+    :func:`_parse_digit_block` accepts (digits and whitespace only,
+    uniform rows, ids of at most 18 digits) is converted with no
+    Python object per token.  Any other block — a sign, a letter, a
+    mid-file ``#``, a ragged row, a longer id — takes the general
+    path: when every data line provably has the same column count
+    (checked with a vectorized per-line token-count scan, so
+    mixed-width rows can never be silently re-paired) the block's
+    tokens are converted in one ``fromiter`` sweep; anything else
     falls back to a per-line parse with the same semantics and error
-    reporting as :func:`repro.graph.io.iter_edge_list`
+    reporting as :func:`repro.graph.io.iter_edge_list`, plus a
+    :class:`FormatError` for an id outside the signed 64-bit range
     (``base_lineno`` keeps reported line numbers file-absolute across
     chunks).  Returns the interleaved ``u0 v0 u1 v1 ...`` int64 array,
     or ``None`` for a block with no data lines.
@@ -477,8 +498,11 @@ def _parse_edge_chunk(
         if nl < 0:
             return None
         chunk = chunk[nl + 1 :]
-    if not chunk.strip():
+    if not chunk:  # otherwise the first line holds data
         return None
+    flat = _parse_digit_block(chunk)
+    if flat is not None:
+        return flat
     has_mid_comments = b"#" in chunk
     if has_mid_comments:  # rare: full per-line filter
         lines = [
@@ -498,8 +522,8 @@ def _parse_edge_chunk(
             flat = _np.fromiter(
                 map(int, tokens), dtype=_np.int64, count=len(tokens)
             )
-        except ValueError:
-            flat = None  # non-integer token: per-line path reports it
+        except (ValueError, OverflowError):
+            flat = None  # bad or out-of-range token: per-line path reports it
         if flat is not None:
             if ncols == 2:
                 return flat
@@ -516,10 +540,134 @@ def _parse_edge_chunk(
                 f"{path}:{lineno}: expected 'u v', got {ln.decode(errors='replace')!r}"
             )
         try:
-            out.append(int(parts[0]))
-            out.append(int(parts[1]))
+            u, v = int(parts[0]), int(parts[1])
         except ValueError as exc:
             raise FormatError(f"{path}:{lineno}: non-integer vertex id") from exc
+        try:
+            out.append(u)
+            out.append(v)
+        except OverflowError:
+            raise FormatError(
+                f"{path}:{lineno}: vertex id outside the signed 64-bit range"
+            ) from None
     if not out:
         return None
     return _np.frombuffer(out, dtype=_np.int64).copy()
+
+
+def _parse_digit_block(chunk: bytes) -> Optional["_np.ndarray"]:
+    """The first two columns of a digit-only block, or ``None``.
+
+    ``chunk`` starts with a data line.  The block qualifies when it
+    holds only digits, spaces, tabs, CRs and LFs, every line with
+    tokens holds the same number of them (at least 2), and no kept id
+    is longer than 18 digits; ``None`` sends any other block to the
+    general path, which parses it or reports its first bad line.
+
+    Every byte is classified through :data:`_BYTE_CLASS` (one byte
+    each), token starts and ends are where the class changes, and
+    each line's token count comes from where its newline falls among
+    the token starts.  Values are built right to left, one
+    multiply-add pass per digit position over the tokens that still
+    have digits (longest first, so they are a prefix).
+    """
+    cls = _np.zeros(len(chunk) + 2, dtype=_np.uint8)  # padded with spaces
+    cls[1:-1] = _np.frombuffer(chunk.translate(_BYTE_CLASS), dtype=_np.uint8)
+    if cls.max() > 1:
+        return None
+    bounds = _np.flatnonzero(cls[1:] != cls[:-1])
+    del cls
+    starts, ends = bounds[0::2], bounds[1::2]  # token i is [starts, ends)
+    raw = _np.frombuffer(chunk, dtype=_np.uint8)
+    before = _np.searchsorted(starts, _np.flatnonzero(raw == 0x0A))
+    per_line = _np.diff(before, prepend=0, append=len(starts))
+    per_line = per_line[per_line > 0]  # blank lines carry no tokens
+    ncols = int(per_line[0])
+    if ncols < 2 or not bool(_np.all(per_line == ncols)):
+        return None
+    if ncols > 2:
+        starts = starts.reshape(-1, ncols)[:, :2].reshape(-1)
+        ends = ends.reshape(-1, ncols)[:, :2].reshape(-1)
+    lens = ends - starts
+    top = int(lens.max())
+    if top > _MAX_DIGITS:
+        return None
+    order, have = _longest_first(lens.astype(_np.uint8))
+    pos = ends[order]
+    vals = _np.zeros(len(pos), dtype=_np.int64)
+    for j in range(top):
+        k = int(have[j + 1])
+        p = pos[:k]
+        p -= 1
+        vals[:k] += (raw[p] - 0x30) * _np.int64(10**j)
+    out = _np.empty_like(vals)
+    out[order] = vals
+    return out
+
+
+def _longest_first(digits: "_np.ndarray"):
+    """``(order, have)`` for per-item digit counts (uint8).
+
+    ``order`` lists the items by descending digit count (a stable
+    argsort of 8-bit keys is a radix sort), and ``have[j]`` counts the
+    items with at least ``j`` digits: the items that still have a digit
+    at position ``j - 1`` from the right are ``order[:have[j]]``.
+    """
+    order = _np.argsort(digits, kind="stable")[::-1]
+    have = _np.cumsum(_np.bincount(digits)[::-1])[::-1]
+    return order, have
+
+
+def format_int_rows(*columns) -> bytes:
+    """ASCII lines of integer columns, vectorized.
+
+    Equal to ``"".join(" ".join(map(str, row)) + "\\n" for row in
+    zip(*columns)).encode()`` for int64 columns of one length; ``b""``
+    for empty ones.  The ``u v phi`` writer of ``repro decompose``.
+
+    The columns' values are interleaved row by row.  Each value's digit
+    count comes from where its magnitude falls among the powers of
+    ten, and its field's offset from one cumulative sum of the widths.
+    Digits are scattered into one ``uint8`` buffer right to left, one
+    pass per digit position over the values that still have digits
+    (longest first, so they are a prefix).  Magnitudes are computed in
+    uint64, so ``-2**63`` needs no special case.
+    """
+    c = len(columns)
+    n = len(columns[0]) if c else 0
+    if not n:
+        return b""
+    vals = _np.empty((n, c), dtype=_np.int64)
+    for j, col in enumerate(columns):
+        vals[:, j] = col
+    vals = vals.reshape(-1)
+    neg = vals < 0
+    mag = vals.astype(_np.uint64)
+    _np.negative(mag, out=mag, where=neg)
+    del vals
+    pow10 = _np.array([10**d for d in range(1, 20)], dtype=_np.uint64)
+    digits = _np.searchsorted(pow10, mag, side="right").astype(_np.uint8)
+    digits += 1
+    # each field: sign, digits, then a space (a newline ends the row)
+    end = _np.cumsum(digits + neg + 1, dtype=_np.int64)
+    buf = _np.empty(int(end[-1]), dtype=_np.uint8)
+    order, have = _longest_first(digits)
+    pos = end[order]
+    pos -= 1  # each field's terminator
+    q = mag[order]
+    del mag
+    for j in range(len(have) - 1):
+        k = int(have[j + 1])
+        q = q[:k]
+        p = pos[:k]
+        p -= 1
+        rest = q // 10
+        q -= rest * 10
+        buf[p] = q  # the digit's value; the ASCII offset is added below
+        q = rest
+    buf += 0x30
+    term = end - 1
+    buf[term] = 0x20
+    buf[term[c - 1 :: c]] = 0x0A
+    buf[(term - digits - neg)[neg]] = 0x2D
+    return buf.tobytes()

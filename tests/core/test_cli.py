@@ -8,9 +8,15 @@ from pathlib import Path
 import pytest
 
 import repro
+import repro.graph.csr as csr_mod
 from repro.cli import main
+from repro.core import TrussDecomposition
 from repro.graph import complete_graph, read_edge_list, write_edge_list
 from repro.kernels import available_kernels
+
+needs_numpy = pytest.mark.skipif(
+    csr_mod._np is None, reason="the CSR engines' int64 path needs numpy"
+)
 
 
 @pytest.fixture
@@ -40,6 +46,45 @@ class TestDecompose:
         assert main(["decompose", str(graph_file)]) == 0
         out = capsys.readouterr().out
         assert len(out.strip().splitlines()) == 11
+
+    def test_flat_stdout_matches_output_file(self, graph_file, tmp_path, capsys):
+        # the column writer's route to stdout, next to its route to -o
+        assert main(["decompose", str(graph_file), "--method", "flat"]) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "phi.txt"
+        assert main([
+            "decompose", str(graph_file), "--method", "flat", "-o", str(out),
+        ]) == 0
+        assert printed.encode() == out.read_bytes()
+        assert len(printed.splitlines()) == 11
+
+    @needs_numpy
+    def test_flat_path_builds_no_dict(self, graph_file, tmp_path, monkeypatch):
+        def refuse(self):
+            raise AssertionError("the flat CLI path built the trussness dict")
+
+        monkeypatch.setattr(TrussDecomposition, "_dict_from_columns", refuse)
+        out = tmp_path / "phi.txt"
+        assert main([
+            "decompose", str(graph_file), "--method", "flat", "-o", str(out),
+        ]) == 0
+        assert len(out.read_text().splitlines()) == 11
+
+    def test_int64_extreme_ids_match_improved(self, tmp_path):
+        lo, hi = -(1 << 63), (1 << 63) - 1
+        graph = tmp_path / "extremes.txt"
+        graph.write_text(
+            f"{lo} {hi}\n{hi} 7\n7 {lo}\n-12 7\n-12 {lo}\n{hi} 0\n"
+        )
+        outputs = {}
+        for method in ("flat", "improved"):
+            out = tmp_path / f"{method}.txt"
+            assert main([
+                "decompose", str(graph), "--method", method, "-o", str(out),
+            ]) == 0
+            outputs[method] = out.read_bytes()
+        assert outputs["flat"] == outputs["improved"]
+        assert f"{lo} {hi} 3\n".encode() in outputs["flat"]
 
     @pytest.mark.parametrize("method", ["baseline", "bottomup", "topdown"])
     def test_other_methods(self, graph_file, tmp_path, method):
@@ -276,6 +321,21 @@ class TestErrors:
             "update", str(malformed_file), str(updates),
         ])
         assert f"{malformed_file}:2: non-integer vertex id" in line
+
+    @needs_numpy
+    @pytest.mark.parametrize("command", ["decompose", "update"])
+    def test_vertex_id_outside_int64(self, tmp_path, capsys, command):
+        graph = tmp_path / "big.txt"
+        graph.write_text(f"1 2\n2 3\n1 3\n{1 << 63} 1\n")
+        argv = [command, str(graph)]
+        if command == "update":
+            updates = tmp_path / "updates.txt"
+            updates.write_text("+ 1 10\n")
+            argv.append(str(updates))
+        else:
+            argv += ["--method", "flat"]
+        line = self._fails_cleanly(capsys, argv)
+        assert f"{graph}:4: vertex id outside the signed 64-bit range" in line
 
     def test_update_missing_graph(self, tmp_path, capsys):
         updates = tmp_path / "updates.txt"

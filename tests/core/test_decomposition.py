@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import TrussDecomposition
+from repro.core import TrussDecomposition, truss_decomposition
 from repro.core.decomposition import DecompositionStats
 from repro.errors import DecompositionError
 from repro.graph import Graph, complete_graph
@@ -39,6 +39,44 @@ class TestBasics:
 
     def test_repr(self):
         assert "kmax=4" in repr(k4_decomposition())
+
+
+class TestColumnBacking:
+    def test_empty_graph(self):
+        from array import array
+
+        from repro.core.flat import _np, result_from_phi
+        from repro.graph import CSRGraph
+
+        results = [truss_decomposition(Graph(), method="flat")]
+        if _np is not None:
+            # parallel and dist hand an empty array('q') over at m = 0
+            results.append(result_from_phi(
+                CSRGraph.from_edges([]), array("q"), 2,
+                DecompositionStats("x"),
+            ))
+        for td in results:
+            assert td.kmax == 2
+            assert td.num_edges == 0
+            assert td.class_sizes() == {}
+            assert td.k_classes() == {}
+            assert td.trussness == {}
+            assert td == TrussDecomposition({})
+
+    def test_dict_built_once_on_demand(self):
+        np = pytest.importorskip("numpy")
+        col = lambda *xs: np.array(xs, dtype=np.int64)  # noqa: E731
+        td = TrussDecomposition.from_columns(
+            col(1, 1, 2), col(2, 3, 3), col(3, 3, 3)
+        )
+        assert td.columns is not None
+        assert td.kmax == 3 and td.num_edges == 3
+        assert td.class_sizes() == {3: 3}
+        assert td._phi is None  # nothing above needed the dict
+        assert td.trussness == {(1, 2): 3, (1, 3): 3, (2, 3): 3}
+        assert td.trussness is td.trussness
+        assert all(type(k) is int for k in td.trussness.values())
+        assert td == TrussDecomposition({(2, 1): 3, (3, 1): 3, (3, 2): 3})
 
 
 class TestClassesAndTrusses:

@@ -9,6 +9,8 @@ non-contiguous vertex ids all normalize identically, through both the
 numpy and the stdlib paths.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -218,6 +220,135 @@ class TestIngestFuzz:
         # error lines near chunk boundaries (and inside the final
         # carry) must still report their file-absolute line number
         self._check(tmp_path, seed, chunk_bytes=chunk_bytes)
+
+
+INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
+
+
+class TestInt64Range:
+    def test_extreme_ids_accepted(self, ingest_mode, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text(
+            f"{INT64_MIN} {INT64_MAX}\n{INT64_MAX} 3\n3 {INT64_MIN}\n"
+        )
+        csr = CSRGraph.from_edge_list_file(path)
+        assert csr.labels == [INT64_MIN, 3, INT64_MAX]
+        _assert_same_snapshot(csr, CSRGraph.from_graph(read_edge_list(path)))
+
+    @pytest.mark.skipif(csr_mod._np is None, reason="int64 ingest needs numpy")
+    @pytest.mark.parametrize("bad", [INT64_MAX + 1, INT64_MIN - 1])
+    @pytest.mark.parametrize("chunk_bytes", [None, 7])
+    def test_out_of_range_id_names_its_line(self, tmp_path, bad, chunk_bytes):
+        path = tmp_path / "big.txt"
+        path.write_text(f"1 2\n# note\n2 3\n\n{bad} 1\n1 3\n")
+        kwargs = {} if chunk_bytes is None else {"chunk_bytes": chunk_bytes}
+        with pytest.raises(
+            FormatError,
+            match=r"big\.txt:5: vertex id outside the signed 64-bit range",
+        ):
+            CSRGraph.from_edge_list_file(path, **kwargs)
+
+
+def digit_edge_list(seed: int, n_lines: int = 40) -> str:
+    """A seeded edge list of digits and whitespace only.
+
+    Every data line holds the same number of columns (2, or 3 to 5);
+    the file mixes LF and CRLF line ends, space and tab separators,
+    blank and whitespace-only lines, leading whitespace, duplicate and
+    self-loop edges, ids of up to 18 digits, and sometimes a header
+    comment or a last line with no newline.
+    """
+    rng = random.Random(seed)
+    ncols = 2 if rng.random() < 0.5 else rng.randrange(3, 6)
+    eol = rng.choice(("\n", "\r\n"))
+
+    def vid() -> str:
+        r = rng.random()
+        if r < 0.7:
+            return str(rng.randrange(0, 30))
+        if r < 0.85:
+            return str(rng.randrange(10**17, 10**18))  # 18 digits
+        if r < 0.9:
+            return "0" * rng.randrange(1, 4) + str(rng.randrange(1, 30))
+        return str(rng.randrange(1000, 10**9))
+
+    lines = ["# digit-only body"] if rng.random() < 0.3 else []
+    for _ in range(n_lines):
+        r = rng.random()
+        if r < 0.1:
+            lines.append(rng.choice(("", " ", "\t", " \t ", "\r")))
+            continue
+        row = [vid() for _ in range(ncols)]
+        if r < 0.15:
+            row[1] = row[0]  # self-loop
+        sep = rng.choice((" ", "\t", "  ", " \t"))
+        lead = rng.choice(("", "", " ", "\t"))
+        lines.append(lead + sep.join(row) + rng.choice(("", "", " ")))
+    text = eol.join(lines)
+    return text if rng.random() < 0.3 else text + eol
+
+
+class TestDigitPath:
+    """A digit-only block skips Python ints and builds the same graph.
+
+    Same contract as :class:`TestIngestFuzz`: the snapshot equals the
+    ``read_edge_list`` route's, at any chunk size, and a block the
+    digit path declines parses, or fails, exactly as before.
+    """
+
+    @pytest.fixture
+    def digit_blocks(self, monkeypatch):
+        """Count the blocks the digit path converted."""
+        if csr_mod._np is None:
+            pytest.skip("the digit path needs numpy")
+        taken = []
+        real = csr_mod._parse_digit_block
+
+        def spy(chunk):
+            out = real(chunk)
+            taken.append(out is not None)
+            return out
+
+        monkeypatch.setattr(csr_mod, "_parse_digit_block", spy)
+        return taken
+
+    @pytest.mark.parametrize("seed", range(30))
+    @pytest.mark.parametrize("chunk_bytes", [None, 7, 23, 64])
+    def test_matches_general_route(
+        self, digit_blocks, tmp_path, seed, chunk_bytes
+    ):
+        path = tmp_path / "digits.txt"
+        path.write_bytes(digit_edge_list(seed).encode())
+        kwargs = {} if chunk_bytes is None else {"chunk_bytes": chunk_bytes}
+        csr = CSRGraph.from_edge_list_file(path, **kwargs)
+        _assert_same_snapshot(csr, CSRGraph.from_graph(read_edge_list(path)))
+        assert digit_blocks and all(digit_blocks)
+
+    @pytest.mark.parametrize("chunk_bytes", [None, 5])
+    def test_short_row_keeps_its_line(self, digit_blocks, tmp_path, chunk_bytes):
+        path = tmp_path / "ragged.txt"
+        path.write_text("# header\n1 2\n\n3 4\n5\n6 7\n")
+        kwargs = {} if chunk_bytes is None else {"chunk_bytes": chunk_bytes}
+        with pytest.raises(FormatError, match=r"ragged\.txt:5: expected"):
+            CSRGraph.from_edge_list_file(path, **kwargs)
+
+    def test_wide_row_keeps_first_two_columns(self, digit_blocks, tmp_path):
+        path = tmp_path / "ragged.txt"
+        path.write_text("1 2\r\n3 4 5\r\n6\t7\r\n")
+        csr = CSRGraph.from_edge_list_file(path)
+        assert sorted(csr.edges_original()) == [(1, 2), (3, 4), (6, 7)]
+        assert digit_blocks == [False]
+
+    @pytest.mark.parametrize("text, edge", [
+        ("1234567890123456789 1\n1 2\n", (1, 1234567890123456789)),
+        ("-5 1\n1 2\n", (-5, 1)),
+    ])
+    def test_general_path_ids(self, digit_blocks, tmp_path, text, edge):
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        csr = CSRGraph.from_edge_list_file(path)
+        assert sorted(csr.edges_original()) == sorted([edge, (1, 2)])
+        assert digit_blocks == [False]
 
 
 class TestEndToEnd:

@@ -66,6 +66,31 @@ class TestAllMethodsAgree:
             ), f"topdown units={units}"
 
 
+@pytest.mark.parametrize("family", sorted(FAMILIES), ids=str)
+def test_columnar_result_behaves_as_dict_result(family):
+    """The CSR engines' column-backed result answers every query as the
+    dict-backed ``improved`` result does."""
+    g = FAMILIES[family]()
+    ref = truss_decomposition(g, method="improved")
+    td = truss_decomposition(g, method="flat")
+    assert ref.columns is None
+    if td.columns is not None:  # numpy present: result_from_phi's columns
+        u, v, phi = td.columns
+        assert list(zip(u.tolist(), v.tolist())) == sorted(ref.trussness)
+    assert td.kmax == ref.kmax
+    assert td.num_edges == ref.num_edges
+    assert td.class_sizes() == ref.class_sizes()
+    assert len(td.class_sizes()) == len(ref.k_classes())
+    assert repr(td) == repr(ref)
+    assert td == ref
+    assert td.trussness == ref.trussness
+    for (a, b), k in ref.trussness.items():
+        assert td.phi(b, a) == k
+    assert td.k_classes() == ref.k_classes()
+    for k in range(2, ref.kmax + 2):
+        assert td.k_truss_edges(k) == ref.k_truss_edges(k)
+
+
 class TestRandomizedParityProperty:
     """The parity claim as a property, not an example.
 
