@@ -27,6 +27,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro import durable
 from repro.dist.transport import DistError
+from repro.graph.csr import load_npy
 
 try:  # the distributed peel is numpy-substrate-only (driver gates this)
     import numpy as _np
@@ -99,7 +100,7 @@ def load_rank_checkpoint(
     """
     manifest, payloads = _read(root, epoch, rank)
     arrays = {
-        name.removesuffix(".npy"): _np.load(io.BytesIO(blob))
+        name.removesuffix(".npy"): load_npy(io.BytesIO(blob))
         for name, blob in payloads.items()
     }
     return arrays, dict(manifest["scalars"])

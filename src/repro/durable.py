@@ -171,16 +171,26 @@ def read(entry, expect: dict) -> Tuple[dict, Dict[str, bytes]]:
 
 
 def prune(root, prefix: str, keep: int, counts: Callable[[int], bool],
-          sub: Optional[str] = None) -> None:
+          sub: Optional[str] = None) -> List[int]:
     """Delete every entry older than the ``keep``-th (``keep >= 1``)
     newest one that ``counts``; newer ones stay, counted or not.  With
     ``sub`` an entry is ``<prefix>_<n>/<sub>``, and its numbered parent
-    goes too once nothing else lives in it."""
+    goes too once nothing else lives in it.
+
+    ``counts`` is asked newest first, and of no entry older than the
+    cutoff.  Returns the (at most ``keep``) kept entries that count,
+    oldest first.
+    """
     numbers = entries(root, prefix)
-    counted = [n for n in numbers if counts(n)]
-    if len(counted) <= keep:
-        return
-    for n in numbers[:numbers.index(counted[-keep])]:
+    counted: List[int] = []
+    cut = 0
+    for i in range(len(numbers) - 1, -1, -1):
+        if counts(numbers[i]):
+            counted.append(numbers[i])
+            if len(counted) == keep:
+                cut = i
+                break
+    for n in numbers[:cut]:
         parent = entry_dir(root, prefix, n)
         shutil.rmtree(parent / sub if sub else parent, ignore_errors=True)
         if sub:
@@ -188,3 +198,4 @@ def prune(root, prefix: str, keep: int, counts: Callable[[int], bool],
                 os.rmdir(parent)
             except OSError:
                 pass  # another sub-entry still lives there
+    return counted[::-1]

@@ -24,6 +24,7 @@ Two construction routes:
 
 from __future__ import annotations
 
+import threading
 from array import array
 from bisect import bisect_left
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
@@ -671,3 +672,17 @@ def format_int_rows(*columns) -> bytes:
     buf[term[c - 1 :: c]] = 0x0A
     buf[(term - digits - neg)[neg]] = 0x2D
     return buf.tobytes()
+
+
+#: ``np.load`` parses every ``.npy`` header with ``ast.literal_eval``.
+#: CPython 3.11 keeps the AST converter's recursion depth per
+#: interpreter, not per thread, so threads loading at once (the
+#: loopback dist ranks) can fail with "AST constructor recursion depth
+#: mismatch".
+_NPY_LOAD_LOCK = threading.Lock()
+
+
+def load_npy(file, mmap_mode=None):
+    """``np.load`` of one ``.npy`` file or buffer, one thread at a time."""
+    with _NPY_LOAD_LOCK:
+        return _np.load(file, mmap_mode=mmap_mode)

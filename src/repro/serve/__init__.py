@@ -84,6 +84,7 @@ from __future__ import annotations
 
 from repro.serve.service import (
     DeadlineExpiredError,
+    InvalidUpdateError,
     NotReadyError,
     OverloadedError,
     ServeError,
@@ -95,6 +96,7 @@ from repro.serve.wal import WalError, WriteAheadLog
 
 __all__ = [
     "DeadlineExpiredError",
+    "InvalidUpdateError",
     "LocalReader",
     "NotReadyError",
     "OverloadedError",

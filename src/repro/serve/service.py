@@ -45,7 +45,7 @@ import os
 import threading
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
 from repro.obs import MetricsRegistry, NULL_TRACER, warn_degraded
@@ -83,6 +83,13 @@ class DeadlineExpiredError(ServeError):
     """The request's deadline passed before durable work began (504)."""
 
     status = 504
+
+
+class InvalidUpdateError(ServeError):
+    """An update names a vertex id outside int64, which no generation
+    can hold (400); logged, it would fail every publish and recovery."""
+
+    status = 400
 
 
 class TrussService:
@@ -129,6 +136,11 @@ class TrussService:
         """Recover to the acked state: snapshot + WAL-tail replay."""
         from repro.stream import TrussMaintainer
 
+        if snap._np is None:
+            raise ServeError(
+                "repro serve needs numpy, which is not installed: snapshot "
+                "generations and read views are int64 arrays"
+            )
         t0 = time.perf_counter()
         self.data_dir.mkdir(parents=True, exist_ok=True)
         chosen = None
@@ -245,10 +257,18 @@ class TrussService:
         ``(applied, seq, gen)`` — updates that changed the graph, the
         newest durable WAL seq, and the generation readers can first
         see this write in.  Raises the :class:`ServeError` family for
-        the 503/504 paths; nothing durable happens on those.
+        the 400/503/504 paths; nothing durable happens on those.
         """
         if not self.ready:
             raise NotReadyError("service is not ready")
+        updates = list(updates)
+        for op, u, v in updates:
+            if not all(snap.INT64_MIN <= int(x) <= snap.INT64_MAX
+                       for x in (u, v)):
+                raise InvalidUpdateError(
+                    f"update {op} {u} {v}: vertex id outside the signed "
+                    "64-bit range"
+                )
         if not self._admit.acquire(blocking=False):
             self.registry.inc("repro_serve_shed_total", reason="queue_full")
             raise OverloadedError(
@@ -264,7 +284,6 @@ class TrussService:
                         "deadline expired before the write was logged"
                     )
                 t0 = time.perf_counter()
-                updates = list(updates)
                 first, last = self._wal.append(updates)
                 self._wal_records += len(updates)
                 if (
@@ -309,9 +328,8 @@ class TrussService:
         single-threaded recovery)."""
         t0 = time.perf_counter()
         gen = self._next_gen()
-        phi = dict(self._tm.trussness)
-        snap.write_generation(
-            self.snapshot_root, gen, phi, dict(self._tm.supports),
+        rows = snap.write_generation(
+            self.snapshot_root, gen, self._tm.trussness, self._tm.supports,
             self._applied_seq,
         )
         self._gen = gen
@@ -319,17 +337,19 @@ class TrussService:
         snap.write_head(
             self.snapshot_root, gen, self._applied_seq, self._applied_seq
         )
-        self.reader.publish(ReadView(gen, self._applied_seq, phi))
+        self.reader.publish(ReadView(gen, self._applied_seq, rows))
         self._wal.roll()
-        snap.prune_generations(self.snapshot_root)
-        self._wal.prune(snap.oldest_retained_wal_seq(self.snapshot_root))
+        retained = snap.prune_generations(self.snapshot_root)
+        self._wal.prune(
+            snap.oldest_retained_wal_seq(self.snapshot_root, retained=retained)
+        )
         self.registry.inc("repro_serve_publishes_total")
         self.registry.set("repro_serve_generation", gen)
         self.registry.set("repro_serve_applied_seq", self._applied_seq)
         if self._tracer.enabled:
             self._tracer.complete_span(
                 "publish", time.perf_counter() - t0,
-                gen=gen, edges=len(phi), wal_seq=self._applied_seq,
+                gen=gen, edges=len(rows), wal_seq=self._applied_seq,
             )
 
     def _next_gen(self) -> int:

@@ -16,6 +16,15 @@ state :meth:`repro.stream.TrussMaintainer.from_state` rebuilds a
 maintainer from, which is what makes *snapshot + WAL tail replay* a
 complete recovery story.
 
+A generation stays one ``(m, 4)`` int64 array on its whole way through
+the server, never a dict per edge.  :func:`write_generation` exports
+the maintainer's two maps into it in a few vectorized passes (checking
+that they cover one key set), writes its bytes, and returns it for the
+in-process :class:`~repro.serve.view.ReadView`.  :func:`load_generation`
+puts ``np.frombuffer`` over the CRC-checked bytes and returns two
+:class:`RowMap` mappings over them, equal to the ``{(u, v): value}``
+dicts they stand for.  Serving therefore needs numpy.
+
 ``HEAD.json`` is advisory (atomically replaced, never fsynced): worker
 processes read it to learn the newest generation and the newest
 *applied* WAL seq, which is how a read response knows it is stale.
@@ -24,12 +33,19 @@ Recovery never trusts it — the generation scan does.
 
 from __future__ import annotations
 
-import struct
+from bisect import bisect_left, bisect_right
+from collections.abc import ItemsView, Mapping
+from operator import itemgetter
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro import durable
 from repro.errors import ReproError
+
+try:
+    import numpy as _np
+except ImportError:  # TrussService.open refuses to start without it
+    _np = None
 
 Edge = Tuple[int, int]
 
@@ -47,9 +63,74 @@ HEAD = "HEAD.json"
 KEEP_GENERATIONS = 2
 
 #: one row: u, v, phi, sup — little-endian int64, sorted by (u, v)
-ROW = struct.Struct("<4q")
+ROW_DTYPE = "<i8"
+ROW_COLS = 4
+_ROW_BYTES = 8 * ROW_COLS
+
+#: a vertex id outside these bounds is in no generation
+INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
 
 _PREFIX = "gen"
+
+
+class RowMap(Mapping):
+    """Read-only ``{(u, v): rows[i, col]}`` over int64 ``rows`` sorted
+    by ``(u, v)`` in their first two columns.
+
+    Equal to the dict of the same items.  A lookup is a binary search.
+    Iteration and :meth:`items` run at C speed over key tuples built on
+    the first walk and reused after it; ``keys`` hands in that list
+    from another map over the same rows.
+    """
+
+    __slots__ = ("rows", "_u", "_v", "_vals", "_keys")
+
+    def __init__(self, rows, col: int,
+                 keys: Optional[List[Edge]] = None) -> None:
+        self.rows = rows
+        self._u = _np.ascontiguousarray(rows[:, 0])
+        self._v = _np.ascontiguousarray(rows[:, 1])
+        self._vals = rows[:, col]
+        self._keys = keys
+
+    def __getitem__(self, key) -> int:
+        try:
+            a, b = key
+            inside = (INT64_MIN <= a <= INT64_MAX
+                      and INT64_MIN <= b <= INT64_MAX)
+        except (TypeError, ValueError):
+            inside = False
+        if inside:
+            # bisect over memoryviews keeps the GIL; see ReadView
+            u, v = memoryview(self._u), memoryview(self._v)
+            lo = bisect_left(u, a)
+            hi = bisect_right(u, a, lo)
+            j = bisect_left(v, b, lo, hi)
+            if j < hi and v[j] == b:
+                return int(self._vals[j])
+        raise KeyError(key)
+
+    def __len__(self) -> int:
+        return len(self._vals)
+
+    def __iter__(self):
+        if self._keys is None:
+            self._keys = list(zip(self._u.tolist(), self._v.tolist()))
+        return iter(self._keys)
+
+    def items(self):
+        return _RowItems(self)
+
+    def __repr__(self) -> str:
+        return f"RowMap({dict(self.items())!r})"
+
+
+class _RowItems(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self):
+        m = self._mapping
+        return zip(m, m._vals.tolist())
 
 
 def generations(root) -> List[int]:
@@ -57,34 +138,71 @@ def generations(root) -> List[int]:
     return durable.entries(root, _PREFIX)
 
 
-def write_generation(
-    root,
-    gen: int,
-    phi: Dict[Edge, int],
-    sup: Dict[Edge, int],
-    wal_seq: int,
-) -> Path:
-    """Publish one generation atomically; returns its directory.
+_first, _second = itemgetter(0), itemgetter(1)
+
+
+def _columns(m: Mapping):
+    """``(u, v, value)`` int64 columns of ``m``, in its iteration order."""
+    n = len(m)
+    return (
+        _np.fromiter(map(_first, m), _np.int64, n),
+        _np.fromiter(map(_second, m), _np.int64, n),
+        _np.fromiter(m.values(), _np.int64, n),
+    )
+
+
+def _pair_order(u, v):
+    """The permutation that sorts the distinct pairs ``(u, v)``: one
+    argsort of a combined key when their spans fit int64, else a
+    lexsort."""
+    if not len(u):
+        return _np.zeros(0, dtype=_np.intp)
+    u0, v0 = int(u.min()), int(v.min())
+    width = int(v.max()) - v0 + 1
+    if (int(u.max()) - u0 + 1) * width <= INT64_MAX:
+        return _np.argsort((u - u0) * width + (v - v0))
+    return _np.lexsort((v, u))
+
+
+def state_rows(phi: Mapping, sup: Mapping):
+    """The ``(m, 4)`` rows ``(u, v, phi, sup)`` of two maps over one
+    canonical-edge key set, sorted by ``(u, v)``."""
+    if len(phi) != len(sup):
+        raise SnapshotError(
+            f"phi and sup must cover the same edges ({len(phi)} vs "
+            f"{len(sup)})"
+        )
+    pu, pv, pk = _columns(phi)
+    su, sv, ss = _columns(sup)
+    po, so = _pair_order(pu, pv), _pair_order(su, sv)
+    rows = _np.empty((len(pu), ROW_COLS), dtype=ROW_DTYPE)
+    rows[:, 0] = pu[po]
+    rows[:, 1] = pv[po]
+    if not (_np.array_equal(su[so], rows[:, 0])
+            and _np.array_equal(sv[so], rows[:, 1])):
+        raise SnapshotError("phi and sup must cover the same edges")
+    rows[:, 2] = pk[po]
+    rows[:, 3] = ss[so]
+    return rows
+
+
+def write_generation(root, gen: int, phi: Mapping, sup: Mapping,
+                     wal_seq: int):
+    """Publish one generation atomically; returns its rows
+    (:func:`state_rows`).
 
     ``phi``/``sup`` must share one canonical-edge key set (they do for
     any consistent :class:`~repro.stream.TrussMaintainer`); ``wal_seq``
     is the newest WAL record already folded into this state — replay
     resumes right after it.
     """
-    if set(phi) != set(sup):
-        raise SnapshotError(
-            "phi and sup must cover the same edges "
-            f"({len(phi)} vs {len(sup)})"
-        )
-    blob = b"".join(
-        ROW.pack(u, v, phi[(u, v)], sup[(u, v)])
-        for u, v in sorted(phi)
-    )
-    dirpath = durable.entry_dir(root, _PREFIX, gen)
+    rows = state_rows(phi, sup)
     durable.publish(
-        dirpath, {STATE: blob}, {"gen": int(gen), "wal_seq": int(wal_seq)}
+        durable.entry_dir(root, _PREFIX, gen),
+        {STATE: rows.tobytes()},
+        {"gen": int(gen), "wal_seq": int(wal_seq)},
     )
-    return dirpath
+    return rows
 
 
 def _read(root, gen: int) -> Tuple[dict, bytes]:
@@ -97,7 +215,7 @@ def _read(root, gen: int) -> Tuple[dict, bytes]:
     except durable.StoreError as exc:
         raise SnapshotError(f"generation {gen}: {exc}") from exc
     state = payloads.get(STATE)
-    if state is None or len(state) % ROW.size:
+    if state is None or len(state) % _ROW_BYTES:
         raise SnapshotError(f"generation {gen}: no whole state rows")
     return manifest, state
 
@@ -111,21 +229,19 @@ def read_manifest(root, gen: int) -> dict:
 
 def load_generation(
     root, gen: int, *, want_sup: bool = True
-) -> Tuple[Dict[Edge, int], Optional[Dict[Edge, int]], int]:
+) -> Tuple[RowMap, Optional[RowMap], int]:
     """Load and CRC-verify one generation: ``(phi, sup, wal_seq)``.
 
-    Raises :class:`SnapshotError` on any tear — a half-written state
-    file can never come back as silently wrong trussness.  Readers
-    that only serve queries pass ``want_sup=False`` and get ``None``
-    in the middle slot.
+    ``phi`` and ``sup`` are :class:`RowMap` views over the file's
+    rows (``phi.rows``).  Raises :class:`SnapshotError` on any tear —
+    a half-written state file can never come back as silently wrong
+    trussness.  Readers that only serve queries pass
+    ``want_sup=False`` and get ``None`` in the middle slot.
     """
     manifest, state = _read(root, gen)
-    phi: Dict[Edge, int] = {}
-    sup: Optional[Dict[Edge, int]] = {} if want_sup else None
-    for u, v, p, s in ROW.iter_unpack(state):
-        phi[(u, v)] = p
-        if sup is not None:
-            sup[(u, v)] = s
+    rows = _np.frombuffer(state, dtype=ROW_DTYPE).reshape(-1, ROW_COLS)
+    phi = RowMap(rows, 2)
+    sup = RowMap(rows, 3, list(phi)) if want_sup else None
     return phi, sup, manifest["wal_seq"]
 
 
@@ -146,24 +262,44 @@ def latest_valid_generation(root) -> Optional[int]:
     )
 
 
-def prune_generations(root, keep: int = KEEP_GENERATIONS) -> None:
-    """Drop everything older than the ``keep`` newest *valid* gens.
+def prune_generations(root, keep: int = KEEP_GENERATIONS) -> List[dict]:
+    """Drop everything older than the ``keep`` newest *valid* gens;
+    returns the validated manifests (:func:`read_manifest`) of those
+    ``keep``, oldest first.
 
-    Torn generations newer than the cutoff are left alone (they cost
-    only disk and vanish once enough valid successors exist); the live
-    pointer is never part of the computation, so pruning can race a
-    reader at worst into one retried load.
+    Each generation is read and checked at most once, newest first, and
+    none older than the cutoff is read at all.  Torn generations newer
+    than the cutoff are left alone (they cost only disk and vanish once
+    enough valid successors exist); the live pointer is never part of
+    the computation, so pruning can race a reader at worst into one
+    retried load.
     """
-    durable.prune(root, _PREFIX, keep, lambda g: generation_valid(root, g))
+    manifests = {}
+
+    def valid(gen: int) -> bool:
+        try:
+            manifests[gen] = read_manifest(root, gen)
+        except SnapshotError:
+            return False
+        return True
+
+    kept = durable.prune(root, _PREFIX, keep, valid)
+    return [manifests[g] for g in kept]
 
 
-def oldest_retained_wal_seq(root, keep: int = KEEP_GENERATIONS) -> int:
+def oldest_retained_wal_seq(
+    root, keep: int = KEEP_GENERATIONS, retained: Optional[List[dict]] = None
+) -> int:
     """The WAL seq replay could still need, given retained generations.
 
     This is the ``upto_seq`` the WAL can be pruned to: every record at
     or before the *oldest retained valid* generation's ``wal_seq`` is
     folded into a snapshot recovery will never fall behind.
+    ``retained`` takes what :func:`prune_generations` returned: its
+    oldest header already holds the answer, so nothing is read again.
     """
+    if retained is not None:
+        return retained[0]["wal_seq"] if retained else 0
     valid = [g for g in generations(root) if generation_valid(root, g)]
     return read_manifest(root, valid[-keep:][0])["wal_seq"] if valid else 0
 

@@ -60,7 +60,7 @@ from pathlib import Path
 from typing import Iterator, Optional, Tuple
 
 from repro.errors import DecompositionError
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, load_npy
 
 try:  # the index substrate is numpy-only (callers gate on this too)
     import numpy as _np
@@ -154,10 +154,10 @@ class TriangleIndex:
         for name in cls.FIELDS:
             path = dirpath / f"{name}.npy"
             try:
-                arrays.append(_np.load(path, mmap_mode="r"))
+                arrays.append(load_npy(path, mmap_mode="r"))
             except (ValueError, OSError):
                 # zero-length arrays on platforms that refuse empty maps
-                arrays.append(_np.load(path))
+                arrays.append(load_npy(path))
         return cls(*arrays, storage="mmap", dirpath=dirpath)
 
 

@@ -381,30 +381,34 @@ class TestErrors:
         assert str(target) in line
 
 
+def _numpy_blocked_env(root: Path) -> dict:
+    """The environment of a fresh interpreter whose first
+    ``PYTHONPATH`` entry is a ``numpy.py`` that raises ``ImportError``."""
+    blocker = root / "blocker"
+    blocker.mkdir()
+    (blocker / "numpy.py").write_text('raise ImportError("numpy blocked")\n')
+    src_root = Path(repro.__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(blocker), str(src_root), env.get("PYTHONPATH", "")]
+    ).rstrip(os.pathsep)
+    return env
+
+
 class TestNumpyFreeParity:
     """Without numpy the CSR methods print exactly what improved prints.
 
-    Runs the CLI in a fresh interpreter whose first ``PYTHONPATH``
-    entry is a ``numpy.py`` that raises ``ImportError``.
+    Runs the CLI in a fresh interpreter with numpy blocked.
     """
 
     @pytest.fixture(scope="class")
     def run(self, tmp_path_factory):
         root = tmp_path_factory.mktemp("numpy_free")
-        blocker = root / "blocker"
-        blocker.mkdir()
-        (blocker / "numpy.py").write_text(
-            'raise ImportError("numpy blocked")\n'
-        )
+        env = _numpy_blocked_env(root)
         graph = root / "g.txt"
         g = complete_graph(5)
         g.add_edges([(0, 10), (10, 11), (11, 0), (4, 20)])
         write_edge_list(g, graph)
-        src_root = Path(repro.__file__).resolve().parent.parent
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(blocker), str(src_root), env.get("PYTHONPATH", "")]
-        ).rstrip(os.pathsep)
 
         def decompose(method):
             out = root / f"{method}.txt"
@@ -431,6 +435,23 @@ class TestNumpyFreeParity:
         assert 'repro_degraded_total{path="stdlib_fallback"} 1' in (
             metrics.splitlines()
         )
+
+
+def test_serve_without_numpy_is_one_error_line(graph_file, tmp_path):
+    """Serve keeps its generations and views in int64 arrays: without
+    numpy it refuses to start, before it touches the data directory."""
+    data = tmp_path / "data"
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "serve", str(graph_file),
+         "--data", str(data)],
+        capture_output=True, text=True, env=_numpy_blocked_env(tmp_path),
+        timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("error: ") and "numpy" in lines[0]
+    assert not data.exists()
 
 
 class TestOtherCommands:

@@ -109,6 +109,7 @@ def _serve_state(i):
     return phi, sup
 
 
+@pytest.mark.skipif(snap._np is None, reason="repro serve needs numpy")
 def test_serve_publish_crash_points(tmp_path, monkeypatch):
     def setup(root):
         for gen in (0, 1):

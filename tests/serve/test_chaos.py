@@ -18,6 +18,7 @@ import pytest
 
 from repro.core import truss_decomposition
 from repro.graph import Graph, complete_graph, write_edge_list
+from repro.serve import snapshot as snap
 from repro.serve.chaos import (
     CRASH_EXIT,
     ServerProcess,
@@ -28,6 +29,10 @@ from repro.serve.chaos import (
     tear_wal_tail,
 )
 from repro.serve.server import ENDPOINT
+
+pytestmark = pytest.mark.skipif(
+    snap._np is None, reason="repro serve needs numpy"
+)
 
 UPDATES = [
     ("insert", 0, 10), ("insert", 1, 10), ("insert", 2, 10),

@@ -11,9 +11,14 @@ import pytest
 
 from repro.graph import Graph, write_edge_list
 from repro.obs import Tracer, validate_event
+from repro.serve import snapshot as snap
 from repro.serve.http import TrussHTTPServer
 from repro.serve.server import _local_write
 from repro.serve.service import TrussService
+
+pytestmark = pytest.mark.skipif(
+    snap._np is None, reason="repro serve needs numpy"
+)
 
 EDGES = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (0, 3), (4, 5)]
 
@@ -106,6 +111,14 @@ class TestReads:
         status, _, _ = _get_json(served, "/community/99?k=3")
         assert status == 404
 
+    @pytest.mark.parametrize("far", ["99999999999999999999",
+                                     "-99999999999999999999"])
+    def test_ids_outside_int64_are_404(self, served, far):
+        for path in (f"/edge/{far}/1/trussness", f"/edge/0/{far}/trussness",
+                     f"/community/{far}", f"/community/{far}?k=3"):
+            status, _, doc = _get_json(served, path)
+            assert status == 404, (path, doc)
+
     def test_dump_matches_decomposition(self, served):
         status, _, data = _request(served, "GET", "/dump")
         view, _ = served.svc.reader.current()
@@ -156,6 +169,17 @@ class TestWrites:
         status, _, data = _request(served, "POST", "/edges")
         assert status == 400
         assert "missing edge endpoints" in json.loads(data)["error"]
+
+    def test_post_edge_id_outside_int64_is_400(self, served):
+        body = json.dumps({"u": 99999999999999999999, "v": 1})
+        status, _, data = _request(served, "POST", "/edges", body=body)
+        assert status == 400 and "64-bit" in json.loads(data)["error"]
+        status, _, _ = _request(
+            served, "POST", "/updates", body=b"+ 1 -99999999999999999999\n"
+        )
+        assert status == 400
+        status, _, _ = _request(served, "POST", "/edges?u=4&v=9")
+        assert status == 200  # the writer still publishes
 
     def test_post_updates_bulk(self, served):
         body = "+ 5 6\n# comment\n\n- 0 3\n"

@@ -21,10 +21,15 @@ from repro.serve import snapshot as snap
 from repro.serve.chaos import tear_snapshot, tear_wal_tail
 from repro.serve.service import (
     DeadlineExpiredError,
+    InvalidUpdateError,
     NotReadyError,
     OverloadedError,
     ServeError,
     TrussService,
+)
+
+pytestmark = pytest.mark.skipif(
+    snap._np is None, reason="repro serve needs numpy"
 )
 
 EDGES = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (0, 3),
@@ -249,6 +254,22 @@ class TestDeadlinesAndBackpressure:
                                 deadline=time.monotonic() - 1.0)
             assert svc._wal.last_seq == wal_before  # nothing durable
             assert 'reason="deadline"' in svc.registry.to_prometheus()
+
+    @pytest.mark.parametrize("far", [1 << 63, -(1 << 63) - 1])
+    def test_id_outside_int64_is_rejected_before_logging(
+        self, tmp_path, graph_file, far
+    ):
+        # logged, such a record would fail every later publish and
+        # every recovery that replays it
+        with _service(tmp_path, graph_file) as svc:
+            wal_before = svc._wal.last_seq
+            with pytest.raises(InvalidUpdateError) as info:
+                svc.apply_write([("insert", 5, 7), ("insert", far, 1)])
+            assert info.value.status == 400
+            assert svc._wal.last_seq == wal_before  # nothing durable
+            assert svc.apply_write([("insert", 5, 7)])[0] == 1
+        with _service(tmp_path) as svc:
+            assert svc.reader.current()[0].lookup(5, 7) == 2
 
     def test_queue_full_sheds(self, tmp_path, graph_file, monkeypatch):
         monkeypatch.setenv("REPRO_SERVE_APPLY_DELAY_MS", "80")
