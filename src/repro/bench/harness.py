@@ -200,7 +200,7 @@ def flat_engine_rows(
 
 
 # ---------------------------------------------------------------------------
-# Ablation — pluggable wave-step kernels: python vs numpy vs numba
+# Ablation — pluggable wave-step kernels: numpy vs numba
 # ---------------------------------------------------------------------------
 def kernel_ablation_rows(
     scale: float = 1.0,
@@ -216,8 +216,7 @@ def kernel_ablation_rows(
     best-of-``repeats`` without tracemalloc.  ``kernels`` defaults to
     every backend constructible in this process (the numba column only
     appears where the optional package is installed); datasets default
-    to the small registry pair because the interpreted python backend
-    sets the floor of this comparison.
+    to the small registry pair.
     """
     from repro.kernels import available_kernels
 
@@ -253,10 +252,6 @@ def kernel_ablation_rows(
         extra = ref.stats.extra
         row["waves"] = extra.get("waves", 0)
         row["triangles"] = extra.get("triangles", 0)
-        if "python (s)" in row and "numpy (s)" in row:
-            row["numpy speedup vs python"] = row["python (s)"] / max(
-                row["numpy (s)"], 1e-9
-            )
         if "numba (s)" in row and "numpy (s)" in row:
             row["numba speedup vs numpy"] = row["numpy (s)"] / max(
                 row["numba (s)"], 1e-9

@@ -22,9 +22,8 @@ Both print the same sorted ``u v phi`` lines for the same map: a
 column-backed result (the CSR methods of ``decompose``) goes through
 the vectorized formatter
 :func:`~repro.graph.csr.format_int_rows` in edge-id order, which is
-already sorted; a dict-backed one (``update``, the paper's methods,
-and every method without numpy) through a stdlib writer that sorts
-the keys.
+already sorted; a dict-backed one (``update`` and the paper's
+methods) through a stdlib writer that sorts the keys.
 
 ``decompose --method flat|parallel|dist`` takes the ingest fast path:
 the file is streamed straight into CSR arrays (no dict-of-set graph
@@ -40,8 +39,11 @@ degrade to the flat engine).
 ``--index-storage ram|mmap`` selects where the streamed triangle-index
 builder puts the O(|△G|) incidence index (default: auto by size;
 ``mmap`` holds driver memory at O(m) however many triangles), and
-``--kernel auto|python|numpy|numba`` picks the pluggable wave-step
-backend from :mod:`repro.kernels` that every engine's inner loop runs.
+``--kernel auto|numpy|numba`` picks the pluggable wave-step backend
+from :mod:`repro.kernels` that every engine's inner loop runs.  The
+CSR methods and ``update`` need numpy: without it (or with ``--kernel
+numba`` and no numba) they print one ``error:`` line before reading
+any input.
 
 Profiling a decomposition
 -------------------------
@@ -110,6 +112,10 @@ from repro.errors import ReproError
 from repro.exio import IOStats, MemoryBudget
 from repro.graph import CSRGraph, Graph, read_edge_list, write_edge_list
 from repro.graph.csr import format_int_rows
+from repro.kernels import KERNELS, resolve_kernel
+
+#: the ``--kernel`` vocabulary of decompose, update and serve
+_KERNEL_CHOICES = ("auto",) + KERNELS
 
 
 def _load(path: str) -> Graph:
@@ -230,6 +236,8 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     stats = IOStats()
     try:
         if args.method in CSR_METHODS:
+            # a missing backend fails here, before the file is read
+            resolve_kernel(args.kernel)
             # ingest fast path: file -> CSR -> engine, no dict-of-set
             # build; like the legacy branch, time= covers only the
             # decomposition (the load line reports the ingest seconds)
@@ -289,10 +297,12 @@ def cmd_update(args: argparse.Namespace) -> int:
     if args.batch < 1:
         return _error(f"--batch must be >= 1 (got {args.batch})")
     try:
+        # a missing backend fails here, before either file is read
+        resolve_kernel(args.kernel)
         # one parser for the CLI, the server's bulk endpoint and the
         # WAL (repro.stream.updates); '-' reads the stream from stdin
         updates = read_update_stream(args.updates)
-    except (OSError, ValueError) as exc:
+    except (ReproError, OSError, ValueError) as exc:
         return _error(exc)
     try:
         t0 = time.perf_counter()
@@ -523,13 +533,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--kernel",
         default=None,
-        choices=["auto", "python", "numpy", "numba"],
+        choices=_KERNEL_CHOICES,
         help=(
-            "wave-step backend for the CSR methods: 'python' "
-            "(interpreted stdlib loops), 'numpy' (the vectorized "
-            "reference), 'numba' (JIT-compiled, needs the optional "
-            "numba package), or 'auto' to pick the best available "
-            "(default: auto)"
+            "wave-step backend for the CSR methods: 'numpy' (the "
+            "vectorized reference), 'numba' (JIT-compiled, needs the "
+            "optional numba package), or 'auto' for numba when it "
+            "imports, else numpy (default: auto)"
         ),
     )
     p.add_argument(
@@ -591,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--kernel",
         default=None,
-        choices=["auto", "python", "numpy", "numba"],
+        choices=_KERNEL_CHOICES,
         help="wave-step backend for the repair peels (default: auto)",
     )
     p.add_argument(
@@ -713,7 +722,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--kernel",
         default=None,
-        choices=["auto", "python", "numpy", "numba"],
+        choices=_KERNEL_CHOICES,
         help="wave-step backend for the repair peels (default: auto)",
     )
     p.add_argument(

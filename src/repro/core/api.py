@@ -23,8 +23,10 @@ mapreduce  Cohen's TD-MR                         comparison only
 ``flat`` (see :mod:`repro.core.flat`) is not in the paper: it peels
 the same levels as ``improved``, as level-synchronous waves over the
 CSR snapshot's canonical edge ids — integer arrays instead of
-dict-of-set adjacency.  Without numpy the three CSR methods run
-``improved`` itself on the same edges.
+dict-of-set adjacency.  The three CSR methods need numpy; without it
+they raise one :class:`~repro.errors.DecompositionError` that names it
+and points at ``improved``, which, like every method of the paper, is
+pure stdlib.
 ``parallel`` (see :mod:`repro.core.parallel`) fans the flat engine's
 level-synchronous waves out over a pool of worker processes sharing
 the triangle index through ``multiprocessing.shared_memory``; the
@@ -65,6 +67,7 @@ from repro.exio.memory import MemoryBudget
 from repro.graph.adjacency import Graph
 from repro.graph.csr import CSRGraph
 from repro.graph.edges import Edge
+from repro.kernels import resolve_kernel
 from repro.obs import open_tracer
 from repro.partition.base import Partitioner
 
@@ -133,9 +136,9 @@ def truss_decomposition(
             read-only).  ``None`` is auto: by size for flat/parallel,
             always on disk for dist (whose ranks mmap it regardless).
         kernel: for the CSR methods, the wave-step backend from
-            :mod:`repro.kernels` — ``"auto"`` (default), ``"python"``,
-            ``"numpy"`` or ``"numba"``; one backend runs the inner
-            step of every engine, worker and rank alike.
+            :mod:`repro.kernels` — ``"auto"`` (default), ``"numpy"``
+            or ``"numba"``; one backend runs the inner step of every
+            engine, worker and rank alike.
         trace: an enabled :class:`repro.obs.Tracer` to receive the
             run's structured trace (spans, events, degradation
             warnings) — see :mod:`repro.obs` for the schema.  The CSR
@@ -288,11 +291,14 @@ def decompose_file(
     streamed straight into a :class:`~repro.graph.csr.CSRGraph` via
     :meth:`~repro.graph.csr.CSRGraph.from_edge_list_file` — no
     dict-of-set ``Graph`` is ever built, which is ~2x end-to-end on
-    parse-dominated inputs.  Every other method falls back to
-    ``read_edge_list`` and the normal dispatcher (``kwargs`` are passed
-    through to :func:`truss_decomposition`).
+    parse-dominated inputs; their kernel is resolved first, so a
+    missing backend (numpy, or a named numba) fails before the file is
+    read.  Every other method falls back to ``read_edge_list`` and the
+    normal dispatcher (``kwargs`` are passed through to
+    :func:`truss_decomposition`).
     """
     if method in CSR_METHODS:
+        resolve_kernel(kernel)
         csr = CSRGraph.from_edge_list_file(path)
         return truss_decomposition(
             csr, method=method, jobs=jobs, ranks=ranks,

@@ -40,6 +40,8 @@ Both modes produce the identical trussness map as ``method="flat"``
 at every rank count — with or without injected faults along the way —
 the acceptance bar the cross-method parity suite, the fault-schedule
 sweep and ``benchmarks/bench_ablation_dist_transport.py`` pin down.
+Like every CSR method it needs numpy: without it a run stops at the
+kernel registry's one error, before any shard plan is built.
 """
 
 from __future__ import annotations
@@ -49,14 +51,13 @@ import shutil
 import tempfile
 import threading
 import time
-from array import array
+from multiprocessing import get_context
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.decomposition import DecompositionStats, TrussDecomposition
 from repro.core.flat import (
     _as_csr,
-    _stdlib_fallback,
     resolve_index_storage,
     result_from_phi,
 )
@@ -77,15 +78,10 @@ from repro.kernels import resolve_kernel
 from repro.obs import NULL_TRACER, warn_degraded
 from repro.partition.edge_shards import plan_edge_shards
 
-try:  # optional accelerator; without it the method degrades to improved
+try:  # the peel needs it; resolve_kernel reports its absence
     import numpy as _np
 except ImportError:  # pragma: no cover
     _np = None
-
-try:
-    import multiprocessing as _mp
-except ImportError:  # pragma: no cover - CPython always ships it
-    _mp = None
 
 #: the message fabrics of the distributed peel
 TRANSPORTS = ("loopback", "tcp")
@@ -377,7 +373,7 @@ def _run_tcp(
     faults: Optional[FaultPlan] = None,
     trace: bool = False,
 ):
-    ctx = _mp.get_context()
+    ctx = get_context()
     procs: List = []
     pipes: List = []
     try:
@@ -546,9 +542,9 @@ def truss_decomposition_dist(
             the driver never holds a triangle-length array; ``"ram"``
             builds the bundle in RAM first and writes it whole (only
             sensible on small graphs).
-        kernel: the wave-step backend (``"auto"``/``"python"``/
-            ``"numpy"``/``"numba"``; ``None``: auto), resolved by the
-            driver and pinned on every rank.
+        kernel: the wave-step backend (``"auto"``/``"numpy"``/
+            ``"numba"``; ``None``: auto), resolved once here and
+            pinned on every rank.
         timeout: deadline in seconds for any single blocking step on
             either transport (socket/queue receives, mesh dial, the
             driver's port/result gathering).  ``None`` uses
@@ -601,8 +597,6 @@ def truss_decomposition_dist(
     nranks = _resolve_ranks(ranks, g.num_edges)
     stats = DecompositionStats(method="dist")
     tr = trace if trace is not None else NULL_TRACER
-    if _np is None or _mp is None:
-        return _stdlib_fallback(g, stats, tr, transport=mode, ranks=1)
     csr = _as_csr(g)
     m = csr.num_edges
     stats.record("transport", mode)
@@ -616,7 +610,7 @@ def truss_decomposition_dist(
                  transport=mode, ranks=int(nranks), on_failure=policy,
                  checkpoint_interval=int(interval))
     if not m:
-        return result_from_phi(csr, array("q"), 2, stats)
+        return result_from_phi(csr, _np.zeros(0, _np.int64), 2, stats)
     # scratch layout: <tmp>/index (the mmapped triangle index) and
     # <tmp>/ckpt (the wave checkpoints).  mkdtemp + finally instead of
     # the TemporaryDirectory context manager so removal is guaranteed

@@ -13,9 +13,9 @@ enumerated chunks, then sorts the keys that become ``tinc`` once, in
 place; the mmap route holds no triangle-length array at all.
 
 The wave peel needs numpy.  Without it, every CSR method (flat,
-parallel, dist) degrades through :func:`_stdlib_fallback` to the
-paper's own stdlib peel, ``method="improved"``, on the same edge set —
-the oracle the waves are pinned against, so the map is the same bits.
+parallel, dist) fails with the kernel registry's one error
+(:data:`repro.kernels.NUMPY_REQUIRED`) before it touches an array; the
+paper's own stdlib peel, ``method="improved"``, is what runs there.
 
 The flat integer substrate (``sup``/``alive``/``phi`` indexed by edge
 id) is what the scaling work builds on: :mod:`repro.core.parallel`
@@ -42,12 +42,10 @@ from time import perf_counter as _perf
 from typing import Dict, Optional, Tuple
 
 from repro.core.decomposition import DecompositionStats, TrussDecomposition
-from repro.core.truss_improved import truss_decomposition_improved
 from repro.errors import DecompositionError
-from repro.graph.adjacency import Graph
 from repro.graph.csr import CSRGraph, sorted_unique
 from repro.kernels import PeelKernel, get_kernel, resolve_kernel
-from repro.obs import NULL_TRACER, CountingKernel, warn_degraded
+from repro.obs import NULL_TRACER, CountingKernel
 from repro.triangles.index_builder import (
     INDEX_STORAGES,
     TriangleIndex,
@@ -55,7 +53,7 @@ from repro.triangles.index_builder import (
     count_edge_incidence,
 )
 
-try:  # optional accelerator; every code path has a stdlib fallback
+try:  # the peel needs it; resolve_kernel reports its absence
     import numpy as _np
 except ImportError:  # pragma: no cover
     _np = None
@@ -464,9 +462,8 @@ def result_from_phi(
     """Package an edge-id-indexed ``phi`` array as a decomposition.
 
     The result holds columns, not a dict: the endpoint labels of every
-    edge id, gathered from ``csr.labels``, next to ``phi`` itself (an
-    int64 ndarray, or the empty ``array('q')`` of an edgeless graph).
-    Edge-id order is ascending ``(u, v)`` order.
+    edge id, gathered from ``csr.labels``, next to ``phi`` itself as an
+    int64 ndarray.  Edge-id order is ascending ``(u, v)`` order.
     """
     stats.record("kmax", k if csr.num_edges else 2)
     labels = _np.asarray(csr.labels, dtype=_np.int64)
@@ -479,43 +476,6 @@ def result_from_phi(
     )
 
 
-def _stdlib_fallback(
-    g, stats: DecompositionStats, tracer, **knobs
-) -> TrussDecomposition:
-    """Without numpy, run Algorithm 2 on the same edge set.
-
-    The shared degradation of the CSR methods: their wave peels need
-    numpy, so ``g`` (a :class:`CSRGraph` becomes a :class:`Graph`
-    first) goes to
-    :func:`~repro.core.truss_improved.truss_decomposition_improved`,
-    the paper's stdlib peel and the oracle the waves are pinned against
-    — same map, bit for bit.  ``stats`` keeps the caller's method tag;
-    the run counts ``stdlib_fallback`` as degraded and records
-    ``peel_s``, ``kmax`` and ``knobs`` (the serial worker/rank count
-    the caller reports).
-    """
-    graph = Graph(g.edges_original()) if isinstance(g, CSRGraph) else g
-    m = graph.num_edges
-    engine = stats.method
-    if tracer.enabled:
-        tracer.event("run_start", engine=engine, m=int(m), **knobs)
-    if m:
-        warn_degraded(tracer, stats.metrics, "stdlib_fallback",
-                      engine=engine)
-    stats.record("stdlib_fallback", 1)
-    for key, value in knobs.items():
-        stats.record(key, value)
-    t0 = _perf()
-    td = truss_decomposition_improved(graph)
-    peel_s = _perf() - t0
-    stats.record("peel_s", round(peel_s, 6))
-    stats.record("kmax", td.kmax)
-    if tracer.enabled:
-        tracer.complete_span("peel", peel_s, engine=engine)
-    td.stats = stats
-    return td
-
-
 def peel_flat_arrays(
     csr: CSRGraph,
     index_storage: Optional[str] = None,
@@ -526,28 +486,15 @@ def peel_flat_arrays(
 
     Builds the triangle index, peels it and returns ``(phi, sup, k,
     stats)``: ``phi[e]`` and ``sup[e]`` are the trussness and initial
-    support of edge id ``e`` of ``csr`` (int64 ndarrays, or
-    ``array('q')`` without numpy), ``k`` the top level.  One index
-    build yields both maps, which is what
+    support of edge id ``e`` of ``csr`` (int64 ndarrays), ``k`` the
+    top level.  One index build yields both maps, which is what
     :meth:`repro.stream.TrussMaintainer.from_graph` seeds from.
-    Without numpy the stdlib fallback's map comes back in edge-id
-    order (:meth:`~repro.graph.csr.CSRGraph.edges_original` order) with
-    the merge-intersection supports.
     """
     resolve_index_storage(index_storage)  # validate eagerly, any path
     kname = resolve_kernel(kernel)
     stats = DecompositionStats(method="flat")
     tr = trace if trace is not None else NULL_TRACER
     m = csr.num_edges
-    if _np is None:
-        td = _stdlib_fallback(csr, stats, tr)
-        phi = td.trussness
-        return (
-            array("q", [phi[e] for e in csr.edges_original()]),
-            _initial_supports_python(csr, m),
-            td.kmax,
-            stats,
-        )
     if tr.enabled:
         tr.event("run_start", engine="flat", m=int(m), kernel=kname,
                  index_storage=index_storage or "auto")
@@ -555,9 +502,6 @@ def peel_flat_arrays(
         empty = _np.zeros(0, dtype=_np.int64)
         return empty, empty, 2, stats
     stats.record("kernel", kname)
-    if kname == "python" and kernel in (None, "auto"):
-        warn_degraded(tr, stats.metrics, "kernel_auto_python",
-                      engine="flat")
     kern = get_kernel(kname)
     if tr.enabled:
         kern = CountingKernel(kern)
@@ -584,17 +528,10 @@ def truss_decomposition_flat(
     :class:`CSRGraph` built by the streaming ingest.  ``index_storage``
     picks the triangle index's destination (``"ram"``/``"mmap"``;
     ``None``: auto by size) and ``kernel`` the wave-step backend
-    (``"auto"``/``"python"``/``"numpy"``/``"numba"``; ``None``: auto)
-    — the stdlib fallback peels without an index and ignores both.
-    ``trace`` takes an enabled :class:`repro.obs.Tracer` to emit the
-    run's spans and events into (``None``: the no-op tracer).
+    (``"auto"``/``"numpy"``/``"numba"``; ``None``: auto).  ``trace``
+    takes an enabled :class:`repro.obs.Tracer` to emit the run's spans
+    and events into (``None``: the no-op tracer).
     """
-    if _np is None:
-        # the stdlib peel runs on a Graph: no CSR snapshot, no supports
-        resolve_index_storage(index_storage)
-        resolve_kernel(kernel)
-        tr = trace if trace is not None else NULL_TRACER
-        return _stdlib_fallback(g, DecompositionStats(method="flat"), tr)
     csr = _as_csr(g)
     phi, _sup, k, stats = peel_flat_arrays(csr, index_storage, kernel, trace)
     return result_from_phi(csr, phi, k, stats)

@@ -54,9 +54,9 @@ buffers are real messages, is ``method="dist"`` (:mod:`repro.core.dist`).
 
 ``jobs=1`` executes the identical protocol in-process (no pool, no
 shared-memory copies), which is also the fallback when the graph is
-too small for process fan-out to pay (see ``_resolve_jobs``).  Without
-numpy the method degrades to ``method="improved"`` — same result,
-``stdlib_fallback`` recorded in the stats.
+too small for process fan-out to pay (see ``_resolve_jobs``).  Like
+every CSR method it needs numpy; without it the kernel registry's one
+error names ``method="improved"``, which runs on the stdlib.
 
 Scaling expectations: each wave costs two IPC round trips, so speedup
 appears once waves are large (massive graphs, small kmax) and cores
@@ -69,7 +69,7 @@ from __future__ import annotations
 
 import os
 import tempfile
-from array import array
+from multiprocessing import get_context, shared_memory as _shm
 from time import perf_counter as _perf
 from typing import Dict, List, Optional, Tuple
 
@@ -78,7 +78,6 @@ from repro.core.flat import (
     _as_csr,
     _peel_state,
     _record_index_build,
-    _stdlib_fallback,
     resolve_index_storage,
     result_from_phi,
     run_wave_peel,
@@ -93,17 +92,10 @@ from repro.triangles.index_builder import (
     build_triangle_index,
 )
 
-try:  # optional accelerator; without it the method degrades to improved
+try:  # the peel needs it; resolve_kernel reports its absence
     import numpy as _np
 except ImportError:  # pragma: no cover
     _np = None
-
-try:
-    import multiprocessing as _mp
-    from multiprocessing import shared_memory as _shm
-except ImportError:  # pragma: no cover - CPython always ships it
-    _mp = None
-    _shm = None
 
 #: below this edge count, ``jobs=None`` resolves to a serial run — the
 #: per-wave IPC round trips dominate any fan-out win on small graphs
@@ -320,7 +312,7 @@ def _peel_waves_shared(
                     }
                     blocks = _SharedBlocks({**index, **state})
                     initargs = (blocks.spec, None, kern.name)
-                pool = _mp.get_context().Pool(
+                pool = get_context().Pool(
                     processes=jobs,
                     initializer=_attach_worker,
                     initargs=initargs,
@@ -392,10 +384,9 @@ def truss_decomposition_parallel(
         index_storage: the triangle index destination — ``"ram"``
             (shared-memory blocks), ``"mmap"`` (streamed to disk, every
             process maps it read-only), or ``None`` (auto by size).
-            The stdlib fallback peels without an index and ignores it.
-        kernel: the wave-step backend (``"auto"``/``"python"``/
-            ``"numpy"``/``"numba"``; ``None``: auto), pinned on the
-            coordinator *and* every pool worker.
+        kernel: the wave-step backend (``"auto"``/``"numpy"``/
+            ``"numba"``; ``None``: auto), pinned on the coordinator
+            *and* every pool worker.
 
     Returns the identical trussness map as ``method="flat"`` and
     ``method="improved"`` — neither the worker count, the index
@@ -406,8 +397,6 @@ def truss_decomposition_parallel(
     njobs = _resolve_jobs(jobs, g.num_edges)
     stats = DecompositionStats(method="parallel")
     tr = trace if trace is not None else NULL_TRACER
-    if _np is None or _shm is None:
-        return _stdlib_fallback(g, stats, tr, jobs=1)
     csr = _as_csr(g)
     m = csr.num_edges
     stats.record("jobs", njobs)
@@ -416,7 +405,7 @@ def truss_decomposition_parallel(
         tr.event("run_start", engine="parallel", m=int(m), kernel=kname,
                  jobs=int(njobs))
     if not m:
-        return result_from_phi(csr, array("q"), 2, stats)
+        return result_from_phi(csr, _np.zeros(0, _np.int64), 2, stats)
     phi, k = _peel_waves_shared(
         csr, m, njobs, stats, index_storage, kname, tracer=tr
     )

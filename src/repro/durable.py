@@ -13,17 +13,18 @@ The header is the caller's: the identity a reader expects back
 (``gen``; ``epoch`` and ``rank``) plus small metadata.  So are the
 payload bytes, which the store checks but never parses.
 
-:func:`publish` creates the entry directory, fsyncing the parent of
-every directory it creates; writes and fsyncs each payload; writes the
-manifest to ``manifest.json.tmp``, fsyncs it and renames it into place
-(:func:`os.replace`); then fsyncs the entry directory, so every name
-in it is durable before the caller prunes anything older.  An entry exists only
-once its manifest is in place with the expected header and format and
-every payload matches its CRC32 and length; anything less makes
-:func:`read` raise :class:`StoreError`, and readers fall back to an
-older entry.  :func:`prune` only removes entries older than the
-``keep`` newest that count, so a crash anywhere in a publish leaves
-the previous entry readable.
+:func:`publish` creates the entry directory with :func:`make_dirs`,
+which fsyncs the parent of every directory it creates; writes and
+fsyncs each payload; writes the manifest to ``manifest.json.tmp``,
+fsyncs it and renames it into place (:func:`os.replace`); then fsyncs
+the entry directory, so every name in it is durable before the caller
+prunes anything older.  An entry exists only once its manifest is in
+place with the expected header and format and every payload matches
+its CRC32 and length; anything less makes :func:`read` raise
+:class:`StoreError`, and readers fall back to an older entry.
+:func:`prune` only removes entries older than the ``keep`` newest that
+count, so a crash anywhere in a publish leaves the previous entry
+readable.
 
 :func:`write_json` and :func:`read_json` carry small advisory
 documents (serve ``HEAD.json``, ``endpoint.json``): a temp file
@@ -106,9 +107,13 @@ def entries(root, prefix: str) -> List[int]:
     return sorted(int(m[1]) for m in map(pattern.fullmatch, names) if m)
 
 
-def _make_dirs(path: Path) -> None:
+def make_dirs(path) -> None:
+    """Create directory ``path`` and its missing ancestors durably:
+    each new directory's parent is fsynced, so its entry survives a
+    power loss."""
+    path = Path(path)
     if not path.is_dir():
-        _make_dirs(path.parent)
+        make_dirs(path.parent)
         try:
             os.mkdir(path)
         except FileExistsError:
@@ -120,7 +125,7 @@ def publish(entry, payloads: Dict[str, bytes], header: dict) -> None:
     """Write one entry durably, in the order the module docstring
     gives."""
     entry = Path(entry)
-    _make_dirs(entry)
+    make_dirs(entry)
     table = {}
     for name, data in payloads.items():
         _write_file(entry / name, data, sync=True)

@@ -57,7 +57,8 @@ the contract says so — engines searchsorted/route/split these arrays
 and every backend must be bit-for-bit interchangeable: an admissible
 backend produces, on every input, exactly the arrays the ``numpy``
 reference backend produces (the cross-backend hypothesis sweep in
-``tests/kernels/`` enforces this against the brute-force oracle, and
+``tests/kernels/`` enforces this against the brute-force oracle, the
+per-op tests against plain loops in ``tests/oracles.py``, and
 ``kernel="numpy"`` is pinned as the bit-identity reference for the
 pre-refactor engines).  A new backend registers a factory in
 ``_FACTORIES`` and passes that sweep; nothing else in the engines
@@ -65,13 +66,6 @@ needs to change.
 
 Backends
 --------
-``python``
-    Interpreted loops over the arrays' buffers using only stdlib
-    operations (scratch state is ``dict``/``list``/``array``).  Always
-    available; the portability baseline and the only backend with no
-    numpy dependency of its own (the engines' index substrate still
-    needs numpy, so this backend mostly serves as the admissibility
-    reference and worst-case timing floor in ``BENCH_kernel.json``).
 ``numpy``
     The vectorized implementation the engines shipped with, moved here
     verbatim — the bit-identity reference and the default when numba
@@ -81,12 +75,19 @@ Backends
     ``kernel="auto"`` when importable).  Compiled lazily with
     ``cache=True`` so worker processes and ranks reuse the on-disk
     compilation cache instead of each paying the JIT warm-up;
-    :func:`warmup_kernel` pre-compiles every entry point on arrays of
-    the real dtypes.  Never required: every caller degrades to
-    ``numpy`` (then ``python``) when the import fails.
+    construction pre-compiles every entry point on arrays of the real
+    dtypes.  Never required: ``"auto"`` picks ``numpy`` when
+    the import fails.
 
-Selection is threaded end to end as ``kernel="auto"|"python"|"numpy"|
-"numba"`` through ``truss_decomposition``/``decompose_file``/the CLI's
+Every backend runs over numpy arrays, so the CSR engines need numpy:
+without it :func:`resolve_kernel` raises one
+:class:`~repro.errors.DecompositionError` naming numpy, and every CSR
+entry point resolves its kernel before it touches an array.  The
+paper's own methods (``method="improved"`` and the rest) are stdlib
+and run without it.
+
+Selection is threaded end to end as ``kernel="auto"|"numpy"|"numba"``
+through ``truss_decomposition``/``decompose_file``/the CLI's
 ``--kernel`` flag, mirroring ``--index-storage``; ``"auto"`` resolves
 via :func:`resolve_kernel` to the best available backend.  The
 follow-on the ROADMAP names — a cython/C extension — is one more
@@ -99,16 +100,22 @@ from typing import Callable, Dict, Optional, Tuple
 
 from repro.errors import DecompositionError
 
-try:  # optional accelerator; the python backend works without it
+try:  # every backend needs it; its absence is resolve_kernel's error
     import numpy as _np
 except ImportError:  # pragma: no cover
     _np = None
 
 #: every kernel name the knob accepts (besides ``"auto"``/``None``)
-KERNELS = ("python", "numpy", "numba")
+KERNELS = ("numpy", "numba")
 
 #: ``"auto"`` preference order: most-compiled first
-_AUTO_ORDER = ("numba", "numpy", "python")
+_AUTO_ORDER = ("numba", "numpy")
+
+#: the one error of every CSR entry point when numpy is missing
+NUMPY_REQUIRED = (
+    "the CSR engines (flat, parallel, dist) and repro update need "
+    "numpy, which is not installed; --method improved runs without it"
+)
 
 
 class PeelKernel:
@@ -144,27 +151,13 @@ class PeelKernel:
         raise NotImplementedError
 
 
-def _make_python() -> PeelKernel:
-    from repro.kernels.python_backend import PythonKernel
-
-    return PythonKernel()
-
-
 def _make_numpy() -> PeelKernel:
-    if _np is None:
-        raise DecompositionError(
-            "kernel 'numpy' needs numpy, which is not installed"
-        )
     from repro.kernels.numpy_backend import NumpyKernel
 
     return NumpyKernel()
 
 
 def _make_numba() -> PeelKernel:
-    if _np is None:
-        raise DecompositionError(
-            "kernel 'numba' needs numpy, which is not installed"
-        )
     try:
         from repro.kernels.numba_backend import NumbaKernel
     except ImportError as exc:
@@ -176,7 +169,6 @@ def _make_numba() -> PeelKernel:
 
 
 _FACTORIES: Dict[str, Callable[[], PeelKernel]] = {
-    "python": _make_python,
     "numpy": _make_numpy,
     "numba": _make_numba,
 }
@@ -192,7 +184,7 @@ _FAILED: Dict[str, str] = {}
 
 def kernel_available(name: str) -> bool:
     """Whether backend ``name`` can be constructed in this process."""
-    if name not in _FACTORIES or name in _FAILED:
+    if _np is None or name not in _FACTORIES or name in _FAILED:
         return False
     if name in _INSTANCES:
         return True
@@ -215,22 +207,22 @@ def resolve_kernel(kernel: Optional[str]) -> str:
     Shared by the flat, parallel and dist front doors so the accepted
     vocabulary (:data:`KERNELS`) can never drift between methods, just
     like :func:`repro.core.flat.resolve_index_storage` for the index.
-    Raises :class:`~repro.errors.DecompositionError` for unknown names
-    and for named backends that are not available (``"auto"`` never
-    fails: the ``python`` backend always constructs).
+    Raises :class:`~repro.errors.DecompositionError` without numpy
+    (:data:`NUMPY_REQUIRED`, whatever the name), for unknown names and
+    for named backends that are not available; with numpy, ``"auto"``
+    never fails.
     """
+    if _np is None:
+        raise DecompositionError(NUMPY_REQUIRED)
     if kernel is None or kernel == "auto":
-        for name in _AUTO_ORDER:
-            if kernel_available(name):
-                return name
-        return "python"  # pragma: no cover - python always constructs
+        return next(name for name in _AUTO_ORDER if kernel_available(name))
     if kernel not in KERNELS:
         raise DecompositionError(
             f"unknown kernel {kernel!r}; expected one of "
             f"{('auto',) + KERNELS}"
         )
     if not kernel_available(kernel):
-        # surface the factory's specific message (missing numpy/numba)
+        # surface the factory's specific message (missing numba)
         raise DecompositionError(_FAILED[kernel])
     return kernel
 
@@ -242,6 +234,7 @@ def get_kernel(kernel: Optional[str] = None) -> PeelKernel:
 
 __all__ = [
     "KERNELS",
+    "NUMPY_REQUIRED",
     "PeelKernel",
     "available_kernels",
     "get_kernel",

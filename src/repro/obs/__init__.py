@@ -55,9 +55,9 @@ Every engine emits the same catalogue:
     a dist rank wrote a wave checkpoint — attrs ``epoch``, ``waves``.
 ``degraded``
     **warning level**: a silent degradation path triggered — attrs
-    ``path`` naming it (``stdlib_fallback``, ``kernel_auto_python``,
-    ``stream_full_repeel``, ``dist_retry``, ``dist_fallback_flat``,
-    ``serve_torn_snapshot``, ``serve_wal_torn``)
+    ``path`` naming it (``stream_full_repeel``, ``dist_retry``,
+    ``dist_fallback_flat``, ``serve_torn_snapshot``,
+    ``serve_wal_torn``)
     plus context.  Every ``degraded`` event also bumps the
     ``repro_degraded_total{path=...}`` counter, so degraded runs are
     visible in both expositions.

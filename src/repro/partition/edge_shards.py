@@ -27,13 +27,13 @@ Entry points:
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
 from repro.graph.csr import sorted_unique
 
-try:  # optional accelerator; every code path has a stdlib fallback
+try:  # the cuts need it, like the CSR engines that take them
     import numpy as _np
 except ImportError:  # pragma: no cover
     _np = None
@@ -114,23 +114,13 @@ def balanced_prefix_cuts(weights, parts: int):
     :func:`repro.core.parallel._split_weighted` for the parallel
     engine's per-wave frontier split — change the cost model here and
     both engines stay in lockstep.  Returns the ``parts - 1`` cut
-    indices (an ndarray with numpy, a list without; both paths use the
-    identical first-index-with-cum>=target rule, so a mixed deployment
-    cannot disagree about ownership).
+    indices as an ndarray: each is the first index whose charged
+    cumulative sum reaches its target.
     """
-    if _np is not None:
-        charged = _np.asarray(weights, dtype=_np.int64) + 1
-        cum = _np.cumsum(charged)
-        targets = cum[-1] * _np.arange(1, parts, dtype=_np.float64) / parts
-        return _np.searchsorted(cum, targets)
-    cum_list: List[int] = []
-    acc = 0
-    for w in weights:
-        acc += int(w) + 1
-        cum_list.append(acc)
-    return [
-        bisect_left(cum_list, acc * s / parts) for s in range(1, parts)
-    ]
+    charged = _np.asarray(weights, dtype=_np.int64) + 1
+    cum = _np.cumsum(charged)
+    targets = cum[-1] * _np.arange(1, parts, dtype=_np.float64) / parts
+    return _np.searchsorted(cum, targets)
 
 
 def plan_edge_shards(

@@ -33,6 +33,9 @@ those into a bounded, observable outcome:
 * **Durability.**  A mutation is acknowledged only after its WAL
   records are fsynced.  What was acked is exactly what recovery
   replays; what was never acked may vanish, and nothing else changes.
+  The data directory and the WAL root are created by
+  :func:`repro.durable.make_dirs`, so a fresh path's directory entries
+  are durable before the first ack too.
 * **Atomic publication.**  A generation is a :mod:`repro.durable`
   entry holding one packed ``'<4q'`` state payload (the store's
   docstring gives the format): it lands fully or does not exist.  A

@@ -47,6 +47,7 @@ import time
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
+from repro.durable import make_dirs
 from repro.errors import ReproError
 from repro.obs import MetricsRegistry, NULL_TRACER, warn_degraded
 from repro.serve import snapshot as snap
@@ -142,7 +143,7 @@ class TrussService:
                 "generations and read views are int64 arrays"
             )
         t0 = time.perf_counter()
-        self.data_dir.mkdir(parents=True, exist_ok=True)
+        make_dirs(self.data_dir)
         chosen = None
         for gen in reversed(snap.generations(self.snapshot_root)):
             try:

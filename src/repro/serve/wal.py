@@ -40,7 +40,7 @@ import zlib
 from pathlib import Path
 from typing import Iterable, Iterator, List, Optional, Tuple
 
-from repro.durable import fsync_dir
+from repro.durable import fsync_dir, make_dirs
 from repro.errors import ReproError
 from repro.stream.updates import Update, format_update, parse_update_line
 
@@ -96,7 +96,7 @@ class WriteAheadLog:
 
     def __init__(self, root, *, fsync: bool = True) -> None:
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
+        make_dirs(self.root)
         self._fsync = fsync
         self._fh = None
         #: torn bytes truncated off the newest segment at open (0 when

@@ -19,10 +19,8 @@ at the first wave of the level is sound because pop order within a
 level does not affect the result (the same argument that makes the
 sharded engines bit-identical).
 
-Everything runs on plain buffers (``array('q')``/``bytearray``/list
-histogram) when numpy is unavailable — the python kernel indexes
-generic sequences — and on int64 ndarrays otherwise, so any installed
-kernel backend can drive the waves.
+The state is int64 ndarrays, so any installed kernel backend can
+drive the waves.
 """
 
 from __future__ import annotations
@@ -32,9 +30,9 @@ from typing import List, Sequence, Tuple
 
 from repro.kernels import get_kernel, resolve_kernel
 
-try:  # optional accelerator
+try:  # the maintainer resolves its kernel first, which fails without it
     import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free CI
+except ImportError:  # pragma: no cover
     _np = None
 
 Triple = Tuple[int, int, int]
@@ -60,55 +58,27 @@ def repeel_region(
     nall = nloc + nfro
     nt = len(triangles)
 
-    if _np is not None:
-        tri = _np.asarray(triangles, dtype=_np.int64).reshape(nt, 3)
-        e1c = _np.ascontiguousarray(tri[:, 0])
-        e2c = _np.ascontiguousarray(tri[:, 1])
-        e3c = _np.ascontiguousarray(tri[:, 2])
-        flat = tri.ravel()
-        cnt = _np.bincount(flat, minlength=nall) if nt else _np.zeros(
-            nall, dtype=_np.int64
-        )
-        tptr = _np.zeros(nall + 1, dtype=_np.int64)
-        _np.cumsum(cnt, out=tptr[1:])
-        # stable sort of the flattened incidence: slot p of ``flat``
-        # belongs to triangle p // 3, so the argsort *is* the index
-        order = _np.argsort(flat, kind="stable")
-        tinc = order // 3
-        sup = cnt[:nloc].astype(_np.int64)
-        hist = _np.bincount(sup, minlength=1)
-        alive = _np.ones(nall, dtype=bool)
-        tdead = _np.zeros(nt, dtype=bool)
-        phi = _np.zeros(nloc, dtype=_np.int64)
-        fphi = _np.asarray(frozen_phi, dtype=_np.int64)
-        forder = _np.argsort(fphi, kind="stable")
-    else:
-        e1c = array("q", (t[0] for t in triangles))
-        e2c = array("q", (t[1] for t in triangles))
-        e3c = array("q", (t[2] for t in triangles))
-        cnt = [0] * nall
-        for a, b, c in triangles:
-            cnt[a] += 1
-            cnt[b] += 1
-            cnt[c] += 1
-        tptr = array("q", [0] * (nall + 1))
-        for i in range(nall):
-            tptr[i + 1] = tptr[i] + cnt[i]
-        fill = list(tptr[:nall])
-        tinc = array("q", bytes(8 * 3 * nt))
-        for tid, t in enumerate(triangles):
-            for e in t:
-                tinc[fill[e]] = tid
-                fill[e] += 1
-        sup = array("q", cnt[:nloc])
-        hist = [0] * (max(sup) + 1)
-        for s in sup:
-            hist[s] += 1
-        alive = bytearray(b"\x01" * nall)
-        tdead = bytearray(nt)
-        phi = array("q", bytes(8 * nloc))
-        fphi = list(frozen_phi)
-        forder = sorted(range(nfro), key=fphi.__getitem__)
+    tri = _np.asarray(triangles, dtype=_np.int64).reshape(nt, 3)
+    e1c = _np.ascontiguousarray(tri[:, 0])
+    e2c = _np.ascontiguousarray(tri[:, 1])
+    e3c = _np.ascontiguousarray(tri[:, 2])
+    flat = tri.ravel()
+    cnt = _np.bincount(flat, minlength=nall) if nt else _np.zeros(
+        nall, dtype=_np.int64
+    )
+    tptr = _np.zeros(nall + 1, dtype=_np.int64)
+    _np.cumsum(cnt, out=tptr[1:])
+    # stable sort of the flattened incidence: slot p of ``flat``
+    # belongs to triangle p // 3, so the argsort *is* the index
+    order = _np.argsort(flat, kind="stable")
+    tinc = order // 3
+    sup = cnt[:nloc].astype(_np.int64)
+    hist = _np.bincount(sup, minlength=1)
+    alive = _np.ones(nall, dtype=bool)
+    tdead = _np.zeros(nt, dtype=bool)
+    phi = _np.zeros(nloc, dtype=_np.int64)
+    fphi = _np.asarray(frozen_phi, dtype=_np.int64)
+    forder = _np.argsort(fphi, kind="stable")
 
     fptr = 0  # next frozen edge to expire, in ascending-phi order
     rem = nloc
@@ -127,13 +97,7 @@ def repeel_region(
         while fptr < nfro and int(fphi[int(forder[fptr])]) <= k:
             expiring.append(nloc + int(forder[fptr]))
             fptr += 1
-        if _np is not None:
-            frontier = _np.flatnonzero(alive[:nloc] & (sup <= k - 2))
-        else:
-            frontier = array(
-                "q",
-                (e for e in range(nloc) if alive[e] and sup[e] <= k - 2),
-            )
+        frontier = _np.flatnonzero(alive[:nloc] & (sup <= k - 2))
         while len(frontier) or expiring:
             if len(frontier):
                 kern.pop_frontier(sup, alive, phi, hist, frontier, k)
@@ -143,11 +107,7 @@ def repeel_region(
             popped = array("q", (int(e) for e in frontier))
             popped.extend(expiring)
             hit = kern.gather_incident(tptr, tinc, popped, tdead)
-            if _np is not None:
-                tdead[hit] = True
-            else:
-                for t in hit:
-                    tdead[t] = 1
+            tdead[hit] = True
             touched, dec = kern.count_decrements(
                 e1c, e2c, e3c, hit, alive, lo=0, hi=nloc, base=0
             )

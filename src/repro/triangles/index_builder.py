@@ -62,7 +62,8 @@ from typing import Iterator, Optional, Tuple
 from repro.errors import DecompositionError
 from repro.graph.csr import CSRGraph, load_npy
 
-try:  # the index substrate is numpy-only (callers gate on this too)
+try:  # numpy-only; the CSR engines resolve their kernel first, which
+    # raises the one missing-numpy error before any build
     import numpy as _np
 except ImportError:  # pragma: no cover
     _np = None
@@ -470,11 +471,6 @@ def build_triangle_index(
     rank c)`` order under the ``(degree, id)`` ranks, with columns
     ``e1, e2, e3 = a-b, b-c, a-c`` (:meth:`_WedgeDAG.iter_triangle_chunks`).
     """
-    if _np is None:
-        raise DecompositionError(
-            "the triangle-index builder needs numpy; the stdlib engines "
-            "peel without a materialized index"
-        )
     if storage not in INDEX_STORAGES + ("auto",):
         raise DecompositionError(
             f"unknown index storage {storage!r}; expected one of "

@@ -2,16 +2,29 @@
 
 import pytest
 
-from repro.core import METHODS, k_truss, top_t_classes, truss_decomposition, trussness
+import repro.kernels as kernels
+from repro.core import (
+    CSR_METHODS,
+    METHODS,
+    apply_updates,
+    decompose_file,
+    k_truss,
+    top_t_classes,
+    truss_decomposition,
+    trussness,
+)
 from repro.errors import DecompositionError
 from repro.exio import MemoryBudget
 from repro.graph import Graph, complete_graph, disjoint_union
 
-from helpers import random_graph
+from helpers import needs_numpy, random_graph
 
 
 class TestDispatch:
-    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("method", [
+        pytest.param(m, marks=needs_numpy) if m in CSR_METHODS else m
+        for m in METHODS
+    ])
     def test_all_methods_agree(self, method):
         g = random_graph(16, 0.3, seed=50)
         ref = truss_decomposition(g, method="improved")
@@ -37,6 +50,30 @@ class TestDispatch:
             g, method="bottomup", memory_budget=MemoryBudget(units=12)
         )
         assert td == truss_decomposition(g, method="improved")
+
+
+class TestCsrMethodsNeedNumpy:
+    """Without numpy every CSR entry point raises the registry's one
+    error (numpy is hidden from the registry here; on the numpy-free
+    leg it is absent)."""
+
+    @pytest.fixture(autouse=True)
+    def no_numpy(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_np", None)
+
+    @pytest.mark.parametrize("method", CSR_METHODS)
+    def test_one_error_names_numpy(self, method):
+        with pytest.raises(DecompositionError) as info:
+            truss_decomposition(complete_graph(4), method=method)
+        assert str(info.value) == kernels.NUMPY_REQUIRED
+
+    def test_update_needs_numpy(self):
+        with pytest.raises(DecompositionError, match="numpy"):
+            apply_updates(complete_graph(4), [("insert", 0, 9)])
+
+    def test_decompose_file_fails_before_reading(self, tmp_path):
+        with pytest.raises(DecompositionError, match="numpy"):
+            decompose_file(tmp_path / "missing.txt", method="flat")
 
 
 class TestConveniences:

@@ -14,7 +14,9 @@ from repro.core import TrussDecomposition
 from repro.graph import complete_graph, read_edge_list, write_edge_list
 from repro.kernels import available_kernels
 
-needs_numpy = pytest.mark.skipif(
+from helpers import needs_numpy
+
+needs_int64 = pytest.mark.skipif(
     csr_mod._np is None, reason="the CSR engines' int64 path needs numpy"
 )
 
@@ -47,6 +49,7 @@ class TestDecompose:
         out = capsys.readouterr().out
         assert len(out.strip().splitlines()) == 11
 
+    @needs_numpy
     def test_flat_stdout_matches_output_file(self, graph_file, tmp_path, capsys):
         # the column writer's route to stdout, next to its route to -o
         assert main(["decompose", str(graph_file), "--method", "flat"]) == 0
@@ -58,7 +61,7 @@ class TestDecompose:
         assert printed.encode() == out.read_bytes()
         assert len(printed.splitlines()) == 11
 
-    @needs_numpy
+    @needs_int64
     def test_flat_path_builds_no_dict(self, graph_file, tmp_path, monkeypatch):
         def refuse(self):
             raise AssertionError("the flat CLI path built the trussness dict")
@@ -70,6 +73,7 @@ class TestDecompose:
         ]) == 0
         assert len(out.read_text().splitlines()) == 11
 
+    @needs_numpy
     def test_int64_extreme_ids_match_improved(self, tmp_path):
         lo, hi = -(1 << 63), (1 << 63) - 1
         graph = tmp_path / "extremes.txt"
@@ -95,6 +99,7 @@ class TestDecompose:
         assert main(args) == 0
         assert len(out.read_text().strip().splitlines()) == 11
 
+    @needs_numpy
     @pytest.mark.parametrize("method", ["flat", "parallel"])
     def test_csr_fastpath_methods(self, graph_file, tmp_path, method, capsys):
         out = tmp_path / "phi.txt"
@@ -114,6 +119,7 @@ class TestDecompose:
         assert "streaming CSR ingest" in err
         assert "kmax=5" in err
 
+    @needs_numpy
     def test_pooled_parallel_matches_flat(self, graph_file, tmp_path):
         out = tmp_path / "phi.txt"
         assert main([
@@ -127,6 +133,7 @@ class TestDecompose:
         ]) == 0
         assert out.read_text() == reference.read_text()
 
+    @needs_numpy
     @pytest.mark.parametrize("transport", ["loopback", "tcp"])
     def test_dist_method_matches_flat(self, graph_file, tmp_path, transport):
         out = tmp_path / "phi.txt"
@@ -190,6 +197,7 @@ class TestDecompose:
                 "--on-failure", "shrug",
             ])
 
+    @needs_numpy
     def test_dist_survivability_flags_accepted(
         self, graph_file, tmp_path
     ):
@@ -206,6 +214,7 @@ class TestDecompose:
         ]) == 0
         assert out.read_text() == reference.read_text()
 
+    @needs_numpy
     @pytest.mark.parametrize("method", ["flat", "parallel", "dist"])
     @pytest.mark.parametrize("storage", ["ram", "mmap"])
     def test_index_storage_matches_flat(
@@ -270,7 +279,11 @@ class TestErrors:
         assert len(lines) == 1, err
         return lines[0]
 
-    @pytest.mark.parametrize("method", ["improved", "flat", "dist"])
+    @pytest.mark.parametrize("method", [
+        "improved",
+        pytest.param("flat", marks=needs_numpy),
+        pytest.param("dist", marks=needs_numpy),
+    ])
     def test_malformed_line_keeps_file_and_line(
         self, malformed_file, capsys, method
     ):
@@ -279,7 +292,9 @@ class TestErrors:
         ])
         assert f"{malformed_file}:2: non-integer vertex id" in line
 
-    @pytest.mark.parametrize("method", ["improved", "flat"])
+    @pytest.mark.parametrize("method", [
+        "improved", pytest.param("flat", marks=needs_numpy),
+    ])
     def test_missing_input_file(self, tmp_path, capsys, method):
         missing = tmp_path / "absent.txt"
         line = self._fails_cleanly(capsys, [
@@ -293,12 +308,14 @@ class TestErrors:
         (["--method", "parallel", "--jobs", "0"], "at least 1 job"),
         (["--method", "parallel", "--jobs", "-3"], "at least 1 job"),
     ])
+    @needs_numpy
     def test_bad_engine_option(self, graph_file, capsys, flags, message):
         line = self._fails_cleanly(
             capsys, ["decompose", str(graph_file), *flags]
         )
         assert message in line
 
+    @needs_numpy
     @pytest.mark.skipif(
         "numba" in available_kernels(), reason="numba is installed"
     )
@@ -314,6 +331,7 @@ class TestErrors:
         line = self._fails_cleanly(capsys, [*argv, "--kernel", "numba"])
         assert "numba" in line
 
+    @needs_numpy
     def test_update_malformed_graph(self, malformed_file, tmp_path, capsys):
         updates = tmp_path / "updates.txt"
         updates.write_text("+ 1 10\n")
@@ -322,7 +340,7 @@ class TestErrors:
         ])
         assert f"{malformed_file}:2: non-integer vertex id" in line
 
-    @needs_numpy
+    @needs_int64
     @pytest.mark.parametrize("command", ["decompose", "update"])
     def test_vertex_id_outside_int64(self, tmp_path, capsys, command):
         graph = tmp_path / "big.txt"
@@ -337,6 +355,7 @@ class TestErrors:
         line = self._fails_cleanly(capsys, argv)
         assert f"{graph}:4: vertex id outside the signed 64-bit range" in line
 
+    @needs_numpy
     def test_update_missing_graph(self, tmp_path, capsys):
         updates = tmp_path / "updates.txt"
         updates.write_text("+ 1 10\n")
@@ -346,6 +365,7 @@ class TestErrors:
         ])
         assert str(missing) in line
 
+    @needs_numpy
     @pytest.mark.parametrize("command", ["decompose", "update"])
     def test_unwritable_output(self, graph_file, tmp_path, capsys, command):
         argv = [command, str(graph_file)]
@@ -359,6 +379,7 @@ class TestErrors:
         line = self._fails_cleanly(capsys, [*argv, "-o", str(target)])
         assert str(target) in line
 
+    @needs_numpy
     @pytest.mark.parametrize("command, suffix", [
         ("decompose", "json"), ("update", "prom"),
     ])
@@ -395,46 +416,56 @@ def _numpy_blocked_env(root: Path) -> dict:
     return env
 
 
-class TestNumpyFreeParity:
-    """Without numpy the CSR methods print exactly what improved prints.
+class TestWithoutNumpy:
+    """Without numpy the CSR methods and ``update`` stop at once.
 
-    Runs the CLI in a fresh interpreter with numpy blocked.
+    Runs the CLI in a fresh interpreter with numpy blocked: one
+    ``error:`` line that names numpy and the stdlib method, exit
+    status 2, before any input file is read.
     """
 
     @pytest.fixture(scope="class")
     def run(self, tmp_path_factory):
         root = tmp_path_factory.mktemp("numpy_free")
         env = _numpy_blocked_env(root)
-        graph = root / "g.txt"
-        g = complete_graph(5)
-        g.add_edges([(0, 10), (10, 11), (11, 0), (4, 20)])
-        write_edge_list(g, graph)
 
-        def decompose(method):
-            out = root / f"{method}.txt"
-            metrics = root / f"{method}.prom"
+        def run(*args):
             proc = subprocess.run(
-                [sys.executable, "-m", "repro", "decompose", str(graph),
-                 "--method", method, "-o", str(out),
-                 "--metrics", str(metrics)],
+                [sys.executable, "-m", "repro", *args],
                 capture_output=True, text=True, env=env, timeout=120,
+                cwd=root,
             )
-            assert proc.returncode == 0, proc.stderr
-            return out.read_bytes(), metrics.read_text()
+            return proc.returncode, proc.stderr.splitlines()
 
-        return decompose
+        return run
 
-    @pytest.fixture(scope="class")
-    def expected(self, run):
-        return run("improved")[0]
+    def _assert_one_numpy_error(self, rc, lines):
+        assert rc == 2, lines
+        assert len(lines) == 1, lines
+        assert lines[0].startswith("error: "), lines
+        assert "numpy" in lines[0] and "--method improved" in lines[0]
 
     @pytest.mark.parametrize("method", ["flat", "parallel", "dist"])
-    def test_output_and_degraded_counter(self, run, expected, method):
-        out, metrics = run(method)
-        assert out == expected
-        assert 'repro_degraded_total{path="stdlib_fallback"} 1' in (
-            metrics.splitlines()
+    def test_csr_method_is_one_error_line(self, run, graph_file, method):
+        self._assert_one_numpy_error(
+            *run("decompose", str(graph_file), "--method", method)
         )
+
+    def test_update_is_one_error_line(self, run, graph_file, tmp_path):
+        updates = tmp_path / "updates.txt"
+        updates.write_text("+ 1 10\n")
+        self._assert_one_numpy_error(
+            *run("update", str(graph_file), str(updates))
+        )
+
+    @pytest.mark.parametrize("argv", [
+        ("decompose", "MISSING.txt", "--method", "flat"),
+        ("update", "MISSING.txt", "U.txt"),
+    ], ids=["decompose", "update"])
+    def test_fails_before_reading_input(self, run, argv):
+        rc, lines = run(*argv)
+        self._assert_one_numpy_error(rc, lines)
+        assert "MISSING" not in lines[0]
 
 
 def test_serve_without_numpy_is_one_error_line(graph_file, tmp_path):

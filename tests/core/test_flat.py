@@ -1,41 +1,34 @@
 """Tests for the flat edge-indexed peeling engine (repro.core.flat).
 
 The contract: ``method="flat"`` produces the *identical* trussness map
-as every other method, on every graph family, through both the numpy
-wave peel and the stdlib fallback (Algorithm 2, ``method="improved"``).
+as every other method, on every graph family.  The engine needs numpy;
+only the stdlib support pass that ``semi_external`` rides runs without
+it.
 """
 
 import pytest
 from hypothesis import given, settings
 
-import repro.core.dist as dist_mod
-import repro.core.flat as flat_mod
-import repro.core.parallel as parallel_mod
 from repro.core import truss_decomposition, truss_decomposition_flat
 from repro.core.flat import _initial_supports_python
 from repro.graph import CSRGraph, Graph, complete_graph, cycle_graph
-from repro.obs import Tracer
 from repro.datasets import (
     manager_graph,
     running_example_graph,
     RUNNING_EXAMPLE_CLASSES,
 )
 
-from helpers import random_graph, small_edge_lists
+from helpers import needs_numpy, random_graph, small_edge_lists
 from oracles import brute_all_supports, brute_trussness
 
 
-@pytest.fixture(params=["accelerated", "stdlib"])
-def flat_decompose(request, monkeypatch):
-    """Run each test through both engine paths."""
-    if request.param == "stdlib":
-        import repro.graph.csr as csr_mod
-
-        monkeypatch.setattr(flat_mod, "_np", None)
-        monkeypatch.setattr(csr_mod, "_np", None)
+@pytest.fixture(params=["accelerated"])
+def flat_decompose(request):
+    """The engine under test (the param names the numpy wave peel)."""
     return truss_decomposition_flat
 
 
+@needs_numpy
 class TestSmallGraphs:
     def test_empty(self, flat_decompose):
         td = flat_decompose(Graph())
@@ -70,6 +63,7 @@ class TestSmallGraphs:
         assert td.phi(3, 1000) == 2
 
 
+@needs_numpy
 class TestPaperGraphs:
     def test_running_example_classes(self, flat_decompose):
         """Example 2's ground-truth k-classes, exactly."""
@@ -84,6 +78,7 @@ class TestPaperGraphs:
         td.verify(g)
 
 
+@needs_numpy
 class TestCrossMethodEquivalence:
     @pytest.mark.parametrize("seed", [3, 17, 42])
     @pytest.mark.parametrize("np_", [0.08, 0.2, 0.45])
@@ -129,32 +124,3 @@ class TestInternals:
         for e in range(csr.num_edges):
             u, v = labels[eu[e]], labels[ev[e]]
             assert sup[e] == brute[(u, v)], (u, v)
-
-
-class TestStdlibFallback:
-    """Without numpy every CSR method runs Algorithm 2 on the same edges."""
-
-    @pytest.mark.parametrize("as_csr", [False, True], ids=["graph", "csr"])
-    @pytest.mark.parametrize("method", ["flat", "parallel", "dist"])
-    def test_degrades_to_improved(self, monkeypatch, method, as_csr):
-        for mod in (flat_mod, parallel_mod, dist_mod):
-            monkeypatch.setattr(mod, "_np", None)
-        g = random_graph(30, 0.25, seed=7)
-        tracer = Tracer(sink=None)
-        td = truss_decomposition(
-            CSRGraph.from_graph(g) if as_csr else g,
-            method=method, trace=tracer,
-        )
-        assert td == truss_decomposition(g, method="improved")
-        stats = td.stats
-        assert stats.method == method
-        assert stats.metrics.value(
-            "repro_degraded_total", path="stdlib_fallback"
-        ) == 1
-        assert stats.extra["kmax"] == td.kmax
-        assert stats.extra["peel_s"] >= 0
-        events = tracer.drain()
-        warnings = [e for e in events if e["name"] == "degraded"]
-        assert [w["attrs"]["path"] for w in warnings] == ["stdlib_fallback"]
-        assert [e["attrs"]["engine"] for e in events
-                if e["name"] == "peel"] == [method]

@@ -3,8 +3,7 @@
 The contract: ``method="parallel"`` produces the *identical* trussness
 map as ``flat`` and ``improved`` at every worker count — the wave
 schedule does not depend on how the frontier is partitioned — through
-the pooled path (jobs>1), the serial in-process path (jobs=1), and the
-stdlib degradation (no numpy).
+the pooled path (jobs>1) and the serial in-process path (jobs=1).
 """
 
 import pytest
@@ -27,10 +26,11 @@ from repro.datasets import (
 from repro.errors import DecompositionError
 from repro.graph import CSRGraph, Graph, complete_graph, cycle_graph, write_edge_list
 
-from helpers import random_graph, small_edge_lists
+from helpers import needs_numpy, random_graph, small_edge_lists
 from oracles import brute_trussness
 
 
+@needs_numpy
 class TestSmallGraphs:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_empty(self, jobs):
@@ -62,6 +62,7 @@ class TestSmallGraphs:
             assert sorted(td.k_class(k)) == sorted(edges), k
 
 
+@needs_numpy
 class TestOracleParity:
     """jobs=1 and jobs=2 pinned against the improved-method oracle."""
 
@@ -90,6 +91,7 @@ class TestOracleParity:
 
 
 class TestInputsAndDispatch:
+    @needs_numpy
     def test_accepts_csr_snapshot(self):
         g = random_graph(30, 0.25, seed=5)
         csr = CSRGraph.from_edges(g.edges())
@@ -97,14 +99,13 @@ class TestInputsAndDispatch:
             truss_decomposition_improved(g)
         )
 
+    @needs_numpy
     def test_api_dispatch_with_jobs(self):
         g = random_graph(25, 0.3, seed=9)
         td = truss_decomposition(g, method="parallel", jobs=2)
         assert td == truss_decomposition(g)
         assert td.stats.method == "parallel"
-        # the stdlib degradation is serial and records jobs=1 honestly
-        expected = 2 if parallel_mod._np is not None else 1
-        assert td.stats.extra["jobs"] == expected
+        assert td.stats.extra["jobs"] == 2
 
     def test_jobs_rejected_for_other_methods(self):
         with pytest.raises(DecompositionError, match="jobs"):
@@ -120,6 +121,7 @@ class TestInputsAndDispatch:
         assert _resolve_jobs(None, parallel_mod._MIN_PARALLEL_EDGES) >= 1
         assert _resolve_jobs(2, 10) == 2
 
+    @needs_numpy
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_nonpositive_jobs_rejected(self, jobs):
         with pytest.raises(DecompositionError, match="at least 1 job"):
@@ -157,7 +159,7 @@ class TestSharedMemoryHygiene:
 
     @pytest.fixture
     def spy_shm(self, monkeypatch):
-        if parallel_mod._np is None or parallel_mod._shm is None:
+        if parallel_mod._np is None:
             pytest.skip("shared memory needs the numpy engine")
         created = []
         real = parallel_mod._shm.SharedMemory
@@ -192,24 +194,8 @@ class TestSharedMemoryHygiene:
         assert all(size > 0 for size in spy_shm)
 
 
-class TestStdlibFallback:
-    @pytest.mark.parametrize("jobs", [None, 4])
-    def test_degrades_without_numpy(self, monkeypatch, jobs):
-        monkeypatch.setattr(parallel_mod, "_np", None)
-        g = random_graph(30, 0.25, seed=7)
-        td = truss_decomposition_parallel(g, jobs=jobs)
-        assert td == truss_decomposition_improved(g)
-        assert td.stats.method == "parallel"
-        assert td.stats.extra["stdlib_fallback"] == 1
-        assert td.stats.extra["jobs"] == 1  # the fallback runs serial
-
-    def test_invalid_jobs_rejected_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(parallel_mod, "_np", None)
-        with pytest.raises(DecompositionError, match="at least 1 job"):
-            truss_decomposition_parallel(complete_graph(4), jobs=0)
-
-
 class TestFileFastPath:
+    @needs_numpy
     def test_decompose_file_parallel(self, tmp_path):
         g = random_graph(35, 0.25, seed=11)
         path = tmp_path / "g.txt"

@@ -25,7 +25,7 @@ from repro.graph import (
     write_edge_list,
 )
 
-from helpers import fuzzed_edge_list, small_edge_lists
+from helpers import fuzzed_edge_list, needs_numpy, small_edge_lists
 
 MESSY_PAIRS = [
     (1000, 7),
@@ -351,6 +351,7 @@ class TestDigitPath:
         assert digit_blocks == [False]
 
 
+@needs_numpy
 class TestEndToEnd:
     def test_file_to_trussness_matches_graph_route(self, tmp_path):
         from helpers import random_graph

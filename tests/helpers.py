@@ -15,10 +15,23 @@ from __future__ import annotations
 import random
 from typing import List, Optional, Tuple
 
+import pytest
 from hypothesis import strategies as st
 
 from repro.datasets import erdos_renyi, powerlaw_graph, star_heavy_graph
 from repro.graph import Graph
+
+try:
+    import numpy
+except ImportError:  # pragma: no cover
+    numpy = None
+
+#: the skip of every test that reaches a CSR engine (flat, parallel,
+#: dist, the kernel registry, the stream maintainer) on the numpy-free
+#: leg, where those stop at the registry's one missing-numpy error
+needs_numpy = pytest.mark.skipif(
+    numpy is None, reason="the CSR engines need numpy"
+)
 
 #: the (ranks, transport) matrix the dist parity sweeps cover: every
 #: rank count the acceptance bar names, on both fabrics.  Loopback

@@ -27,7 +27,13 @@ from repro.datasets import (
 from repro.exio import MemoryBudget
 from repro.graph import Graph
 
-from helpers import DIST_SWEEP, peel_graphs, random_graph, small_edge_lists
+from helpers import (
+    DIST_SWEEP,
+    needs_numpy,
+    peel_graphs,
+    random_graph,
+    small_edge_lists,
+)
 from oracles import brute_trussness
 
 FAMILIES = {
@@ -41,6 +47,7 @@ FAMILIES = {
 }
 
 
+@needs_numpy
 @pytest.mark.parametrize("family", sorted(FAMILIES), ids=str)
 class TestAllMethodsAgree:
     def test_six_way_agreement(self, family):
@@ -66,6 +73,7 @@ class TestAllMethodsAgree:
             ), f"topdown units={units}"
 
 
+@needs_numpy
 @pytest.mark.parametrize("family", sorted(FAMILIES), ids=str)
 def test_columnar_result_behaves_as_dict_result(family):
     """The CSR engines' column-backed result answers every query as the
@@ -102,6 +110,7 @@ class TestRandomizedParityProperty:
     the full engine matrix.
     """
 
+    @needs_numpy
     @settings(
         max_examples=8,
         deadline=None,
@@ -117,6 +126,7 @@ class TestRandomizedParityProperty:
             assert dict(td.trussness) == oracle, jobs
             assert td == flat, jobs
 
+    @needs_numpy
     @settings(
         max_examples=3,
         deadline=None,

@@ -9,7 +9,8 @@ strip (every edge lands in one trussness class but the level needs two
 waves, so the sub-frontier path and the empty-frontier pop both run).
 Each case pins the exact wave/level schedule across every engine and
 available backend, plus direct unit pins for the empty-input kernel
-calls the engines make on those paths.
+calls the engines make on those paths, each checked against
+:class:`oracles.ReferenceKernel` as well.
 """
 
 import itertools
@@ -18,7 +19,9 @@ import pytest
 
 from repro.core import truss_decomposition
 from repro.graph import Graph, complete_graph
-from repro.kernels import available_kernels
+from repro.kernels import available_kernels, get_kernel
+
+from oracles import ReferenceKernel
 
 try:
     import numpy as np
@@ -37,14 +40,8 @@ ENGINES = (
 )
 
 
-def _csr_backends():
-    return [k for k in available_kernels() if k != "numba"] + (
-        ["numba"] if "numba" in available_kernels() else []
-    )
-
-
 def _sweep(g, expect_phi, expect_waves, expect_levels):
-    for backend in _csr_backends():
+    for backend in available_kernels():
         for method, knobs in ENGINES:
             td = truss_decomposition(
                 g, method=method, kernel=backend, **knobs
@@ -89,7 +86,7 @@ class TestDegenerateShapes:
     def test_empty_graph(self):
         g = Graph()
         g.add_vertex(0)
-        for backend in _csr_backends():
+        for backend in available_kernels():
             for method, knobs in ENGINES:
                 td = truss_decomposition(
                     g, method=method, kernel=backend, **knobs
@@ -99,57 +96,54 @@ class TestDegenerateShapes:
 
 
 class TestEmptyInputOps:
-    """The kernel calls the engines make on degenerate waves."""
+    """The kernel calls the engines make on degenerate waves.
 
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    Each pin runs on every registered backend and on the reference
+    loops, and the two must agree.
+    """
+
+    @pytest.mark.parametrize("backend", available_kernels())
     def test_empty_frontier_pop_is_noop(self, backend):
-        from repro.kernels import get_kernel
+        for kern in (get_kernel(backend), ReferenceKernel()):
+            sup = np.array([1, 2], dtype=np.int64)
+            alive = np.ones(2, dtype=bool)
+            phi = np.zeros(2, dtype=np.int64)
+            hist = np.bincount(sup)
+            empty = np.zeros(0, dtype=np.int64)
+            kern.pop_frontier(sup, alive, phi, hist, empty, 3)
+            assert alive.all() and not phi.any()
+            assert np.array_equal(hist, np.bincount(sup))
 
-        kern = get_kernel(backend)
-        sup = np.array([1, 2], dtype=np.int64)
-        alive = np.ones(2, dtype=bool)
-        phi = np.zeros(2, dtype=np.int64)
-        hist = np.bincount(sup)
-        empty = np.zeros(0, dtype=np.int64)
-        kern.pop_frontier(sup, alive, phi, hist, empty, 3)
-        assert alive.all() and not phi.any()
-        assert np.array_equal(hist, np.bincount(sup))
-
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    @pytest.mark.parametrize("backend", available_kernels())
     def test_empty_inputs_round_trip(self, backend):
-        from repro.kernels import get_kernel
+        for kern in (get_kernel(backend), ReferenceKernel()):
+            empty = np.zeros(0, dtype=np.int64)
+            tptr = np.zeros(3, dtype=np.int64)
+            assert kern.gather_incident(tptr, empty, empty).size == 0
+            col = np.zeros(0, dtype=np.int64)
+            alive = np.ones(4, dtype=bool)
+            touched, dec = kern.count_decrements(
+                col, col, col, empty, alive
+            )
+            assert touched.size == 0 and dec.size == 0
+            sup = np.array([3, 3], dtype=np.int64)
+            hist = np.bincount(sup)
+            out = kern.apply_decrements(sup, hist, touched, dec, 4)
+            assert out.size == 0
+            assert np.array_equal(hist, np.bincount(sup))
 
-        kern = get_kernel(backend)
-        empty = np.zeros(0, dtype=np.int64)
-        tptr = np.zeros(3, dtype=np.int64)
-        assert kern.gather_incident(tptr, empty, empty).size == 0
-        col = np.zeros(0, dtype=np.int64)
-        alive = np.ones(4, dtype=bool)
-        touched, dec = kern.count_decrements(col, col, col, empty, alive)
-        assert touched.size == 0 and dec.size == 0
-        sup = np.array([3, 3], dtype=np.int64)
-        hist = np.bincount(sup)
-        out = kern.apply_decrements(sup, hist, touched, dec, 4)
-        assert out.size == 0
-        assert np.array_equal(hist, np.bincount(sup))
-
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    @pytest.mark.parametrize("backend", available_kernels())
     def test_single_buffer_merge_passes_through(self, backend):
-        from repro.kernels import get_kernel
-
-        kern = get_kernel(backend)
         ids = np.array([1, 4, 9], dtype=np.int64)
         cnt = np.array([2, 1, 3], dtype=np.int64)
-        touched, dec = kern.merge_decrements([(ids, cnt)])
-        assert np.array_equal(touched, ids)
-        assert np.array_equal(dec, cnt)
+        for kern in (get_kernel(backend), ReferenceKernel()):
+            touched, dec = kern.merge_decrements([(ids, cnt)])
+            assert np.array_equal(touched, ids)
+            assert np.array_equal(dec, cnt)
 
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    @pytest.mark.parametrize("backend", available_kernels())
     def test_bounded_count_respects_shard_window(self, backend):
         """Partners outside [lo, hi) are skipped; base shifts outputs."""
-        from repro.kernels import get_kernel
-
-        kern = get_kernel(backend)
         # one triangle with partners 1, 3, 5; the owner of [2, 6) sees
         # only 3 and 5, reported shard-locally when base=lo
         e1 = np.array([1], dtype=np.int64)
@@ -157,8 +151,9 @@ class TestEmptyInputOps:
         e3 = np.array([5], dtype=np.int64)
         tris = np.array([0], dtype=np.int64)
         alive = np.ones(4, dtype=bool)
-        touched, dec = kern.count_decrements(
-            e1, e2, e3, tris, alive, lo=2, hi=6, base=2
-        )
-        assert np.array_equal(touched, np.array([1, 3]))
-        assert np.array_equal(dec, np.array([1, 1]))
+        for kern in (get_kernel(backend), ReferenceKernel()):
+            touched, dec = kern.count_decrements(
+                e1, e2, e3, tris, alive, lo=2, hi=6, base=2
+            )
+            assert np.array_equal(touched, np.array([1, 3]))
+            assert np.array_equal(dec, np.array([1, 1]))

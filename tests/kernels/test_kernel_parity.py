@@ -8,7 +8,9 @@ jobs 1/2, dist at ranks 1/2 over loopback — and
 every run must reproduce the brute-force oracle *and* the reference
 run's wave/level schedule exactly.  A numba leg mirrors the sweep and
 skips wherever the optional package is absent (tier-1 CI); the tier-2
-job installs numba and runs it for real.
+job installs numba and runs it for real.  Op by op, every registered
+backend is compared against :class:`oracles.ReferenceKernel`, the same
+five ops as plain loops.
 """
 
 import pytest
@@ -18,7 +20,7 @@ from repro.core import truss_decomposition
 from repro.kernels import kernel_available
 
 from helpers import peel_graphs
-from oracles import brute_trussness
+from oracles import ReferenceKernel, brute_trussness
 
 try:
     import numpy as np
@@ -74,15 +76,6 @@ class TestBackendEngineParity:
     def test_numpy_backend_sweep(self, g):
         _sweep_backend(g, "numpy")
 
-    @settings(
-        max_examples=4,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    @given(peel_graphs())
-    def test_python_backend_sweep(self, g):
-        _sweep_backend(g, "python")
-
     @pytest.mark.skipif(
         not kernel_available("numba"),
         reason="optional numba backend not installed (tier-2 covers it)",
@@ -98,7 +91,8 @@ class TestBackendEngineParity:
 
 
 class TestBackendOpBitIdentity:
-    """The five kernel ops, python vs numpy, on real wave inputs.
+    """The five kernel ops, each backend vs the reference loops, on
+    real wave inputs.
 
     The engine sweep above checks end-to-end results; this pins the
     per-op contract — same sorted/deduped arrays, element for element —
@@ -107,12 +101,11 @@ class TestBackendOpBitIdentity:
     """
 
     def _backends(self):
-        from repro.kernels import get_kernel
+        from repro.kernels import available_kernels, get_kernel
 
-        names = ["python", "numpy"]
-        if kernel_available("numba"):
-            names.append("numba")
-        return [(name, get_kernel(name)) for name in names]
+        return [("reference", ReferenceKernel())] + [
+            (name, get_kernel(name)) for name in available_kernels()
+        ]
 
     @pytest.mark.parametrize("seed", [3, 17, 44])
     def test_first_wave_ops_identical(self, seed):
@@ -214,9 +207,10 @@ class TestGatherOverMappedIndex:
 
     @pytest.mark.parametrize("masked", [False, True])
     def test_numpy_gather_matches_python(self, mapped, masked):
-        from repro.kernels import get_kernel
+        """Every registered backend against the python reference loops."""
+        from repro.kernels import available_kernels, get_kernel
 
-        numpy_k, python_k = get_kernel("numpy"), get_kernel("python")
+        reference = ReferenceKernel()
         before = np.array(mapped.tinc)
         m, n_tri = mapped.num_edges, mapped.num_triangles
         tdead = None
@@ -233,12 +227,13 @@ class TestGatherOverMappedIndex:
             for size in (2, 5, m // 2)
         ]
         for frontier in frontiers:
-            got = numpy_k.gather_incident(
+            expect = reference.gather_incident(
                 mapped.tptr, mapped.tinc, frontier, tdead
             )
-            expect = python_k.gather_incident(
-                mapped.tptr, mapped.tinc, frontier, tdead
-            )
-            assert got.dtype == np.int64
-            assert np.array_equal(got, expect), frontier
+            for name in available_kernels():
+                got = get_kernel(name).gather_incident(
+                    mapped.tptr, mapped.tinc, frontier, tdead
+                )
+                assert got.dtype == np.int64
+                assert np.array_equal(got, expect), (name, frontier)
         assert np.array_equal(mapped.tinc, before)

@@ -14,11 +14,14 @@ from repro.errors import DecompositionError
 from repro.graph import complete_graph
 from repro.kernels import (
     KERNELS,
+    NUMPY_REQUIRED,
     available_kernels,
     get_kernel,
     kernel_available,
     resolve_kernel,
 )
+
+from helpers import needs_numpy
 
 try:
     import numpy as np
@@ -27,30 +30,29 @@ except ImportError:  # pragma: no cover
 
 
 class TestRegistry:
-    def test_python_backend_always_available(self):
-        assert kernel_available("python")
-        assert "python" in available_kernels()
-        assert get_kernel("python").name == "python"
-
     @pytest.mark.skipif(np is None, reason="numpy not installed")
     def test_numpy_backend_available_with_numpy(self):
         assert kernel_available("numpy")
         assert get_kernel("numpy").name == "numpy"
 
+    @needs_numpy
     def test_auto_prefers_most_compiled_available(self):
-        order = ("numba", "numpy", "python")
+        order = ("numba", "numpy")
         expect = next(n for n in order if kernel_available(n))
         assert resolve_kernel(None) == expect
         assert resolve_kernel("auto") == expect
         assert get_kernel().name == expect
 
+    @needs_numpy
     def test_instances_are_cached_per_process(self):
-        assert get_kernel("python") is get_kernel("python")
+        assert get_kernel("numpy") is get_kernel("numpy")
 
+    @needs_numpy
     def test_unknown_kernel_rejected(self):
         with pytest.raises(DecompositionError, match="unknown kernel"):
             resolve_kernel("cython")
 
+    @needs_numpy
     def test_unavailable_named_backend_raises_specific_message(self):
         if kernel_available("numba"):
             pytest.skip("numba installed; unavailability not testable")
@@ -58,9 +60,22 @@ class TestRegistry:
             resolve_kernel("numba")
 
     def test_registry_vocabulary(self):
-        assert KERNELS == ("python", "numpy", "numba")
+        assert KERNELS == ("numpy", "numba")
         assert set(available_kernels()) <= set(KERNELS)
 
+    def test_without_numpy_every_name_is_one_error(self, monkeypatch):
+        import repro.kernels as kernels
+
+        monkeypatch.setattr(kernels, "_np", None)
+        assert available_kernels() == ()
+        for name in (None, "auto", "numpy", "numba", "cython"):
+            with pytest.raises(DecompositionError) as info:
+                resolve_kernel(name)
+            assert str(info.value) == NUMPY_REQUIRED
+        assert "numpy" in NUMPY_REQUIRED
+        assert "--method improved" in NUMPY_REQUIRED
+
+    @needs_numpy
     def test_failed_factory_is_tried_once(self, monkeypatch):
         import repro.kernels as kernels
 
@@ -92,7 +107,7 @@ class TestApiGating:
     def test_kernel_rejected_off_csr_methods(self, method):
         with pytest.raises(DecompositionError, match="kernel"):
             truss_decomposition(
-                complete_graph(4), method=method, kernel="python"
+                complete_graph(4), method=method, kernel="numpy"
             )
 
     @pytest.mark.skipif(np is None, reason="numpy not installed")
@@ -110,10 +125,11 @@ class TestApiGating:
 
         path = tmp_path / "g.txt"
         write_edge_list(complete_graph(5), path)
-        td = decompose_file(path, method="flat", kernel="python")
-        assert td.stats.extra["kernel"] == "python"
+        td = decompose_file(path, method="flat", kernel="numpy")
+        assert td.stats.extra["kernel"] == "numpy"
         assert td.kmax == 5
 
+    @needs_numpy
     def test_missing_numba_degrades_not_crashes(self):
         """``kernel="auto"`` never fails, with or without numba."""
         td = truss_decomposition(
@@ -141,7 +157,7 @@ class TestCliGating:
         assert "--kernel only applies" in capsys.readouterr().err
 
     @pytest.mark.skipif(np is None, reason="numpy not installed")
-    @pytest.mark.parametrize("kernel", ["auto", "python", "numpy"])
+    @pytest.mark.parametrize("kernel", ["auto", "numpy"])
     def test_kernel_flag_matches_flat_default(
         self, graph_file, tmp_path, kernel
     ):
@@ -197,6 +213,7 @@ def _run_without_numba(body: str) -> str:
     return proc.stdout
 
 
+@needs_numpy
 class TestNumbaAbsentImportGuard:
     """The package must import and decompose with numba truly absent.
 
@@ -214,7 +231,7 @@ class TestNumbaAbsentImportGuard:
 
             kernels = available_kernels()
             assert "numba" not in kernels, kernels
-            assert "python" in kernels, kernels
+            assert "numpy" in kernels, kernels
             assert resolve_kernel("auto") != "numba"
             td = truss_decomposition(
                 complete_graph(5), method="flat", kernel="auto"
@@ -225,7 +242,35 @@ class TestNumbaAbsentImportGuard:
         )
         assert "guard-ok" in out
 
+    def test_named_numba_fails_before_reading_input(self, tmp_path):
+        """``--kernel numba`` without numba names numba, not the
+        missing input: the kernel is resolved before any file is read."""
+        missing = tmp_path / "MISSING.txt"
+        out = _run_without_numba(
+            f"""
+            import contextlib, io
+            from repro.cli import main
 
+            for argv in (
+                ["decompose", {str(missing)!r}, "--method", "flat",
+                 "--kernel", "numba"],
+                ["update", {str(missing)!r}, {str(tmp_path / "U.txt")!r},
+                 "--kernel", "numba"],
+            ):
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    rc = main(argv)
+                print(rc, err.getvalue().strip())
+            """
+        )
+        lines = out.splitlines()
+        assert len(lines) == 2, out
+        for line in lines:
+            assert line.startswith("2 error: ") and "numba" in line, line
+            assert "MISSING" not in line, line
+
+
+@needs_numpy
 class TestRepairHotPath:
     """A repair resolves its kernel from the registry's memory.
 

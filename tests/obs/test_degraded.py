@@ -1,5 +1,6 @@
 """Degradation paths: always counted, warned in the trace when tracing."""
 
+from helpers import needs_numpy
 from repro.graph import complete_graph
 from repro.obs import (
     NULL_TRACER,
@@ -31,6 +32,7 @@ def test_warn_degraded_emits_warning_event_when_traced():
     assert reg.value("repro_degraded_total", path="dist_retry") == 1
 
 
+@needs_numpy
 def test_stream_full_repeel_is_diagnosable_from_trace():
     # K20 has 190 edges -> region cap max(64, 19) = 64; a 40-delete
     # batch widens the traversal slack until the region blows past it,
@@ -55,6 +57,7 @@ def test_stream_full_repeel_is_diagnosable_from_trace():
     assert repair["attrs"]["truncated"] is True
 
 
+@needs_numpy
 def test_stream_full_repeel_counted_without_tracer():
     tm = TrussMaintainer.from_graph(complete_graph(20))
     edges = list(tm.trussness)[:40]

@@ -12,9 +12,13 @@ measured in-process on the same host, so the ratio is stable.
 import time
 import timeit
 
+from helpers import needs_numpy
 from repro.core import truss_decomposition_flat
 from repro.datasets import load_dataset
 from repro.obs import NULL_TRACER
+
+#: both pins time a flat-engine peel
+pytestmark = needs_numpy
 
 #: guards per wave on the instrumented hot paths: wave entry, wave
 #: exit, and slack for the exchange-accounting reads next to them

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from helpers import needs_numpy
 from repro.cli import main
 from repro.graph import complete_graph, disjoint_union, write_edge_list
 from repro.obs import validate_event
@@ -18,6 +19,7 @@ def graph_file(tmp_path):
     return path
 
 
+@needs_numpy
 def test_decompose_trace_and_report(graph_file, tmp_path, capsys):
     trace = tmp_path / "run.jsonl"
     out = tmp_path / "phi.txt"
@@ -39,6 +41,7 @@ def test_decompose_trace_and_report(graph_file, tmp_path, capsys):
     assert "phases:" in report
 
 
+@needs_numpy
 def test_decompose_traced_output_parity(graph_file, tmp_path):
     plain = tmp_path / "plain.txt"
     traced = tmp_path / "traced.txt"
@@ -52,6 +55,7 @@ def test_decompose_traced_output_parity(graph_file, tmp_path):
     assert plain.read_text() == traced.read_text()
 
 
+@needs_numpy
 def test_decompose_metrics_prometheus(graph_file, tmp_path):
     metrics = tmp_path / "run.prom"
     rc = main([
@@ -64,6 +68,7 @@ def test_decompose_metrics_prometheus(graph_file, tmp_path):
     assert "repro_kmax" in text
 
 
+@needs_numpy
 def test_decompose_metrics_json(graph_file, tmp_path):
     metrics = tmp_path / "run.json"
     rc = main([
@@ -90,6 +95,7 @@ def test_legacy_method_takes_trace(graph_file, tmp_path):
     assert "run_start" in names and "decompose" in names
 
 
+@needs_numpy
 def test_update_trace_metrics_and_report(graph_file, tmp_path, capsys):
     updates = tmp_path / "u.txt"
     updates.write_text("+ 0 7\n+ 1 7\n- 2 3\n")

@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from helpers import needs_numpy
 from repro.core import truss_decomposition
 from repro.core.api import apply_updates
 from repro.errors import DecompositionError
@@ -37,9 +38,9 @@ def _traced(method, **kwargs):
 
 
 @pytest.mark.parametrize("method,kwargs", [
-    ("flat", {}),
-    ("parallel", {"jobs": 2}),
-    ("dist", {"ranks": 2}),
+    pytest.param("flat", {}, marks=needs_numpy),
+    pytest.param("parallel", {"jobs": 2}, marks=needs_numpy),
+    pytest.param("dist", {"ranks": 2}, marks=needs_numpy),
     ("improved", {}),
     ("baseline", {}),
 ])
@@ -80,6 +81,7 @@ def test_non_csr_method_traces_whole_run_span():
     assert span["attrs"]["method"] == "improved"
 
 
+@needs_numpy
 def test_trace_path_writes_valid_jsonl(tmp_path):
     path = tmp_path / "run.jsonl"
     td = truss_decomposition(_graph(), method="flat", trace_path=str(path))
@@ -103,6 +105,7 @@ def test_trace_and_trace_path_are_exclusive():
         )
 
 
+@needs_numpy
 def test_update_trace_has_repair_spans():
     tracer = Tracer(sink=None)
     td = apply_updates(

@@ -12,6 +12,7 @@ import itertools
 from typing import Dict, FrozenSet, List, Set, Tuple
 
 from repro.graph import Graph, norm_edge
+from repro.kernels import PeelKernel
 
 Edge = Tuple[int, int]
 
@@ -114,3 +115,80 @@ def brute_average_clustering(g: Graph) -> float:
 def graphs_equal(a: Graph, b: Graph) -> bool:
     """Structural equality on the non-isolated part of two graphs."""
     return set(a.edges()) == set(b.edges())
+
+
+def _int64(values):
+    """An int64 ndarray from a list of ints (the kernels' output type)."""
+    import numpy as np
+
+    return np.asarray(values, dtype=np.int64)
+
+
+class ReferenceKernel(PeelKernel):
+    """The five wave-step ops as plain loops: the per-op oracle.
+
+    Not registered in :mod:`repro.kernels`.  The kernel tests feed every
+    registered backend and this class the same wave inputs and compare
+    the outputs element for element.  It reads its inputs one element
+    at a time, so ndarrays and read-only maps work alike.
+    """
+
+    name = "reference"
+
+    def pop_frontier(self, sup, alive, phi, hist, frontier, k) -> None:
+        for e in frontier:
+            e = int(e)
+            phi[e] = k
+            hist[int(sup[e])] -= 1
+            alive[e] = False
+
+    def gather_incident(self, tptr, tinc, edge_ids, tdead=None):
+        seen = set()
+        for e in edge_ids:
+            e = int(e)
+            for slot in range(int(tptr[e]), int(tptr[e + 1])):
+                t = int(tinc[slot])
+                if tdead is not None and tdead[t]:
+                    continue
+                seen.add(t)
+        return _int64(sorted(seen))
+
+    def count_decrements(
+        self, e1, e2, e3, tris, alive, lo=None, hi=None, base=0
+    ):
+        counts: Dict[int, int] = {}
+        for t in tris:
+            t = int(t)
+            for col in (e1, e2, e3):
+                p = int(col[t])
+                if lo is not None and not lo <= p < hi:
+                    continue
+                p -= base
+                if alive[p]:
+                    counts[p] = counts.get(p, 0) + 1
+        touched = sorted(counts)
+        return _int64(touched), _int64([counts[p] for p in touched])
+
+    def apply_decrements(self, sup, hist, touched, counts, k):
+        frontier = []
+        for i in range(len(touched)):
+            e = int(touched[i])
+            old = int(sup[e])
+            new = old - int(counts[i])
+            sup[e] = new
+            hist[old] -= 1
+            hist[new] += 1
+            if new <= k - 2:
+                frontier.append(e)
+        return _int64(frontier)
+
+    def merge_decrements(self, buffers):
+        if len(buffers) == 1:
+            return buffers[0]
+        counts: Dict[int, int] = {}
+        for ids, cnts in buffers:
+            for i in range(len(ids)):
+                e = int(ids[i])
+                counts[e] = counts.get(e, 0) + int(cnts[i])
+        touched = sorted(counts)
+        return _int64(touched), _int64([counts[e] for e in touched])

@@ -11,15 +11,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.partition.edge_shards as shards_mod
 from repro.partition import EdgeShardError, EdgeShardPlan, plan_edge_shards
 
-from helpers import random_graph
+from helpers import needs_numpy, random_graph
 
 try:
     import numpy as np
 except ImportError:  # pragma: no cover
     np = None
+
+#: the planner's cuts are numpy, like the dist engine that takes them
+pytestmark = needs_numpy
 
 
 @st.composite
@@ -40,11 +42,9 @@ def weighted_splits(draw):
     return m, shards, weights
 
 
-@pytest.fixture(params=["accelerated", "stdlib"])
-def shard_mode(request, monkeypatch):
-    """Run each test through both the numpy and the stdlib planner."""
-    if request.param == "stdlib":
-        monkeypatch.setattr(shards_mod, "_np", None)
+@pytest.fixture(params=["accelerated"])
+def shard_mode(request):
+    """The planner under test (the param names the numpy cuts)."""
     return request.param
 
 
@@ -80,25 +80,6 @@ class TestPlanInvariants:
             ideal = sum(charged) / n_shards
             # greedy prefix cuts overshoot by at most one edge's charge
             assert max(loads) <= ideal + max(charged)
-
-    @pytest.mark.skipif(np is None, reason="needs numpy to compare against")
-    def test_stdlib_matches_numpy_bounds(self, monkeypatch):
-        # the plan is a pure function of (m, shards, weights): both
-        # planner paths must cut at identical bounds, or a mixed
-        # numpy/stdlib deployment would disagree about ownership
-        cases = [
-            (12, 4, [3, 0, 7, 1, 1, 9, 2, 2, 5, 0, 4, 6]),
-            (9, 3, None),
-            (7, 5, [0, 0, 0, 10, 0, 0, 0]),
-        ]
-        accelerated = [
-            list(plan_edge_shards(m, s, w).bounds) for m, s, w in cases
-        ]
-        monkeypatch.setattr(shards_mod, "_np", None)
-        fallback = [
-            list(plan_edge_shards(m, s, w).bounds) for m, s, w in cases
-        ]
-        assert accelerated == fallback
 
     def test_degenerate_shapes(self, shard_mode):
         assert list(plan_edge_shards(0, 3).bounds) == [0, 0, 0, 0]

@@ -57,9 +57,7 @@ def _expected_dump(g, updates):
             edges.add(key)
         else:
             edges.discard(key)
-    result = truss_decomposition(
-        Graph(sorted(edges)), method="flat", kernel="python"
-    )
+    result = truss_decomposition(Graph(sorted(edges)), method="flat")
     phi = dict(result.trussness)
     return "\n".join(f"{u} {v} {phi[(u, v)]}" for u, v in sorted(phi)) + "\n"
 

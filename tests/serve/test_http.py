@@ -26,7 +26,6 @@ EDGES = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (0, 3), (4, 5)]
 def _start(tmp_path, **service_kw):
     path = tmp_path / "g.txt"
     write_edge_list(Graph(EDGES), path)
-    service_kw.setdefault("kernel", "python")
     tracer = service_kw.pop("tracer", None)
     svc = TrussService(tmp_path / "data", path, tracer=tracer, **service_kw)
     svc.open()

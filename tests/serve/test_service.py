@@ -44,14 +44,12 @@ def graph_file(tmp_path):
 
 
 def _service(tmp_path, graph=None, **kw):
-    kw.setdefault("kernel", "python")
     return TrussService(tmp_path / "data", graph, **kw)
 
 
 def _flat_phi(edges):
     return dict(
-        truss_decomposition(Graph(sorted(edges)), method="flat",
-                            kernel="python").trussness
+        truss_decomposition(Graph(sorted(edges)), method="flat").trussness
     )
 
 
@@ -194,8 +192,7 @@ class TestRecovery:
 
     def test_recover_span_emitted(self, tmp_path, graph_file):
         tracer = Tracer(sink=None)
-        svc = TrussService(tmp_path / "data", graph_file,
-                           kernel="python", tracer=tracer)
+        svc = TrussService(tmp_path / "data", graph_file, tracer=tracer)
         svc.open()
         svc.close()
         names = [e["name"] for e in tracer.drain()]
@@ -241,6 +238,37 @@ class TestPublishDurability:
             < calls.index(("fsync_dir", gen2))
             < first_prune
         )
+
+
+class TestFreshDataDirDurability:
+    def test_created_directories_durable_before_first_ack(
+        self, tmp_path, graph_file, monkeypatch
+    ):
+        """Every directory the service creates on a fresh path has its
+        entry fsynced in its parent before the first write returns, so
+        a power loss cannot drop the data directory with the acked
+        records in it."""
+        data = tmp_path / "a" / "b" / "data"
+        synced = []  # (directory, its entry names at the fsync)
+        real = durable.fsync_dir
+
+        def record(path):
+            synced.append((Path(path), set(os.listdir(path))))
+            return real(path)
+
+        monkeypatch.setattr(durable, "fsync_dir", record)
+        with TrussService(data, graph_file) as svc:
+            svc.apply_write([("insert", 5, 7)])
+            acked = list(synced)
+        created = [
+            tmp_path / "a", tmp_path / "a" / "b", data,
+            data / "wal", data / "snapshots",
+        ]
+        for path in created:
+            assert any(
+                synced_dir == path.parent and path.name in names
+                for synced_dir, names in acked
+            ), path
 
 
 class TestDeadlinesAndBackpressure:

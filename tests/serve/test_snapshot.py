@@ -159,11 +159,11 @@ class TestPayloadBytes:
         recovers, and later writes match a maintainer that never went
         through the disk."""
         g = erdos_renyi(30, 0.2, seed=3)
-        tm = TrussMaintainer.from_graph(g, kernel="python")
+        tm = TrussMaintainer.from_graph(g)
         data = tmp_path / "data"
         _write_packed(data / "snapshots", 0, dict(tm.trussness),
                       dict(tm.supports), wal_seq=0)
-        svc = TrussService(data, None, kernel="python")
+        svc = TrussService(data, None)
         svc.open()
         try:
             assert svc.gen == 1  # recovery published the next one
@@ -203,8 +203,7 @@ class TestHead:
 
 def _flat_phi(edges):
     return dict(
-        truss_decomposition(Graph(sorted(edges)), method="flat",
-                            kernel="python").trussness
+        truss_decomposition(Graph(sorted(edges)), method="flat").trussness
     )
 
 
@@ -216,7 +215,7 @@ class TestMaintainerRoundTrip:
         g.add_edge(0, 10)
         path = tmp_path / "g.txt"
         write_edge_list(g, path)
-        return g, TrussMaintainer.from_graph(g, kernel="python")
+        return g, TrussMaintainer.from_graph(g)
 
     @needs_numpy
     def test_reload_then_update_matches_fresh(self, tmp_path):
@@ -226,7 +225,7 @@ class TestMaintainerRoundTrip:
             tmp_path, 0, dict(tm.trussness), dict(tm.supports), wal_seq=2
         )
         phi, sup, _ = snap.load_generation(tmp_path, 0)
-        reloaded = TrussMaintainer.from_state(phi, sup, kernel="python")
+        reloaded = TrussMaintainer.from_state(phi, sup)
         later = [("insert", 3, 10), ("delete", 0, 1), ("insert", 0, 11)]
         tm.apply_batch(later)
         reloaded.apply_batch(later)
@@ -242,7 +241,7 @@ class TestMaintainerRoundTrip:
             tmp_path, 0, dict(tm.trussness), dict(tm.supports), wal_seq=0
         )
         phi, sup, _ = snap.load_generation(tmp_path, 0)
-        reloaded = TrussMaintainer.from_state(phi, sup, kernel="python")
+        reloaded = TrussMaintainer.from_state(phi, sup)
         # (1, 2) already exists; (1, 10) sorts between (1, 4) and (2, 3)
         reloaded.apply_batch([("insert", 1, 10), ("insert", 2, 10)])
         edges = set(phi) | {(1, 10), (2, 10)}

