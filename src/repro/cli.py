@@ -19,10 +19,10 @@ Every command reads/writes the SNAP-style text edge-list format.
 ``decompose`` and ``update`` report a bad input file, a bad option
 value or a failed run as one ``error: ...`` line and exit status 2.
 Both print the same sorted ``u v phi`` lines for the same map: a
-column-backed result (the CSR methods of ``decompose``) goes through
-the vectorized formatter
-:func:`~repro.graph.csr.format_int_rows` in edge-id order, which is
-already sorted; a dict-backed one (``update`` and the paper's
+column-backed result (the CSR methods of ``decompose``, and ``update``,
+whose maintainer compacts its state into sorted rows) goes through the
+vectorized formatter :func:`~repro.graph.csr.format_int_rows` in row
+order, which is already sorted; a dict-backed one (the paper's
 methods) through a stdlib writer that sorts the keys.
 
 ``decompose --method flat|parallel|dist`` takes the ingest fast path:
@@ -204,6 +204,21 @@ def _write_metrics(path: str, stats) -> int:
     return 0
 
 
+def _check_engine_flags(args: argparse.Namespace) -> None:
+    """Run the engines' own checks on explicit ``--jobs``, ``--ranks``
+    and ``--timeout`` values (the edge count only matters when a value
+    is left to the engine's heuristic)."""
+    from repro.core.dist import _resolve_ranks, _resolve_timeout
+    from repro.core.parallel import _resolve_jobs
+
+    if args.jobs is not None:
+        _resolve_jobs(args.jobs, 0)
+    if args.ranks is not None:
+        _resolve_ranks(args.ranks, 0)
+    if args.timeout is not None:
+        _resolve_timeout(args.timeout)
+
+
 def cmd_decompose(args: argparse.Namespace) -> int:
     for flag, value, owner in (
         ("--jobs", args.jobs, "parallel"),
@@ -236,7 +251,9 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     stats = IOStats()
     try:
         if args.method in CSR_METHODS:
-            # a missing backend fails here, before the file is read
+            # a bad flag value or a missing backend fails here, before
+            # the file is read
+            _check_engine_flags(args)
             resolve_kernel(args.kernel)
             # ingest fast path: file -> CSR -> engine, no dict-of-set
             # build; like the legacy branch, time= covers only the

@@ -444,18 +444,6 @@ def _as_csr(g) -> CSRGraph:
         ) from None
 
 
-def edge_keys(csr: CSRGraph):
-    """The canonical ``(u, v)`` key of every edge, in edge-id order.
-
-    Labels ascend and ``eu[e] < ev[e]``, so the keys are canonical
-    already; they hold the int objects of ``csr.labels`` rather than a
-    fresh int per endpoint.
-    """
-    eu, ev = csr.edge_endpoints()
-    get = csr.labels.__getitem__
-    return zip(map(get, eu), map(get, ev))
-
-
 def result_from_phi(
     csr: CSRGraph, phi, k: int, stats: DecompositionStats
 ) -> TrussDecomposition:

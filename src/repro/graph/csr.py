@@ -27,6 +27,7 @@ from __future__ import annotations
 import threading
 from array import array
 from bisect import bisect_left
+from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import EdgeNotFoundError, FormatError, VertexNotFoundError
@@ -429,6 +430,60 @@ def sorted_unique(a: "_np.ndarray") -> "_np.ndarray":
     keep[:1] = True
     _np.not_equal(s[1:], s[:-1], out=keep[1:])
     return s[keep]
+
+
+#: the signed 64-bit range every id and value of the int64 arrays fits
+INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
+
+
+def pair_order(u: "_np.ndarray", v: "_np.ndarray") -> "_np.ndarray":
+    """The permutation that sorts the distinct int64 pairs ``(u, v)``.
+
+    One argsort of the combined key ``(u - u0) * width + (v - v0)``
+    when the spans fit int64, else a lexsort (several times slower on
+    two int64 columns).
+    """
+    if not len(u):
+        return _np.zeros(0, dtype=_np.intp)
+    u0, v0 = int(u.min()), int(v.min())
+    width = int(v.max()) - v0 + 1
+    if (int(u.max()) - u0 + 1) * width <= INT64_MAX:
+        return _np.argsort((u - u0) * width + (v - v0))
+    return _np.lexsort((v, u))
+
+
+def edge_rows(*maps) -> "_np.ndarray":
+    """Int64 rows ``(u, v, maps[0][(u, v)], maps[1][(u, v)], ...)``
+    of maps over one key set of ``(u, v)`` pairs, sorted by ``(u, v)``.
+
+    Maps that already view one such array — each with the attributes
+    ``rows`` (that array) and ``col`` (2, 3, ... in argument order), as
+    a snapshot generation's :class:`~repro.serve.snapshot.RowMap` pair
+    and a maintainer's ``trussness``/``supports`` have — return it
+    unchanged.  Any other maps are exported with ``np.fromiter``;
+    ``ValueError`` when their key sets differ, and ``TypeError``,
+    ``ValueError`` or ``OverflowError`` when a key or value is not an
+    int64.
+    """
+    rows = getattr(maps[0], "rows", None)
+    if rows is not None and rows.shape[1] == 2 + len(maps) and all(
+        getattr(m, "rows", None) is rows and getattr(m, "col", None) == c
+        for c, m in enumerate(maps, 2)
+    ):
+        return rows
+    first = maps[0]
+    n = len(first)
+    if any(len(m) != n for m in maps):
+        raise ValueError("the maps must cover the same edges")
+    out = _np.empty((n, 2 + len(maps)), dtype=_np.int64)
+    out[:, 0] = _np.fromiter(map(itemgetter(0), first), _np.int64, n)
+    out[:, 1] = _np.fromiter(map(itemgetter(1), first), _np.int64, n)
+    try:
+        for c, m in enumerate(maps, 2):
+            out[:, c] = _np.fromiter(map(m.__getitem__, first), _np.int64, n)
+    except KeyError:
+        raise ValueError("the maps must cover the same edges") from None
+    return out[pair_order(out[:, 0], out[:, 1])]
 
 
 def _rows(src: "_np.ndarray", dst: "_np.ndarray", n: int):

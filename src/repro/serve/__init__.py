@@ -65,9 +65,10 @@ Restart after any death runs one deterministic sequence:
 1. scan snapshot generations newest-first; adopt the first that
    validates against its manifest (torn ones are counted and
    skipped);
-2. rebuild the maintainer from the snapshot's ``(phi, sup)`` rows
-   (:meth:`~repro.stream.TrussMaintainer.from_state`) — or, with no
-   valid snapshot at all, from the seed graph file;
+2. rebase the maintainer onto the snapshot's ``(u, v, phi, sup)``
+   rows (:meth:`~repro.stream.TrussMaintainer.from_state` checks their
+   order and builds a CSR over them, with no dict per edge) — or, with
+   no valid snapshot at all, decompose the seed graph file;
 3. truncate any torn WAL tail, then replay every record after the
    snapshot's ``wal_seq`` through ``apply_batch`` — or, when the WAL
    lacks any seq up to its newest, fail with a ``ServeError``;

@@ -18,8 +18,9 @@ single-writer lock.  The write path is, in order:
    (a repair that trips the maintainer's full-repeel fallback counts
    ``repro_degraded_total{path="stream_full_repeel"}`` and degrades
    gracefully — readers keep answering from the published view);
-5. **publish** — every ``snapshot_every``-th batch, the full state
-   becomes a new immutable generation (:mod:`repro.serve.snapshot`)
+5. **publish** — every ``snapshot_every``-th batch, the maintainer's
+   compacted ``(u, v, phi, sup)`` rows become a new immutable
+   generation (:mod:`repro.serve.snapshot`) and the in-process view,
    and the WAL rolls/prunes; between publishes the advisory HEAD
    pointer still advances so readers can report staleness honestly.
 
@@ -53,7 +54,7 @@ from repro.obs import MetricsRegistry, NULL_TRACER, warn_degraded
 from repro.serve import snapshot as snap
 from repro.serve.view import LocalReader, ReadView
 from repro.serve.wal import WriteAheadLog
-from repro.stream.updates import Update
+from repro.stream.updates import UPDATE_OPS, Update
 
 #: histogram buckets for request/apply wall times, seconds
 LATENCY_BUCKETS = (0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0)
@@ -87,8 +88,9 @@ class DeadlineExpiredError(ServeError):
 
 
 class InvalidUpdateError(ServeError):
-    """An update names a vertex id outside int64, which no generation
-    can hold (400); logged, it would fail every publish and recovery."""
+    """An update has an op the WAL cannot log, or names a vertex id
+    outside int64, which no generation can hold (400); logged, it would
+    fail every publish and recovery."""
 
     status = 400
 
@@ -264,6 +266,11 @@ class TrussService:
             raise NotReadyError("service is not ready")
         updates = list(updates)
         for op, u, v in updates:
+            if op not in UPDATE_OPS:
+                raise InvalidUpdateError(
+                    f"update {op!r} {u} {v}: unknown op; expected one of "
+                    f"{sorted(UPDATE_OPS)}"
+                )
             if not all(snap.INT64_MIN <= int(x) <= snap.INT64_MAX
                        for x in (u, v)):
                 raise InvalidUpdateError(

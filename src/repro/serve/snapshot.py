@@ -17,13 +17,15 @@ maintainer from, which is what makes *snapshot + WAL tail replay* a
 complete recovery story.
 
 A generation stays one ``(m, 4)`` int64 array on its whole way through
-the server, never a dict per edge.  :func:`write_generation` exports
-the maintainer's two maps into it in a few vectorized passes (checking
-that they cover one key set), writes its bytes, and returns it for the
-in-process :class:`~repro.serve.view.ReadView`.  :func:`load_generation`
-puts ``np.frombuffer`` over the CRC-checked bytes and returns two
-:class:`RowMap` mappings over them, equal to the ``{(u, v): value}``
-dicts they stand for.  Serving therefore needs numpy.
+the server, never a dict per edge.  The maintainer compacts its state
+into exactly these rows, and its ``trussness``/``supports`` views hand
+them over as they are: :func:`write_generation` writes their bytes and
+returns them for the in-process :class:`~repro.serve.view.ReadView`.
+:func:`load_generation` puts ``np.frombuffer`` over the CRC-checked
+bytes and returns two :class:`RowMap` mappings over them, equal to the
+``{(u, v): value}`` dicts they stand for, which
+:meth:`~repro.stream.TrussMaintainer.from_state` rebases onto without
+a dict per edge.  Serving therefore needs numpy.
 
 ``HEAD.json`` is advisory (atomically replaced, never fsynced): worker
 processes read it to learn the newest generation and the newest
@@ -35,12 +37,12 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections.abc import ItemsView, Mapping
-from operator import itemgetter
 from pathlib import Path
 from typing import List, Optional, Tuple
 
 from repro import durable
 from repro.errors import ReproError
+from repro.graph.csr import INT64_MAX, INT64_MIN, edge_rows
 
 try:
     import numpy as _np
@@ -67,9 +69,6 @@ ROW_DTYPE = "<i8"
 ROW_COLS = 4
 _ROW_BYTES = 8 * ROW_COLS
 
-#: a vertex id outside these bounds is in no generation
-INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
-
 _PREFIX = "gen"
 
 
@@ -80,14 +79,16 @@ class RowMap(Mapping):
     Equal to the dict of the same items.  A lookup is a binary search.
     Iteration and :meth:`items` run at C speed over key tuples built on
     the first walk and reused after it; ``keys`` hands in that list
-    from another map over the same rows.
+    from another map over the same rows.  ``rows`` and ``col`` let
+    :func:`~repro.graph.csr.edge_rows` take the array back unchanged.
     """
 
-    __slots__ = ("rows", "_u", "_v", "_vals", "_keys")
+    __slots__ = ("rows", "col", "_u", "_v", "_vals", "_keys")
 
     def __init__(self, rows, col: int,
                  keys: Optional[List[Edge]] = None) -> None:
         self.rows = rows
+        self.col = col
         self._u = _np.ascontiguousarray(rows[:, 0])
         self._v = _np.ascontiguousarray(rows[:, 1])
         self._vals = rows[:, col]
@@ -138,52 +139,17 @@ def generations(root) -> List[int]:
     return durable.entries(root, _PREFIX)
 
 
-_first, _second = itemgetter(0), itemgetter(1)
-
-
-def _columns(m: Mapping):
-    """``(u, v, value)`` int64 columns of ``m``, in its iteration order."""
-    n = len(m)
-    return (
-        _np.fromiter(map(_first, m), _np.int64, n),
-        _np.fromiter(map(_second, m), _np.int64, n),
-        _np.fromiter(m.values(), _np.int64, n),
-    )
-
-
-def _pair_order(u, v):
-    """The permutation that sorts the distinct pairs ``(u, v)``: one
-    argsort of a combined key when their spans fit int64, else a
-    lexsort."""
-    if not len(u):
-        return _np.zeros(0, dtype=_np.intp)
-    u0, v0 = int(u.min()), int(v.min())
-    width = int(v.max()) - v0 + 1
-    if (int(u.max()) - u0 + 1) * width <= INT64_MAX:
-        return _np.argsort((u - u0) * width + (v - v0))
-    return _np.lexsort((v, u))
-
-
 def state_rows(phi: Mapping, sup: Mapping):
     """The ``(m, 4)`` rows ``(u, v, phi, sup)`` of two maps over one
-    canonical-edge key set, sorted by ``(u, v)``."""
-    if len(phi) != len(sup):
-        raise SnapshotError(
-            f"phi and sup must cover the same edges ({len(phi)} vs "
-            f"{len(sup)})"
-        )
-    pu, pv, pk = _columns(phi)
-    su, sv, ss = _columns(sup)
-    po, so = _pair_order(pu, pv), _pair_order(su, sv)
-    rows = _np.empty((len(pu), ROW_COLS), dtype=ROW_DTYPE)
-    rows[:, 0] = pu[po]
-    rows[:, 1] = pv[po]
-    if not (_np.array_equal(su[so], rows[:, 0])
-            and _np.array_equal(sv[so], rows[:, 1])):
-        raise SnapshotError("phi and sup must cover the same edges")
-    rows[:, 2] = pk[po]
-    rows[:, 3] = ss[so]
-    return rows
+    canonical-edge key set, sorted by ``(u, v)``: the rows themselves
+    for two views of one rows array's columns 2 and 3 (a generation's
+    :class:`RowMap` pair, or a maintainer's ``trussness`` and
+    ``supports``), else an export (:func:`~repro.graph.csr.edge_rows`).
+    """
+    try:
+        return edge_rows(phi, sup)
+    except ValueError as exc:
+        raise SnapshotError(f"phi and sup: {exc}") from None
 
 
 def write_generation(root, gen: int, phi: Mapping, sup: Mapping,
@@ -191,15 +157,16 @@ def write_generation(root, gen: int, phi: Mapping, sup: Mapping,
     """Publish one generation atomically; returns its rows
     (:func:`state_rows`).
 
-    ``phi``/``sup`` must share one canonical-edge key set (they do for
-    any consistent :class:`~repro.stream.TrussMaintainer`); ``wal_seq``
-    is the newest WAL record already folded into this state — replay
-    resumes right after it.
+    ``phi``/``sup`` must share one canonical-edge key set: the service
+    passes the maintainer's ``trussness`` and ``supports``, whose
+    compacted rows are written as they are.  ``wal_seq`` is the newest
+    WAL record already folded into this state — replay resumes right
+    after it.
     """
     rows = state_rows(phi, sup)
     durable.publish(
         durable.entry_dir(root, _PREFIX, gen),
-        {STATE: rows.tobytes()},
+        {STATE: rows.astype(ROW_DTYPE, copy=False).tobytes()},
         {"gen": int(gen), "wal_seq": int(wal_seq)},
     )
     return rows

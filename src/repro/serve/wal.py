@@ -175,15 +175,18 @@ class WriteAheadLog:
         Durability point: when this returns, every record is on disk
         (modulo ``fsync=False``) — the *only* place a mutation may be
         acknowledged from.  An empty batch returns
-        ``(next_seq, next_seq - 1)`` and touches nothing.
+        ``(next_seq, next_seq - 1)`` and touches nothing.  Every record
+        is formatted before ``next_seq`` moves, so an update that cannot
+        be logged (``ValueError``) leaves the seq chain as it was.
         """
         if self._fh is None:
             raise WalError("write-ahead log is closed")
         first = self._next_seq
-        lines = []
-        for op, u, v in updates:
-            lines.append(_record_line(self._next_seq, format_update(op, u, v)))
-            self._next_seq += 1
+        lines = [
+            _record_line(seq, format_update(op, u, v))
+            for seq, (op, u, v) in enumerate(updates, first)
+        ]
+        self._next_seq = first + len(lines)
         if lines:
             self._fh.write("".join(lines))
             self._fh.flush()

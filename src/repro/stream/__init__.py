@@ -9,9 +9,14 @@ Contract
 --------
 
 :class:`TrussMaintainer` (see :mod:`repro.stream.maintainer`) owns a
-mutable graph plus its trussness and support maps, seeded by one run
-of the flat engine.  ``insert_edge``/``delete_edge``/``apply_batch``
-then repair in three steps:
+mutable graph plus its trussness and supports, seeded by one run of
+the flat engine.  The state stays in the peel's int64 columns over a
+CSR base; only the vertices a repair reaches are opened into dicts,
+and compaction turns the whole state back into ``(u, v, phi, sup)``
+rows sorted by ``(u, v)`` — the result columns, the server's snapshot
+rows, and what :meth:`TrussMaintainer.from_state` rebases onto.
+``insert_edge``/``delete_edge``/``apply_batch`` then repair in three
+steps:
 
 1. **Enumerate** only the triangles through the updated edges (sorted
    adjacency-list intersection — the same wedge walk the CSR builder
@@ -51,11 +56,12 @@ Guarantees and complexity
   materially more than a single full decomposition.
 * **Failure semantics** — duplicate inserts, deletes of absent edges
   and self-loop inserts are clean no-ops returning ``False`` (the
-  mutators return whether the graph changed); unknown batch ops raise
-  :class:`repro.errors.DecompositionError` *before* any mutation of
-  the batch is rolled in.  ``last_affected`` exposes the region of
-  the most recent repair for observability, and ``stats`` counts
-  repairs, affected/frozen edges and local triangles.
+  mutators return whether the graph changed); an unknown batch op, or
+  an endpoint that is not an integer in the signed 64-bit range,
+  raises :class:`repro.errors.DecompositionError` *before* any
+  mutation of the batch is rolled in.  ``last_affected`` exposes the
+  region of the most recent repair for observability, and ``stats``
+  counts repairs, affected/frozen edges and local triangles.
 """
 
 from repro.stream.affected import canon, common_neighbors, expand_region

@@ -20,7 +20,10 @@ prior trussness and act as wildcards: they are always in the region
 and pass every level comparison.
 
 Adjacency here is the maintainer's dict of *sorted* neighbor lists;
-triangle enumeration is a two-pointer merge over them.
+triangle enumeration is a two-pointer merge over them.  Lists are read
+with ``adj[u]``, not ``adj.get(u)``: the maintainer's adjacency opens a
+vertex from its CSR base on first read (a plain dict must hold every
+vertex asked about).
 """
 
 from __future__ import annotations
@@ -39,8 +42,8 @@ def common_neighbors(
     adj: Dict[int, List[int]], u: int, v: int
 ) -> List[int]:
     """Sorted common neighbors of ``u`` and ``v`` (two-pointer merge)."""
-    au = adj.get(u)
-    av = adj.get(v)
+    au = adj[u]
+    av = adj[v]
     if not au or not av:
         return []
     out: List[int] = []

@@ -3,39 +3,62 @@
 Construction decomposes once with the flat engine's array core
 (:func:`repro.core.flat.peel_flat_arrays`): one triangle-index build
 over the CSR snapshot yields both the trussness and the initial
-supports, in edge-id order, and the state dicts are zipped straight
-from those arrays.  Every subsequent :meth:`insert_edge` /
+supports, in edge-id order.  Every subsequent :meth:`insert_edge` /
 :meth:`delete_edge` / :meth:`apply_batch` repairs only the bounded
 affected set computed by :mod:`repro.stream.affected` and re-peeled by
 :mod:`repro.stream.repeel`.
 
-State lives in dicts keyed by canonical ``(u, v)`` edges rather than
-flat eids on purpose: :class:`repro.graph.CSRGraph` eids are
-*positional* in sorted edge order, so a single insert would shift every
-eid after it — a dict survives updates without renumbering and the
-local re-peel builds its own dense positional ids per repair.
+The state is columnar, with dicts only where repairs have been.  The
+*base* is a :class:`repro.graph.CSRGraph` plus int64 ``phi``/``sup``
+arrays indexed by its edge ids, as the peel returns them.  A repair
+touches a few vertices' neighbourhoods, so a vertex is *opened* on the
+first read of its adjacency: its CSR row becomes a sorted list of
+neighbour labels, and the trussness and support of its edges are
+copied into dicts keyed by canonical ``(u, v)`` edges.  From then on
+the dicts hold every edge with an open endpoint (dict keys survive an
+insert, where CSR eids are positional and would shift); an edge with
+no open endpoint still has its base values.  Every lookup a repair
+makes is of an edge at a vertex whose adjacency it has just read, so
+the dicts are plain dicts, with C-speed ``get``.
+
+Compaction merges the two parts into ``(u, v, phi, sup)`` int64 rows
+sorted by ``(u, v)`` — the result columns of :meth:`as_decomposition`,
+the rows a snapshot generation stores, and the input of a full re-peel,
+which rebases onto a fresh CSR with no vertex open.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from collections.abc import Mapping
+from itertools import repeat
+from operator import itemgetter
 from time import perf_counter as _perf
-from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.decomposition import DecompositionStats, TrussDecomposition
 from repro.core.flat import (
     _as_csr,
-    edge_keys,
     peel_flat_arrays,
     truss_decomposition_flat,
 )
 from repro.errors import DecompositionError
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import (
+    INT64_MAX,
+    INT64_MIN,
+    CSRGraph,
+    edge_rows,
+    pair_order,
+)
 from repro.kernels import resolve_kernel
 from repro.obs import NULL_TRACER, warn_degraded
 from repro.stream.affected import canon, common_neighbors, expand_region
 from repro.stream.repeel import repeel_region
+
+try:
+    import numpy as _np
+except ImportError:  # resolve_kernel refuses every maintainer without it
+    _np = None
 
 Edge = Tuple[int, int]
 Update = Tuple[str, int, int]
@@ -45,6 +68,100 @@ _DELETE_OPS = frozenset(("delete", "-", "d", "remove"))
 
 # info tuple per applied mutation: (kind, edge, seed triangles, old phi)
 _Info = Tuple[str, Edge, Tuple[Tuple[Edge, Edge], ...], Optional[int]]
+
+
+def _edge_keys(rows):
+    """The ``(u, v)`` tuples of ``rows``, in row order, with one int
+    object per vertex id (``tolist()`` makes one per endpoint: about
+    5.6 MB more on an 88,679-edge graph)."""
+    ids, inv = _np.unique(rows[:, :2], return_inverse=True)
+    ends = list(map(ids.tolist().__getitem__, inv.reshape(-1).tolist()))
+    return zip(ends[0::2], ends[1::2])
+
+
+class _Adjacency(dict):
+    """``vertex -> sorted neighbour labels`` over a CSR base.
+
+    A missing vertex is opened: its base row (empty for a vertex the
+    base lacks) becomes its list, and its edges to vertices not yet
+    open are copied from the base columns into the ``phi``/``sup``
+    dicts.  An edge to an open vertex is in the dicts already, or was
+    deleted.  An open vertex keeps its list even when it empties, so a
+    base row is never read again.
+    """
+
+    __slots__ = ("_labels", "_ptr", "_nbr", "_eids", "_bphi", "_bsup",
+                 "_phi", "_sup")
+
+    def __init__(self, base: CSRGraph, bphi, bsup, phi: Dict[Edge, int],
+                 sup: Dict[Edge, int]) -> None:
+        super().__init__()
+        self._labels = base.labels
+        self._ptr, self._nbr, self._eids = base.indptr, base.indices, base.eids
+        # memoryviews index to Python ints, never numpy scalars
+        self._bphi, self._bsup = memoryview(bphi), memoryview(bsup)
+        self._phi, self._sup = phi, sup
+
+    def __missing__(self, v: int) -> List[int]:
+        labels = self._labels
+        i = bisect_left(labels, v)
+        if i == len(labels) or labels[i] != v:
+            row: List[int] = []
+        else:
+            lo, hi = self._ptr[i], self._ptr[i + 1]
+            row = [labels[j] for j in self._nbr[lo:hi]]
+            phi, sup = self._phi, self._sup
+            bphi, bsup = self._bphi, self._bsup
+            for w, e in zip(row, self._eids[lo:hi]):
+                if w not in self:
+                    key = (v, w) if v < w else (w, v)
+                    phi[key] = bphi[e]
+                    sup[key] = bsup[e]
+        self[v] = row
+        return row
+
+
+class _StateView(Mapping):
+    """Live read-only ``{(u, v): value}`` of one column of a
+    maintainer's state rows (2: trussness, 3: support).
+
+    ``rows`` and ``col`` let :func:`repro.graph.csr.edge_rows` take the
+    compacted rows themselves, so publishing a snapshot builds no dict.
+    Everything else reads a plain dict built from the rows on first use
+    after a mutation, so ``==`` and ``dict()`` never search the rows
+    once per key.
+    """
+
+    __slots__ = ("_tm", "col")
+
+    def __init__(self, tm: "TrussMaintainer", col: int) -> None:
+        self._tm = tm
+        self.col = col
+
+    @property
+    def rows(self):
+        return self._tm.state_rows()
+
+    def _dict(self) -> Dict[Edge, int]:
+        return self._tm._column_dict(self.col)
+
+    def __getitem__(self, key: Edge) -> int:
+        return self._dict()[key]
+
+    def __iter__(self):
+        return iter(self._dict())
+
+    def __len__(self) -> int:
+        return self._tm.num_edges
+
+    def items(self):
+        return self._dict().items()
+
+    def values(self):
+        return self._dict().values()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._dict()!r})"
 
 
 class TrussMaintainer:
@@ -62,22 +179,40 @@ class TrussMaintainer:
 
     def __init__(
         self,
-        adj: Dict[int, List[int]],
-        phi: Dict[Edge, int],
-        sup: Dict[Edge, int],
+        base: CSRGraph,
+        phi,
+        sup,
         kernel: Optional[str] = None,
         trace=None,
     ) -> None:
+        """``phi``/``sup``: int64 arrays indexed by ``base``'s edge ids."""
         # a bad kernel name fails here, before any update touches state;
         # the caller's value is kept so repairs degrade exactly as asked
         resolve_kernel(kernel)
-        self._adj = adj  # vertex -> sorted neighbor list
-        self._phi = phi  # canonical edge -> trussness
-        self._sup = sup  # canonical edge -> support (common-neighbor count)
         self._kernel = kernel
         self._tracer = trace if trace is not None else NULL_TRACER
         self._last_affected: Tuple[Edge, ...] = ()
         self.stats = DecompositionStats(method="stream")
+        self._rebase(base, phi, sup)
+
+    def _rebase(self, base: CSRGraph, phi, sup) -> None:
+        """Make ``base`` the state, with no vertex open."""
+        self._base = base
+        self._base_phi = _np.ascontiguousarray(phi, dtype=_np.int64)
+        self._base_sup = _np.ascontiguousarray(sup, dtype=_np.int64)
+        self._phi: Dict[Edge, int] = {}  # canonical edge -> trussness
+        self._sup: Dict[Edge, int] = {}  # canonical edge -> support
+        self._adj = _Adjacency(
+            base, self._base_phi, self._base_sup, self._phi, self._sup
+        )
+        self._m = base.num_edges
+        self._ends = None  # base labels and edge endpoints, at compaction
+        self._mutated()
+
+    def _mutated(self) -> None:
+        """Drop what was derived from the state before a mutation."""
+        self._rows = None
+        self._dicts: Dict[int, Dict[Edge, int]] = {}
 
     @classmethod
     def from_graph(
@@ -86,35 +221,17 @@ class TrussMaintainer:
         """Decompose ``g`` (a :class:`Graph` or CSR snapshot) once.
 
         One triangle-index build gives both the trussness and the
-        initial supports (:func:`repro.core.flat.peel_flat_arrays`);
-        the phi and support dicts share one list of edge keys, and the
-        adjacency lists are the CSR rows, already sorted.  ``trace``
-        takes an enabled :class:`repro.obs.Tracer`: the seeding
-        decomposition and every subsequent repair emit their spans (and
-        degradation warnings) into it.
+        initial supports (:func:`repro.core.flat.peel_flat_arrays`),
+        which become the base columns as they are.  ``trace`` takes an
+        enabled :class:`repro.obs.Tracer`: the seeding decomposition and
+        every subsequent repair emit their spans (and degradation
+        warnings) into it.
         """
         csr = _as_csr(g)
-        if not csr.num_edges:
-            return cls({}, {}, {}, kernel=kernel, trace=trace)
         phi, sup, _k, _stats = peel_flat_arrays(
             csr, kernel=kernel, trace=trace
         )
-        keys = list(edge_keys(csr))
-        labels = csr.labels
-        nbrs = list(map(labels.__getitem__, csr.indices))
-        ptr = csr.indptr
-        adj = {
-            labels[i]: nbrs[ptr[i]:ptr[i + 1]]
-            for i in range(csr.num_vertices)
-            if ptr[i] != ptr[i + 1]
-        }
-        return cls(
-            adj,
-            dict(zip(keys, phi.tolist())),
-            dict(zip(keys, sup.tolist())),
-            kernel=kernel,
-            trace=trace,
-        )
+        return cls(csr, phi, sup, kernel=kernel, trace=trace)
 
     @classmethod
     def from_state(
@@ -127,47 +244,73 @@ class TrussMaintainer:
         """Rebuild a maintainer from snapshotted phi/support maps.
 
         The inverse of persisting :attr:`trussness`/:attr:`supports`
-        (what :mod:`repro.serve.snapshot` generations hold): adjacency
-        is exactly the canonical edge key set, so no decomposition runs
-        — restart costs O(m) dict rebuilds, not a re-peel.  The two
-        maps must cover the same edges (any consistent maintainer's
-        do); the further-update behaviour is bit-identical to a
-        maintainer that never round-tripped, pinned by the snapshot
+        (what :mod:`repro.serve.snapshot` generations hold): the base
+        CSR is built from the canonical edge keys, so no decomposition
+        runs.  Two views of one rows array — the ``RowMap`` pair
+        ``load_generation`` returns, or another maintainer's
+        :attr:`trussness`/:attr:`supports` — are used as they are;
+        other maps are exported to rows first
+        (:func:`repro.graph.csr.edge_rows`).  The rows must be canonical
+        (``u < v``) and strictly ascending, which also means one key set
+        for both maps.  The further-update behaviour is bit-identical to
+        a maintainer that never round-tripped, pinned by the snapshot
         tests.
         """
-        if set(phi) != set(sup):
+        resolve_kernel(kernel)  # no numpy or a bad name: fail before rows
+        try:
+            rows = edge_rows(phi, sup)
+        except (TypeError, ValueError, OverflowError) as exc:
             raise DecompositionError(
-                "phi and sup must cover the same canonical edges "
-                f"({len(phi)} vs {len(sup)})"
+                f"phi and sup must map the same canonical int64 edges: "
+                f"{exc}"
+            ) from None
+        u, v = rows[:, 0], rows[:, 1]
+        bad = _np.flatnonzero(u >= v)
+        if len(bad):
+            i = int(bad[0])
+            raise DecompositionError(
+                "non-canonical edge key in snapshot state: "
+                f"{(int(u[i]), int(v[i]))!r}"
             )
-        adj: Dict[int, List[int]] = {}
-        for a, b in phi:
-            if not (isinstance(a, int) and isinstance(b, int) and a < b):
-                raise DecompositionError(
-                    f"non-canonical edge key in snapshot state: {(a, b)!r}"
-                )
-            adj.setdefault(a, []).append(b)
-            adj.setdefault(b, []).append(a)
-        for lst in adj.values():
-            lst.sort()
-        return cls(
-            adj,
-            {e: int(k) for e, k in phi.items()},
-            {e: int(s) for e, s in sup.items()},
-            kernel=kernel,
-            trace=trace,
-        )
+        up = (u[1:] > u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] > v[:-1]))
+        bad = _np.flatnonzero(~up)
+        if len(bad):
+            i = int(bad[0]) + 1
+            raise DecompositionError(
+                "snapshot state rows are not in strictly ascending "
+                f"(u, v) order at row {i}: {(int(u[i]), int(v[i]))!r}"
+            )
+        # sorted canonical pairs skip the build's dedupe, so edge id i
+        # is row i
+        base = CSRGraph._from_flat_pairs_numpy(rows[:, :2].reshape(-1))
+        tm = cls(base, rows[:, 2], rows[:, 3], kernel=kernel, trace=trace)
+        tm._rows = rows
+        return tm
 
     # ------------------------------------------------------------- views
     @property
     def trussness(self) -> Mapping[Edge, int]:
-        """Live read-only view of the phi(e) map (canonical edges)."""
-        return MappingProxyType(self._phi)
+        """Live read-only ``{(u, v): phi}`` over the canonical edges."""
+        return _StateView(self, 2)
 
     @property
     def supports(self) -> Mapping[Edge, int]:
-        """Live read-only view of the support map (canonical edges)."""
-        return MappingProxyType(self._sup)
+        """Live read-only ``{(u, v): support}`` (common-neighbor
+        counts)."""
+        return _StateView(self, 3)
+
+    def _column_dict(self, col: int) -> Dict[Edge, int]:
+        """``{(u, v): rows[i, col]}`` of the compacted rows, built on
+        first use after a mutation; the two columns' dicts share their
+        key tuples."""
+        d = self._dicts.get(col)
+        if d is None:
+            rows = self.state_rows()
+            keys = next(iter(self._dicts.values()), None)  # in row order
+            if keys is None:
+                keys = _edge_keys(rows)
+            d = self._dicts[col] = dict(zip(keys, rows[:, col].tolist()))
+        return d
 
     @property
     def last_affected(self) -> Tuple[Edge, ...]:
@@ -176,18 +319,65 @@ class TrussMaintainer:
 
     @property
     def num_edges(self) -> int:
-        return len(self._phi)
+        return self._m
 
     def has_edge(self, u: int, v: int) -> bool:
-        au = self._adj.get(u)
-        if au is None:
-            return False
+        au = self._adj[u]
         i = bisect_left(au, v)
         return i < len(au) and au[i] == v
 
     def as_decomposition(self) -> TrussDecomposition:
-        """An immutable snapshot of the current trussness map."""
-        return TrussDecomposition.from_canonical(dict(self._phi), self.stats)
+        """An immutable snapshot of the current trussness: the
+        compacted rows' ``(u, v, phi)`` columns."""
+        rows = self.state_rows()
+        return TrussDecomposition.from_columns(
+            rows[:, 0], rows[:, 1], rows[:, 2], self.stats
+        )
+
+    # -------------------------------------------------------- compaction
+    def state_rows(self):
+        """The ``(m, 4)`` int64 rows ``(u, v, phi, sup)`` of the current
+        state, sorted by ``(u, v)``: what a snapshot generation stores.
+
+        Compacted on the first call after a mutation and kept until the
+        next one; callers must not write to them.
+        """
+        if self._rows is None:
+            self._rows = self._compact()
+        return self._rows
+
+    def _compact(self):
+        """Fresh rows: the base edges with no open endpoint, plus the
+        dict entries, in one sort.  An edge inserted by a batch still
+        under repair has no trussness yet and gets 0."""
+        if self._ends is None:
+            self._ends = (
+                _np.asarray(self._base.labels, dtype=_np.int64),
+                *(_np.frombuffer(a, dtype=_np.int64)
+                  for a in self._base.edge_endpoints()),
+            )
+        labels, eu, ev = self._ends
+        is_open = _np.isin(
+            labels, _np.fromiter(self._adj, _np.int64, len(self._adj))
+        )
+        keep = ~(is_open[eu] | is_open[ev])
+        sup = self._sup
+        k = len(sup)
+        rows = _np.empty((int(keep.sum()) + k, 4), dtype=_np.int64)
+        based = rows[:len(rows) - k]
+        based[:, 0] = labels[eu[keep]]
+        based[:, 1] = labels[ev[keep]]
+        based[:, 2] = self._base_phi[keep]
+        based[:, 3] = self._base_sup[keep]
+        opened = rows[len(rows) - k:]
+        opened[:, 0] = _np.fromiter(map(itemgetter(0), sup), _np.int64, k)
+        opened[:, 1] = _np.fromiter(map(itemgetter(1), sup), _np.int64, k)
+        opened[:, 2] = _np.fromiter(
+            map(self._phi.get, sup, repeat(0)), _np.int64, k
+        )
+        opened[:, 3] = _np.fromiter(sup.values(), _np.int64, k)
+        # the kept base rows are in (u, v) order already
+        return rows[pair_order(rows[:, 0], rows[:, 1])] if k else rows
 
     # ----------------------------------------------------------- updates
     def insert_edge(self, u: int, v: int) -> bool:
@@ -207,15 +397,39 @@ class TrussMaintainer:
         actually changed the graph.  Trussness afterwards is
         bit-identical to applying the effective updates one at a time
         (and to a from-scratch decomposition of the final graph).
+
+        Every update is checked before the first one is applied: an
+        unknown op, or an endpoint that is not an integer in the signed
+        64-bit range, raises :class:`DecompositionError` with the state
+        untouched.
         """
-        infos: List[_Info] = []
+        steps = []
         for op, u, v in updates:
             if op in _INSERT_OPS:
-                info = self._do_insert(int(u), int(v))
+                step = self._do_insert
             elif op in _DELETE_OPS:
-                info = self._do_delete(int(u), int(v))
+                step = self._do_delete
             else:
                 raise DecompositionError(f"unknown update op: {op!r}")
+            try:
+                u, v = int(u), int(v)
+            except (TypeError, ValueError):
+                raise DecompositionError(
+                    f"non-integer vertex id in update {op} {u!r} {v!r}"
+                ) from None
+            # the state holds vertex ids in int64 columns
+            if not (INT64_MIN <= u <= INT64_MAX
+                    and INT64_MIN <= v <= INT64_MAX):
+                raise DecompositionError(
+                    f"update {op} {u} {v}: vertex id outside the signed "
+                    "64-bit range"
+                )
+            steps.append((step, u, v))
+        if steps:
+            self._mutated()
+        infos: List[_Info] = []
+        for step, u, v in steps:
+            info = step(u, v)
             if info is not None:
                 infos.append(info)
         applied = len(infos)
@@ -230,8 +444,9 @@ class TrussMaintainer:
         if u == v or self.has_edge(u, v):
             return None  # self-loops are dropped, like ingest cleaning
         e = canon(u, v)
-        insort(self._adj.setdefault(u, []), v)
-        insort(self._adj.setdefault(v, []), u)
+        insort(self._adj[u], v)
+        insort(self._adj[v], u)
+        self._m += 1
         ws = common_neighbors(self._adj, u, v)
         self._sup[e] = len(ws)
         for w in ws:
@@ -247,8 +462,7 @@ class TrussMaintainer:
         for a, b in ((u, v), (v, u)):
             lst = self._adj[a]
             lst.pop(bisect_left(lst, b))
-            if not lst:
-                del self._adj[a]
+        self._m -= 1
         le = self._phi.pop(e, None)  # None: inserted earlier this batch
         del self._sup[e]
         tris = []
@@ -261,10 +475,15 @@ class TrussMaintainer:
 
     # ------------------------------------------------------------ repair
     def _full_repeel(self) -> None:
-        """Recompute phi from scratch (supports are already exact)."""
-        csr = CSRGraph.from_edges(iter(self._sup))
+        """Recompute phi from scratch (supports are already exact) and
+        rebase onto the result; every edge counts as affected."""
+        rows = self._compact()
+        csr = CSRGraph._from_flat_pairs_numpy(rows[:, :2].reshape(-1))
         td = truss_decomposition_flat(csr, kernel=self._kernel)
-        self._phi = dict(td.trussness)
+        rows[:, 2] = td.columns[2]  # edge id i is row i
+        self._rebase(csr, rows[:, 2], rows[:, 3])
+        self._rows = rows
+        self._last_affected = tuple(_edge_keys(rows))
 
     def _seed_delete(
         self,
@@ -308,7 +527,7 @@ class TrussMaintainer:
         # engine over everything (typical for large batches, whose
         # slack widens the chain rule): stop expanding and repair
         # exactly, but globally
-        cap = max(64, len(self._sup) // 10)
+        cap = max(64, self._m // 10)
         truncated = expand_region(
             self._adj, self._phi, region, queue, slack, cap=cap
         )
@@ -323,7 +542,6 @@ class TrussMaintainer:
                 updates=len(infos),
             )
             self._full_repeel()
-            self._last_affected = tuple(sorted(self._sup))
             self.stats.bump("full_repeels")
             if tr.enabled:
                 tr.complete_span(

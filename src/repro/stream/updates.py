@@ -30,6 +30,9 @@ OPS = {"+": "insert", "-": "delete"}
 #: maintainer op (or line opcode) -> line opcode
 _SYMBOL = {"insert": "+", "delete": "-", "+": "+", "-": "-"}
 
+#: the ops an update stream (and so the server's WAL) can carry
+UPDATE_OPS = frozenset(_SYMBOL)
+
 
 def parse_update_line(
     line: str, *, where: str = "<updates>"

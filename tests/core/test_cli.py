@@ -315,6 +315,22 @@ class TestErrors:
         )
         assert message in line
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--method", "dist", "--ranks", "0"], "need at least 1 rank, got 0"),
+        (["--method", "parallel", "--jobs", "0"],
+         "need at least 1 job, got 0"),
+        (["--method", "dist", "--timeout", "0"],
+         "timeout must be positive, got 0.0"),
+    ], ids=["ranks", "jobs", "timeout"])
+    def test_bad_engine_option_fails_before_reading_input(
+        self, tmp_path, capsys, flags, message
+    ):
+        # the flag is checked before the input is opened, so a missing
+        # file is never reached and no 'loaded' line is printed
+        missing = tmp_path / "absent.txt"
+        assert main(["decompose", str(missing), *flags]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
     @needs_numpy
     @pytest.mark.skipif(
         "numba" in available_kernels(), reason="numba is installed"

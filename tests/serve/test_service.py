@@ -299,6 +299,27 @@ class TestDeadlinesAndBackpressure:
         with _service(tmp_path) as svc:
             assert svc.reader.current()[0].lookup(5, 7) == 2
 
+    def test_unknown_op_is_rejected_before_logging(self, tmp_path,
+                                                   graph_file):
+        # logged halfway, the batch used to burn a seq, so the next
+        # acknowledged write was truncated as a torn tail on reopen
+        with _service(tmp_path, graph_file, snapshot_every=100) as svc:
+            with pytest.raises(InvalidUpdateError) as info:
+                svc.apply_write([("insert", 5, 7), ("upsert", 6, 7)])
+            assert info.value.status == 400
+            assert svc._wal.last_seq == 0  # nothing durable
+            assert svc.apply_write([("insert", 10, 11)])[:2] == (1, 1)
+            # a crash: the WAL has the write, no publish ran
+            svc._wal.close()
+        svc2 = _service(tmp_path, None)
+        svc2.open()
+        try:
+            assert svc2.applied_seq == 1
+            assert svc2.reader.current()[0].lookup(10, 11) == 2
+            assert svc2.reader.current()[0].lookup(5, 7) is None
+        finally:
+            svc2.close()
+
     def test_queue_full_sheds(self, tmp_path, graph_file, monkeypatch):
         monkeypatch.setenv("REPRO_SERVE_APPLY_DELAY_MS", "80")
         with _service(tmp_path, graph_file, queue_depth=1) as svc:

@@ -47,6 +47,19 @@ class TestAppendReplay:
             wal.append([("insert", 7, 8)])
             assert wal.replay_updates() == UPDATES + [("insert", 7, 8)]
 
+    def test_failed_append_keeps_the_seq_chain(self, tmp_path):
+        # an update the log cannot format writes nothing and uses no
+        # seq, so the next record still follows the last durable one
+        with WriteAheadLog(tmp_path) as wal:
+            wal.append(UPDATES[:1])
+            with pytest.raises(ValueError):
+                wal.append([("insert", 5, 6), ("upsert", 7, 8)])
+            assert wal.next_seq == 2
+            assert wal.append([("insert", 10, 11)]) == (2, 2)
+        with WriteAheadLog(tmp_path) as wal:
+            assert wal.torn_bytes == 0
+            assert wal.replay_updates() == [UPDATES[0], ("insert", 10, 11)]
+
     def test_closed_log_refuses_appends(self, tmp_path):
         wal = WriteAheadLog(tmp_path)
         wal.close()

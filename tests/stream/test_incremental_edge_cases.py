@@ -8,12 +8,17 @@ covers exactly the current edge set.
 
 from __future__ import annotations
 
+import struct
+
 import pytest
 
 from helpers import needs_numpy
-from oracles import brute_trussness
+from oracles import brute_all_supports, brute_trussness
+from repro import durable
+from repro.core import truss_decomposition
 from repro.errors import DecompositionError
 from repro.graph import Graph, complete_graph
+from repro.serve import snapshot as snap
 from repro.stream import TrussMaintainer
 
 #: the maintainer seeds from the flat engine
@@ -26,6 +31,18 @@ def _check(tm: TrussMaintainer, mirror: Graph) -> None:
     assert set(tm.last_affected) <= set(want)
     assert set(tm.trussness) == set(want)
     assert len(set(tm.last_affected)) == len(tm.last_affected)
+
+
+def _check_state(tm: TrussMaintainer, mirror: Graph, probes) -> None:
+    """Both views, the edge count and ``has_edge`` on ``probes`` equal
+    the brute oracle's.  Only the probed vertices get opened, so later
+    steps still run against a partly columnar state."""
+    assert dict(tm.trussness) == brute_trussness(mirror)
+    assert dict(tm.supports) == brute_all_supports(mirror)
+    assert tm.num_edges == mirror.num_edges
+    for u, v in probes:
+        assert tm.has_edge(u, v) == mirror.has_edge(u, v), (u, v)
+        assert tm.has_edge(v, u) == mirror.has_edge(u, v), (v, u)
 
 
 def test_insert_into_empty_graph():
@@ -108,11 +125,31 @@ def test_noop_updates_return_false():
     assert dict(tm.trussness) == before
 
 
-def test_unknown_op_raises_before_mutating():
-    tm = TrussMaintainer.from_graph(complete_graph(3))
+@pytest.mark.parametrize(
+    "n, batch",
+    [
+        (3, [("upsert", 0, 5)]),
+        (4, [("delete", 0, 1), ("bogus", 1, 2)]),
+        (3, [("insert", 0, 5), ("upsert", 1, 2)]),
+        (4, [("delete", 0, 1), ("insert", "x", 2)]),
+        (4, [("delete", 0, 1), ("insert", 1 << 63, 2)]),
+    ],
+    ids=["upsert-only", "delete-then-bogus", "insert-then-upsert",
+         "non-integer-endpoint", "endpoint-outside-int64"],
+)
+def test_unknown_op_raises_before_mutating(n, batch):
+    # every update is checked before the first one is applied, so a
+    # bad one leaves no half-applied, never-repaired batch behind
+    g = complete_graph(n)
+    tm = TrussMaintainer.from_graph(g)
     with pytest.raises(DecompositionError):
-        tm.apply_batch([("upsert", 0, 5)])
-    assert dict(tm.trussness) == brute_trussness(complete_graph(3))
+        tm.apply_batch(batch)
+    _check_state(tm, g, [(0, 1), (0, 5), (1, 2)])
+    # a later, unrelated repair starts from exact values
+    assert tm.insert_edge(7, 8)
+    mirror = g.copy()
+    mirror.add_edge(7, 8)
+    _check_state(tm, mirror, [(0, 1), (7, 8)])
 
 
 def test_insert_then_delete_same_edge_in_batch_with_triangles():
@@ -166,3 +203,142 @@ def test_bad_kernel_name_fails_at_construction(build):
     with pytest.raises(DecompositionError, match="unknown kernel"):
         tm = build()
     assert tm is None
+
+
+# ------------------------------------------------------------------
+# the columnar state: CSR base columns, with vertices opened into dicts
+# on first touch
+
+
+def _apply(mirror: Graph, op: str, u: int, v: int) -> None:
+    (mirror.add_edge if op == "insert" else mirror.discard_edge)(u, v)
+
+
+def test_emptied_vertex_gets_no_base_edge_back():
+    g = complete_graph(5)
+    g.add_edges([(4, 5), (5, 6), (4, 6), (0, 7)])
+    tm = TrussMaintainer.from_graph(g)
+    mirror = g.copy()
+    base_edges = [(0, w) for w in (1, 2, 3, 4, 7)]
+    for _, w in base_edges:
+        assert tm.delete_edge(0, w)
+        mirror.discard_edge(0, w)
+        _check_state(tm, mirror, base_edges)
+    # the emptied vertex stays open: an insert there reads no base row
+    for w in (2, 5):
+        assert tm.insert_edge(0, w)
+        mirror.add_edge(0, w)
+        _check_state(tm, mirror, base_edges + [(0, 5)])
+    # and the same inside one batch
+    batch = [("delete", 4, w) for w in (1, 2, 3, 5, 6)]
+    batch += [("insert", 4, 1), ("insert", 4, 9)]
+    assert tm.apply_batch(batch) == len(batch)
+    for op, u, v in batch:
+        _apply(mirror, op, u, v)
+    _check_state(tm, mirror, [(4, w) for w in range(10)])
+
+
+def test_inserts_between_ids_absent_from_seed():
+    g = complete_graph(4)
+    tm = TrussMaintainer.from_graph(g)
+    mirror = g.copy()
+    steps = [("insert", 10, 11), ("insert", 11, -12), ("insert", 10, -12),
+             ("insert", 10, 0), ("insert", 11, 0), ("delete", 10, 11),
+             ("insert", 10, 11)]
+    probes = [(u, v) for _, u, v in steps] + [(0, 1), (-12, 0)]
+    for op, u, v in steps:
+        assert tm.apply_batch([(op, u, v)]) == 1
+        _apply(mirror, op, u, v)
+        _check_state(tm, mirror, probes)
+
+
+def test_as_decomposition_between_updates_is_columnar():
+    g = complete_graph(5)
+    g.add_edges([(4, 8), (5, 8)])
+    tm = TrussMaintainer.from_graph(g)
+    mirror = g.copy()
+    seen = []
+    for op, u, v in [("insert", 4, 5), ("delete", 0, 1), ("insert", 0, 8),
+                     ("insert", 20, 21), ("delete", 4, 5)]:
+        tm.apply_batch([(op, u, v)])
+        _apply(mirror, op, u, v)
+        td = tm.as_decomposition()
+        assert td.columns is not None
+        assert td == truss_decomposition(mirror, method="flat")
+        assert dict(td.trussness) == brute_trussness(mirror)
+        _check_state(tm, mirror, [(u, v)])
+        seen.append((td, brute_trussness(mirror)))
+    # a later update never reaches into an earlier result
+    for td, want in seen:
+        assert dict(td.trussness) == want
+
+
+def test_full_repeel_with_open_vertices_then_local_repairs():
+    # K20 (190 edges, region cap 64) plus a sparse corner of triangles
+    g = complete_graph(20)
+    g.add_edges([(40, 41), (41, 42), (40, 42), (42, 43), (43, 44),
+                 (42, 44)])
+    tm = TrussMaintainer.from_graph(g)
+    mirror = g.copy()
+    probes = [(0, 30), (1, 30), (40, 43), (41, 42), (0, 1), (42, 44)]
+    for op, u, v in [("insert", 0, 30), ("insert", 1, 30),
+                     ("insert", 40, 43)]:
+        tm.apply_batch([(op, u, v)])
+        _apply(mirror, op, u, v)
+    _check_state(tm, mirror, probes)
+    assert tm.stats.extra.get("full_repeels", 0) == 0
+    batch = [("delete", 0, v) for v in range(1, 8)]
+    batch += [("delete", 1, v) for v in range(2, 12)]
+    tm.apply_batch(batch)
+    for op, u, v in batch:
+        _apply(mirror, op, u, v)
+    assert tm.stats.extra["full_repeels"] == 1
+    _check_state(tm, mirror, probes)
+    assert set(tm.last_affected) == set(brute_trussness(mirror))
+    for op, u, v in [("delete", 41, 42), ("insert", 41, 44),
+                     ("insert", 2, 30), ("delete", 40, 43)]:
+        tm.apply_batch([(op, u, v)])
+        _apply(mirror, op, u, v)
+        _check_state(tm, mirror, probes + [(u, v)])
+    assert tm.stats.extra["full_repeels"] == 1
+
+
+def test_from_state_takes_another_maintainers_views():
+    g = complete_graph(5)
+    g.add_edges([(4, 8), (5, 8)])
+    tm = TrussMaintainer.from_graph(g)
+    tm.apply_batch([("insert", 4, 5), ("delete", 0, 1)])
+    twin = TrussMaintainer.from_state(tm.trussness, tm.supports)
+    # the views hand over the compacted rows, not a dict export
+    assert twin.state_rows() is tm.state_rows()
+    later = [("insert", 0, 8), ("delete", 2, 3), ("insert", 9, 1)]
+    tm.apply_batch(later)
+    twin.apply_batch(later)
+    mirror = g.copy()
+    for op, u, v in [("insert", 4, 5), ("delete", 0, 1)] + later:
+        _apply(mirror, op, u, v)
+    _check_state(twin, mirror, [(0, 8), (2, 3), (1, 9), (0, 1)])
+    assert twin.trussness == tm.trussness
+    assert dict(twin.supports) == dict(tm.supports)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [(0, 2, 2, 0), (0, 1, 2, 0)],
+        [(0, 1, 2, 0), (0, 1, 2, 0)],
+        [(0, 1, 2, 0), (2, 1, 2, 0)],
+        [(3, 3, 2, 0)],
+    ],
+    ids=["out-of-order", "duplicated", "non-canonical", "self-loop"],
+)
+def test_from_state_rejects_bad_rows(tmp_path, rows):
+    # a CRC-clean generation whose rows break the format's order
+    durable.publish(
+        durable.entry_dir(tmp_path, "gen", 0),
+        {snap.STATE: b"".join(struct.pack("<4q", *r) for r in rows)},
+        {"gen": 0, "wal_seq": 0},
+    )
+    phi, sup, _ = snap.load_generation(tmp_path, 0)
+    with pytest.raises(DecompositionError):
+        TrussMaintainer.from_state(phi, sup)
