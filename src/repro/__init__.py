@@ -20,20 +20,13 @@ Quickstart::
     td = truss_decomposition(g)
     td.kmax                # 4: the graph is a 4-clique
     td.k_truss(4).edges()  # the densest core
+
+Every public name resolves on first use: ``import repro`` loads none of
+the methods, and ``repro.truss_decomposition`` imports only the module
+that defines it (PEP 562 ``__getattr__``; see :mod:`repro._lazy`).
 """
 
-from repro.core import (
-    TrussDecomposition,
-    k_truss,
-    top_t_classes,
-    truss_decomposition,
-    truss_hierarchy,
-    trussness,
-)
-from repro.cores import average_clustering, core_numbers, k_core, max_core
-from repro.errors import ReproError
-from repro.exio import IOStats, MemoryBudget
-from repro.graph import Graph, from_edges, read_edge_list
+from repro._lazy import lazy_names
 
 __version__ = "1.0.0"
 
@@ -56,3 +49,22 @@ __all__ = [
     "ReproError",
     "__version__",
 ]
+
+#: defining module -> the public names it provides
+_SOURCES = {
+    "repro.core.api": (
+        "k_truss", "top_t_classes", "truss_decomposition", "trussness",
+    ),
+    "repro.core.decomposition": ("TrussDecomposition",),
+    "repro.core.hierarchy": ("truss_hierarchy",),
+    "repro.cores.kcore": ("core_numbers", "k_core", "max_core"),
+    "repro.cores.metrics": ("average_clustering",),
+    "repro.errors": ("ReproError",),
+    "repro.exio.iostats": ("IOStats",),
+    "repro.exio.memory": ("MemoryBudget",),
+    "repro.graph.adjacency": ("Graph",),
+    "repro.graph.builders": ("from_edges",),
+    "repro.graph.io": ("read_edge_list",),
+}
+
+__getattr__, __dir__ = lazy_names(globals(), _SOURCES)

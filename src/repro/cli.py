@@ -100,17 +100,14 @@ import time
 from pathlib import Path
 from typing import List, Optional
 
-from repro.core import (
-    CSR_METHODS,
-    METHODS,
-    truss_decomposition,
-    truss_hierarchy,
-)
-from repro.cores import GraphStatistics, average_clustering, max_core
-from repro.datasets import dataset_names, load_dataset
+# imported here: what a CSR ``decompose`` and ``update`` run.  Every
+# other command and the paper's methods import their modules in their
+# own handler, so a process loads only what its command runs.
+# ``cmd_decompose`` calls ``truss_decomposition`` as a module global:
+# the benchmark's layer timing rebinds it here.
+from repro.core import CSR_METHODS, METHODS, truss_decomposition
 from repro.errors import ReproError
-from repro.exio import IOStats, MemoryBudget
-from repro.graph import CSRGraph, Graph, read_edge_list, write_edge_list
+from repro.graph import CSRGraph, Graph
 from repro.graph.csr import format_int_rows
 from repro.kernels import KERNELS, resolve_kernel
 
@@ -119,6 +116,8 @@ _KERNEL_CHOICES = ("auto",) + KERNELS
 
 
 def _load(path: str) -> Graph:
+    from repro.graph.io import read_edge_list
+
     g = read_edge_list(path)
     print(
         f"loaded {path}: n={g.num_vertices:,} m={g.num_edges:,}",
@@ -127,7 +126,9 @@ def _load(path: str) -> Graph:
     return g
 
 
-def _budget(g: Graph, fraction: Optional[int]) -> Optional[MemoryBudget]:
+def _budget(g: Graph, fraction: Optional[int]):
+    from repro.exio.memory import MemoryBudget
+
     if fraction is None:
         return None
     return MemoryBudget(units=max(16, g.size // fraction))
@@ -208,15 +209,17 @@ def _check_engine_flags(args: argparse.Namespace) -> None:
     """Run the engines' own checks on explicit ``--jobs``, ``--ranks``
     and ``--timeout`` values (the edge count only matters when a value
     is left to the engine's heuristic)."""
-    from repro.core.dist import _resolve_ranks, _resolve_timeout
-    from repro.core.parallel import _resolve_jobs
-
     if args.jobs is not None:
+        from repro.core.parallel import _resolve_jobs
+
         _resolve_jobs(args.jobs, 0)
-    if args.ranks is not None:
-        _resolve_ranks(args.ranks, 0)
-    if args.timeout is not None:
-        _resolve_timeout(args.timeout)
+    if args.ranks is not None or args.timeout is not None:
+        from repro.core.dist import _resolve_ranks, _resolve_timeout
+
+        if args.ranks is not None:
+            _resolve_ranks(args.ranks, 0)
+        if args.timeout is not None:
+            _resolve_timeout(args.timeout)
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
@@ -248,7 +251,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
             f"--top/--memory-fraction do not apply to "
             f"--method {args.method}"
         )
-    stats = IOStats()
+    io_stats = None
     try:
         if args.method in CSR_METHODS:
             # a bad flag value or a missing backend fails here, before
@@ -275,15 +278,17 @@ def cmd_decompose(args: argparse.Namespace) -> int:
                 trace_path=args.trace,
             )
         else:
+            if args.method in ("bottomup", "topdown"):
+                from repro.exio.iostats import IOStats
+
+                io_stats = IOStats()
             g = _load(args.input)
             start = time.perf_counter()
             td = truss_decomposition(
                 g,
                 method=args.method,
                 memory_budget=_budget(g, args.memory_fraction),
-                io_stats=(
-                    stats if args.method in ("bottomup", "topdown") else None
-                ),
+                io_stats=io_stats,
                 top_t=args.top,
                 trace_path=args.trace,
             )
@@ -300,7 +305,8 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     print(
         f"method={args.method} kmax={td.kmax} classes="
         f"{len(td.class_sizes())} time={elapsed:.2f}s "
-        + (f"blocks={stats.total_blocks}" if stats.total_blocks else ""),
+        + (f"blocks={io_stats.total_blocks}"
+           if io_stats is not None and io_stats.total_blocks else ""),
         file=sys.stderr,
     )
     return 0
@@ -403,6 +409,7 @@ def cmd_trace_report(args: argparse.Namespace) -> int:
 
 def cmd_ktruss(args: argparse.Namespace) -> int:
     from repro.core import k_truss
+    from repro.graph.io import write_edge_list
 
     g = _load(args.input)
     t = k_truss(g, args.k)
@@ -415,6 +422,8 @@ def cmd_ktruss(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
+    from repro.cores import GraphStatistics, average_clustering, max_core
+
     g = _load(args.input)
     s = GraphStatistics.of(g)
     td = truss_decomposition(g)
@@ -431,6 +440,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_hierarchy(args: argparse.Namespace) -> int:
+    from repro.core.hierarchy import truss_hierarchy
+
     g = _load(args.input)
     h = truss_hierarchy(g)
     print(f"{'k':>5} {'|V|':>10} {'|E|':>10} {'comps':>7} {'density':>9} {'CC':>7}")
@@ -444,6 +455,9 @@ def cmd_hierarchy(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    from repro.datasets import load_dataset
+    from repro.graph.io import write_edge_list
+
     g = load_dataset(args.name, scale=args.scale)
     write_edge_list(g, args.output)
     print(
@@ -452,6 +466,21 @@ def cmd_generate(args: argparse.Namespace) -> int:
         file=sys.stderr,
     )
     return 0
+
+
+def _dataset_name(name: str) -> str:
+    """``generate``'s dataset argument, checked against the registry
+    only when ``generate`` is parsed: a ``choices=`` list would load
+    the registry and its generators for every command."""
+    from repro.datasets import dataset_names
+
+    names = dataset_names()
+    if name not in names:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {name!r} (choose from "
+            f"{', '.join(map(repr, names))})"
+        )
+    return name
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -789,7 +818,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_hierarchy)
 
     p = sub.add_parser("generate", help="emit a registry dataset")
-    p.add_argument("name", choices=dataset_names())
+    p.add_argument(
+        "name", type=_dataset_name,
+        help="registry dataset (an unknown name lists the choices)",
+    )
     p.add_argument("output")
     p.add_argument("--scale", type=float, default=0.1)
     p.set_defaults(func=cmd_generate)

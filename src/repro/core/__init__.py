@@ -28,31 +28,14 @@ message transport with per-rank state only (:mod:`repro.core.dist`
 with ``ranks``/``transport`` knobs).  ``decompose_file`` feeds any of
 them straight from a text edge list via the dict-free streaming CSR
 ingest.
+
+Each name resolves on first use, so importing this package loads no
+method: ``truss_decomposition`` imports :mod:`repro.core.api` and the
+flat engine, and the API imports any other engine only when a call
+dispatches to it.
 """
 
-from repro.core.api import (
-    CSR_METHODS,
-    METHODS,
-    apply_updates,
-    decompose_file,
-    k_truss,
-    top_t_classes,
-    truss_decomposition,
-    trussness,
-)
-from repro.core.bottomup import ample_budget, peel_level, truss_decomposition_bottomup
-from repro.core.decomposition import DecompositionStats, TrussDecomposition
-from repro.core.dist import TRANSPORTS, truss_decomposition_dist
-from repro.core.flat import truss_decomposition_flat
-from repro.core.hierarchy import HierarchyLevel, TrussHierarchy, truss_hierarchy
-from repro.core.lowerbound import LowerBoundResult, lower_bounding, prepare_input
-from repro.core.mapreduce_truss import k_truss_mr, truss_decomposition_mapreduce
-from repro.core.parallel import truss_decomposition_parallel
-from repro.core.semi_external import truss_decomposition_semi_external
-from repro.core.topdown import truss_decomposition_topdown
-from repro.core.truss_baseline import truss_decomposition_baseline
-from repro.core.truss_improved import truss_decomposition_improved
-from repro.core.upperbound import h_index, upper_bounding, x_excluding
+from repro._lazy import lazy_names
 
 __all__ = [
     "METHODS",
@@ -88,3 +71,32 @@ __all__ = [
     "ample_budget",
     "peel_level",
 ]
+
+#: defining module -> the public names it provides
+_SOURCES = {
+    "repro.core.api": (
+        "CSR_METHODS", "METHODS", "apply_updates", "decompose_file",
+        "k_truss", "top_t_classes", "truss_decomposition", "trussness",
+    ),
+    "repro.core.bottomup": (
+        "ample_budget", "peel_level", "truss_decomposition_bottomup",
+    ),
+    "repro.core.decomposition": ("DecompositionStats", "TrussDecomposition"),
+    "repro.core.dist": ("TRANSPORTS", "truss_decomposition_dist"),
+    "repro.core.flat": ("truss_decomposition_flat",),
+    "repro.core.hierarchy": (
+        "HierarchyLevel", "TrussHierarchy", "truss_hierarchy",
+    ),
+    "repro.core.lowerbound": (
+        "LowerBoundResult", "lower_bounding", "prepare_input",
+    ),
+    "repro.core.mapreduce_truss": ("k_truss_mr", "truss_decomposition_mapreduce"),
+    "repro.core.parallel": ("truss_decomposition_parallel",),
+    "repro.core.semi_external": ("truss_decomposition_semi_external",),
+    "repro.core.topdown": ("truss_decomposition_topdown",),
+    "repro.core.truss_baseline": ("truss_decomposition_baseline",),
+    "repro.core.truss_improved": ("truss_decomposition_improved",),
+    "repro.core.upperbound": ("h_index", "upper_bounding", "x_excluding"),
+}
+
+__getattr__, __dir__ = lazy_names(globals(), _SOURCES)

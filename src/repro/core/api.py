@@ -44,32 +44,33 @@ on-disk mmap layout, holding build memory at O(m + chunk)).  All
 three accept a ready :class:`~repro.graph.csr.CSRGraph` in place of a
 ``Graph``, and :func:`decompose_file` feeds them straight from an
 edge-list file via the dict-free streaming ingest.
+
+An engine's module is imported when a call first dispatches to it, so
+a process loads only the methods it runs.  The flat engine is the
+exception: ``truss_decomposition_flat`` stays a module global, looked
+up there on every call, because the benchmark's layer timing
+(``perfbench/layers.py``) rebinds it in this module.
 """
 
 from __future__ import annotations
 
 import time as _time
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
-from repro.core.bottomup import truss_decomposition_bottomup
 from repro.core.decomposition import TrussDecomposition
-from repro.core.dist import truss_decomposition_dist
 from repro.core.flat import truss_decomposition_flat
-from repro.core.mapreduce_truss import truss_decomposition_mapreduce
-from repro.core.parallel import truss_decomposition_parallel
-from repro.core.topdown import truss_decomposition_topdown
-from repro.core.truss_baseline import truss_decomposition_baseline
-from repro.core.truss_improved import truss_decomposition_improved
 from repro.errors import DecompositionError
-from repro.exio.iostats import IOStats
-from repro.exio.memory import MemoryBudget
 from repro.graph.adjacency import Graph
 from repro.graph.csr import CSRGraph
 from repro.graph.edges import Edge
 from repro.kernels import resolve_kernel
 from repro.obs import open_tracer
-from repro.partition.base import Partitioner
+
+if TYPE_CHECKING:
+    from repro.exio.iostats import IOStats
+    from repro.exio.memory import MemoryBudget
+    from repro.partition.base import Partitioner
 
 METHODS = (
     "improved", "flat", "parallel", "dist", "baseline", "bottomup",
@@ -183,6 +184,8 @@ def truss_decomposition(
 
     def dispatch() -> TrussDecomposition:
         if method == "improved":
+            from repro.core.truss_improved import truss_decomposition_improved
+
             _reject_external_args(method, memory_budget, partitioner, io_stats, top_t)
             return truss_decomposition_improved(g)
         if method == "flat":
@@ -192,12 +195,16 @@ def truss_decomposition(
                 trace=tracer,
             )
         if method == "parallel":
+            from repro.core.parallel import truss_decomposition_parallel
+
             _reject_external_args(method, memory_budget, partitioner, io_stats, top_t)
             return truss_decomposition_parallel(
                 g, jobs=jobs, index_storage=index_storage,
                 kernel=kernel, trace=tracer,
             )
         if method == "dist":
+            from repro.core.dist import truss_decomposition_dist
+
             _reject_external_args(method, memory_budget, partitioner, io_stats, top_t)
             return truss_decomposition_dist(
                 g, ranks=ranks, transport=transport, timeout=timeout,
@@ -205,9 +212,13 @@ def truss_decomposition(
                 kernel=kernel, trace=tracer,
             )
         if method == "baseline":
+            from repro.core.truss_baseline import truss_decomposition_baseline
+
             _reject_external_args(method, memory_budget, partitioner, io_stats, top_t)
             return truss_decomposition_baseline(g)
         if method == "bottomup":
+            from repro.core.bottomup import truss_decomposition_bottomup
+
             if top_t is not None:
                 raise DecompositionError(
                     "top_t is only meaningful for method='topdown'"
@@ -220,6 +231,8 @@ def truss_decomposition(
                 stats=io_stats,
             )
         if method == "topdown":
+            from repro.core.topdown import truss_decomposition_topdown
+
             return truss_decomposition_topdown(
                 g,
                 t=top_t,
@@ -229,6 +242,8 @@ def truss_decomposition(
                 stats=io_stats,
             )
         if method == "mapreduce":
+            from repro.core.mapreduce_truss import truss_decomposition_mapreduce
+
             _reject_external_args(method, memory_budget, partitioner, io_stats, top_t)
             return truss_decomposition_mapreduce(g)
         raise DecompositionError(

@@ -9,16 +9,12 @@ Components::
     ExternalSorter    bounded-memory multi-pass merge sort
     DiskEdgeFile      attributed edge file (the on-disk Gnew)
     DiskAdjacencyGraph  adjacency-list graph file in ascending-id order
+
+Each name resolves on first use: the in-memory methods need only
+:mod:`repro.exio.iostats`, so they never load the disk-backed modules.
 """
 
-from repro.exio.blockfile import BlockReader, BlockWriter, file_size, remove_if_exists
-from repro.exio.bufferpool import BufferPool
-from repro.exio.diskgraph import DiskAdjacencyGraph
-from repro.exio.edgefile import AttrEdge, DiskEdgeFile
-from repro.exio.extsort import ExternalSorter
-from repro.exio.iostats import DEFAULT_BLOCK_SIZE, IOStats
-from repro.exio.memory import UNBOUNDED, MemoryBudget
-from repro.exio.records import ATTR_EDGE, DIRECTED, EDGE, RecordCodec
+from repro._lazy import lazy_names
 
 __all__ = [
     "IOStats",
@@ -39,3 +35,19 @@ __all__ = [
     "AttrEdge",
     "DiskAdjacencyGraph",
 ]
+
+#: defining module -> the public names it provides
+_SOURCES = {
+    "repro.exio.blockfile": (
+        "BlockReader", "BlockWriter", "file_size", "remove_if_exists",
+    ),
+    "repro.exio.bufferpool": ("BufferPool",),
+    "repro.exio.diskgraph": ("DiskAdjacencyGraph",),
+    "repro.exio.edgefile": ("AttrEdge", "DiskEdgeFile"),
+    "repro.exio.extsort": ("ExternalSorter",),
+    "repro.exio.iostats": ("DEFAULT_BLOCK_SIZE", "IOStats"),
+    "repro.exio.memory": ("UNBOUNDED", "MemoryBudget"),
+    "repro.exio.records": ("ATTR_EDGE", "DIRECTED", "EDGE", "RecordCodec"),
+}
+
+__getattr__, __dir__ = lazy_names(globals(), _SOURCES)

@@ -322,11 +322,14 @@ class TrussRequestHandler(BaseHTTPRequestHandler):
         if body:
             try:
                 payload = json.loads(body)
-                u, v = int(payload["u"]), int(payload["v"])
+                u, v = payload["u"], payload["v"]
             except (ValueError, KeyError, TypeError):
+                pass
+            # JSON integers only: int() would take 1.9, "8" and true
+            if type(u) is not int or type(v) is not int:
                 raise _HTTPError(
                     400, 'body must be JSON {"u": int, "v": int}'
-                ) from None
+                )
         elif "u" in query and "v" in query:
             try:
                 u, v = int(query["u"][0]), int(query["v"][0])

@@ -45,6 +45,7 @@ from __future__ import annotations
 import os
 import threading
 import time
+from operator import index
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
@@ -54,6 +55,7 @@ from repro.obs import MetricsRegistry, NULL_TRACER, warn_degraded
 from repro.serve import snapshot as snap
 from repro.serve.view import LocalReader, ReadView
 from repro.serve.wal import WriteAheadLog
+from repro.stream.maintainer import TrussMaintainer
 from repro.stream.updates import UPDATE_OPS, Update
 
 #: histogram buckets for request/apply wall times, seconds
@@ -88,9 +90,9 @@ class DeadlineExpiredError(ServeError):
 
 
 class InvalidUpdateError(ServeError):
-    """An update has an op the WAL cannot log, or names a vertex id
-    outside int64, which no generation can hold (400); logged, it would
-    fail every publish and recovery."""
+    """An update has an op the WAL cannot log, or a vertex id that is
+    not an integer or lies outside int64, which no generation can hold
+    (400); logged, it would fail every publish and recovery."""
 
     status = 400
 
@@ -137,8 +139,6 @@ class TrussService:
     # ----------------------------------------------------------- recovery
     def open(self) -> None:
         """Recover to the acked state: snapshot + WAL-tail replay."""
-        from repro.stream import TrussMaintainer
-
         if snap._np is None:
             raise ServeError(
                 "repro serve needs numpy, which is not installed: snapshot "
@@ -271,8 +271,15 @@ class TrussService:
                     f"update {op!r} {u} {v}: unknown op; expected one of "
                     f"{sorted(UPDATE_OPS)}"
                 )
-            if not all(snap.INT64_MIN <= int(x) <= snap.INT64_MAX
-                       for x in (u, v)):
+            try:
+                # index() takes ints and numpy integers; int() would
+                # truncate 1.5 and parse "7"
+                ends = index(u), index(v)
+            except TypeError:
+                raise InvalidUpdateError(
+                    f"update {op} {u!r} {v!r}: vertex ids must be integers"
+                ) from None
+            if not all(snap.INT64_MIN <= x <= snap.INT64_MAX for x in ends):
                 raise InvalidUpdateError(
                     f"update {op} {u} {v}: vertex id outside the signed "
                     "64-bit range"

@@ -32,7 +32,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from collections.abc import Mapping
 from itertools import repeat
-from operator import itemgetter
+from operator import index, itemgetter
 from time import perf_counter as _perf
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
@@ -412,8 +412,10 @@ class TrussMaintainer:
             else:
                 raise DecompositionError(f"unknown update op: {op!r}")
             try:
-                u, v = int(u), int(v)
-            except (TypeError, ValueError):
+                # index() takes ints and numpy integers; int() would
+                # truncate 1.5 and parse "7"
+                u, v = index(u), index(v)
+            except TypeError:
                 raise DecompositionError(
                     f"non-integer vertex id in update {op} {u!r} {v!r}"
                 ) from None

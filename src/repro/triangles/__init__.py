@@ -15,31 +15,13 @@ the structure every CSR peel engine — ``flat``, ``parallel``, ``dist``
 — runs over; :mod:`repro.triangles.index_builder` documents the build
 contract and the on-disk ``.npy`` layout that
 :meth:`TriangleIndex.open` memory-maps.
+
+Each name resolves on first use, so a CSR engine that imports the
+index builder does not load the dict-based listing or the external
+variant.
 """
 
-from repro.triangles.listing import (
-    degree_ranks,
-    iter_triangles,
-    oriented_adjacency,
-    triangle_count,
-)
-from repro.triangles.external import (
-    external_edge_supports,
-    external_supports_to_file,
-    external_triangle_count,
-)
-from repro.triangles.index_builder import (
-    INDEX_STORAGES,
-    TriangleIndex,
-    build_triangle_index,
-    count_edge_incidence,
-)
-from repro.triangles.support import (
-    edge_supports,
-    max_support,
-    support_of_edges,
-    supports_within,
-)
+from repro._lazy import lazy_names
 
 __all__ = [
     "INDEX_STORAGES",
@@ -58,3 +40,25 @@ __all__ = [
     "supports_within",
     "max_support",
 ]
+
+#: defining module -> the public names it provides
+_SOURCES = {
+    "repro.triangles.external": (
+        "external_edge_supports", "external_supports_to_file",
+        "external_triangle_count",
+    ),
+    "repro.triangles.index_builder": (
+        "INDEX_STORAGES", "TriangleIndex", "build_triangle_index",
+        "count_edge_incidence",
+    ),
+    "repro.triangles.listing": (
+        "degree_ranks", "iter_triangles", "oriented_adjacency",
+        "triangle_count",
+    ),
+    "repro.triangles.support": (
+        "edge_supports", "max_support", "support_of_edges",
+        "supports_within",
+    ),
+}
+
+__getattr__, __dir__ = lazy_names(globals(), _SOURCES)

@@ -180,6 +180,16 @@ class TestWrites:
         status, _, _ = _request(served, "POST", "/edges?u=4&v=9")
         assert status == 200  # the writer still publishes
 
+    @pytest.mark.parametrize("u, v", [(1.9, 7), ("8", 9), (True, 11)])
+    def test_post_edge_non_integer_id_is_400(self, served, u, v):
+        # int() would insert (1, 7), (8, 9) and (1, 11)
+        body = json.dumps({"u": u, "v": v})
+        status, _, data = _request(served, "POST", "/edges", body=body)
+        assert status == 400 and "int" in json.loads(data)["error"]
+        assert served.svc._wal.last_seq == 0  # nothing logged
+        status, _, data = _request(served, "POST", "/edges?u=4&v=9")
+        assert status == 200 and json.loads(data)["seq"] == 1
+
     def test_post_updates_bulk(self, served):
         body = "+ 5 6\n# comment\n\n- 0 3\n"
         status, _, data = _request(served, "POST", "/updates", body=body)

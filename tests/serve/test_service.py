@@ -299,6 +299,27 @@ class TestDeadlinesAndBackpressure:
         with _service(tmp_path) as svc:
             assert svc.reader.current()[0].lookup(5, 7) == 2
 
+    @pytest.mark.parametrize("bad", ["x", 1.5, "7"])
+    def test_non_integer_id_is_rejected_before_logging(
+        self, tmp_path, graph_file, bad
+    ):
+        # int() would raise a bare ValueError on "x", and log and apply
+        # 1.5 as vertex 1 and "7" as vertex 7
+        with _service(tmp_path, graph_file) as svc:
+            wal_before = svc._wal.last_seq
+            with pytest.raises(InvalidUpdateError) as info:
+                svc.apply_write([("insert", 5, 7), ("insert", bad, 9)])
+            assert info.value.status == 400
+            assert svc._wal.last_seq == wal_before  # nothing durable
+            assert svc.maintainer.num_edges == len(EDGES)
+
+    def test_numpy_integer_ids_apply(self, tmp_path, graph_file):
+        with _service(tmp_path, graph_file) as svc:
+            write = [("insert", snap._np.int64(5), snap._np.int64(7))]
+            assert svc.apply_write(write)[0] == 1
+        with _service(tmp_path) as svc:
+            assert svc.reader.current()[0].lookup(5, 7) == 2
+
     def test_unknown_op_is_rejected_before_logging(self, tmp_path,
                                                    graph_file):
         # logged halfway, the batch used to burn a seq, so the next

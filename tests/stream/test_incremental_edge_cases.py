@@ -133,9 +133,12 @@ def test_noop_updates_return_false():
         (3, [("insert", 0, 5), ("upsert", 1, 2)]),
         (4, [("delete", 0, 1), ("insert", "x", 2)]),
         (4, [("delete", 0, 1), ("insert", 1 << 63, 2)]),
+        (4, [("delete", 0, 1), ("insert", 1.5, 7)]),
+        (4, [("delete", 0, 1), ("insert", "7", 8)]),
     ],
     ids=["upsert-only", "delete-then-bogus", "insert-then-upsert",
-         "non-integer-endpoint", "endpoint-outside-int64"],
+         "non-integer-endpoint", "endpoint-outside-int64",
+         "float-endpoint", "numeric-string-endpoint"],
 )
 def test_unknown_op_raises_before_mutating(n, batch):
     # every update is checked before the first one is applied, so a
@@ -150,6 +153,19 @@ def test_unknown_op_raises_before_mutating(n, batch):
     mirror = g.copy()
     mirror.add_edge(7, 8)
     _check_state(tm, mirror, [(0, 1), (7, 8)])
+
+
+def test_numpy_integer_endpoints_apply():
+    # operator.index takes numpy integers, and the state keys are ints
+    import numpy as np
+
+    g = complete_graph(4)
+    tm = TrussMaintainer.from_graph(g)
+    assert tm.apply_batch([("insert", np.int64(7), np.int32(8))]) == 1
+    mirror = g.copy()
+    mirror.add_edge(7, 8)
+    _check_state(tm, mirror, [(7, 8)])
+    assert all(type(x) is int for edge in tm.trussness for x in edge)
 
 
 def test_insert_then_delete_same_edge_in_batch_with_triangles():
