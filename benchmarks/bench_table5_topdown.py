@@ -141,7 +141,7 @@ def test_candidate_extraction_csr_delta(name, scale, tmp_path, capsys):
     Same U_k, same H edge set, same psi per edge as the dict build —
     asserted record for record — with the wall-clock delta printed so
     the port's effect is recorded alongside the Table 5 numbers.  The
-    port's win is structural (flat CSR arrays + eid-indexed psi feed
+    port's win is structural (``EdgeRuns`` arrays + eid-indexed psi feed
     the valid-subgraph and prune scans dict-free); wall time at laptop
     scale is reported, not gated.
     """
@@ -163,10 +163,11 @@ def test_candidate_extraction_csr_delta(name, scale, tmp_path, capsys):
     h_csr, psi_csr, uk_csr = _extract_candidate(gnew, {}, k)
     csr_s = time.perf_counter() - start
     assert uk_csr == uk_dict
-    assert set(h_csr.edges_original()) == set(h_dict.edges())
-    for (u, v), psi in psi_dict.items():
-        eid = h_csr.edge_id(h_csr.compact_id(u), h_csr.compact_id(v))
-        assert psi_csr[eid] == psi, (u, v)
+    labels = h_csr.labels
+    edges = [(labels[i], labels[j]) for i, j in zip(h_csr.eu, h_csr.ev)]
+    assert set(edges) == set(h_dict.edges())
+    for (u, v), psi in zip(edges, psi_csr):
+        assert psi_dict[(u, v)] == psi, (u, v)
     with capsys.disabled():
         print(
             f"\n[table5 extraction] {name}: dict {dict_s:.4f}s -> "

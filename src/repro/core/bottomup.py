@@ -31,7 +31,11 @@ import tempfile
 from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.core.decomposition import DecompositionStats, TrussDecomposition
+from repro.core.decomposition import (
+    DecompositionStats,
+    TrussDecomposition,
+    require_int64_ids,
+)
 from repro.core.lowerbound import lower_bounding, prepare_input
 from repro.exio.edgefile import DiskEdgeFile
 from repro.exio.iostats import IOStats
@@ -167,7 +171,12 @@ def truss_decomposition_bottomup(
     flattened to the trivial value 3, so every ``U_k`` covers the whole
     remaining graph — quantifying how much candidate-subgraph shrinkage
     the bounds buy (Section 5's design rationale).
+
+    The graph is spilled as fixed-width int64 records, so a vertex id
+    outside that range raises :class:`DecompositionError` before any
+    record is written.
     """
+    require_int64_ids(g)
     stats = stats if stats is not None else IOStats()
     partitioner = partitioner if partitioner is not None else DominatingSetPartitioner()
     budget = budget if budget is not None else ample_budget(g)

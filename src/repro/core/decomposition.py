@@ -32,6 +32,25 @@ from repro.graph.views import union_edge_subgraph
 from repro.obs.metrics import MetricsRegistry
 
 
+def require_int64_ids(g: Graph) -> None:
+    """Raise :class:`DecompositionError` naming a vertex id of ``g``
+    outside the signed 64-bit range.
+
+    The int64 arrays of the CSR engines and the fixed-width on-disk
+    records of the external methods both have this limit; only the
+    dict-based methods accept any integer.
+    """
+    if not g.num_vertices:
+        return
+    for bad in (min(g.vertices()), max(g.vertices())):
+        if not -(1 << 63) <= bad < 1 << 63:
+            raise DecompositionError(
+                f"vertex id {bad} is outside the signed 64-bit range "
+                "[-2**63, 2**63 - 1] this method stores ids in; "
+                'method="improved" accepts any integer id'
+            )
+
+
 class DecompositionStats:
     """Bookkeeping attached to a decomposition run.
 

@@ -19,11 +19,8 @@ paper's own stdlib peel, ``method="improved"``, is what runs there.
 
 The flat integer substrate (``sup``/``alive``/``phi`` indexed by edge
 id) is what the scaling work builds on: :mod:`repro.core.parallel`
-fans the same waves out over a shared-memory worker pool,
-:mod:`repro.core.semi_external` initializes its per-edge state through
-:func:`initial_supports` (compact-forward counting by merge-style
-sorted intersection of rank-oriented runs when numpy is absent), and
-the streaming ingest
+fans the same waves out over a shared-memory worker pool, and the
+streaming ingest
 (:meth:`~repro.graph.csr.CSRGraph.from_edge_list_file`) feeds
 :func:`truss_decomposition_flat` a ready CSR snapshot with no
 dict-of-set round trip.  :func:`truss_decomposition_flat` is
@@ -37,11 +34,14 @@ caller asks for :attr:`~repro.core.decomposition.TrussDecomposition.trussness`.
 from __future__ import annotations
 
 import tempfile
-from array import array
 from time import perf_counter as _perf
 from typing import Dict, Optional, Tuple
 
-from repro.core.decomposition import DecompositionStats, TrussDecomposition
+from repro.core.decomposition import (
+    DecompositionStats,
+    TrussDecomposition,
+    require_int64_ids,
+)
 from repro.errors import DecompositionError
 from repro.graph.csr import CSRGraph, sorted_unique
 from repro.kernels import PeelKernel, get_kernel, resolve_kernel
@@ -50,7 +50,6 @@ from repro.triangles.index_builder import (
     INDEX_STORAGES,
     TriangleIndex,
     build_triangle_index,
-    count_edge_incidence,
 )
 
 try:  # the peel needs it; resolve_kernel reports its absence
@@ -74,109 +73,6 @@ def resolve_index_storage(index_storage: Optional[str]) -> str:
             f"{INDEX_STORAGES}"
         )
     return index_storage
-
-
-def _oriented_runs(csr: CSRGraph) -> Tuple[array, array, array]:
-    """Degree-rank-oriented adjacency with parallel edge ids.
-
-    Returns ``(optr, onbr, oeids)``: the out-run of the vertex of rank
-    ``r`` is ``onbr[optr[r]:optr[r+1]]``, holding the *ranks* of its
-    higher-ranked neighbors in ascending order, with ``oeids`` carrying
-    the canonical edge id of each slot.  Storing ranks (not vertex ids)
-    makes the intersection a plain sorted merge.
-
-    Built sort-free by two counting passes straight into flat
-    ``array('q')`` buffers (count out-degrees, then scatter through
-    fill cursors) — no per-vertex Python list pair ever exists.
-    Visiting ranks in ascending order and appending each one to its
-    lower-ranked neighbors' runs leaves every run already rank-sorted.
-    """
-    indptr, indices, eids = csr.indptr, csr.indices, csr.eids
-    n = csr.num_vertices
-    m = len(indices) // 2
-    vertex_of_rank = csr.degree_order()
-    rank = array("q", [0]) * n
-    for r, i in enumerate(vertex_of_rank):
-        rank[i] = r
-    optr = array("q", [0]) * (n + 1)
-    for r in range(n):
-        b = vertex_of_rank[r]
-        for t in range(indptr[b], indptr[b + 1]):
-            rw = rank[indices[t]]
-            if rw < r:
-                optr[rw + 1] += 1
-    for r in range(1, n + 1):
-        optr[r] += optr[r - 1]
-    fill = array("q", optr[:-1])
-    onbr = array("q", [0]) * m
-    oeids = array("q", [0]) * m
-    for r in range(n):
-        b = vertex_of_rank[r]
-        for t in range(indptr[b], indptr[b + 1]):
-            rw = rank[indices[t]]
-            if rw < r:
-                p = fill[rw]
-                onbr[p] = r
-                oeids[p] = eids[t]
-                fill[rw] = p + 1
-    return optr, onbr, oeids
-
-
-def _initial_supports_python(csr: CSRGraph, m: int) -> array:
-    """Merged oriented intersections, one triangle at a time.
-
-    Same compact-forward scheme as the numpy path: each triangle is
-    found exactly once, at its lowest-ranked edge, and the two-pointer
-    merge exposes the slots of both closing edges, so every support
-    increment is a direct index — ``O(m^1.5)`` total (an out-run holds
-    at most ``2*sqrt(m)`` slots).
-    """
-    optr, onbr, oeids = _oriented_runs(csr)
-    sup = array("q", [0]) * m
-    for a in range(csr.num_vertices):
-        a_lo, a_hi = optr[a], optr[a + 1]
-        if a_hi - a_lo < 2:
-            continue
-        for t in range(a_lo, a_hi):
-            rb = onbr[t]
-            tb, b_hi = optr[rb], optr[rb + 1]
-            if tb == b_hi:
-                continue
-            # merge out(a) against out(b): both sorted by rank, and
-            # common tips rank above b, hence sit after slot t
-            count = 0
-            ta = t + 1
-            while ta < a_hi and tb < b_hi:
-                ra = onbr[ta]
-                rc = onbr[tb]
-                if ra < rc:
-                    ta += 1
-                elif rc < ra:
-                    tb += 1
-                else:
-                    sup[oeids[ta]] += 1
-                    sup[oeids[tb]] += 1
-                    count += 1
-                    ta += 1
-                    tb += 1
-            if count:
-                sup[oeids[t]] += count
-    return sup
-
-
-def initial_supports(csr: CSRGraph) -> array:
-    """Support of every edge, indexed by canonical edge id.
-
-    The flat substrate's triangle-counting pass, exposed for reuse (the
-    semi-external baseline's support init rides it): the streaming
-    builder's counting pass with numpy (O(m + chunk) peak memory, no
-    triangle-length array), the merge-intersection pass without.
-    """
-    m = csr.num_edges
-    if _np is not None and m:
-        sup, _n_tri = count_edge_incidence(csr)
-        return array("q", sup.astype(_np.int64).tobytes())
-    return _initial_supports_python(csr, m)
 
 
 def run_wave_peel(
@@ -436,12 +332,8 @@ def _as_csr(g) -> CSRGraph:
     try:
         return CSRGraph.from_graph(g)
     except OverflowError:
-        lo, hi = min(g.vertices()), max(g.vertices())
-        bad = lo if lo < -(1 << 63) else hi
-        raise DecompositionError(
-            f"vertex id {bad} is outside the signed 64-bit range of the "
-            f"CSR engines; method=\"improved\" accepts any integer id"
-        ) from None
+        require_int64_ids(g)
+        raise
 
 
 def result_from_phi(
@@ -454,12 +346,10 @@ def result_from_phi(
     int64 ndarray.  Edge-id order is ascending ``(u, v)`` order.
     """
     stats.record("kmax", k if csr.num_edges else 2)
-    labels = _np.asarray(csr.labels, dtype=_np.int64)
+    labels = csr.labels
     eu, ev = csr.edge_endpoints()
     return TrussDecomposition.from_columns(
-        labels[_np.asarray(eu, dtype=_np.int64)],
-        labels[_np.asarray(ev, dtype=_np.int64)],
-        _np.asarray(phi, dtype=_np.int64),
+        labels[eu], labels[ev], _np.asarray(phi, dtype=_np.int64),
         stats=stats,
     )
 

@@ -16,17 +16,18 @@ ablation benchmark contrasts its I/O against TD-bottomup under the same
 memory, which is the paper's whole case for designing scan-based
 algorithms.
 
-Both sides of the disk boundary are plain integer arrays keyed by the
-CSR substrate now.  In memory: one integer of state per edge, indexed
-by canonical edge id — supports from
-:func:`repro.core.flat.initial_supports`, liveness as a bytearray
-bitmap, ``phi`` as an ``array('q')``.  On disk: the spill is the CSR
-adjacency itself — vertex ``i``'s record is its run of
-``(neighbor compact id, canonical eid)`` int64 pairs at byte offset
-``indptr[i] * 16``, written straight from ``CSRGraph.indices``/
-``CSRGraph.eids`` — so reloads hand the peel both wing edge ids of
+Both sides of the disk boundary are plain integer arrays keyed by
+canonical edge id: the edges of ``g.sorted_edges()`` in order, laid out
+as the stdlib :class:`~repro.core.edge_runs.EdgeRuns` snapshot.  In
+memory: one integer of state per edge — supports from
+:func:`repro.triangles.support.edge_supports`, read in edge order,
+liveness as a bytearray bitmap, ``phi`` as an ``array('q')``.  On disk:
+the spill is the CSR adjacency itself — vertex ``i``'s record is its
+run of ``(neighbor compact id, canonical eid)`` int64 pairs at byte
+offset ``indptr[i] * 16``, written straight from ``EdgeRuns.indices``/
+``EdgeRuns.eids`` — so reloads hand the peel both wing edge ids of
 every triangle directly, with no hashed edge tuples, no per-record
-vertex-id headers and no ``edge_id`` binary search on the hot path.
+vertex-id headers and no edge-id search on the hot path.
 The peel loop's *I/O pattern* is untouched (two arbitrary-offset
 fetches per removal, cascades landing anywhere), keeping the
 random-access profile this baseline exists to measure.  Absolute block
@@ -46,13 +47,13 @@ from pathlib import Path
 from typing import List, Optional, Tuple
 
 from repro.core.decomposition import DecompositionStats, TrussDecomposition
-from repro.core.flat import initial_supports
+from repro.core.edge_runs import EdgeRuns
 from repro.exio.blockfile import BlockWriter
 from repro.exio.bufferpool import BufferPool
 from repro.exio.iostats import IOStats
 from repro.exio.memory import MemoryBudget
 from repro.graph.adjacency import Graph
-from repro.graph.csr import CSRGraph
+from repro.triangles.support import edge_supports
 
 #: one adjacency slot on disk: (neighbor compact id, canonical eid)
 _PAIR = struct.Struct("<qq")
@@ -69,11 +70,13 @@ class _EidAdjacencySpill:
     is what lets the peel merge two runs instead of probing sets.
     """
 
-    def __init__(self, csr: CSRGraph, path: Path, build_stats: IOStats) -> None:
-        self.indptr = csr.indptr
+    def __init__(
+        self, runs: EdgeRuns, path: Path, build_stats: IOStats
+    ) -> None:
+        self.indptr = runs.indptr
         self.path = Path(path)
         self.pool: Optional[BufferPool] = None
-        indices, eids = csr.indices, csr.eids
+        indices, eids = runs.indices, runs.eids
         with BlockWriter(self.path, build_stats) as w:
             for t in range(len(indices)):
                 w.write(_PAIR.pack(indices[t], eids[t]))
@@ -110,16 +113,16 @@ def truss_decomposition_semi_external(
         # allowance), held in flat arrays indexed by canonical edge id;
         # on disk: the eid-keyed adjacency spill (the build's sequential
         # write is charged separately, like the old external-sort build)
-        csr = CSRGraph.from_graph(g)
-        m = csr.num_edges
-        sup = initial_supports(csr)
-        eu, ev = csr.edge_endpoints()
-        labels = csr.labels
+        edges = g.sorted_edges()
+        runs = EdgeRuns(edges)
+        m = runs.num_edges
+        sup = array("q", map(edge_supports(g).__getitem__, edges))
+        eu, ev = runs.eu, runs.ev
         alive = bytearray(b"\x01") * m
         phi = array("q", [0]) * m
 
         build_stats = IOStats(block_size=stats.block_size)
-        adj = _EidAdjacencySpill(csr, tmp / "g.eadj", build_stats)
+        adj = _EidAdjacencySpill(runs, tmp / "g.eadj", build_stats)
         # pages worth `budget` units of 8-byte words
         pages = max(1, (budget.units * 8) // stats.block_size)
         with BufferPool(adj.path, stats, capacity_pages=pages) as pool:
@@ -173,8 +176,6 @@ def truss_decomposition_semi_external(
             dstats.record("buffer_misses", pool.misses)
             dstats.record("buffer_hit_rate", pool.hit_rate)
     dstats.record("kmax", max(phi, default=2))
-    # labels ascend and eu[e] < ev[e], so the keys are canonical already
     return TrussDecomposition.from_canonical(
-        {(labels[eu[e]], labels[ev[e]]): phi[e] for e in range(m)},
-        stats=dstats,
+        dict(zip(edges, phi)), stats=dstats
     )

@@ -48,7 +48,12 @@ from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.bottomup import ample_budget, peel_level
-from repro.core.decomposition import DecompositionStats, TrussDecomposition
+from repro.core.decomposition import (
+    DecompositionStats,
+    TrussDecomposition,
+    require_int64_ids,
+)
+from repro.core.edge_runs import EdgeRuns
 from repro.core.truss_improved import truss_decomposition_improved
 from repro.core.upperbound import upper_bounding
 from repro.errors import DecompositionError
@@ -56,7 +61,6 @@ from repro.exio.edgefile import DiskEdgeFile
 from repro.exio.iostats import IOStats
 from repro.exio.memory import MemoryBudget
 from repro.graph.adjacency import Graph
-from repro.graph.csr import CSRGraph
 from repro.graph.edges import Edge
 from repro.graph.views import NeighborhoodSubgraph
 from repro.partition.base import (
@@ -66,11 +70,6 @@ from repro.partition.base import (
 )
 from repro.partition.dominating import DominatingSetPartitioner
 from repro.triangles.external import external_edge_supports
-
-try:  # optional accelerator for the record->eid mapping
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 
 def _choose_kinit(
@@ -107,45 +106,16 @@ def _choose_kinit(
     return kinit
 
 
-def _psi_by_eid(h: CSRGraph, us: array, vs: array, ps: array) -> array:
-    """Map scanned ``(u, v, psi)`` records onto H's canonical edge ids.
-
-    The records are exactly H's edges, once each, in original vertex
-    ids.  With numpy the mapping is one vectorized rank computation:
-    compacted canonical keys ascend exactly in edge-id order, so each
-    record's eid is its key's rank among the sorted keys.  The stdlib
-    path binary-searches the CSR runs per record.
-    """
-    m = h.num_edges
-    psi = array("q", [0]) * m
-    if not m:
-        return psi
-    if _np is not None:
-        lab = _np.asarray(h.labels, dtype=_np.int64)
-        u = _np.frombuffer(us, dtype=_np.int64)
-        v = _np.frombuffer(vs, dtype=_np.int64)
-        # labels are sorted, so searchsorted IS the original->compact map
-        cu = _np.searchsorted(lab, _np.minimum(u, v))
-        cv = _np.searchsorted(lab, _np.maximum(u, v))
-        key = cu * len(lab) + cv
-        eid = _np.searchsorted(_np.sort(key), key)
-        out = _np.zeros(m, dtype=_np.int64)
-        out[eid] = _np.frombuffer(ps, dtype=_np.int64)
-        return array("q", out.tobytes())
-    for u, v, p in zip(us, vs, ps):
-        psi[h.edge_id(h.compact_id(min(u, v)), h.compact_id(max(u, v)))] = p
-    return psi
-
-
 def _extract_candidate(
     gnew: DiskEdgeFile, classified: Dict[Edge, int], k: int
-) -> Tuple[CSRGraph, array, Set[int]]:
+) -> Tuple[EdgeRuns, array, Set[int]]:
     """Two scans: U_k, then H = NS(U_k) as a CSR snapshot.
 
-    H is built straight from flat record buffers into
-    :class:`~repro.graph.csr.CSRGraph` — no dict-of-set adjacency is
-    ever constructed for the candidate subgraph — and ``psi`` comes
-    back as a flat array indexed by H's canonical edge ids.
+    H is built from the selected records, canonical and sorted, into
+    :class:`~repro.core.edge_runs.EdgeRuns` — no dict-of-set adjacency
+    is ever constructed for the candidate subgraph.  A record's
+    position is its edge's id, so ``psi`` comes back as the records'
+    third column, already indexed by H's edge ids.
     """
     u_k: Set[int] = set()
     for u, v, psi in gnew.scan():
@@ -153,19 +123,18 @@ def _extract_candidate(
             u_k.add(u)
             u_k.add(v)
     if not u_k:
-        return CSRGraph(array("q", [0]), array("q"), []), array("q"), u_k
-    us, vs, ps = array("q"), array("q"), array("q")
-    for u, v, psi in gnew.scan():
-        if u in u_k or v in u_k:
-            us.append(u)
-            vs.append(v)
-            ps.append(psi)
-    h = CSRGraph.from_edges(zip(us, vs))
-    return h, _psi_by_eid(h, us, vs, ps), u_k
+        return EdgeRuns([]), array("q"), u_k
+    records = sorted(
+        (u, v, psi) if u < v else (v, u, psi)
+        for u, v, psi in gnew.scan()
+        if u in u_k or v in u_k
+    )
+    h = EdgeRuns([(u, v) for u, v, _psi in records])
+    return h, array("q", [psi for _u, _v, psi in records]), u_k
 
 
 def _valid_subgraph(
-    h: CSRGraph,
+    h: EdgeRuns,
     psi: array,
     classified: Dict[Edge, int],
     k: int,
@@ -178,8 +147,7 @@ def _valid_subgraph(
     """
     valid_edges: List[Edge] = []
     candidates: Set[Edge] = set()
-    labels = h.labels
-    eu, ev = h.edge_endpoints()
+    labels, eu, ev = h.labels, h.eu, h.ev
     for eid in range(h.num_edges):
         # labels ascend and eu < ev, so the key is canonical already
         e = (labels[eu[eid]], labels[ev[eid]])
@@ -238,7 +206,7 @@ def _peel_candidates_partitioned(
 
 def _prune_gnew(
     gnew: DiskEdgeFile,
-    h: CSRGraph,
+    h: EdgeRuns,
     u_k: Set[int],
     classified: Dict[Edge, int],
     stats: DecompositionStats,
@@ -251,8 +219,7 @@ def _prune_gnew(
     dict-free analogue of the old ``common_neighbors`` set probes.
     """
     prunable: Set[Edge] = set()
-    labels = h.labels
-    eu, ev = h.edge_endpoints()
+    labels, eu, ev = h.labels, h.eu, h.ev
     for eid in range(h.num_edges):
         iu, iv = eu[eid], ev[eid]
         u, v = labels[iu], labels[iv]
@@ -302,9 +269,12 @@ def truss_decomposition_topdown(
     With ``t`` set, the returned decomposition is *partial*: it contains
     exactly the edges of the top-t classes (``kmax >= k > kmax - t``).
     With ``t=None`` it matches the other algorithms edge-for-edge.
+    A vertex id outside the signed 64-bit range of the on-disk records
+    raises :class:`DecompositionError` before any record is written.
     """
     if t is not None and t < 1:
         raise DecompositionError(f"top-t needs t >= 1, got {t}")
+    require_int64_ids(g)
     stats = stats if stats is not None else IOStats()
     partitioner = partitioner if partitioner is not None else DominatingSetPartitioner()
     budget = budget if budget is not None else ample_budget(g)

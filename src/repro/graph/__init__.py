@@ -7,43 +7,13 @@ Public surface::
     EdgeTable, norm_edge      edge canonicalization and dense ids
     neighborhood_subgraph     Definition 4's NS(U)
     from_edges, read_edge_list, ...   constructors and (de)serialization
+
+Each name resolves on first use, so a command that ingests straight
+into a :class:`CSRGraph` does not load the builders, the text and
+binary readers or the component search.
 """
 
-from repro.graph.adjacency import Graph
-from repro.graph.components import (
-    connected_components,
-    largest_component,
-    num_connected_components,
-)
-from repro.graph.builders import (
-    CleaningReport,
-    complete_graph,
-    cycle_graph,
-    disjoint_union,
-    from_edges,
-    from_edges_cleaned,
-    path_graph,
-    relabel_compact,
-    star_graph,
-)
-from repro.graph.csr import CSRGraph
-from repro.graph.edges import Edge, EdgeTable, dedup_edges, norm_edge, norm_edges
-from repro.graph.io import (
-    iter_binary_edges,
-    iter_edge_list,
-    read_adjacency_list,
-    read_binary_edges,
-    read_edge_list,
-    write_adjacency_list,
-    write_binary_edges,
-    write_edge_list,
-)
-from repro.graph.views import (
-    NeighborhoodSubgraph,
-    neighborhood_subgraph,
-    neighborhood_subgraph_from_edges,
-    union_edge_subgraph,
-)
+from repro._lazy import lazy_names
 
 __all__ = [
     "Graph",
@@ -78,3 +48,32 @@ __all__ = [
     "write_binary_edges",
     "iter_binary_edges",
 ]
+
+#: defining module -> the public names it provides
+_SOURCES = {
+    "repro.graph.adjacency": ("Graph",),
+    "repro.graph.builders": (
+        "CleaningReport", "complete_graph", "cycle_graph",
+        "disjoint_union", "from_edges", "from_edges_cleaned",
+        "path_graph", "relabel_compact", "star_graph",
+    ),
+    "repro.graph.components": (
+        "connected_components", "largest_component",
+        "num_connected_components",
+    ),
+    "repro.graph.csr": ("CSRGraph",),
+    "repro.graph.edges": (
+        "Edge", "EdgeTable", "dedup_edges", "norm_edge", "norm_edges",
+    ),
+    "repro.graph.io": (
+        "iter_binary_edges", "iter_edge_list", "read_adjacency_list",
+        "read_binary_edges", "read_edge_list", "write_adjacency_list",
+        "write_binary_edges", "write_edge_list",
+    ),
+    "repro.graph.views": (
+        "NeighborhoodSubgraph", "neighborhood_subgraph",
+        "neighborhood_subgraph_from_edges", "union_edge_subgraph",
+    ),
+}
+
+__getattr__, __dir__ = lazy_names(globals(), _SOURCES)

@@ -2,39 +2,45 @@
 
 Triangle counting and support initialization touch every adjacency list
 many times; doing that over ``dict``-of-``set`` costs a hash probe per
-element.  :class:`CSRGraph` lays the adjacency out in two flat arrays
-(``indptr``/``indices``), relabels vertices to ``0..n-1``, and sorts each
-adjacency run, enabling merge-style intersections and cache-friendly
-scans.  It is the in-memory analogue of the on-disk adjacency format in
-:mod:`repro.exio.diskgraph`.
+element.  :class:`CSRGraph` lays the adjacency out in flat int64
+ndarrays (``indptr``/``indices``, with the canonical edge id of every
+slot in ``eids``), relabels vertices to ``0..n-1`` (``labels``), and
+sorts each adjacency run, enabling merge-style intersections and
+cache-friendly scans.  It is the in-memory analogue of the on-disk
+adjacency format in :mod:`repro.exio.diskgraph`.
 
-Two construction routes:
+Every constructor ends in one builder, which sort-dedupes the
+canonical pairs and gives each edge its position among the sorted keys
+as its id:
 
 * :meth:`CSRGraph.from_graph` snapshots a mutable dict-of-set
-  :class:`~repro.graph.adjacency.Graph`;
+  :class:`~repro.graph.adjacency.Graph` (isolated vertices keep empty
+  runs);
 * :meth:`CSRGraph.from_edges` / :meth:`CSRGraph.from_edge_list_file`
   are the **dict-free streaming ingest**: raw ``(u, v)`` pairs (or a
   SNAP-style text file, parsed in bounded chunks) go straight to the
   flat arrays — self-loops dropped, duplicates collapsed, vertex ids
   canonicalized — without ever materializing a ``Graph``.  This is the
   fast path the decompose-from-file workloads ride
-  (``repro decompose --method flat|parallel``), and it assigns the
-  canonical edge ids as a by-product, so :attr:`eids` is free.
+  (``repro decompose --method flat|parallel``).
+
+The snapshot needs numpy: without it every constructor raises
+:data:`repro.kernels.NUMPY_REQUIRED`.  The paper's stdlib methods use
+:class:`repro.core.edge_runs.EdgeRuns` instead.
 """
 
 from __future__ import annotations
 
 import threading
 from array import array
-from bisect import bisect_left
+from itertools import chain
 from operator import itemgetter
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Tuple
 
-from repro.errors import EdgeNotFoundError, FormatError, VertexNotFoundError
-from repro.graph.adjacency import Graph
-from repro.graph.edges import Edge
+from repro.errors import DecompositionError, FormatError
+from repro.kernels import NUMPY_REQUIRED
 
-try:  # optional accelerator; every code path has a stdlib fallback
+try:  # the snapshot's arrays; import stays possible without it
     import numpy as _np
 except ImportError:  # pragma: no cover
     _np = None
@@ -58,58 +64,43 @@ _BYTE_CLASS = bytes(
 _MAX_DIGITS = 18
 
 
+def _require_numpy() -> None:
+    """The one guard of every constructor: the arrays are ndarrays."""
+    if _np is None:
+        raise DecompositionError(NUMPY_REQUIRED)
+
+
 class CSRGraph:
-    """Read-only CSR view with original-id round-tripping.
+    """Read-only CSR snapshot over int64 ndarrays.
 
     ``labels[i]`` is the original vertex id of compact vertex ``i``;
     compact ids follow ascending original-id order, so the paper's
     "vertices sorted in ascending order of their IDs" invariant holds.
+    ``indices[indptr[i]:indptr[i + 1]]`` is vertex ``i``'s sorted run of
+    neighbours, and ``eids`` holds the edge id of each slot: both slots
+    of an edge carry the same id, dense in ``0..m-1`` and assigned in
+    ascending compact ``(i, j)`` order — the integer substrate the CSR
+    engines index their per-edge arrays by.
     """
 
-    __slots__ = ("indptr", "indices", "labels", "_index_of", "_eids")
+    __slots__ = ("indptr", "indices", "eids", "labels")
 
-    def __init__(self, indptr: array, indices: array, labels: List[int]) -> None:
+    def __init__(self, indptr, indices, eids, labels) -> None:
         self.indptr = indptr
         self.indices = indices
+        self.eids = eids
         self.labels = labels
-        self._index_of: Dict[int, int] = {v: i for i, v in enumerate(labels)}
-        self._eids: Optional[array] = None
 
     @classmethod
-    def from_graph(cls, g: Graph) -> "CSRGraph":
+    def from_graph(cls, g) -> "CSRGraph":
         """Snapshot a mutable :class:`Graph` into CSR form."""
-        labels = g.sorted_vertices()
-        if _np is not None and g.num_edges:
-            return cls._from_graph_numpy(g, labels)
-        index_of = {v: i for i, v in enumerate(labels)}
-        indptr = array("q", [0])
-        indices = array("q")
-        for v in labels:
-            row = sorted(index_of[w] for w in g.neighbors(v))
-            indices.extend(row)
-            indptr.append(len(indices))
-        return cls(indptr, indices, labels)
-
-    @classmethod
-    def _from_graph_numpy(cls, g: Graph, labels: List[int]) -> "CSRGraph":
-        from itertools import chain
-
-        n, m = len(labels), g.num_edges
+        _require_numpy()
         flat = _np.fromiter(
-            chain.from_iterable(g.edges()), dtype=_np.int64, count=2 * m
+            chain.from_iterable(g.edges()), dtype=_np.int64,
+            count=2 * g.num_edges,
         )
-        lab = _np.asarray(labels, dtype=_np.int64)
-        # labels are sorted, so searchsorted IS the original->compact map
-        u = _np.searchsorted(lab, flat[0::2])
-        v = _np.searchsorted(lab, flat[1::2])
-        src = _np.concatenate((u, v))
-        dst = _np.concatenate((v, u))
-        indptr, by_row = _rows(src, dst, n)
-        return cls(
-            array("q", indptr.tobytes()),
-            array("q", dst[by_row].tobytes()),
-            labels,
-        )
+        labels = _np.array(g.sorted_vertices(), dtype=_np.int64)
+        return cls._from_flat_pairs(flat, labels)
 
     # ------------------------------------------------------------------
     # dict-free streaming ingest
@@ -121,18 +112,16 @@ class CSRGraph:
         with the dict-of-set intermediate cut out: self-loops are
         dropped, duplicates (in either orientation) collapse to one
         undirected edge, and vertex ids may be arbitrary non-contiguous
-        integers.  Canonical edge ids are assigned during the build, so
-        :attr:`eids` costs nothing afterwards.
+        integers.
 
         Vertices that appear only in self-loops are dropped along with
         the loop, matching ``from_edges_cleaned`` semantics.
         """
-        if _np is not None:
-            flat = _np.fromiter(
-                (x for uv in pairs for x in uv), dtype=_np.int64
-            )
-            return cls._from_flat_pairs_numpy(flat)
-        return cls._from_pairs_python(pairs)
+        _require_numpy()
+        flat = _np.fromiter(
+            (x for uv in pairs for x in uv), dtype=_np.int64
+        )
+        return cls._from_flat_pairs(flat)
 
     @classmethod
     def from_edge_list_file(
@@ -141,13 +130,11 @@ class CSRGraph:
         """Parse a SNAP-style text edge list directly into CSR form.
 
         The file is read in ``chunk_bytes``-sized blocks aligned to line
-        boundaries; with numpy available each block's integer tokens are
-        bulk-converted (``#`` comment lines and blank lines skipped, the
-        first two columns of each row used), so peak memory stays a few
-        multiples of the chunk size plus the output arrays and no
-        per-line Python object churn happens on the hot path.  Without
-        numpy it degrades to the streaming line parser feeding
-        :meth:`from_edges`.
+        boundaries, and each block's integer tokens are bulk-converted
+        (``#`` comment lines and blank lines skipped, the first two
+        columns of each row used), so peak memory stays a few multiples
+        of the chunk size plus the output arrays and no per-line Python
+        object churn happens on the hot path.
 
         This is the ingest fast path of ``repro decompose``: on
         decompose-from-file workloads it replaces the
@@ -155,10 +142,7 @@ class CSRGraph:
         mutable-graph build just to snapshot it) and feeds the flat and
         parallel engines directly.
         """
-        from repro.graph.io import iter_edge_list
-
-        if _np is None:
-            return cls.from_edges(iter_edge_list(path))
+        _require_numpy()
         parts: List["_np.ndarray"] = []
         with open(path, "rb") as f:
             carry = b""
@@ -183,23 +167,31 @@ class CSRGraph:
                 if chunk is not None:
                     parts.append(chunk)
         if not parts:
-            return cls(array("q", [0]), array("q"), [])
+            return cls._from_flat_pairs(_np.zeros(0, dtype=_np.int64))
         flat = parts[0] if len(parts) == 1 else _np.concatenate(parts)
-        return cls._from_flat_pairs_numpy(flat)
+        return cls._from_flat_pairs(flat)
 
     @classmethod
-    def _from_flat_pairs_numpy(cls, flat: "_np.ndarray") -> "CSRGraph":
-        """Canonicalize/dedupe interleaved ``u0 v0 u1 v1 ...`` pairs."""
+    def _from_flat_pairs(
+        cls, flat: "_np.ndarray", labels: Optional["_np.ndarray"] = None
+    ) -> "CSRGraph":
+        """The builder under every constructor: interleaved
+        ``u0 v0 u1 v1 ...`` pairs, canonicalized and deduped.
+
+        ``labels`` (sorted, distinct, covering every endpoint) keeps
+        vertices with no edge as empty runs; by default the labels are
+        the endpoints.  Each edge's id is its position among the sorted
+        unique keys, so the ids come free with the dedupe.
+        """
         u, v = flat[0::2], flat[1::2]
         keep = u != v  # drop self-loops
         u, v = u[keep], v[keep]
-        if not len(u):
-            return cls(array("q", [0]), array("q"), [])
         ends = _np.concatenate((_np.minimum(u, v), _np.maximum(u, v)))
-        verts = sorted_unique(ends)  # sorted labels
-        n = len(verts)
+        if labels is None:
+            labels = sorted_unique(ends)
+        n = len(labels)
         # labels are sorted, so searchsorted IS the original->compact map
-        comp = _np.searchsorted(verts, ends)
+        comp = _np.searchsorted(labels, ends)
         key = comp[: len(u)] * n + comp[len(u) :]
         if len(key) > 1 and bool(_np.all(key[1:] > key[:-1])):
             # already canonical, sorted, duplicate-free (the repo's own
@@ -212,61 +204,11 @@ class CSRGraph:
         src = _np.concatenate((cu, cv))
         dst = _np.concatenate((cv, cu))
         indptr, by_row = _rows(src, dst, n)
-        # the slot's canonical id is its edge's position among the
-        # sorted unique keys — eids come free with the dedupe
         m = len(ukey)
         eids = _np.concatenate(
             (_np.arange(m, dtype=_np.int64), _np.arange(m, dtype=_np.int64))
         )[by_row]
-        out = cls(
-            array("q", indptr.tobytes()),
-            array("q", dst[by_row].tobytes()),
-            verts.tolist(),
-        )
-        out._eids = array("q", eids.tobytes())
-        return out
-
-    @classmethod
-    def _from_pairs_python(
-        cls, pairs: Iterable[Tuple[int, int]]
-    ) -> "CSRGraph":
-        """Stdlib ingest: sort-dedupe the pair list, then counting-sort."""
-        raw = [(u, v) if u < v else (v, u) for u, v in pairs if u != v]
-        raw.sort()
-        edges: List[Tuple[int, int]] = []
-        prev = None
-        for e in raw:
-            if e != prev:
-                edges.append(e)
-                prev = e
-        labels = sorted({x for e in edges for x in e})
-        index = {x: i for i, x in enumerate(labels)}
-        n, m = len(labels), len(edges)
-        indptr = array("q", [0]) * (n + 1)
-        for a, b in edges:
-            indptr[index[a] + 1] += 1
-            indptr[index[b] + 1] += 1
-        for i in range(1, n + 1):
-            indptr[i] += indptr[i - 1]
-        fill = array("q", indptr[:-1])
-        indices = array("q", [0]) * (2 * m)
-        eids = array("q", [0]) * (2 * m)
-        # edges ascend in canonical (i, j) order, so each row's slots are
-        # appended already sorted: neighbors below i arrive first (from
-        # edges (x, i), x ascending), then neighbors above (j ascending)
-        for e, (a, b) in enumerate(edges):
-            i, j = index[a], index[b]
-            t = fill[i]
-            indices[t] = j
-            eids[t] = e
-            fill[i] = t + 1
-            t = fill[j]
-            indices[t] = i
-            eids[t] = e
-            fill[j] = t + 1
-        out = cls(indptr, indices, labels)
-        out._eids = eids
-        return out
+        return cls(indptr, dst[by_row], eids, labels)
 
     # ------------------------------------------------------------------
     @property
@@ -279,143 +221,22 @@ class CSRGraph:
         """Number of undirected edges."""
         return len(self.indices) // 2
 
-    @property
-    def size(self) -> int:
-        """The paper's ``|G| = n + m`` in units (same as ``Graph.size``)."""
-        return self.num_vertices + self.num_edges
-
-    def compact_id(self, v: int) -> int:
-        """Map an original vertex id to its compact ``0..n-1`` id."""
-        try:
-            return self._index_of[v]
-        except KeyError:
-            raise VertexNotFoundError(v) from None
-
-    def original_id(self, i: int) -> int:
-        """Map a compact id back to the original vertex id."""
-        return self.labels[i]
-
-    def degree(self, i: int) -> int:
-        """Degree of compact vertex ``i``."""
-        return self.indptr[i + 1] - self.indptr[i]
-
-    def neighbors(self, i: int) -> Sequence[int]:
-        """Sorted adjacency run of compact vertex ``i`` (zero-copy slice)."""
-        return self.indices[self.indptr[i] : self.indptr[i + 1]]
-
-    def edges_compact(self) -> Iterator[Tuple[int, int]]:
-        """Iterate compact edges ``(i, j)`` with ``i < j``."""
-        for i in range(self.num_vertices):
-            for j in self.neighbors(i):
-                if i < j:
-                    yield (i, j)
-
-    def edges_original(self) -> Iterator[Edge]:
-        """Iterate edges in original ids, canonical orientation."""
-        labels = self.labels
-        for i, j in self.edges_compact():
-            u, v = labels[i], labels[j]
-            yield (u, v) if u < v else (v, u)
-
-    # ------------------------------------------------------------------
-    # canonical edge ids
-    #
-    # Both directed slots of an undirected edge carry the same id, dense
-    # in 0..m-1 and assigned in ascending ``(i, j)`` (compact, i < j)
-    # order — i.e. in ``edges_compact()`` iteration order.  This is the
-    # integer substrate the flat peeling engine indexes its support,
-    # position and alive arrays by.
-    @property
-    def eids(self) -> array:
-        """Edge id of each directed slot, parallel to ``indices``.
-
-        Built lazily on first access (one ``O(m log dmax)`` pass, or a
-        vectorized ``np.unique`` when numpy is available), so CSR users
-        that never touch edge ids pay nothing.
-        """
-        if self._eids is None:
-            if _np is not None and len(self.indices):
-                self._eids = self._build_eids_numpy()
-            else:
-                self._eids = self._build_eids_python()
-        return self._eids
-
-    def _build_eids_numpy(self) -> array:
-        n = self.num_vertices
-        indptr = _np.frombuffer(self.indptr, dtype=_np.int64)
-        dst = _np.frombuffer(self.indices, dtype=_np.int64)
-        src = _np.repeat(_np.arange(n, dtype=_np.int64), _np.diff(indptr))
-        # both directions of an edge share one canonical (min, max) key;
-        # keys ascend exactly in edges_compact() order, so np.unique's
-        # inverse IS the dense canonical id
-        key = _np.minimum(src, dst) * n + _np.maximum(src, dst)
-        _, eids = _np.unique(key, return_inverse=True)
-        return array("q", eids.astype(_np.int64).tobytes())
-
-    def _build_eids_python(self) -> array:
-        indptr, indices = self.indptr, self.indices
-        eids = array("q", [0]) * len(indices)
-        next_id = 0
-        for i in range(self.num_vertices):
-            for t in range(indptr[i], indptr[i + 1]):
-                j = indices[t]
-                if i < j:
-                    eids[t] = next_id
-                    next_id += 1
-                else:
-                    # row j < i was already numbered: copy the id
-                    # from the mirror slot (j, i).
-                    s = bisect_left(indices, i, indptr[j], indptr[j + 1])
-                    eids[t] = eids[s]
-        return eids
-
-    def edge_id(self, i: int, j: int) -> int:
-        """Canonical edge id of compact edge ``(i, j)``.
-
-        Binary-searches the shorter endpoint's sorted adjacency run;
-        raises :class:`EdgeNotFoundError` if the edge is absent.
-        """
-        if self.degree(j) < self.degree(i):
-            i, j = j, i
-        lo, hi = self.indptr[i], self.indptr[i + 1]
-        t = bisect_left(self.indices, j, lo, hi)
-        if t == hi or self.indices[t] != j:
-            raise EdgeNotFoundError(self.original_id(i), self.original_id(j))
-        return self.eids[t]
-
-    def edge_endpoints(self) -> Tuple[array, array]:
+    def edge_endpoints(self) -> Tuple["_np.ndarray", "_np.ndarray"]:
         """Compact endpoint arrays ``(eu, ev)`` indexed by edge id.
 
         ``eu[e] < ev[e]`` for every id ``e``; together with :attr:`eids`
         this is the full edge<->id bijection.
         """
-        if _np is not None and len(self.indices):
-            n = self.num_vertices
-            indptr = _np.frombuffer(self.indptr, dtype=_np.int64)
-            dst = _np.frombuffer(self.indices, dtype=_np.int64)
-            src = _np.repeat(_np.arange(n, dtype=_np.int64), _np.diff(indptr))
-            eids = _np.frombuffer(self.eids, dtype=_np.int64)
-            fwd = src < dst
-            eu = _np.empty(self.num_edges, dtype=_np.int64)
-            ev = _np.empty(self.num_edges, dtype=_np.int64)
-            eu[eids[fwd]] = src[fwd]
-            ev[eids[fwd]] = dst[fwd]
-            return array("q", eu.tobytes()), array("q", ev.tobytes())
-        eu, ev = array("q"), array("q")
-        for i, j in self.edges_compact():
-            eu.append(i)
-            ev.append(j)
+        indptr, dst = self.indptr, self.indices
+        src = _np.repeat(
+            _np.arange(self.num_vertices, dtype=_np.int64), _np.diff(indptr)
+        )
+        fwd = src < dst
+        eu = _np.empty(self.num_edges, dtype=_np.int64)
+        ev = _np.empty(self.num_edges, dtype=_np.int64)
+        eu[self.eids[fwd]] = src[fwd]
+        ev[self.eids[fwd]] = dst[fwd]
         return eu, ev
-
-    # ------------------------------------------------------------------
-    def degree_order(self) -> List[int]:
-        """Compact ids ordered by (degree, id) ascending.
-
-        This is the total order used by compact-forward triangle listing:
-        orienting each edge from lower- to higher-ranked endpoint makes
-        every triangle counted exactly once.
-        """
-        return sorted(range(self.num_vertices), key=lambda i: (self.degree(i), i))
 
 
 def sorted_unique(a: "_np.ndarray") -> "_np.ndarray":

@@ -96,9 +96,14 @@ class _Adjacency(dict):
     def __init__(self, base: CSRGraph, bphi, bsup, phi: Dict[Edge, int],
                  sup: Dict[Edge, int]) -> None:
         super().__init__()
-        self._labels = base.labels
-        self._ptr, self._nbr, self._eids = base.indptr, base.indices, base.eids
-        # memoryviews index to Python ints, never numpy scalars
+        # a list for bisect, which is about 1.5x slower over a memoryview
+        self._labels = base.labels.tolist()
+        # memoryviews slice and iterate at array speed and index to
+        # Python ints, never numpy scalars
+        self._ptr, self._nbr, self._eids = (
+            memoryview(base.indptr), memoryview(base.indices),
+            memoryview(base.eids),
+        )
         self._bphi, self._bsup = memoryview(bphi), memoryview(bsup)
         self._phi, self._sup = phi, sup
 
@@ -282,7 +287,7 @@ class TrussMaintainer:
             )
         # sorted canonical pairs skip the build's dedupe, so edge id i
         # is row i
-        base = CSRGraph._from_flat_pairs_numpy(rows[:, :2].reshape(-1))
+        base = CSRGraph._from_flat_pairs(rows[:, :2].reshape(-1))
         tm = cls(base, rows[:, 2], rows[:, 3], kernel=kernel, trace=trace)
         tm._rows = rows
         return tm
@@ -351,11 +356,7 @@ class TrussMaintainer:
         dict entries, in one sort.  An edge inserted by a batch still
         under repair has no trussness yet and gets 0."""
         if self._ends is None:
-            self._ends = (
-                _np.asarray(self._base.labels, dtype=_np.int64),
-                *(_np.frombuffer(a, dtype=_np.int64)
-                  for a in self._base.edge_endpoints()),
-            )
+            self._ends = (self._base.labels, *self._base.edge_endpoints())
         labels, eu, ev = self._ends
         is_open = _np.isin(
             labels, _np.fromiter(self._adj, _np.int64, len(self._adj))
@@ -480,7 +481,7 @@ class TrussMaintainer:
         """Recompute phi from scratch (supports are already exact) and
         rebase onto the result; every edge counts as affected."""
         rows = self._compact()
-        csr = CSRGraph._from_flat_pairs_numpy(rows[:, :2].reshape(-1))
+        csr = CSRGraph._from_flat_pairs(rows[:, :2].reshape(-1))
         td = truss_decomposition_flat(csr, kernel=self._kernel)
         rows[:, 2] = td.columns[2]  # edge id i is row i
         self._rebase(csr, rows[:, 2], rows[:, 3])

@@ -188,10 +188,8 @@ class _WedgeDAG:
     def __init__(self, csr: CSRGraph) -> None:
         n = csr.num_vertices
         self.n = n
-        indptr = _np.frombuffer(csr.indptr, dtype=_np.int64)
-        dst = _np.frombuffer(csr.indices, dtype=_np.int64)
-        eids = _np.frombuffer(csr.eids, dtype=_np.int64)
-        deg = _np.diff(indptr)
+        dst, eids = csr.indices, csr.eids
+        deg = _np.diff(csr.indptr)
         src = _np.repeat(_np.arange(n, dtype=_np.int64), deg)
         order = _np.lexsort((_np.arange(n), deg))
         rank = _np.empty(n, dtype=_np.int64)
@@ -262,9 +260,8 @@ def count_edge_incidence(
 
     ``sup[e]`` is edge ``e``'s triangle count (the initial support);
     this is also the incidence run length, so ``cumsum`` of it is the
-    index's ``tptr``.  Exposed standalone because support-only callers
-    (:func:`repro.core.flat.initial_supports`) need exactly this pass
-    and nothing else.
+    index's ``tptr``.  The mmap route's first pass; support-only
+    callers need exactly this and nothing else.
     """
     m = csr.num_edges
     sup = _np.zeros(m, dtype=_np.int64)

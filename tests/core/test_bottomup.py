@@ -8,6 +8,7 @@ from repro.core import (
     truss_decomposition_bottomup,
     truss_decomposition_improved,
 )
+from repro.errors import DecompositionError
 from repro.exio import IOStats, MemoryBudget
 from repro.graph import Graph, complete_graph, disjoint_union
 from repro.partition import (
@@ -65,6 +66,19 @@ class TestAgreement:
 
 
 class TestMechanics:
+    @pytest.mark.parametrize("bad", [1 << 63, -(1 << 63) - 1])
+    def test_id_outside_int64_rejected_before_any_write(self, tmp_path, bad):
+        g = complete_graph(3)
+        g.add_edge(bad, 0)
+        stats = IOStats()
+        with pytest.raises(
+            DecompositionError,
+            match=rf"vertex id {bad} is outside the signed 64-bit range",
+        ):
+            truss_decomposition_bottomup(g, workdir=tmp_path, stats=stats)
+        assert stats.total_blocks == 0
+        assert list(tmp_path.iterdir()) == []
+
     def test_io_stats_populated_under_small_budget(self):
         g = random_graph(25, 0.25, seed=3)
         stats = IOStats()

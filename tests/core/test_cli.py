@@ -371,6 +371,18 @@ class TestErrors:
         line = self._fails_cleanly(capsys, argv)
         assert f"{graph}:4: vertex id outside the signed 64-bit range" in line
 
+    @pytest.mark.parametrize("method", ["bottomup", "topdown"])
+    def test_external_method_rejects_id_outside_int64(
+        self, tmp_path, capsys, method
+    ):
+        # their on-disk records are int64: one error line, no traceback
+        graph = tmp_path / "big.txt"
+        graph.write_text(f"1 2\n2 3\n1 3\n{1 << 63} 1\n")
+        line = self._fails_cleanly(capsys, [
+            "decompose", str(graph), "--method", method,
+        ])
+        assert f"vertex id {1 << 63} is outside the signed 64-bit" in line
+
     @needs_numpy
     def test_update_missing_graph(self, tmp_path, capsys):
         updates = tmp_path / "updates.txt"

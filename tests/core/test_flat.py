@@ -1,17 +1,17 @@
 """Tests for the flat edge-indexed peeling engine (repro.core.flat).
 
 The contract: ``method="flat"`` produces the *identical* trussness map
-as every other method, on every graph family.  The engine needs numpy;
-only the stdlib support pass that ``semi_external`` rides runs without
-it.
+as every other method, on every graph family.  The engine needs numpy.
 """
 
 import pytest
 from hypothesis import given, settings
 
 from repro.core import truss_decomposition, truss_decomposition_flat
-from repro.core.flat import _initial_supports_python
-from repro.graph import CSRGraph, Graph, complete_graph, cycle_graph
+from repro.core.flat import _as_csr, _peel_state
+from repro.errors import DecompositionError
+from repro.graph import Graph, complete_graph, cycle_graph
+from repro.triangles import build_triangle_index
 from repro.datasets import (
     manager_graph,
     running_example_graph,
@@ -62,6 +62,15 @@ class TestSmallGraphs:
         assert td.phi(7, 52) == 3
         assert td.phi(3, 1000) == 2
 
+    @pytest.mark.parametrize("bad", [1 << 63, -(1 << 63) - 1])
+    def test_id_outside_int64_named(self, flat_decompose, bad):
+        g = Graph([(0, 1), (1, bad)])
+        with pytest.raises(
+            DecompositionError,
+            match=rf"vertex id {bad} is outside the signed 64-bit range",
+        ):
+            flat_decompose(g)
+
 
 @needs_numpy
 class TestPaperGraphs:
@@ -110,17 +119,18 @@ class TestCrossMethodEquivalence:
         assert td.stats.extra["kmax"] == 4
 
 
+@needs_numpy
 class TestInternals:
     @settings(max_examples=25, deadline=None)
     @given(small_edge_lists())
     def test_initial_supports_match_oracle(self, edges):
-        """The merge-intersection support pass, against the definition."""
+        """The peel's starting supports, against the definition."""
         g = Graph(edges)
-        csr = CSRGraph.from_graph(g)
-        sup = _initial_supports_python(csr, csr.num_edges)
+        csr = _as_csr(g)
+        sup = _peel_state(build_triangle_index(csr), csr.num_edges)["sup"]
         brute = brute_all_supports(g)
         eu, ev = csr.edge_endpoints()
-        labels = csr.labels
+        labels = csr.labels.tolist()
         for e in range(csr.num_edges):
             u, v = labels[eu[e]], labels[ev[e]]
             assert sup[e] == brute[(u, v)], (u, v)

@@ -111,6 +111,7 @@ class TestInputsAndDispatch:
         with pytest.raises(DecompositionError, match="jobs"):
             truss_decomposition(complete_graph(4), method="flat", jobs=2)
 
+    @needs_numpy
     def test_csr_rejected_for_dict_methods(self):
         csr = CSRGraph.from_edges([(0, 1), (1, 2), (0, 2)])
         with pytest.raises(DecompositionError, match="CSR"):

@@ -33,6 +33,16 @@ class TestCorrectness:
     def test_empty_graph(self):
         assert truss_decomposition_semi_external(Graph()).num_edges == 0
 
+    def test_ids_beyond_int64(self):
+        # only compact ids and edge ids reach its int64 arrays and spill
+        g = complete_graph(4)
+        for far in (1 << 63, -(1 << 70)):
+            g.add_edge(far, 0)
+            g.add_edge(far, 1)
+        td = truss_decomposition_semi_external(g)
+        assert td == truss_decomposition_improved(g)
+        assert td.phi(0, 1 << 63) == 3
+
 
 class TestIOProfile:
     def test_random_access_seeks_recorded(self):

@@ -102,6 +102,19 @@ class TestTopT:
 
 
 class TestMechanics:
+    @pytest.mark.parametrize("bad", [1 << 63, -(1 << 63) - 1])
+    def test_id_outside_int64_rejected_before_any_write(self, tmp_path, bad):
+        g = complete_graph(3)
+        g.add_edge(bad, 0)
+        stats = IOStats()
+        with pytest.raises(
+            DecompositionError,
+            match=rf"vertex id {bad} is outside the signed 64-bit range",
+        ):
+            truss_decomposition_topdown(g, workdir=tmp_path, stats=stats)
+        assert stats.total_blocks == 0
+        assert list(tmp_path.iterdir()) == []
+
     def test_stats_and_io(self):
         g = random_graph(24, 0.3, seed=29)
         stats = IOStats()

@@ -2,11 +2,10 @@
 
 from array import array
 
-import pytest
-
+from repro.core.edge_runs import EdgeRuns
 from repro.core.topdown import _choose_kinit, _extract_candidate, _valid_subgraph
 from repro.exio import DiskEdgeFile, IOStats, MemoryBudget
-from repro.graph import CSRGraph, Graph, complete_graph
+from repro.graph import complete_graph
 
 
 def make_psi_file(tmp_path, records):
@@ -14,12 +13,18 @@ def make_psi_file(tmp_path, records):
 
 
 def make_candidate(psi_of):
-    """A CSR candidate subgraph H plus its eid-indexed psi array."""
-    h = CSRGraph.from_edges(list(psi_of))
-    psi = array("q", [0]) * h.num_edges
-    for (u, v), p in psi_of.items():
-        psi[h.edge_id(h.compact_id(u), h.compact_id(v))] = p
-    return h, psi
+    """A candidate subgraph H plus its eid-indexed psi array."""
+    edges = sorted(psi_of)
+    return EdgeRuns(edges), array("q", [psi_of[e] for e in edges])
+
+
+def psi_by_edge(h, psi):
+    """``{(u, v): psi}`` over H's edges, from its endpoint arrays."""
+    labels = h.labels
+    return {
+        (labels[h.eu[e]], labels[h.ev[e]]): psi[e]
+        for e in range(h.num_edges)
+    }
 
 
 class TestChooseKinit:
@@ -50,9 +55,7 @@ class TestExtractCandidate:
         h, psi, u_k = _extract_candidate(f, classified={(0, 1): 5}, k=5)
         assert u_k == {1, 2}
         # (0,1) rides along (incident to 1) but is classified
-        assert set(h.edges_original()) == {(0, 1), (1, 2)}
-        assert psi[h.edge_id(h.compact_id(1), h.compact_id(2))] == 5
-        assert psi[h.edge_id(h.compact_id(0), h.compact_id(1))] == 5
+        assert psi_by_edge(h, psi) == {(0, 1): 5, (1, 2): 5}
 
     def test_empty_uk_when_all_classified(self, tmp_path):
         f = make_psi_file(tmp_path, [(0, 1, 5)])
@@ -64,8 +67,19 @@ class TestExtractCandidate:
         # the candidate subgraph must never be dict-of-set adjacency
         f = make_psi_file(tmp_path, [(0, 1, 4), (1, 2, 4), (0, 2, 4)])
         h, psi, _u_k = _extract_candidate(f, classified={}, k=4)
-        assert isinstance(h, CSRGraph)
+        assert isinstance(h, EdgeRuns)
         assert len(psi) == h.num_edges == 3
+
+    def test_records_in_any_order_and_orientation(self, tmp_path):
+        # the psi column follows H's edge ids however the file lists them
+        f = make_psi_file(
+            tmp_path, [(2, 3, 6), (1, 0, 4), (3, 1, 5), (0, 2, 7)]
+        )
+        h, psi, _u_k = _extract_candidate(f, classified={}, k=4)
+        assert psi_by_edge(h, psi) == {
+            (0, 1): 4, (0, 2): 7, (1, 3): 5, (2, 3): 6,
+        }
+        assert list(h.neighbors(h.labels.index(3))) == [1, 2]
 
 
 class TestValidSubgraph:

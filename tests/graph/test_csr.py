@@ -1,13 +1,21 @@
-"""Unit tests for repro.graph.csr.CSRGraph."""
+"""Unit tests for repro.graph.csr.CSRGraph.
+
+The snapshot is its arrays: ``labels`` ascending, each vertex's sorted
+neighbour run in ``indices[indptr[i]:indptr[i + 1]]``, and ``eids`` a
+dense edge-id bijection that both slots of an edge share.
+"""
 
 import pytest
 from hypothesis import given
 
-from repro.errors import EdgeNotFoundError, VertexNotFoundError
+import repro.graph.csr as csr_mod
+from repro.core.edge_runs import EdgeRuns
+from repro.errors import DecompositionError
 from repro.graph import CSRGraph, Graph, complete_graph
 from repro.graph.csr import sorted_unique
+from repro.kernels import NUMPY_REQUIRED
 
-from helpers import small_edge_lists
+from helpers import needs_numpy, small_edge_lists
 
 try:
     import numpy as np
@@ -15,6 +23,24 @@ except ImportError:  # pragma: no cover
     np = None
 
 
+def run_of(c, i):
+    """Compact vertex ``i``'s neighbour run."""
+    return c.indices[c.indptr[i]:c.indptr[i + 1]].tolist()
+
+
+def slots(c):
+    """Every directed slot as ``(i, j, eid)``."""
+    src = np.repeat(np.arange(c.num_vertices), np.diff(c.indptr))
+    return list(zip(src.tolist(), c.indices.tolist(), c.eids.tolist()))
+
+
+def original_edges(c):
+    """The edges in original ids, in edge-id order."""
+    eu, ev = c.edge_endpoints()
+    return list(zip(c.labels[eu].tolist(), c.labels[ev].tolist()))
+
+
+@needs_numpy
 class TestCSRConstruction:
     def test_empty(self):
         c = CSRGraph.from_graph(Graph())
@@ -30,121 +56,136 @@ class TestCSRConstruction:
     def test_labels_ascend(self):
         g = Graph([(10, 3), (7, 3)])
         c = CSRGraph.from_graph(g)
-        assert c.labels == [3, 7, 10]
+        assert c.labels.tolist() == [3, 7, 10]
 
     def test_compact_roundtrip(self):
+        # labels ascend, so searchsorted is the original -> compact map
         g = Graph([(10, 3), (7, 3)])
         c = CSRGraph.from_graph(g)
         for v in g.vertices():
-            assert c.original_id(c.compact_id(v)) == v
+            assert c.labels[np.searchsorted(c.labels, v)] == v
 
-    def test_compact_id_missing_raises(self):
-        c = CSRGraph.from_graph(Graph([(0, 1)]))
-        with pytest.raises(VertexNotFoundError):
-            c.compact_id(42)
+    def test_fields_are_int64_ndarrays(self):
+        c = CSRGraph.from_edges([(5, 1), (1, 9), (9, 5)])
+        for field in ("indptr", "indices", "eids", "labels"):
+            arr = getattr(c, field)
+            assert isinstance(arr, np.ndarray), field
+            assert arr.dtype == np.int64, field
 
 
+@needs_numpy
 class TestCSRQueries:
     def test_neighbors_sorted(self):
         g = Graph([(0, 5), (0, 2), (0, 9)])
         c = CSRGraph.from_graph(g)
-        i = c.compact_id(0)
-        nbrs = [c.original_id(j) for j in c.neighbors(i)]
-        assert nbrs == [2, 5, 9]
+        assert c.labels[run_of(c, 0)].tolist() == [2, 5, 9]
 
     def test_degrees_match_graph(self):
         g = Graph([(0, 1), (0, 2), (1, 2), (2, 3)])
         c = CSRGraph.from_graph(g)
-        for v in g.vertices():
-            assert c.degree(c.compact_id(v)) == g.degree(v)
+        degree = np.diff(c.indptr)
+        for i, v in enumerate(c.labels.tolist()):
+            assert degree[i] == g.degree(v)
 
     def test_edges_original_roundtrip(self):
         g = Graph([(4, 1), (2, 8), (1, 2)])
         c = CSRGraph.from_graph(g)
-        assert set(c.edges_original()) == set(g.edges())
+        assert set(original_edges(c)) == set(g.edges())
 
     def test_edges_compact_each_once(self):
-        g = complete_graph(4)
-        c = CSRGraph.from_graph(g)
-        compact = list(c.edges_compact())
+        c = CSRGraph.from_graph(complete_graph(4))
+        eu, ev = c.edge_endpoints()
+        compact = list(zip(eu.tolist(), ev.tolist()))
         assert len(compact) == 6
         assert len(set(compact)) == 6
         assert all(i < j for i, j in compact)
-
-    def test_degree_order_ascending(self):
-        g = Graph([(0, 1), (0, 2), (0, 3), (1, 2)])  # deg: 0->3,1->2,2->2,3->1
-        c = CSRGraph.from_graph(g)
-        order = c.degree_order()
-        degs = [c.degree(i) for i in order]
-        assert degs == sorted(degs)
 
     @given(small_edge_lists())
     def test_structure_preserved(self, edges):
         g = Graph(edges)
         c = CSRGraph.from_graph(g)
-        assert set(c.edges_original()) == set(g.edges())
+        assert set(original_edges(c)) == set(g.edges())
         assert c.num_vertices == g.num_vertices
         assert c.num_edges == g.num_edges
+        for i in range(c.num_vertices):
+            run = run_of(c, i)
+            assert run == sorted(set(run)) and i not in run
 
     def test_isolated_vertices_kept(self):
         g = Graph([(0, 1)])
         g.add_vertex(5)
         c = CSRGraph.from_graph(g)
         assert c.num_vertices == 3
-        assert c.degree(c.compact_id(5)) == 0
+        assert c.labels.tolist() == [0, 1, 5]
+        assert run_of(c, 2) == []
 
 
+@needs_numpy
 class TestEdgeIds:
     def test_ids_dense_and_canonical(self):
+        # dense 0..m-1, assigned in ascending compact (i, j) order
         c = CSRGraph.from_graph(complete_graph(4))
-        ids = [c.edge_id(i, j) for i, j in c.edges_compact()]
-        # dense 0..m-1, assigned in edges_compact() order
-        assert ids == list(range(c.num_edges))
+        eu, ev = c.edge_endpoints()
+        key = (eu * c.num_vertices + ev).tolist()
+        assert key == sorted(set(key))
+        assert sorted(c.eids.tolist()) == sorted(2 * list(range(6)))
 
     def test_both_directions_share_one_id(self):
         c = CSRGraph.from_graph(Graph([(0, 1), (1, 2), (0, 2)]))
-        for i, j in c.edges_compact():
-            assert c.edge_id(i, j) == c.edge_id(j, i)
+        eid_of = {(i, j): e for i, j, e in slots(c)}
+        for (i, j), e in eid_of.items():
+            assert eid_of[(j, i)] == e
 
     def test_eids_parallel_to_indices(self):
         g = Graph([(0, 1), (0, 2), (1, 2), (2, 3)])
         c = CSRGraph.from_graph(g)
-        for i in range(c.num_vertices):
-            for t in range(c.indptr[i], c.indptr[i + 1]):
-                assert c.eids[t] == c.edge_id(i, c.indices[t])
-
-    def test_missing_edge_raises(self):
-        c = CSRGraph.from_graph(Graph([(0, 1), (1, 2)]))
-        with pytest.raises(EdgeNotFoundError):
-            c.edge_id(c.compact_id(0), c.compact_id(2))
+        eu, ev = c.edge_endpoints()
+        for i, j, e in slots(c):
+            assert (eu[e], ev[e]) == (min(i, j), max(i, j))
 
     def test_endpoints_roundtrip(self):
         g = Graph([(4, 1), (2, 8), (1, 2)])
         c = CSRGraph.from_graph(g)
         eu, ev = c.edge_endpoints()
         assert len(eu) == len(ev) == c.num_edges
-        for e in range(c.num_edges):
-            assert eu[e] < ev[e]
-            assert c.edge_id(eu[e], ev[e]) == e
+        assert bool(np.all(eu < ev))
+        assert original_edges(c) == sorted(g.edges())
 
     @given(small_edge_lists())
     def test_id_bijection(self, edges):
         g = Graph(edges)
         c = CSRGraph.from_graph(g)
-        eu, ev = c.edge_endpoints()
-        seen = {c.edge_id(i, j) for i, j in c.edges_compact()}
-        assert seen == set(range(c.num_edges))
-        labels = c.labels
-        originals = {
-            tuple(sorted((labels[eu[e]], labels[ev[e]])))
-            for e in range(c.num_edges)
-        }
-        assert originals == set(g.edges())
+        ids = [e for i, j, e in slots(c) if i < j]
+        assert sorted(ids) == list(range(c.num_edges))
+        assert sorted(e for i, j, e in slots(c) if i > j) == sorted(ids)
+        assert set(original_edges(c)) == set(g.edges())
 
     def test_python_and_numpy_builds_agree(self):
+        # the stdlib snapshot of the paper's methods builds the same arrays
         g = Graph([(0, 1), (0, 2), (1, 2), (2, 3), (1, 3), (0, 9)])
         c = CSRGraph.from_graph(g)
-        assert list(c._build_eids_python()) == list(c.eids)
+        runs = EdgeRuns(g.sorted_edges())
+        assert runs.labels == c.labels.tolist()
+        for field in ("indptr", "indices", "eids"):
+            assert list(getattr(runs, field)) == getattr(c, field).tolist()
+        eu, ev = c.edge_endpoints()
+        assert (list(runs.eu), list(runs.ev)) == (eu.tolist(), ev.tolist())
+
+
+class TestNeedsNumpy:
+    @pytest.mark.parametrize("build", [
+        lambda path: CSRGraph.from_graph(complete_graph(3)),
+        lambda path: CSRGraph.from_edges([(0, 1)]),
+        lambda path: CSRGraph.from_edge_list_file(path),
+    ], ids=["from_graph", "from_edges", "from_edge_list_file"])
+    def test_each_constructor_raises_one_error(
+        self, build, monkeypatch, tmp_path
+    ):
+        monkeypatch.setattr(csr_mod, "_np", None)
+        # the file is never opened
+        with pytest.raises(DecompositionError) as info:
+            build(tmp_path / "absent.txt")
+        assert str(info.value) == NUMPY_REQUIRED
 
 
 @pytest.mark.skipif(np is None, reason="sorted_unique is numpy-only")

@@ -5,8 +5,11 @@ the snapshot that ``from_edges_cleaned`` -> ``CSRGraph.from_graph``
 builds — same ``indptr``/``indices``/``labels`` *and* the same
 canonical edge ids — while never materializing a ``Graph``: dup edges
 (either orientation), self-loops, comments, blank lines and
-non-contiguous vertex ids all normalize identically, through both the
-numpy and the stdlib paths.
+non-contiguous vertex ids all normalize identically.  The ``stdlib``
+route is the one the paper's methods take without numpy
+(``read_edge_list``/``from_edges_cleaned`` into a ``Graph``, then
+:class:`~repro.core.edge_runs.EdgeRuns` over its sorted edges); it must
+build the same arrays and report the same errors.
 """
 
 import random
@@ -16,6 +19,7 @@ from hypothesis import given, settings
 
 import repro.graph.csr as csr_mod
 from repro.core import truss_decomposition_flat, truss_decomposition_improved
+from repro.core.edge_runs import EdgeRuns
 from repro.errors import FormatError
 from repro.graph import (
     CSRGraph,
@@ -26,6 +30,8 @@ from repro.graph import (
 )
 
 from helpers import fuzzed_edge_list, needs_numpy, small_edge_lists
+
+pytestmark = needs_numpy
 
 MESSY_PAIRS = [
     (1000, 7),
@@ -58,36 +64,58 @@ def _reference(pairs) -> CSRGraph:
     return CSRGraph.from_graph(g)
 
 
-def _assert_same_snapshot(csr: CSRGraph, ref: CSRGraph) -> None:
-    assert csr.labels == ref.labels
-    assert list(csr.indptr) == list(ref.indptr)
-    assert list(csr.indices) == list(ref.indices)
-    assert list(csr.eids) == list(ref.eids)
+def _assert_same_snapshot(csr, ref: CSRGraph) -> None:
+    for field in ("labels", "indptr", "indices", "eids"):
+        assert list(map(int, getattr(csr, field))) == list(
+            map(int, getattr(ref, field))
+        ), field
+
+
+def edges_of(snap):
+    """The snapshot's edges in original ids, in edge-id order."""
+    if isinstance(snap, CSRGraph):
+        eu, ev = snap.edge_endpoints()
+    else:
+        eu, ev = snap.eu, snap.ev
+    labels = list(map(int, snap.labels))
+    return [(labels[i], labels[j]) for i, j in zip(eu, ev)]
+
+
+class _StdlibRoute:
+    """The numpy-free route: a cleaned ``Graph``, then ``EdgeRuns``."""
+
+    @staticmethod
+    def from_edges(pairs):
+        g, _report = from_edges_cleaned(pairs)
+        return EdgeRuns(g.sorted_edges())
+
+    @staticmethod
+    def from_edge_list_file(path):
+        return EdgeRuns(read_edge_list(path).sorted_edges())
 
 
 @pytest.fixture(params=["accelerated", "stdlib"])
-def ingest_mode(request, monkeypatch):
-    """Run each test through both the numpy and the stdlib ingest."""
-    if request.param == "stdlib":
-        monkeypatch.setattr(csr_mod, "_np", None)
-    return request.param
+def ingest_mode(request):
+    """Run each test through the CSR ingest and the stdlib route."""
+    return CSRGraph if request.param == "accelerated" else _StdlibRoute
 
 
 class TestFromEdges:
     def test_messy_pairs_roundtrip(self, ingest_mode):
-        csr = CSRGraph.from_edges(MESSY_PAIRS)
+        csr = ingest_mode.from_edges(MESSY_PAIRS)
         _assert_same_snapshot(csr, _reference(MESSY_PAIRS))
-        assert csr.labels == [3, 7, 52, 1000]  # non-contiguous, 5 gone
+        # non-contiguous, 5 gone
+        assert list(map(int, csr.labels)) == [3, 7, 52, 1000]
         assert csr.num_edges == 4
 
     def test_empty(self, ingest_mode):
-        csr = CSRGraph.from_edges([])
-        assert csr.num_vertices == 0
+        csr = ingest_mode.from_edges([])
+        assert len(csr.labels) == 0
         assert csr.num_edges == 0
 
     def test_only_self_loops(self, ingest_mode):
-        csr = CSRGraph.from_edges([(1, 1), (2, 2)])
-        assert csr.num_vertices == 0
+        csr = ingest_mode.from_edges([(1, 1), (2, 2)])
+        assert len(csr.labels) == 0
         assert csr.num_edges == 0
 
     @settings(max_examples=25, deadline=None)
@@ -96,8 +124,8 @@ class TestFromEdges:
         _assert_same_snapshot(CSRGraph.from_edges(edges), _reference(edges))
 
     def test_eids_prebuilt_no_lazy_pass(self, ingest_mode):
-        csr = CSRGraph.from_edges([(0, 1), (1, 2), (0, 2)])
-        assert csr._eids is not None  # ingest assigns ids as a by-product
+        # the build assigns ids as a by-product; there is no later pass
+        csr = ingest_mode.from_edges([(0, 1), (1, 2), (0, 2)])
         assert sorted(csr.eids) == [0, 0, 1, 1, 2, 2]
 
 
@@ -105,9 +133,9 @@ class TestFromEdgeListFile:
     def test_messy_file_roundtrip(self, ingest_mode, tmp_path):
         path = tmp_path / "messy.txt"
         path.write_text(MESSY_FILE)
-        csr = CSRGraph.from_edge_list_file(path)
+        csr = ingest_mode.from_edge_list_file(path)
         _assert_same_snapshot(csr, CSRGraph.from_graph(read_edge_list(path)))
-        assert csr.labels == [3, 7, 52, 1000]
+        assert list(map(int, csr.labels)) == [3, 7, 52, 1000]
 
     def test_tiny_chunks_hit_carry_logic(self, tmp_path):
         path = tmp_path / "messy.txt"
@@ -120,33 +148,33 @@ class TestFromEdgeListFile:
     def test_no_trailing_newline(self, ingest_mode, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text("1 2\n2 3")
-        csr = CSRGraph.from_edge_list_file(path)
-        assert sorted(csr.edges_original()) == [(1, 2), (2, 3)]
+        csr = ingest_mode.from_edge_list_file(path)
+        assert sorted(edges_of(csr)) == [(1, 2), (2, 3)]
 
     def test_extra_columns_use_first_two(self, ingest_mode, tmp_path):
         path = tmp_path / "weighted.txt"
         path.write_text("1 2 0.5\n2 3 1.25\n")
-        csr = CSRGraph.from_edge_list_file(path)
-        assert sorted(csr.edges_original()) == [(1, 2), (2, 3)]
+        csr = ingest_mode.from_edge_list_file(path)
+        assert sorted(edges_of(csr)) == [(1, 2), (2, 3)]
 
     def test_comment_only_file(self, ingest_mode, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("# nothing here\n\n")
-        csr = CSRGraph.from_edge_list_file(path)
-        assert csr.num_vertices == 0
+        csr = ingest_mode.from_edge_list_file(path)
+        assert len(csr.labels) == 0
         assert csr.num_edges == 0
 
     def test_short_line_raises(self, ingest_mode, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("1 2\n3\n")
         with pytest.raises(FormatError):
-            CSRGraph.from_edge_list_file(path)
+            ingest_mode.from_edge_list_file(path)
 
     def test_non_integer_raises(self, ingest_mode, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("1 2\nfoo bar\n")
         with pytest.raises(FormatError):
-            CSRGraph.from_edge_list_file(path)
+            ingest_mode.from_edge_list_file(path)
 
     def test_ragged_columns_never_repaired(self, ingest_mode, tmp_path):
         # token total divisible by the first line's width must NOT let
@@ -154,20 +182,20 @@ class TestFromEdgeListFile:
         # a phantom (5, 6) would silently change the decomposed graph
         path = tmp_path / "ragged.txt"
         path.write_text("1 2\n3 4 5 6\n")
-        csr = CSRGraph.from_edge_list_file(path)
-        assert sorted(csr.edges_original()) == [(1, 2), (3, 4)]
+        csr = ingest_mode.from_edge_list_file(path)
+        assert sorted(edges_of(csr)) == [(1, 2), (3, 4)]
 
     def test_mixed_width_valid_rows(self, ingest_mode, tmp_path):
         path = tmp_path / "mixed.txt"
         path.write_text("1 2 3\n4 5\n6 7 8 9\n")  # first two columns each
-        csr = CSRGraph.from_edge_list_file(path)
-        assert sorted(csr.edges_original()) == [(1, 2), (4, 5), (6, 7)]
+        csr = ingest_mode.from_edge_list_file(path)
+        assert sorted(edges_of(csr)) == [(1, 2), (4, 5), (6, 7)]
 
     def test_error_lineno_is_file_absolute(self, ingest_mode, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("# header\n1 2\n2 3\nbroken\n")
         with pytest.raises(FormatError, match=r"bad\.txt:4"):
-            CSRGraph.from_edge_list_file(path)
+            ingest_mode.from_edge_list_file(path)
 
     def test_error_lineno_across_chunks(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -180,7 +208,7 @@ class TestFromEdgeListFile:
         path = tmp_path / "g.txt"
         write_edge_list(g, path)  # canonical sorted output + header
         _assert_same_snapshot(
-            CSRGraph.from_edge_list_file(path), CSRGraph.from_graph(g)
+            ingest_mode.from_edge_list_file(path), CSRGraph.from_graph(g)
         )
 
 
@@ -196,23 +224,23 @@ class TestIngestFuzz:
     an error, at any chunk size.
     """
 
-    def _check(self, tmp_path, seed, chunk_bytes=None):
+    def _check(self, tmp_path, seed, chunk_bytes=None, route=CSRGraph):
         text, error_line = fuzzed_edge_list(seed)
         path = tmp_path / "fuzz.txt"
         path.write_text(text)
         kwargs = {} if chunk_bytes is None else {"chunk_bytes": chunk_bytes}
         if error_line is None:
-            csr = CSRGraph.from_edge_list_file(path, **kwargs)
+            csr = route.from_edge_list_file(path, **kwargs)
             _assert_same_snapshot(
                 csr, CSRGraph.from_graph(read_edge_list(path))
             )
         else:
             with pytest.raises(FormatError, match=rf"fuzz\.txt:{error_line}:"):
-                CSRGraph.from_edge_list_file(path, **kwargs)
+                route.from_edge_list_file(path, **kwargs)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_roundtrip_or_absolute_lineno(self, ingest_mode, seed, tmp_path):
-        self._check(tmp_path, seed)
+        self._check(tmp_path, seed, route=ingest_mode)
 
     @pytest.mark.parametrize("seed", range(0, 40, 3))
     @pytest.mark.parametrize("chunk_bytes", [7, 23])
@@ -231,11 +259,10 @@ class TestInt64Range:
         path.write_text(
             f"{INT64_MIN} {INT64_MAX}\n{INT64_MAX} 3\n3 {INT64_MIN}\n"
         )
-        csr = CSRGraph.from_edge_list_file(path)
-        assert csr.labels == [INT64_MIN, 3, INT64_MAX]
+        csr = ingest_mode.from_edge_list_file(path)
+        assert list(map(int, csr.labels)) == [INT64_MIN, 3, INT64_MAX]
         _assert_same_snapshot(csr, CSRGraph.from_graph(read_edge_list(path)))
 
-    @pytest.mark.skipif(csr_mod._np is None, reason="int64 ingest needs numpy")
     @pytest.mark.parametrize("bad", [INT64_MAX + 1, INT64_MIN - 1])
     @pytest.mark.parametrize("chunk_bytes", [None, 7])
     def test_out_of_range_id_names_its_line(self, tmp_path, bad, chunk_bytes):
@@ -299,8 +326,6 @@ class TestDigitPath:
     @pytest.fixture
     def digit_blocks(self, monkeypatch):
         """Count the blocks the digit path converted."""
-        if csr_mod._np is None:
-            pytest.skip("the digit path needs numpy")
         taken = []
         real = csr_mod._parse_digit_block
 
@@ -336,7 +361,7 @@ class TestDigitPath:
         path = tmp_path / "ragged.txt"
         path.write_text("1 2\r\n3 4 5\r\n6\t7\r\n")
         csr = CSRGraph.from_edge_list_file(path)
-        assert sorted(csr.edges_original()) == [(1, 2), (3, 4), (6, 7)]
+        assert sorted(edges_of(csr)) == [(1, 2), (3, 4), (6, 7)]
         assert digit_blocks == [False]
 
     @pytest.mark.parametrize("text, edge", [
@@ -347,7 +372,7 @@ class TestDigitPath:
         path = tmp_path / "g.txt"
         path.write_text(text)
         csr = CSRGraph.from_edge_list_file(path)
-        assert sorted(csr.edges_original()) == sorted([edge, (1, 2)])
+        assert sorted(edges_of(csr)) == sorted([edge, (1, 2)])
         assert digit_blocks == [False]
 
 

@@ -168,6 +168,24 @@ def test_numpy_integer_endpoints_apply():
     assert all(type(x) is int for edge in tm.trussness for x in edge)
 
 
+def test_opened_vertices_yield_python_ints():
+    # the base columns are int64 ndarrays; a repair reads them through
+    # memoryviews and label lists, so no numpy scalar reaches its keys
+    g = complete_graph(5)
+    g.add_edge(4, 5)
+    tm = TrussMaintainer.from_graph(g)
+    assert tm.delete_edge(0, 1)
+    assert tm.insert_edge(1, 5)
+    assert tm.last_affected
+    assert all(type(x) is int for edge in tm.last_affected for x in edge)
+    assert all(type(x) is int for x in tm._adj[2])
+    assert all(
+        type(x) is int
+        for d in (tm._phi, tm._sup) for key, value in d.items()
+        for x in (*key, value)
+    )
+
+
 def test_insert_then_delete_same_edge_in_batch_with_triangles():
     # the transient edge closes triangles while it exists; the batch
     # repair must still land exactly on the final graph's trussness

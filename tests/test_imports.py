@@ -1,10 +1,10 @@
 """What a process imports, and the package names that resolve on use.
 
-``repro``, ``repro.core``, ``repro.exio`` and ``repro.triangles``
-resolve their public names on first access, and each CLI command
-imports only the modules it runs.  What a command loads is checked in a
-fresh interpreter: in this process the other tests have already filled
-``sys.modules``.
+``repro``, ``repro.core``, ``repro.exio``, ``repro.graph`` and
+``repro.triangles`` resolve their public names on first access, and
+each CLI command imports only the modules it runs.  What a command
+loads is checked in a fresh interpreter: in this process the other
+tests have already filled ``sys.modules``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from helpers import needs_numpy, numpy
 SRC = Path(repro.__file__).resolve().parent.parent
 
 #: the lazy packages
-LAZY = ("repro", "repro.core", "repro.exio", "repro.triangles")
+LAZY = ("repro", "repro.core", "repro.exio", "repro.graph", "repro.triangles")
 
 #: modules that neither ``decompose --method flat``, ``update`` nor the
 #: serve write path runs; none of them may load
@@ -34,8 +34,10 @@ NEVER = (
     "repro.cliques", "repro.bench", "repro.core.parallel",
     "repro.core.dist", "repro.core.bottomup", "repro.core.topdown",
     "repro.core.mapreduce_truss", "repro.core.semi_external",
-    "repro.core.hierarchy", "repro.exio.diskgraph", "repro.exio.extsort",
-    "repro.triangles.listing", "repro.triangles.external",
+    "repro.core.hierarchy", "repro.core.edge_runs", "repro.exio.diskgraph",
+    "repro.exio.extsort", "repro.graph.builders", "repro.graph.io",
+    "repro.graph.components", "repro.triangles.listing",
+    "repro.triangles.external",
 )
 
 #: what the CLI loads only for ``update`` and ``serve``

@@ -28,6 +28,24 @@ from oracles import brute_all_supports, brute_triangles
 np = pytest.importorskip("numpy")
 
 
+def local_adjacency(csr):
+    """``(order, nbrs, eid)`` of ``csr``, from its endpoint arrays alone.
+
+    ``nbrs`` maps each compact vertex to its neighbour set, ``eid``
+    each ordered compact pair to its edge id, and ``order`` lists the
+    vertices by ascending ``(degree, id)``.
+    """
+    eu, ev = csr.edge_endpoints()
+    nbrs = {i: set() for i in range(csr.num_vertices)}
+    eid = {}
+    for e, (i, j) in enumerate(zip(eu.tolist(), ev.tolist())):
+        nbrs[i].add(j)
+        nbrs[j].add(i)
+        eid[(i, j)] = eid[(j, i)] = e
+    order = sorted(nbrs, key=lambda i: (len(nbrs[i]), i))
+    return order, nbrs, eid
+
+
 def reference_triangles(csr):
     """Every triangle as ``(e_ab, e_bc, e_ac)``, in the builder's order.
 
@@ -35,17 +53,15 @@ def reference_triangles(csr):
     sorted by ``(rank a, rank b, rank c)``.  Plain loops over
     neighbour sets, sharing nothing with the vectorized enumerator.
     """
-    order = csr.degree_order()
+    order, nbrs, eid = local_adjacency(csr)
     rank = {v: r for r, v in enumerate(order)}
-    nbrs = {v: set(csr.neighbors(v)) for v in order}
     triangles = []
-    eid = csr.edge_id
     for a in order:
         out_a = sorted((w for w in nbrs[a] if rank[w] > rank[a]), key=rank.get)
         for i, b in enumerate(out_a):
             for c in out_a[i + 1:]:
                 if c in nbrs[b]:
-                    triangles.append((eid(a, b), eid(b, c), eid(a, c)))
+                    triangles.append((eid[a, b], eid[b, c], eid[a, c]))
     return triangles
 
 
@@ -69,7 +85,7 @@ def build_all_ways(csr, tmp_path, chunks=(1, 7, None)):
 
 def assert_index_matches_oracle(g, csr, tri):
     """Structural correctness of one built index vs the brute oracle."""
-    labels = csr.labels
+    labels = csr.labels.tolist()
     eu, ev = csr.edge_endpoints()
     m = csr.num_edges
     sup = tri.initial_supports()
@@ -141,11 +157,11 @@ class TestBuilderProperty:
         # one wedge per pair of out(a) slots: sum of C(d+(v), 2), and
         # each triangle closes exactly one of them
         csr = _as_csr(g)
-        order = csr.degree_order()
+        order, nbrs, _eid = local_adjacency(csr)
         rank = {v: r for r, v in enumerate(order)}
         pairs = 0
         for v in order:
-            d_out = sum(1 for w in csr.neighbors(v) if rank[w] > rank[v])
+            d_out = sum(1 for w in nbrs[v] if rank[w] > rank[v])
             pairs += d_out * (d_out - 1) // 2
         dag = ib._WedgeDAG(csr)
         wedges = int(dag.cum[-1]) if dag.total else 0
@@ -161,7 +177,7 @@ class TestBuilderProperty:
             sup, n_tri = ib.count_edge_incidence(csr, chunk=chunk)
             assert n_tri == len(brute_triangles(g))
             oracle = brute_all_supports(g)
-            labels = csr.labels
+            labels = csr.labels.tolist()
             eu, ev = csr.edge_endpoints()
             for e in range(csr.num_edges):
                 assert sup[e] == oracle[(labels[eu[e]], labels[ev[e]])]
