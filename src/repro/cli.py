@@ -647,7 +647,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--kernel",
         default=None,
         choices=_KERNEL_CHOICES,
-        help="wave-step backend for the repair peels (default: auto)",
+        help="wave-step backend of the seeding and full re-peels "
+        "(default: auto)",
     )
     p.add_argument(
         "--trace",
@@ -769,7 +770,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--kernel",
         default=None,
         choices=_KERNEL_CHOICES,
-        help="wave-step backend for the repair peels (default: auto)",
+        help="wave-step backend of the seeding and full re-peels "
+        "(default: auto)",
     )
     p.add_argument(
         "--no-fsync",

@@ -8,33 +8,36 @@ supports, in edge-id order.  Every subsequent :meth:`insert_edge` /
 affected set computed by :mod:`repro.stream.affected` and re-peeled by
 :mod:`repro.stream.repeel`.
 
-The state is columnar, with dicts only where repairs have been.  The
-*base* is a :class:`repro.graph.CSRGraph` plus int64 ``phi``/``sup``
-arrays indexed by its edge ids, as the peel returns them.  A repair
-touches a few vertices' neighbourhoods, so a vertex is *opened* on the
-first read of its adjacency: its CSR row becomes a sorted list of
-neighbour labels, and the trussness and support of its edges are
-copied into dicts keyed by canonical ``(u, v)`` edges.  From then on
-the dicts hold every edge with an open endpoint (dict keys survive an
-insert, where CSR eids are positional and would shift); an edge with
-no open endpoint still has its base values.  Every lookup a repair
-makes is of an edge at a vertex whose adjacency it has just read, so
-the dicts are plain dicts, with C-speed ``get``.
+The state is keyed by edge id.  The ids are the *base*
+:class:`repro.graph.CSRGraph`'s, plus one appended id per insert (ids
+are never reused: re-inserting a deleted edge appends a new one).
+Trussness, support and liveness are ``array('q')``/``bytearray``
+columns indexed by id — the peel's int64 arrays, copied once — and the
+canonical endpoints of appended edges are two more ``array('q')``
+columns.  An appended edge's trussness is -1 until its repair.
 
-Compaction merges the two parts into ``(u, v, phi, sup)`` int64 rows
+A repair touches a few vertices' neighbourhoods, so a vertex is
+*opened* on the first read of its adjacency: its CSR row becomes a
+``{neighbour: edge id}`` dict, which copies no values.  The triangles
+through ``(a, b)`` are then ``adj[a].keys() & adj[b].keys()``, each
+with its two edge ids ``adj[a][w]`` and ``adj[b][w]``, and every value
+a repair reads is one column index away.
+
+Compaction gathers the live ids into ``(u, v, phi, sup)`` int64 rows
 sorted by ``(u, v)`` — the result columns of :meth:`as_decomposition`,
 the rows a snapshot generation stores, and the input of a full re-peel,
-which rebases onto a fresh CSR with no vertex open.
+which rebases onto a fresh CSR with no vertex open.  The live base ids
+are in ``(u, v)`` order already, so only appended rows need a sort.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from array import array
+from bisect import bisect_left
 from collections.abc import Mapping
-from itertools import repeat
-from operator import index, itemgetter
+from operator import index
 from time import perf_counter as _perf
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.decomposition import DecompositionStats, TrussDecomposition
 from repro.core.flat import (
@@ -52,7 +55,7 @@ from repro.graph.csr import (
 )
 from repro.kernels import resolve_kernel
 from repro.obs import NULL_TRACER, warn_degraded
-from repro.stream.affected import canon, common_neighbors, expand_region
+from repro.stream.affected import expand_region
 from repro.stream.repeel import repeel_region
 
 try:
@@ -66,8 +69,19 @@ Update = Tuple[str, int, int]
 _INSERT_OPS = frozenset(("insert", "+", "i", "add"))
 _DELETE_OPS = frozenset(("delete", "-", "d", "remove"))
 
-# info tuple per applied mutation: (kind, edge, seed triangles, old phi)
-_Info = Tuple[str, Edge, Tuple[Tuple[Edge, Edge], ...], Optional[int]]
+# info tuple per applied mutation: (u, v, edge id, the destroyed
+# triangles as (w, id of (u, w), id of (v, w))); an insert's ends are
+# canonical and its triangles None
+_Info = Tuple[int, int, int, Optional[List[Tuple[int, int, int]]]]
+
+
+def _column(values) -> array:
+    """An ``array('q')`` copy of an int64 column."""
+    out = array("q")
+    out.frombytes(
+        memoryview(_np.ascontiguousarray(values, dtype=_np.int64)).cast("B")
+    )
+    return out
 
 
 def _edge_keys(rows):
@@ -80,21 +94,19 @@ def _edge_keys(rows):
 
 
 class _Adjacency(dict):
-    """``vertex -> sorted neighbour labels`` over a CSR base.
+    """``vertex -> {neighbour: edge id}`` over a CSR base.
 
     A missing vertex is opened: its base row (empty for a vertex the
-    base lacks) becomes its list, and its edges to vertices not yet
-    open are copied from the base columns into the ``phi``/``sup``
-    dicts.  An edge to an open vertex is in the dicts already, or was
-    deleted.  An open vertex keeps its list even when it empties, so a
-    base row is never read again.
+    base lacks) becomes its map in one ``dict(zip(...))``, which copies
+    labels and ids, never values.  An update opens both its endpoints,
+    so every edge of a vertex still closed is as the base has it.  An
+    open vertex keeps its map when it empties, so a base row is never
+    read again.
     """
 
-    __slots__ = ("_labels", "_ptr", "_nbr", "_eids", "_bphi", "_bsup",
-                 "_phi", "_sup")
+    __slots__ = ("_labels", "_ptr", "_nbr", "_eids")
 
-    def __init__(self, base: CSRGraph, bphi, bsup, phi: Dict[Edge, int],
-                 sup: Dict[Edge, int]) -> None:
+    def __init__(self, base: CSRGraph) -> None:
         super().__init__()
         # a list for bisect, which is about 1.5x slower over a memoryview
         self._labels = base.labels.tolist()
@@ -104,24 +116,17 @@ class _Adjacency(dict):
             memoryview(base.indptr), memoryview(base.indices),
             memoryview(base.eids),
         )
-        self._bphi, self._bsup = memoryview(bphi), memoryview(bsup)
-        self._phi, self._sup = phi, sup
 
-    def __missing__(self, v: int) -> List[int]:
+    def __missing__(self, v: int) -> Dict[int, int]:
         labels = self._labels
         i = bisect_left(labels, v)
-        if i == len(labels) or labels[i] != v:
-            row: List[int] = []
-        else:
+        if i < len(labels) and labels[i] == v:
             lo, hi = self._ptr[i], self._ptr[i + 1]
-            row = [labels[j] for j in self._nbr[lo:hi]]
-            phi, sup = self._phi, self._sup
-            bphi, bsup = self._bphi, self._bsup
-            for w, e in zip(row, self._eids[lo:hi]):
-                if w not in self:
-                    key = (v, w) if v < w else (w, v)
-                    phi[key] = bphi[e]
-                    sup[key] = bsup[e]
+            row = dict(zip(
+                map(labels.__getitem__, self._nbr[lo:hi]), self._eids[lo:hi]
+            ))
+        else:
+            row = {}
         self[v] = row
         return row
 
@@ -201,17 +206,18 @@ class TrussMaintainer:
         self._rebase(base, phi, sup)
 
     def _rebase(self, base: CSRGraph, phi, sup) -> None:
-        """Make ``base`` the state, with no vertex open."""
+        """Make ``base`` the state, with no vertex open and no id
+        appended."""
         self._base = base
-        self._base_phi = _np.ascontiguousarray(phi, dtype=_np.int64)
-        self._base_sup = _np.ascontiguousarray(sup, dtype=_np.int64)
-        self._phi: Dict[Edge, int] = {}  # canonical edge -> trussness
-        self._sup: Dict[Edge, int] = {}  # canonical edge -> support
-        self._adj = _Adjacency(
-            base, self._base_phi, self._base_sup, self._phi, self._sup
-        )
+        self._nbase = base.num_edges
+        self._phi = _column(phi)  # edge id -> trussness
+        self._sup = _column(sup)  # edge id -> support
+        self._live = bytearray(b"\x01") * base.num_edges
+        self._xu = array("q")  # appended id - nbase -> canonical ends
+        self._xv = array("q")
+        self._adj = _Adjacency(base)
         self._m = base.num_edges
-        self._ends = None  # base labels and edge endpoints, at compaction
+        self._ends = None  # the base edges' label endpoints, at compaction
         self._mutated()
 
     def _mutated(self) -> None:
@@ -227,7 +233,7 @@ class TrussMaintainer:
 
         One triangle-index build gives both the trussness and the
         initial supports (:func:`repro.core.flat.peel_flat_arrays`),
-        which become the base columns as they are.  ``trace`` takes an
+        copied once into the id-indexed columns.  ``trace`` takes an
         enabled :class:`repro.obs.Tracer`: the seeding decomposition and
         every subsequent repair emit their spans (and degradation
         warnings) into it.
@@ -327,9 +333,7 @@ class TrussMaintainer:
         return self._m
 
     def has_edge(self, u: int, v: int) -> bool:
-        au = self._adj[u]
-        i = bisect_left(au, v)
-        return i < len(au) and au[i] == v
+        return v in self._adj[u]
 
     def as_decomposition(self) -> TrussDecomposition:
         """An immutable snapshot of the current trussness: the
@@ -352,33 +356,38 @@ class TrussMaintainer:
         return self._rows
 
     def _compact(self):
-        """Fresh rows: the base edges with no open endpoint, plus the
-        dict entries, in one sort.  An edge inserted by a batch still
-        under repair has no trussness yet and gets 0."""
+        """Fresh rows of the live ids.  An edge inserted by a batch
+        still under repair has trussness -1.
+
+        The column views are temporaries: a live ``np.frombuffer`` view
+        would block the columns' appends."""
         if self._ends is None:
-            self._ends = (self._base.labels, *self._base.edge_endpoints())
-        labels, eu, ev = self._ends
-        is_open = _np.isin(
-            labels, _np.fromiter(self._adj, _np.int64, len(self._adj))
-        )
-        keep = ~(is_open[eu] | is_open[ev])
-        sup = self._sup
-        k = len(sup)
-        rows = _np.empty((int(keep.sum()) + k, 4), dtype=_np.int64)
-        based = rows[:len(rows) - k]
-        based[:, 0] = labels[eu[keep]]
-        based[:, 1] = labels[ev[keep]]
-        based[:, 2] = self._base_phi[keep]
-        based[:, 3] = self._base_sup[keep]
-        opened = rows[len(rows) - k:]
-        opened[:, 0] = _np.fromiter(map(itemgetter(0), sup), _np.int64, k)
-        opened[:, 1] = _np.fromiter(map(itemgetter(1), sup), _np.int64, k)
-        opened[:, 2] = _np.fromiter(
-            map(self._phi.get, sup, repeat(0)), _np.int64, k
-        )
-        opened[:, 3] = _np.fromiter(sup.values(), _np.int64, k)
-        # the kept base rows are in (u, v) order already
-        return rows[pair_order(rows[:, 0], rows[:, 1])] if k else rows
+            labels = self._base.labels
+            eu, ev = self._base.edge_endpoints()
+            self._ends = (labels[eu], labels[ev])
+        bu, bv = self._ends
+        nb = self._nbase
+        ids = _np.flatnonzero(_np.frombuffer(self._live, dtype=_np.bool_))
+        n = int(_np.searchsorted(ids, nb))  # the live base ids come first
+        u, v = bu[ids[:n]], bv[ids[:n]]
+        if n < len(ids):
+            # the live base rows are in (u, v) order already; only
+            # appended rows need sorting in
+            add = ids[n:] - nb
+            u = _np.concatenate(
+                (u, _np.frombuffer(self._xu, dtype=_np.int64)[add])
+            )
+            v = _np.concatenate(
+                (v, _np.frombuffer(self._xv, dtype=_np.int64)[add])
+            )
+            order = pair_order(u, v)
+            ids, u, v = ids[order], u[order], v[order]
+        rows = _np.empty((len(ids), 4), dtype=_np.int64)
+        rows[:, 0] = u
+        rows[:, 1] = v
+        rows[:, 2] = _np.frombuffer(self._phi, dtype=_np.int64)[ids]
+        rows[:, 3] = _np.frombuffer(self._sup, dtype=_np.int64)[ids]
+        return rows
 
     # ----------------------------------------------------------- updates
     def insert_edge(self, u: int, v: int) -> bool:
@@ -444,37 +453,46 @@ class TrussMaintainer:
 
     # ---------------------------------------------------------- mutation
     def _do_insert(self, u: int, v: int) -> Optional[_Info]:
-        if u == v or self.has_edge(u, v):
+        if u == v:
             return None  # self-loops are dropped, like ingest cleaning
-        e = canon(u, v)
-        insort(self._adj[u], v)
-        insort(self._adj[v], u)
-        self._m += 1
-        ws = common_neighbors(self._adj, u, v)
-        self._sup[e] = len(ws)
+        nu = self._adj[u]
+        if v in nu:
+            return None
+        nv = self._adj[v]
+        sup = self._sup
+        ws = nu.keys() & nv.keys()
         for w in ws:
-            self._sup[canon(u, w)] += 1
-            self._sup[canon(v, w)] += 1
-        return ("insert", e, (), None)
+            sup[nu[w]] += 1
+            sup[nv[w]] += 1
+        e = len(sup)
+        nu[v] = nv[u] = e
+        sup.append(len(ws))
+        self._phi.append(-1)  # no trussness until the repair
+        self._live.append(1)
+        if u > v:
+            u, v = v, u
+        self._xu.append(u)
+        self._xv.append(v)
+        self._m += 1
+        return (u, v, e, None)
 
     def _do_delete(self, u: int, v: int) -> Optional[_Info]:
-        if not self.has_edge(u, v):
+        nu = self._adj[u]
+        e = nu.get(v)
+        if e is None:
             return None
-        e = canon(u, v)
-        ws = common_neighbors(self._adj, u, v)
-        for a, b in ((u, v), (v, u)):
-            lst = self._adj[a]
-            lst.pop(bisect_left(lst, b))
-        self._m -= 1
-        le = self._phi.pop(e, None)  # None: inserted earlier this batch
-        del self._sup[e]
+        nv = self._adj[v]
+        del nu[v], nv[u]
+        sup = self._sup
         tris = []
-        for w in ws:
-            g, h = canon(u, w), canon(v, w)
-            self._sup[g] -= 1
-            self._sup[h] -= 1
-            tris.append((g, h))
-        return ("delete", e, tuple(tris), le)
+        for w in nu.keys() & nv.keys():
+            g, h = nu[w], nv[w]
+            sup[g] -= 1
+            sup[h] -= 1
+            tris.append((w, g, h))
+        self._live[e] = 0
+        self._m -= 1
+        return (u, v, e, tris)
 
     # ------------------------------------------------------------ repair
     def _full_repeel(self) -> None:
@@ -490,113 +508,111 @@ class TrussMaintainer:
 
     def _seed_delete(
         self,
-        tris: Tuple[Tuple[Edge, Edge], ...],
-        le: Optional[int],
+        u: int,
+        v: int,
+        le: int,
+        tris: List[Tuple[int, int, int]],
         slack: int,
-        region: Set[Edge],
-        queue: List[Edge],
+        region: Dict[int, Edge],
+        queue: List[Tuple[int, int, int]],
     ) -> None:
         # a delete's cascade starts in the triangles it destroyed and
-        # only reaches levels k <= phi_old(deleted edge): admit a
-        # surviving partner when its level clears neither the other
-        # partner's nor the deleted edge's level by more than slack
-        for g, h in tris:
-            for x, y in ((g, h), (h, g)):
-                if x in region:
+        # only reaches levels k <= phi_old(deleted edge) (``le``, -1 if
+        # the batch inserted it): admit a surviving partner when its
+        # level clears neither the other partner's nor the deleted
+        # edge's level by more than slack.  A partner the batch deleted
+        # later is skipped, and as the other partner it caps nothing.
+        phi, live = self._phi, self._live
+        for w, g, h in tris:
+            for x, y, a in ((g, h, u), (h, g, v)):
+                if x in region or not live[x]:
                     continue
-                lx = self._phi.get(x)
-                if lx is None:
-                    continue  # wildcard (in region) or since deleted
-                ly = self._phi.get(y)
-                cap = ly if le is None else (le if ly is None else min(ly, le))
-                if cap is None or lx <= cap + slack:
-                    region.add(x)
-                    queue.append(x)
+                lx = phi[x]
+                if lx < 0:
+                    continue  # a wildcard, seeded by its own insert
+                ly = phi[y] if live[y] else -1
+                cap = ly if le < 0 else (le if ly < 0 else min(ly, le))
+                if cap < 0 or lx <= cap + slack:
+                    region[x] = (a, w) if a < w else (w, a)
+                    queue.append((a, w, x))
 
     def _repair(self, infos: List[_Info], slack: int) -> None:
         tr = self._tracer
         t0 = _perf() if tr.enabled else 0.0
-        region: Set[Edge] = set()
-        queue: List[Edge] = []
-        for kind, e, tris, le in infos:
-            if kind == "insert":
+        phi = self._phi
+        region: Dict[int, Edge] = {}  # edge id -> canonical edge
+        queue: List[Tuple[int, int, int]] = []
+        for u, v, e, tris in infos:
+            if tris is None:
                 # inserted edges have no prior phi: wildcard seeds
-                if e in self._sup and e not in region:
-                    region.add(e)
-                    queue.append(e)
+                if self._live[e]:
+                    region[e] = (u, v)
+                    queue.append((u, v, e))
             else:
-                self._seed_delete(tris, le, slack, region, queue)
+                self._seed_delete(u, v, phi[e], tris, slack, region, queue)
         # past this cap a frozen-boundary peel costs more than the flat
         # engine over everything (typical for large batches, whose
         # slack widens the chain rule): stop expanding and repair
         # exactly, but globally
         cap = max(64, self._m // 10)
         truncated = expand_region(
-            self._adj, self._phi, region, queue, slack, cap=cap
+            self._adj, phi, region, queue, slack, cap=cap
         )
-        region_edges = sorted(e for e in region if e in self._sup)
-        self._last_affected = tuple(region_edges)
+        self._last_affected = tuple(sorted(region.values()))
         self.stats.bump("repairs")
-        self.stats.bump("affected_edges", len(region_edges))
+        self.stats.bump("affected_edges", len(region))
         if truncated:
             warn_degraded(
                 tr, self.stats.metrics, "stream_full_repeel",
-                region=len(region_edges), cap=cap,
-                updates=len(infos),
+                region=len(region), cap=cap, updates=len(infos),
             )
             self._full_repeel()
             self.stats.bump("full_repeels")
             if tr.enabled:
                 tr.complete_span(
                     "repair", _perf() - t0, updates=len(infos),
-                    region=len(region_edges), frozen=0, triangles=0,
+                    region=len(region), frozen=0, triangles=0,
                     truncated=True,
                 )
             return
-        if not region_edges:
+        if not region:
             if tr.enabled:
                 tr.complete_span(
                     "repair", _perf() - t0, updates=len(infos),
                     region=0, frozen=0, triangles=0, truncated=False,
                 )
             return
-        # local problem: region edges get dense ids 0..n-1, frozen
-        # boundary edges (old phi kept, by containment) follow
-        eindex = {e: i for i, e in enumerate(region_edges)}
-        fro_index: Dict[Edge, int] = {}
+        # local problem: region edges get local ids 0..n-1 in region
+        # order, frozen boundary edges (old phi kept, by containment)
+        # follow; a triangle is emitted by its first region edge
+        nloc = len(region)
+        local = {e: i for i, e in enumerate(region)}
         frozen_phi: List[int] = []
         tris_local: List[Tuple[int, int, int]] = []
-        seen: Set[Tuple[int, int, int]] = set()
-        nloc = len(region_edges)
-        for a, b in region_edges:
-            for w in common_neighbors(self._adj, a, b):
-                key = (a, b, w) if w > b else (
-                    (a, w, b) if w > a else (w, a, b)
-                )
-                if key in seen:
+        adj = self._adj
+        for i, (a, b) in enumerate(region.values()):
+            na, nb = adj[a], adj[b]
+            for w in na.keys() & nb.keys():
+                g, h = na[w], nb[w]
+                lg, lh = local.get(g), local.get(h)
+                if lg is None:
+                    lg = local[g] = nloc + len(frozen_phi)
+                    frozen_phi.append(phi[g])
+                elif lg < i:
                     continue
-                seen.add(key)
-                ids = []
-                for x in ((a, b), canon(a, w), canon(b, w)):
-                    i = eindex.get(x)
-                    if i is None:
-                        i = fro_index.get(x)
-                        if i is None:
-                            i = nloc + len(frozen_phi)
-                            fro_index[x] = i
-                            frozen_phi.append(self._phi[x])
-                    ids.append(i)
-                tris_local.append((ids[0], ids[1], ids[2]))
+                if lh is None:
+                    lh = local[h] = nloc + len(frozen_phi)
+                    frozen_phi.append(phi[h])
+                elif lh < i:
+                    continue
+                tris_local.append((i, lg, lh))
         self.stats.bump("frozen_edges", len(frozen_phi))
         self.stats.bump("local_triangles", len(tris_local))
-        phi_new = repeel_region(
-            nloc, frozen_phi, tris_local, kernel=self._kernel
-        )
-        for i, e in enumerate(region_edges):
-            self._phi[e] = int(phi_new[i])
+        for e, k in zip(region, repeel_region(nloc, frozen_phi, tris_local)):
+            phi[e] = k
         if tr.enabled:
             tr.complete_span(
                 "repair", _perf() - t0, updates=len(infos),
-                region=len(region_edges), frozen=len(frozen_phi),
+                region=nloc, frozen=len(frozen_phi),
                 triangles=len(tris_local), truncated=False,
             )

@@ -22,6 +22,8 @@ from __future__ import annotations
 import sys
 from typing import IO, List, Optional, Tuple
 
+from repro.graph.csr import INT64_MAX, INT64_MIN
+
 Update = Tuple[str, int, int]
 
 #: line opcode -> maintainer op (the vocabulary ``apply_batch`` takes)
@@ -42,7 +44,8 @@ def parse_update_line(
     Returns ``None`` for blank lines and ``#`` comments.  Raises
     ``ValueError`` — prefixed with ``where`` (conventionally
     ``file:lineno``) — on anything else that is not a well-formed
-    ``'+ u v'`` / ``'- u v'`` line.
+    ``'+ u v'`` / ``'- u v'`` line, a vertex id outside the signed
+    64-bit range (the maintainer's columns) included.
     """
     parts = line.split()
     if not parts or parts[0].startswith("#"):
@@ -57,6 +60,11 @@ def parse_update_line(
         raise ValueError(
             f"{where}: non-integer vertex id in {line.strip()!r}"
         ) from None
+    if not (INT64_MIN <= u <= INT64_MAX and INT64_MIN <= v <= INT64_MAX):
+        raise ValueError(
+            f"{where}: vertex id outside the signed 64-bit range in "
+            f"{line.strip()!r}"
+        )
     return (OPS[parts[0]], u, v)
 
 

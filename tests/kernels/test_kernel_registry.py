@@ -272,11 +272,12 @@ class TestNumbaAbsentImportGuard:
 
 @needs_numpy
 class TestRepairHotPath:
-    """A repair resolves its kernel from the registry's memory.
+    """A repair looks no kernel backend up.
 
-    A failed numba import is remembered: the repairs after seeding
-    never look the backend module up again (each retry would re-run,
-    and without ``.pyc`` files recompile, the module).
+    A local repair re-peels in plain Python, and a failed numba import
+    is remembered for the full re-peel: the repairs after seeding never
+    look the backend module up again (each retry would re-run, and
+    without ``.pyc`` files recompile, the module).
     """
 
     def test_repairs_do_not_retry_the_numba_import(self):

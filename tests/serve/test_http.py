@@ -204,6 +204,15 @@ class TestWrites:
         assert status == 400
         assert "body:2" in json.loads(data)["error"]
 
+    def test_post_updates_id_outside_int64_is_400(self, served):
+        body = "+ 1 2\n+ 3 -9223372036854775809\n"
+        status, _, data = _request(served, "POST", "/updates", body=body)
+        assert status == 400
+        assert json.loads(data)["error"].startswith(
+            "body:2: vertex id outside the signed 64-bit range"
+        )
+        assert served.svc._wal.last_seq == 0  # nothing logged
+
 
 class TestStaleness:
     def test_deferred_publish_sets_stale_header(self, tmp_path):

@@ -169,8 +169,9 @@ def test_numpy_integer_endpoints_apply():
 
 
 def test_opened_vertices_yield_python_ints():
-    # the base columns are int64 ndarrays; a repair reads them through
-    # memoryviews and label lists, so no numpy scalar reaches its keys
+    # the base columns come from int64 ndarrays; a repair reads them
+    # through memoryviews, label lists and array('q') columns, so no
+    # numpy scalar reaches the state or anything read from it
     g = complete_graph(5)
     g.add_edge(4, 5)
     tm = TrussMaintainer.from_graph(g)
@@ -178,12 +179,66 @@ def test_opened_vertices_yield_python_ints():
     assert tm.insert_edge(1, 5)
     assert tm.last_affected
     assert all(type(x) is int for edge in tm.last_affected for x in edge)
-    assert all(type(x) is int for x in tm._adj[2])
+    assert len(tm._adj) >= 3  # 0, 1 and 5 at least were opened
     assert all(
         type(x) is int
-        for d in (tm._phi, tm._sup) for key, value in d.items()
-        for x in (*key, value)
+        for v, row in tm._adj.items() for x in (v, *row, *row.values())
     )
+    assert all(type(x) is int for col in (tm._phi, tm._sup) for x in col)
+    assert all(type(x) is int for edge in tm.trussness for x in edge)
+
+
+def test_batch_deleting_two_edges_of_one_triangle():
+    # K4 plus a pendant edge and a separate triangle.  Deleting (0, 1)
+    # destroys triangle (0, 1, 2), whose partner (0, 2) the same batch
+    # deletes too: at repair time that partner is no longer live, so
+    # its stale trussness must not seed it into the region
+    g = complete_graph(4)
+    g.add_edges([(3, 4), (5, 6), (6, 7), (5, 7)])
+    tm = TrussMaintainer.from_graph(g)
+    assert tm.apply_batch([("delete", 0, 1), ("delete", 0, 2)]) == 2
+    mirror = g.copy()
+    mirror.remove_edge(0, 1)
+    mirror.remove_edge(0, 2)
+    _check(tm, mirror)
+    assert dict(tm.trussness) == {
+        (0, 3): 2, (1, 2): 3, (1, 3): 3, (2, 3): 3, (3, 4): 2,
+        (5, 6): 3, (5, 7): 3, (6, 7): 3,
+    }
+    # the four K4 edges left, reached through the destroyed triangles;
+    # neither the pendant edge nor the other triangle
+    assert tm.last_affected == ((0, 3), (1, 2), (1, 3), (2, 3))
+    # the reverse order seeds the same region
+    tm = TrussMaintainer.from_graph(g)
+    assert tm.apply_batch([("delete", 0, 2), ("delete", 0, 1)]) == 2
+    _check(tm, mirror)
+    assert tm.last_affected == ((0, 3), (1, 2), (1, 3), (2, 3))
+
+
+def test_region_support_falling_below_its_floor():
+    # Deleting (2, 7) re-peels every edge but (4, 19) and (7, 19),
+    # which stay frozen at level 3.  They expire before any region
+    # edge can pop, and (4, 7) loses a triangle, falling below every
+    # other region edge's support: the next level must follow it down.
+    # A floor that only ever rose left (4, 7), and the five edges that
+    # then lose a triangle to its pop, at 5 instead of 4.
+    edges = [
+        (2, 4), (2, 6), (2, 7), (2, 8), (2, 9), (2, 11), (2, 16), (2, 18),
+        (2, 20), (4, 6), (4, 7), (4, 8), (4, 11), (4, 16), (4, 19), (6, 7),
+        (6, 16), (6, 20), (7, 9), (7, 16), (7, 18), (7, 19), (7, 20),
+        (8, 11), (8, 16), (9, 16), (9, 18), (9, 20), (11, 16), (16, 18),
+        (16, 20), (18, 20),
+    ]
+    g = Graph(edges)
+    tm = TrussMaintainer.from_graph(g)
+    assert tm.delete_edge(2, 7)
+    mirror = g.copy()
+    mirror.remove_edge(2, 7)
+    _check(tm, mirror)
+    assert len(tm.last_affected) == 29
+    assert {e for e, k in tm.trussness.items() if k == 4} == {
+        (2, 6), (4, 6), (4, 7), (6, 7), (6, 16), (6, 20),
+    }
 
 
 def test_insert_then_delete_same_edge_in_batch_with_triangles():

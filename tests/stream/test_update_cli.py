@@ -73,6 +73,19 @@ class TestUpdate:
         assert "non-integer vertex id" in capsys.readouterr().err
 
     @needs_numpy
+    def test_vertex_outside_int64_fails_before_ingest(
+        self, graph_file, tmp_path, capsys
+    ):
+        # the first line is valid: nothing may be loaded or applied
+        # before the bad second line is reported
+        ups = _updates_file(tmp_path, "+ 1 10\n+ 1 9223372036854775808\n")
+        assert main(["update", str(graph_file), str(ups)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith(f"error: {ups}:2: vertex id outside")
+        assert not any(line.startswith("loaded") for line in lines)
+
+    @needs_numpy
     def test_updates_from_stdin(
         self, graph_file, tmp_path, monkeypatch, capsys
     ):

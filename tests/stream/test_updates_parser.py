@@ -38,6 +38,21 @@ class TestParseLine:
         with pytest.raises(ValueError, match="non-integer vertex id"):
             parse_update_line("+ 1 two")
 
+    @pytest.mark.parametrize("line", [
+        "+ 1 9223372036854775808",
+        "- -9223372036854775809 4",
+    ])
+    def test_vertex_outside_int64_names_where(self, line):
+        with pytest.raises(
+            ValueError, match="^ups.txt:2: vertex id outside the signed 64-bit"
+        ):
+            parse_update_line(line, where="ups.txt:2")
+
+    def test_int64_bounds_parse(self):
+        assert parse_update_line(
+            "+ -9223372036854775808 9223372036854775807"
+        ) == ("insert", -(1 << 63), (1 << 63) - 1)
+
     def test_where_prefixes_the_error(self):
         with pytest.raises(ValueError, match="ups.txt:7: expected"):
             parse_update_line("bogus", where="ups.txt:7")
