@@ -36,9 +36,6 @@ sockets — ``--timeout SECONDS`` bounds every blocking transport step, and
 ``--on-failure raise|retry|fallback_flat`` picks the supervisor's
 policy when a rank dies mid-run (respawn + checkpoint rewind, or
 degrade to the flat engine).
-``--index-storage ram|mmap`` selects where the streamed triangle-index
-builder puts the O(|△G|) incidence index (default: auto by size;
-``mmap`` holds driver memory at O(m) however many triangles), and
 ``--kernel auto|numpy|numba`` picks the pluggable wave-step backend
 from :mod:`repro.kernels` that every engine's inner loop runs.  The
 CSR methods and ``update`` need numpy: without it (or with ``--kernel
@@ -235,15 +232,11 @@ def cmd_decompose(args: argparse.Namespace) -> int:
                 f"{flag} only applies to --method {owner} "
                 f"(got --method {args.method})"
             )
-    for flag, value in (
-        ("--index-storage", args.index_storage),
-        ("--kernel", args.kernel),
-    ):
-        if value is not None and args.method not in CSR_METHODS:
-            return _error(
-                f"{flag} only applies to --method "
-                f"{'|'.join(CSR_METHODS)} (got --method {args.method})"
-            )
+    if args.kernel is not None and args.method not in CSR_METHODS:
+        return _error(
+            "--kernel only applies to --method "
+            f"{'|'.join(CSR_METHODS)} (got --method {args.method})"
+        )
     if args.method in CSR_METHODS and (
         args.top is not None or args.memory_fraction is not None
     ):
@@ -274,8 +267,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
                 csr, method=args.method, jobs=args.jobs,
                 ranks=args.ranks, transport=args.transport,
                 timeout=args.timeout, on_failure=args.on_failure,
-                index_storage=args.index_storage, kernel=args.kernel,
-                trace_path=args.trace,
+                kernel=args.kernel, trace_path=args.trace,
             )
         else:
             if args.method in ("bottomup", "topdown"):
@@ -561,19 +553,6 @@ def build_parser() -> argparse.ArgumentParser:
             "and rewinds to the newest common checkpoint barrier "
             "(bounded retries), 'fallback_flat' retries then degrades "
             "to the in-process flat engine (default: raise)"
-        ),
-    )
-    p.add_argument(
-        "--index-storage",
-        default=None,
-        choices=["ram", "mmap"],
-        help=(
-            "triangle-index destination for the CSR methods: 'ram' "
-            "keeps it in memory (shared-memory blocks under --method "
-            "parallel), 'mmap' streams it to disk and maps it "
-            "read-only — O(m) driver memory however many triangles "
-            "(default: auto by size; --method dist always reads it "
-            "from disk)"
         ),
     )
     p.add_argument(

@@ -38,12 +38,13 @@ in-process queues (``transport="loopback"``) or length-prefixed
 localhost sockets (``transport="tcp"``), with the triangle dedupe
 hash-partitioned across ranks so no node holds the global triangle
 state.  All three peel over one shared triangle-index pipeline — the
-streaming builder of :mod:`repro.triangles.index_builder`, whose
-destination the ``index_storage`` knob selects (in-RAM arrays or the
-on-disk mmap layout, holding build memory at O(m + chunk)).  All
-three accept a ready :class:`~repro.graph.csr.CSRGraph` in place of a
-``Graph``, and :func:`decompose_file` feeds them straight from an
-edge-list file via the dict-free streaming ingest.
+streaming builder of :mod:`repro.triangles.index_builder`, which keeps
+the index in RAM or streams it to the on-disk mmap layout (holding
+build memory at O(m + chunk)) by the input's size; ``dist`` always
+streams it, since its ranks map the files.  All three accept a ready
+:class:`~repro.graph.csr.CSRGraph` in place of a ``Graph``, and
+:func:`decompose_file` feeds them straight from an edge-list file via
+the dict-free streaming ingest.
 
 An engine's module is imported when a call first dispatches to it, so
 a process loads only the methods it runs.  The flat engine is the
@@ -96,7 +97,6 @@ def truss_decomposition(
     transport: Optional[str] = None,
     timeout: Optional[float] = None,
     on_failure: Optional[str] = None,
-    index_storage: Optional[str] = None,
     kernel: Optional[str] = None,
     trace=None,
     trace_path=None,
@@ -131,15 +131,10 @@ def truss_decomposition(
             newest common checkpoint barrier, bounded by a retry
             budget) or ``"fallback_flat"`` (retry, then degrade to the
             in-process flat engine instead of raising).
-        index_storage: for the CSR methods (:data:`CSR_METHODS`), the
-            triangle index's destination — ``"ram"`` or ``"mmap"``
-            (streamed to disk by the builder's counting route, mapped
-            read-only).  ``None`` is auto: by size for flat/parallel,
-            always on disk for dist (whose ranks mmap it regardless).
-        kernel: for the CSR methods, the wave-step backend from
-            :mod:`repro.kernels` — ``"auto"`` (default), ``"numpy"``
-            or ``"numba"``; one backend runs the inner step of every
-            engine, worker and rank alike.
+        kernel: for the CSR methods (:data:`CSR_METHODS`), the
+            wave-step backend from :mod:`repro.kernels` — ``"auto"``
+            (default), ``"numpy"`` or ``"numba"``; one backend runs the
+            inner step of every engine, worker and rank alike.
         trace: an enabled :class:`repro.obs.Tracer` to receive the
             run's structured trace (spans, events, degradation
             warnings) — see :mod:`repro.obs` for the schema.  The CSR
@@ -164,8 +159,6 @@ def truss_decomposition(
         name for name, value, owner in gated
         if value is not None and method != owner
     ]
-    if index_storage is not None and method not in CSR_METHODS:
-        bad.append("index_storage")
     if kernel is not None and method not in CSR_METHODS:
         bad.append("kernel")
     if bad:
@@ -190,17 +183,13 @@ def truss_decomposition(
             return truss_decomposition_improved(g)
         if method == "flat":
             _reject_external_args(method, memory_budget, partitioner, io_stats, top_t)
-            return truss_decomposition_flat(
-                g, index_storage=index_storage, kernel=kernel,
-                trace=tracer,
-            )
+            return truss_decomposition_flat(g, kernel=kernel, trace=tracer)
         if method == "parallel":
             from repro.core.parallel import truss_decomposition_parallel
 
             _reject_external_args(method, memory_budget, partitioner, io_stats, top_t)
             return truss_decomposition_parallel(
-                g, jobs=jobs, index_storage=index_storage,
-                kernel=kernel, trace=tracer,
+                g, jobs=jobs, kernel=kernel, trace=tracer,
             )
         if method == "dist":
             from repro.core.dist import truss_decomposition_dist
@@ -208,8 +197,7 @@ def truss_decomposition(
             _reject_external_args(method, memory_budget, partitioner, io_stats, top_t)
             return truss_decomposition_dist(
                 g, ranks=ranks, transport=transport, timeout=timeout,
-                on_failure=on_failure, index_storage=index_storage,
-                kernel=kernel, trace=tracer,
+                on_failure=on_failure, kernel=kernel, trace=tracer,
             )
         if method == "baseline":
             from repro.core.truss_baseline import truss_decomposition_baseline
@@ -294,7 +282,6 @@ def decompose_file(
     transport: Optional[str] = None,
     timeout: Optional[float] = None,
     on_failure: Optional[str] = None,
-    index_storage: Optional[str] = None,
     kernel: Optional[str] = None,
     trace=None,
     trace_path=None,
@@ -318,16 +305,16 @@ def decompose_file(
         return truss_decomposition(
             csr, method=method, jobs=jobs, ranks=ranks,
             transport=transport, timeout=timeout,
-            on_failure=on_failure, index_storage=index_storage,
-            kernel=kernel, trace=trace, trace_path=trace_path, **kwargs
+            on_failure=on_failure, kernel=kernel, trace=trace,
+            trace_path=trace_path, **kwargs
         )
     from repro.graph.io import read_edge_list
 
     return truss_decomposition(
         read_edge_list(path), method=method, jobs=jobs,
         ranks=ranks, transport=transport, timeout=timeout,
-        on_failure=on_failure, index_storage=index_storage,
-        kernel=kernel, trace=trace, trace_path=trace_path, **kwargs
+        on_failure=on_failure, kernel=kernel, trace=trace,
+        trace_path=trace_path, **kwargs
     )
 
 

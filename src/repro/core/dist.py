@@ -6,7 +6,7 @@ ranks to mmap, launch one :class:`~repro.dist.rank.Rank` per shard
 over the chosen transport, and stitch the returned ``phi`` slices
 back together.  The index is *streamed* into its on-disk layout by the
 two-pass counting builder (:mod:`repro.triangles.index_builder`,
-``index_storage="mmap"``), so the driver's peak memory is O(m + chunk)
+``storage="mmap"``), so the driver's peak memory is O(m + chunk)
 — it never materializes a triangle-length array — and it holds *no*
 peel state while the ranks run: the level/wave decisions, the support
 arrays and the hash-partitioned triangle dedupe all live rank-side
@@ -52,15 +52,10 @@ import tempfile
 import threading
 import time
 from multiprocessing import get_context
-from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.decomposition import DecompositionStats, TrussDecomposition
-from repro.core.flat import (
-    _as_csr,
-    resolve_index_storage,
-    result_from_phi,
-)
+from repro.core.flat import _as_csr, result_from_phi
 from repro.dist.checkpoint import latest_common_epoch
 from repro.dist.faults import FaultInjectingTransport, FaultPlan
 from repro.dist.rank import Rank, TriangleIndex
@@ -513,7 +508,6 @@ def truss_decomposition_dist(
     g,
     ranks: Optional[int] = None,
     transport: Optional[str] = None,
-    index_storage: Optional[str] = None,
     kernel: Optional[str] = None,
     *,
     timeout: Optional[float] = None,
@@ -536,12 +530,6 @@ def truss_decomposition_dist(
         transport: one of :data:`TRANSPORTS` — ``"loopback"`` (the
             default: in-process queue fabric) or ``"tcp"`` (rank
             processes over framed localhost sockets).
-        index_storage: how the driver builds the triangle index the
-            ranks mmap.  ``"mmap"`` (the default, also what ``None``
-            resolves to) streams it straight into the on-disk layout —
-            the driver never holds a triangle-length array; ``"ram"``
-            builds the bundle in RAM first and writes it whole (only
-            sensible on small graphs).
         kernel: the wave-step backend (``"auto"``/``"numpy"``/
             ``"numba"``; ``None``: auto), resolved once here and
             pinned on every rank.
@@ -573,15 +561,10 @@ def truss_decomposition_dist(
             merged, driver-ordered trace.
 
     Returns the identical trussness map as ``method="flat"`` — neither
-    the rank count, the transport, the index storage nor any survived
-    fault schedule changes the wave schedule.
+    the rank count, the transport nor any survived fault schedule
+    changes the wave schedule.
     """
     mode = _resolve_transport(transport)
-    # ranks always read the index from disk; "auto" therefore means
-    # "stream it there without a RAM detour" for this method
-    storage = resolve_index_storage(index_storage)
-    if storage == "auto":
-        storage = "mmap"
     kname = resolve_kernel(kernel)
     policy = _resolve_on_failure(on_failure)
     deadline = _resolve_timeout(timeout)
@@ -601,7 +584,7 @@ def truss_decomposition_dist(
     m = csr.num_edges
     stats.record("transport", mode)
     stats.record("ranks", nranks)
-    stats.record("index_storage", storage)
+    stats.record("index_storage", "mmap")
     stats.record("kernel", kname)
     stats.record("on_failure", policy)
     stats.record("checkpoint_interval", interval)
@@ -623,21 +606,13 @@ def truss_decomposition_dist(
         os.mkdir(index_dir)
         os.mkdir(ckpt_dir)
         t0 = time.perf_counter()
-        if storage == "ram":
-            tri = build_triangle_index(csr)
-            TriangleIndex.write(
-                Path(index_dir), tri.e1, tri.e2, tri.e3, tri.tptr,
-                tri.tinc,
-            )
-        else:
-            tri = build_triangle_index(
-                csr, storage="mmap", dirpath=index_dir
-            )
+        # the ranks map the files, so the index always streams to disk
+        tri = build_triangle_index(csr, storage="mmap", dirpath=index_dir)
         build_s = time.perf_counter() - t0
         stats.record("index_build_s", round(build_s, 6))
         n_tri = tri.num_triangles
         if tr.enabled:
-            tr.complete_span("index_build", build_s, storage=storage,
+            tr.complete_span("index_build", build_s, storage=tri.storage,
                              triangles=int(n_tri))
         # shard weights need only the O(m) incidence runs, so the
         # driver's peel-time state is O(m) however large |△G| gets

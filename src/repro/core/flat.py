@@ -7,10 +7,11 @@ of dict-of-set adjacency: :func:`_peel_waves` is a level-synchronous
 wave peel over the materialized triangle index in the shared-memory
 style of Kabir & Madduri — same unique trussness map, 2-3x faster than
 the improved method end to end.  The index itself comes from the
-streaming builder (:mod:`repro.triangles.index_builder`), in RAM or
-mmapped from disk (``index_storage``).  The ram route concatenates the
-enumerated chunks, then sorts the keys that become ``tinc`` once, in
-place; the mmap route holds no triangle-length array at all.
+streaming builder (:mod:`repro.triangles.index_builder`), which keeps
+it in RAM or spills it to a temporary directory by the input's size.
+The ram route concatenates the enumerated chunks, then sorts the keys
+that become ``tinc`` once, in place; the mmap route holds no
+triangle-length array at all.
 
 The wave peel needs numpy.  Without it, every CSR method (flat,
 parallel, dist) fails with the kernel registry's one error
@@ -42,12 +43,10 @@ from repro.core.decomposition import (
     TrussDecomposition,
     require_int64_ids,
 )
-from repro.errors import DecompositionError
 from repro.graph.csr import CSRGraph, sorted_unique
 from repro.kernels import PeelKernel, get_kernel, resolve_kernel
 from repro.obs import NULL_TRACER, CountingKernel
 from repro.triangles.index_builder import (
-    INDEX_STORAGES,
     TriangleIndex,
     build_triangle_index,
 )
@@ -56,23 +55,6 @@ try:  # the peel needs it; resolve_kernel reports its absence
     import numpy as _np
 except ImportError:  # pragma: no cover
     _np = None
-
-
-def resolve_index_storage(index_storage: Optional[str]) -> str:
-    """Validate the index-storage knob (``None`` means size-based auto).
-
-    Shared by the flat, parallel and dist front doors so the accepted
-    vocabulary (:data:`~repro.triangles.index_builder.INDEX_STORAGES`)
-    can never drift between methods.
-    """
-    if index_storage is None:
-        return "auto"
-    if index_storage not in INDEX_STORAGES:
-        raise DecompositionError(
-            f"unknown index storage {index_storage!r}; expected one of "
-            f"{INDEX_STORAGES}"
-        )
-    return index_storage
 
 
 def run_wave_peel(
@@ -277,7 +259,6 @@ def _peel_over_index(
 def _peel_waves(
     csr: CSRGraph,
     m: int,
-    index_storage: Optional[str] = None,
     stats: Optional[DecompositionStats] = None,
     kern: Optional[PeelKernel] = None,
     tracer=None,
@@ -285,25 +266,17 @@ def _peel_waves(
     """Serial wave peeling over the streamed triangle index (numpy).
 
     The index is built by the streaming builder
-    (:func:`repro.triangles.index_builder.build_triangle_index`);
-    ``index_storage`` picks its destination — ``"ram"`` for plain
-    ndarrays (the classic time/space trade of shared-memory truss
-    codes), ``"mmap"`` to stream the O(|△G|) structure to disk and
-    peel over read-only maps, or ``None`` to let the builder decide by
-    size after the counting pass.
+    (:func:`repro.triangles.index_builder.build_triangle_index`) with
+    ``storage="auto"``: plain ndarrays (the classic time/space trade of
+    shared-memory truss codes) unless its size bound says to stream the
+    O(|△G|) structure to disk and peel over read-only maps.
     """
-    mode = resolve_index_storage(index_storage)
     tr = tracer if tracer is not None else NULL_TRACER
-    if mode == "ram":
-        t0 = _perf()
-        tri = build_triangle_index(csr)
-        _record_index_build(tri, _perf() - t0, stats, tr)
-        return _peel_over_index(tri, m, stats, kern, tracer=tr)
-    # "mmap" or "auto" (which may still choose ram — the tempdir is
-    # then simply empty): the on-disk index lives only for the peel
+    # a ram build leaves the tempdir empty; an mmap one lives only for
+    # the peel
     with tempfile.TemporaryDirectory(prefix="repro-triidx-") as tmp:
         t0 = _perf()
-        tri = build_triangle_index(csr, storage=mode, dirpath=tmp)
+        tri = build_triangle_index(csr, storage="auto", dirpath=tmp)
         _record_index_build(tri, _perf() - t0, stats, tr)
         return _peel_over_index(tri, m, stats, kern, tracer=tr)
 
@@ -325,7 +298,7 @@ def _as_csr(g) -> CSRGraph:
     Passing a :class:`CSRGraph` (e.g. from the streaming file ingest)
     skips the dict-of-set round trip entirely.  The CSR arrays hold
     int64 ids, so a :class:`Graph` with a vertex id outside that range
-    raises :class:`DecompositionError` naming it.
+    raises :class:`~repro.errors.DecompositionError` naming it.
     """
     if isinstance(g, CSRGraph):
         return g
@@ -356,7 +329,6 @@ def result_from_phi(
 
 def peel_flat_arrays(
     csr: CSRGraph,
-    index_storage: Optional[str] = None,
     kernel: Optional[str] = None,
     trace=None,
 ):
@@ -368,14 +340,12 @@ def peel_flat_arrays(
     top level.  One index build yields both maps, which is what
     :meth:`repro.stream.TrussMaintainer.from_graph` seeds from.
     """
-    resolve_index_storage(index_storage)  # validate eagerly, any path
     kname = resolve_kernel(kernel)
     stats = DecompositionStats(method="flat")
     tr = trace if trace is not None else NULL_TRACER
     m = csr.num_edges
     if tr.enabled:
-        tr.event("run_start", engine="flat", m=int(m), kernel=kname,
-                 index_storage=index_storage or "auto")
+        tr.event("run_start", engine="flat", m=int(m), kernel=kname)
     if not m:
         empty = _np.zeros(0, dtype=_np.int64)
         return empty, empty, 2, stats
@@ -384,7 +354,7 @@ def peel_flat_arrays(
     if tr.enabled:
         kern = CountingKernel(kern)
     t0 = _perf()
-    phi, sup, k = _peel_waves(csr, m, index_storage, stats, kern, tracer=tr)
+    phi, sup, k = _peel_waves(csr, m, stats, kern, tracer=tr)
     build_s = stats.metrics.value("index_build_s") or 0.0
     peel_s = max(_perf() - t0 - build_s, 0.0)
     stats.record("peel_s", round(peel_s, 6))
@@ -396,20 +366,18 @@ def peel_flat_arrays(
 
 def truss_decomposition_flat(
     g,
-    index_storage: Optional[str] = None,
     kernel: Optional[str] = None,
     trace=None,
 ) -> TrussDecomposition:
     """Run Algorithm 2 over flat edge arrays.
 
     ``g`` may be a :class:`Graph` (snapshotted, not modified) or a
-    :class:`CSRGraph` built by the streaming ingest.  ``index_storage``
-    picks the triangle index's destination (``"ram"``/``"mmap"``;
-    ``None``: auto by size) and ``kernel`` the wave-step backend
-    (``"auto"``/``"numpy"``/``"numba"``; ``None``: auto).  ``trace``
-    takes an enabled :class:`repro.obs.Tracer` to emit the run's spans
-    and events into (``None``: the no-op tracer).
+    :class:`CSRGraph` built by the streaming ingest.  ``kernel`` picks
+    the wave-step backend (``"auto"``/``"numpy"``/``"numba"``;
+    ``None``: auto).  ``trace`` takes an enabled
+    :class:`repro.obs.Tracer` to emit the run's spans and events into
+    (``None``: the no-op tracer).
     """
     csr = _as_csr(g)
-    phi, _sup, k, stats = peel_flat_arrays(csr, index_storage, kernel, trace)
+    phi, _sup, k, stats = peel_flat_arrays(csr, kernel, trace)
     return result_from_phi(csr, phi, k, stats)

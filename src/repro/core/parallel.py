@@ -15,11 +15,12 @@ as numpy views, so workers attach once (pool initializer) and never
 receive more than their slice of the current frontier over the IPC
 channel.  The read-only O(|△G|) triangle index (``e1``/``e2``/``e3``
 edge columns, the ``tptr``/``tinc`` edge->triangle incidence) comes
-from the streaming builder (:mod:`repro.triangles.index_builder`) and
-travels by ``index_storage``: ``"ram"`` shares it through the same shm
-blocks, ``"mmap"`` streams it to disk and every process (coordinator
-and workers alike) maps the ``.npy`` files read-only — the page cache is
-the sharing medium and no triangle-length shm copy exists.
+from the streaming builder (:mod:`repro.triangles.index_builder`),
+which picks its route by size, and travels by that route: an index in
+RAM is shared through the same shm blocks; one streamed to disk is
+mapped read-only by every process (coordinator and workers alike) —
+the page cache is the sharing medium and no triangle-length shm copy
+exists.
 Zero-length arrays (a triangle-free graph has empty
 ``e1``/``tinc``/``tdead``) are never backed by a shared block at all —
 each worker materializes its own empty view.
@@ -78,7 +79,6 @@ from repro.core.flat import (
     _as_csr,
     _peel_state,
     _record_index_build,
-    resolve_index_storage,
     result_from_phi,
     run_wave_peel,
 )
@@ -261,7 +261,6 @@ def _peel_waves_shared(
     m: int,
     jobs: int,
     stats: DecompositionStats,
-    index_storage: Optional[str] = None,
     kname: Optional[str] = None,
     tracer=None,
 ) -> Tuple["_np.ndarray", int]:
@@ -274,21 +273,18 @@ def _peel_waves_shared(
     ``jobs>1`` the mutable peel state is copied into shared memory
     once, a persistent pool attaches to it, and every wave is two
     ``pool.map`` barriers.  The triangle index comes from the
-    streaming builder: with ``index_storage="ram"`` it is
-    shared with the workers through the same shm blocks, with
-    ``"mmap"`` every process maps the on-disk index read-only (no
-    triangle-length shm copy exists anywhere).
+    streaming builder (``storage="auto"``): an index in RAM is shared
+    with the workers through the same shm blocks, one spilled to disk
+    is mapped read-only by every process (no triangle-length shm copy
+    exists anywhere).
     """
-    mode = resolve_index_storage(index_storage)
     kern = get_kernel(kname)
     tr = tracer if tracer is not None else NULL_TRACER
     if tr.enabled:
         kern = CountingKernel(kern)
     with tempfile.TemporaryDirectory(prefix="repro-triidx-") as tmp:
         t0 = _perf()
-        tri = build_triangle_index(
-            csr, storage=mode, dirpath=tmp if mode != "ram" else None
-        )
+        tri = build_triangle_index(csr, storage="auto", dirpath=tmp)
         _record_index_build(tri, _perf() - t0, stats, tr)
         stats.record("index_storage", tri.storage)
         state = _peel_state(tri, m)
@@ -367,7 +363,6 @@ def _peel_waves_shared(
 def truss_decomposition_parallel(
     g,
     jobs: Optional[int] = None,
-    index_storage: Optional[str] = None,
     kernel: Optional[str] = None,
     trace=None,
 ) -> TrussDecomposition:
@@ -381,9 +376,6 @@ def truss_decomposition_parallel(
             serial in-process run below that; an explicit value is
             honored exactly (``jobs=1`` forces the serial path) and
             must be at least 1.
-        index_storage: the triangle index destination — ``"ram"``
-            (shared-memory blocks), ``"mmap"`` (streamed to disk, every
-            process maps it read-only), or ``None`` (auto by size).
         kernel: the wave-step backend (``"auto"``/``"numpy"``/
             ``"numba"``; ``None``: auto), pinned on the coordinator
             *and* every pool worker.
@@ -392,7 +384,6 @@ def truss_decomposition_parallel(
     ``method="improved"`` — neither the worker count, the index
     storage nor the kernel changes the wave schedule.
     """
-    resolve_index_storage(index_storage)  # validate eagerly, any path
     kname = resolve_kernel(kernel)
     njobs = _resolve_jobs(jobs, g.num_edges)
     stats = DecompositionStats(method="parallel")
@@ -407,6 +398,6 @@ def truss_decomposition_parallel(
     if not m:
         return result_from_phi(csr, _np.zeros(0, _np.int64), 2, stats)
     phi, k = _peel_waves_shared(
-        csr, m, njobs, stats, index_storage, kname, tracer=tr
+        csr, m, njobs, stats, kname, tracer=tr
     )
     return result_from_phi(csr, phi, k, stats)

@@ -108,9 +108,10 @@ class GraphStatistics:
 
     @classmethod
     def of(cls, g: Graph, bytes_per_entry: int = 8) -> "GraphStatistics":
-        """Compute statistics; disk size assumes the adjacency-list file
-        layout of :mod:`repro.exio.diskgraph` (two 8-byte words per
-        vertex header plus one word per directed edge)."""
+        """Compute statistics; disk size assumes the paper's
+        adjacency-list file layout: each vertex stored once with its
+        neighbour list (two 8-byte words per vertex header plus one
+        word per directed edge)."""
         return cls(
             num_vertices=g.num_vertices,
             num_edges=g.num_edges,

@@ -6,9 +6,7 @@ Components::
     MemoryBudget      the paper's M, in |G| = n + m units
     BlockReader/BlockWriter   sequential block-buffered file access
     RecordCodec       fixed-width record encode/decode (EDGE, ATTR_EDGE)
-    ExternalSorter    bounded-memory multi-pass merge sort
     DiskEdgeFile      attributed edge file (the on-disk Gnew)
-    DiskAdjacencyGraph  adjacency-list graph file in ascending-id order
 
 Each name resolves on first use: the in-memory methods need only
 :mod:`repro.exio.iostats`, so they never load the disk-backed modules.
@@ -29,11 +27,8 @@ __all__ = [
     "RecordCodec",
     "EDGE",
     "ATTR_EDGE",
-    "DIRECTED",
-    "ExternalSorter",
     "DiskEdgeFile",
     "AttrEdge",
-    "DiskAdjacencyGraph",
 ]
 
 #: defining module -> the public names it provides
@@ -42,12 +37,10 @@ _SOURCES = {
         "BlockReader", "BlockWriter", "file_size", "remove_if_exists",
     ),
     "repro.exio.bufferpool": ("BufferPool",),
-    "repro.exio.diskgraph": ("DiskAdjacencyGraph",),
     "repro.exio.edgefile": ("AttrEdge", "DiskEdgeFile"),
-    "repro.exio.extsort": ("ExternalSorter",),
     "repro.exio.iostats": ("DEFAULT_BLOCK_SIZE", "IOStats"),
     "repro.exio.memory": ("UNBOUNDED", "MemoryBudget"),
-    "repro.exio.records": ("ATTR_EDGE", "DIRECTED", "EDGE", "RecordCodec"),
+    "repro.exio.records": ("ATTR_EDGE", "EDGE", "RecordCodec"),
 }
 
 __getattr__, __dir__ = lazy_names(globals(), _SOURCES)

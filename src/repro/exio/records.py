@@ -2,14 +2,12 @@
 
 Everything the external algorithms spill to disk is a stream of
 fixed-width little-endian records, so sequential scans never parse —
-they slice.  Three record shapes cover the whole paper:
+they slice.  Two record shapes cover the whole paper:
 
 * ``EDGE``       — ``(u, v)``: raw graph edges;
 * ``ATTR_EDGE``  — ``(u, v, attr)``: edges of ``Gnew`` carrying the
   lower bound φ(e) (bottom-up), the support sup(e) / upper bound ψ(e)
-  (top-down), or a class label;
-* ``DIRECTED``   — ``(src, dst)``: the doubled, oriented pairs external
-  sort groups into adjacency lists.
+  (top-down), or a class label.
 """
 
 from __future__ import annotations
@@ -101,4 +99,3 @@ class RecordCodec:
 
 EDGE = RecordCodec("edge", "<qq")
 ATTR_EDGE = RecordCodec("attr_edge", "<qqq")
-DIRECTED = RecordCodec("directed", "<qq")

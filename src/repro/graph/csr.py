@@ -6,8 +6,9 @@ element.  :class:`CSRGraph` lays the adjacency out in flat int64
 ndarrays (``indptr``/``indices``, with the canonical edge id of every
 slot in ``eids``), relabels vertices to ``0..n-1`` (``labels``), and
 sorts each adjacency run, enabling merge-style intersections and
-cache-friendly scans.  It is the in-memory analogue of the on-disk
-adjacency format in :mod:`repro.exio.diskgraph`.
+cache-friendly scans.  It is the in-memory analogue of the paper's
+on-disk adjacency lists: vertices in ascending id order, each with its
+sorted neighbour list.
 
 Every constructor ends in one builder, which sort-dedupes the
 canonical pairs and gives each edge its position among the sorted keys

@@ -88,8 +88,8 @@ and run without it.
 
 Selection is threaded end to end as ``kernel="auto"|"numpy"|"numba"``
 through ``truss_decomposition``/``decompose_file``/the CLI's
-``--kernel`` flag, mirroring ``--index-storage``; ``"auto"`` resolves
-via :func:`resolve_kernel` to the best available backend.  The
+``--kernel`` flag; ``"auto"`` resolves via :func:`resolve_kernel` to
+the best available backend.  The
 follow-on the ROADMAP names — a cython/C extension — is one more
 factory in this registry.
 """
@@ -205,8 +205,7 @@ def resolve_kernel(kernel: Optional[str]) -> str:
     """Validate the kernel knob; ``None``/``"auto"`` picks the best.
 
     Shared by the flat, parallel and dist front doors so the accepted
-    vocabulary (:data:`KERNELS`) can never drift between methods, just
-    like :func:`repro.core.flat.resolve_index_storage` for the index.
+    vocabulary (:data:`KERNELS`) can never drift between methods.
     Raises :class:`~repro.errors.DecompositionError` without numpy
     (:data:`NUMPY_REQUIRED`, whatever the name), for unknown names and
     for named backends that are not available; with numpy, ``"auto"``

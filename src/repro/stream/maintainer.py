@@ -201,7 +201,8 @@ class TrussMaintainer:
         resolve_kernel(kernel)
         self._kernel = kernel
         self._tracer = trace if trace is not None else NULL_TRACER
-        self._last_affected: Tuple[Edge, ...] = ()
+        # sorted edge tuples, or the rows of a full re-peel
+        self._last_affected = ()
         self.stats = DecompositionStats(method="stream")
         self._rebase(base, phi, sup)
 
@@ -326,7 +327,11 @@ class TrussMaintainer:
     @property
     def last_affected(self) -> Tuple[Edge, ...]:
         """The region re-peeled by the most recent update, sorted."""
-        return self._last_affected
+        affected = self._last_affected
+        if not isinstance(affected, tuple):
+            # a full re-peel keeps its rows; the tuples cost one per edge
+            affected = self._last_affected = tuple(_edge_keys(affected))
+        return affected
 
     @property
     def num_edges(self) -> int:
@@ -504,7 +509,7 @@ class TrussMaintainer:
         rows[:, 2] = td.columns[2]  # edge id i is row i
         self._rebase(csr, rows[:, 2], rows[:, 3])
         self._rows = rows
-        self._last_affected = tuple(_edge_keys(rows))
+        self._last_affected = rows  # every edge, in (u, v) order
 
     def _seed_delete(
         self,

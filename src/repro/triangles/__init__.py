@@ -24,7 +24,6 @@ variant.
 from repro._lazy import lazy_names
 
 __all__ = [
-    "INDEX_STORAGES",
     "TriangleIndex",
     "build_triangle_index",
     "count_edge_incidence",
@@ -48,8 +47,7 @@ _SOURCES = {
         "external_triangle_count",
     ),
     "repro.triangles.index_builder": (
-        "INDEX_STORAGES", "TriangleIndex", "build_triangle_index",
-        "count_edge_incidence",
+        "TriangleIndex", "build_triangle_index", "count_edge_incidence",
     ),
     "repro.triangles.listing": (
         "degree_ranks", "iter_triangles", "oriented_adjacency",

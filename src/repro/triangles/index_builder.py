@@ -41,11 +41,13 @@ stream into the index:
      every window comes out ascending in triangle id at any chunk size.
 
 ``storage="auto"`` picks between them up front using the DAG's total
-wedge count — a free upper bound on |△G|.  Both routes, at any chunk
-size, emit the same index bit for bit.
+wedge count — a free upper bound on |△G|; it is the route of the flat
+and parallel engines.  ``dist`` asks for ``"mmap"``: its ranks map the
+files.  Both routes, at any chunk size, emit the same index bit for
+bit.
 
-On-disk format (``TriangleIndex.FIELDS``, written by the mmap storage
-and by :meth:`TriangleIndex.write`, read by :meth:`TriangleIndex.open`):
+On-disk format (``TriangleIndex.FIELDS``, written by the mmap storage,
+read by :meth:`TriangleIndex.open`):
 one directory with five little-endian int64 ``.npy`` files —
 ``e1.npy``/``e2.npy``/``e3.npy`` (length |△G|), ``tptr.npy`` (length
 m+1), ``tinc.npy`` (length 3·|△G|).  Readers mmap them read-only, so
@@ -55,7 +57,6 @@ holding a private copy.
 
 from __future__ import annotations
 
-import tempfile
 from pathlib import Path
 from typing import Iterator, Optional, Tuple
 
@@ -77,28 +78,24 @@ _WEDGE_CHUNK = 2_000_000
 #: total wedge count, a free upper bound on |△G|
 _AUTO_MMAP_INDEX_BYTES = 1 << 30
 
-#: the selectable index destinations (``truss_decomposition``'s
-#: ``index_storage`` / the CLI's ``--index-storage``)
-INDEX_STORAGES = ("ram", "mmap")
-
 
 class TriangleIndex:
     """The materialized triangle index, in RAM or mmapped from disk.
 
     Five int64 arrays: the per-triangle edge columns ``e1``/``e2``/
     ``e3`` and the edge->triangle incidence ``tptr``/``tinc``.  Built
-    by :func:`build_triangle_index`; persisted as one ``.npy`` file per
-    field (:meth:`write`, or streamed directly by the builder's mmap
-    storage); reopened memory-mapped by :meth:`open` — the read side
-    every :class:`repro.dist.rank.Rank` and mmap-mode pool worker uses,
-    so processes share the page cache instead of private copies.
+    by :func:`build_triangle_index`; the mmap storage streams one
+    ``.npy`` file per field, reopened memory-mapped by :meth:`open` —
+    the read side every :class:`repro.dist.rank.Rank` and mmap-mode
+    pool worker uses, so processes share the page cache instead of
+    private copies.
     """
 
     FIELDS = ("e1", "e2", "e3", "tptr", "tinc")
 
     def __init__(
         self, e1, e2, e3, tptr, tinc, storage: str = "ram",
-        dirpath: Optional[Path] = None, owns_dirpath: bool = False,
+        dirpath: Optional[Path] = None,
     ) -> None:
         self.e1 = e1
         self.e2 = e2
@@ -107,23 +104,6 @@ class TriangleIndex:
         self.tinc = tinc
         self.storage = storage
         self.dirpath = Path(dirpath) if dirpath is not None else None
-        self.owns_dirpath = owns_dirpath
-
-    def cleanup(self) -> None:
-        """Delete the on-disk files when this index owns its directory.
-
-        Only meaningful for an index the builder spilled into a
-        directory it created itself (``storage="auto"`` resolving to
-        mmap with no caller-supplied ``dirpath``); indexes written into
-        a caller-owned directory are left untouched — the caller's
-        tempdir (or deliberate persistence) governs their lifetime.
-        Idempotent.
-        """
-        if self.owns_dirpath and self.dirpath is not None:
-            import shutil
-
-            shutil.rmtree(self.dirpath, ignore_errors=True)
-            self.owns_dirpath = False
 
     @property
     def num_triangles(self) -> int:
@@ -136,16 +116,6 @@ class TriangleIndex:
     def initial_supports(self):
         """A fresh mutable support array: each edge's incidence count."""
         return _np.diff(_np.asarray(self.tptr, dtype=_np.int64))
-
-    @staticmethod
-    def write(dirpath, e1, e2, e3, tptr, tinc) -> None:
-        """Persist the five arrays as ``.npy`` files under ``dirpath``."""
-        dirpath = Path(dirpath)
-        for name, arr in zip(TriangleIndex.FIELDS, (e1, e2, e3, tptr, tinc)):
-            _np.save(
-                dirpath / f"{name}.npy",
-                _np.ascontiguousarray(arr, dtype=_np.int64),
-            )
 
     @classmethod
     def open(cls, dirpath) -> "TriangleIndex":
@@ -287,8 +257,6 @@ class _MmapSlots:
     ``tptr`` is O(m) and saved whole.
     """
 
-    storage = "mmap"
-
     def __init__(self, dirpath) -> None:
         self.dirpath = Path(dirpath)
 
@@ -326,7 +294,7 @@ def _incidence_keys(m: int, e1, e2, e3, out) -> "_np.ndarray":
     if m * n > _np.iinfo(_np.int64).max:
         raise DecompositionError(
             f"incidence keys overflow int64 ({m:,} edges x {n:,} "
-            "triangles); build the index with --index-storage mmap, "
+            'triangles); build the index with storage="mmap", '
             "which keys each chunk on its own"
         )
     t = _np.arange(n, dtype=_np.int64)
@@ -453,10 +421,8 @@ def build_triangle_index(
             or ``"auto"`` (mmap once the DAG's wedge
             count — an upper bound on |△G| — says the index could
             exceed :data:`_AUTO_MMAP_INDEX_BYTES`, ram below).
-        dirpath: destination directory for ``"mmap"``/``"auto"``
-            (required for ``"mmap"``; with ``"auto"`` a temporary
-            directory is created on demand — the returned index then
-            owns it, and :meth:`TriangleIndex.cleanup` deletes it).
+        dirpath: destination directory, required for ``"mmap"`` and
+            ``"auto"``; the caller owns it and its lifetime.
         chunk: wedge-buffer cap override (default
             :data:`_WEDGE_CHUNK`); tests shrink it to force many
             chunks, the layout is identical at any value.
@@ -468,26 +434,22 @@ def build_triangle_index(
     rank c)`` order under the ``(degree, id)`` ranks, with columns
     ``e1, e2, e3 = a-b, b-c, a-c`` (:meth:`_WedgeDAG.iter_triangle_chunks`).
     """
-    if storage not in INDEX_STORAGES + ("auto",):
+    if storage not in ("ram", "mmap", "auto"):
         raise DecompositionError(
-            f"unknown index storage {storage!r}; expected one of "
-            f"{INDEX_STORAGES + ('auto',)}"
+            f"unknown index storage {storage!r}; expected 'ram', "
+            "'mmap' or 'auto'"
         )
-    if storage == "mmap" and dirpath is None:
-        raise DecompositionError("index storage 'mmap' needs a dirpath")
+    if storage != "ram" and dirpath is None:
+        raise DecompositionError(
+            f"index storage {storage!r} needs a dirpath"
+        )
     m = csr.num_edges
     dag = _WedgeDAG(csr)
-    owns_dirpath = False
     if storage == "auto":
         wedges = int(dag.cum[-1]) if dag.total else 0
         storage = (
             "mmap" if 6 * wedges * 8 > _AUTO_MMAP_INDEX_BYTES else "ram"
         )
-        if storage == "mmap" and dirpath is None:
-            dirpath = tempfile.mkdtemp(prefix="repro-triidx-")
-            owns_dirpath = True
     if storage == "ram":
         return _build_ram(dag, m, chunk)
-    tri = _build_mmap(dag, csr, m, chunk, dirpath)
-    tri.owns_dirpath = owns_dirpath
-    return tri
+    return _build_mmap(dag, csr, m, chunk, dirpath)

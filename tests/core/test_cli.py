@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import json
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import pytest
 import repro
 import repro.graph.csr as csr_mod
 from repro.cli import main
-from repro.core import TrussDecomposition
+from repro.core import METHODS, TrussDecomposition
 from repro.graph import complete_graph, read_edge_list, write_edge_list
 from repro.kernels import available_kernels
 
@@ -218,26 +219,42 @@ class TestDecompose:
     @pytest.mark.parametrize("method", ["flat", "parallel", "dist"])
     @pytest.mark.parametrize("storage", ["ram", "mmap"])
     def test_index_storage_matches_flat(
-        self, graph_file, tmp_path, method, storage
+        self, graph_file, tmp_path, monkeypatch, method, storage
     ):
-        out = tmp_path / "phi.txt"
-        assert main([
-            "decompose", str(graph_file), "-o", str(out),
-            "--method", method, "--index-storage", storage,
-        ]) == 0
+        # the builder picks the route by size: a 1-byte cutoff spills
+        # even this index to disk; dist always streams it there
+        import repro.triangles.index_builder as ib
+
         reference = tmp_path / "flat.txt"
         assert main([
             "decompose", str(graph_file), "-o", str(reference),
             "--method", "flat",
         ]) == 0
+        if storage == "mmap":
+            monkeypatch.setattr(ib, "_AUTO_MMAP_INDEX_BYTES", 1)
+        out = tmp_path / "phi.txt"
+        metrics = tmp_path / "metrics.json"
+        assert main([
+            "decompose", str(graph_file), "-o", str(out),
+            "--method", method, "--metrics", str(metrics),
+        ]) == 0
         assert out.read_text() == reference.read_text()
+        route = json.loads(metrics.read_text())["info"]["index_storage"]
+        assert route == {"": "mmap" if method == "dist" else storage}
 
     def test_index_storage_rejected_off_csr_methods(self, graph_file, capsys):
-        assert main([
-            "decompose", str(graph_file), "--method", "improved",
-            "--index-storage", "mmap",
-        ]) == 2
-        assert "--index-storage only applies" in capsys.readouterr().err
+        # the route is the builder's choice alone: no method takes the
+        # flag
+        for method in METHODS:
+            with pytest.raises(SystemExit) as exc:
+                main([
+                    "decompose", str(graph_file), "--method", method,
+                    "--index-storage", "mmap",
+                ])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --index-storage" in (
+                capsys.readouterr().err
+            )
 
     def test_external_flags_rejected_on_fastpath(self, graph_file, capsys):
         assert main([

@@ -151,25 +151,15 @@ class TestArgumentGuards:
                 memory_budget=MemoryBudget(units=16),
             )
 
-    def test_index_storage_rejected_off_csr_methods(self, triangle_graph):
-        with pytest.raises(DecompositionError, match="index_storage"):
-            truss_decomposition(
-                triangle_graph, method="improved", index_storage="mmap"
-            )
-
-    def test_unknown_index_storage(self, triangle_graph):
-        with pytest.raises(DecompositionError, match="index storage"):
-            truss_decomposition_dist(triangle_graph, index_storage="tape")
-
 
 class TestDriverIndexMemory:
     """The tentpole's dist acceptance bar: O(m + chunk) driver build.
 
-    With ``index_storage="mmap"`` the driver streams the triangle index
-    straight into the on-disk layout — at no point may it hold an array
-    of length >= 3·|△G| in RAM.  Asserted by tracing the build's actual
-    heap allocations (numpy reports through tracemalloc) against the
-    size one ``tinc``-scale array would need.
+    The driver streams the triangle index straight into the on-disk
+    layout — at no point may it hold an array of length >= 3·|△G| in
+    RAM.  Asserted by tracing the build's actual heap allocations
+    (numpy reports through tracemalloc) against the size one
+    ``tinc``-scale array would need.
     """
 
     def test_mmap_build_never_materializes_index(self, monkeypatch):
@@ -197,21 +187,13 @@ class TestDriverIndexMemory:
         monkeypatch.setattr(dist_mod, "build_triangle_index", traced_build)
         g = complete_graph(80)  # |△G| = C(80,3) = 82,160 on m = 3,160
         ref = truss_decomposition(g, method="flat")
-        td = truss_decomposition_dist(g, ranks=2, index_storage="mmap")
+        td = truss_decomposition_dist(g, ranks=2)
         assert td == ref
         assert td.stats.extra["index_storage"] == "mmap"
         assert peaks["n_tri"] == 82_160
         # the acceptance bound: no 3·|△G| int64 array in driver RAM
         # (the legacy argsort build held several simultaneously)
         assert peaks["peak"] < 3 * peaks["n_tri"] * 8, peaks
-
-    def test_ram_storage_still_supported(self, bridged_cliques):
-        ref = truss_decomposition(bridged_cliques, method="flat")
-        td = truss_decomposition_dist(
-            bridged_cliques, ranks=2, index_storage="ram"
-        )
-        assert td == ref
-        assert td.stats.extra["index_storage"] == "ram"
 
 
 class TestFaultInjection:

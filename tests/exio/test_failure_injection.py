@@ -10,8 +10,7 @@ import os
 import pytest
 
 from repro.errors import FormatError
-from repro.exio import ATTR_EDGE, DiskAdjacencyGraph, DiskEdgeFile, IOStats
-from repro.graph import complete_graph
+from repro.exio import ATTR_EDGE, DiskEdgeFile, IOStats
 
 
 class TestTruncatedEdgeFiles:
@@ -39,32 +38,6 @@ class TestTruncatedEdgeFiles:
             fh.write(b"\x01\x02\x03")
         with pytest.raises(FormatError):
             DiskEdgeFile(path, IOStats())
-
-
-class TestDamagedAdjacencyFiles:
-    def _build(self, tmp_path):
-        stats = IOStats()
-        return DiskAdjacencyGraph.build_from_graph(
-            complete_graph(6), tmp_path / "g.adj", stats, tmp_path / "w"
-        )
-
-    def test_truncated_neighbor_list_raises(self, tmp_path):
-        dg = self._build(tmp_path)
-        data = dg.path.read_bytes()
-        dg.path.write_bytes(data[:-4])
-        with pytest.raises(EOFError):
-            list(dg.scan())
-
-    def test_negative_degree_detected(self, tmp_path):
-        dg = self._build(tmp_path)
-        data = bytearray(dg.path.read_bytes())
-        # the second header word is vertex 0's degree; make it negative
-        import struct
-
-        struct.pack_into("<q", data, 8, -3)
-        dg.path.write_bytes(bytes(data))
-        with pytest.raises(FormatError):
-            list(dg.scan())
 
 
 class TestRewriteAtomicity:

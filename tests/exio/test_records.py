@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import FormatError
-from repro.exio import ATTR_EDGE, DIRECTED, EDGE, BlockReader, BlockWriter, IOStats
+from repro.exio import ATTR_EDGE, EDGE, BlockReader, BlockWriter, IOStats
 
 i64 = st.integers(min_value=-(2**62), max_value=2**62)
 
@@ -14,7 +14,6 @@ class TestCodecBasics:
     def test_sizes(self):
         assert EDGE.size == 16
         assert ATTR_EDGE.size == 24
-        assert DIRECTED.size == 16
 
     def test_arity(self):
         assert EDGE.arity == 2

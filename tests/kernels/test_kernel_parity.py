@@ -196,10 +196,7 @@ class TestGatherOverMappedIndex:
 
         g = complete_graph(7)
         g.add_edges([(0, 10), (1, 10), (10, 11), (0, 11)])
-        built = build_triangle_index(_as_csr(g))
-        TriangleIndex.write(
-            tmp_path, built.e1, built.e2, built.e3, built.tptr, built.tinc
-        )
+        build_triangle_index(_as_csr(g), storage="mmap", dirpath=tmp_path)
         tri = TriangleIndex.open(tmp_path)
         assert isinstance(tri.tinc, np.memmap)
         assert not tri.tinc.flags.writeable

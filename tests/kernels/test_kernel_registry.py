@@ -98,7 +98,7 @@ class TestRegistry:
 
 
 class TestApiGating:
-    """The ``kernel`` knob mirrors ``index_storage``'s method gate."""
+    """The ``kernel`` knob is accepted by the CSR methods only."""
 
     @pytest.mark.parametrize(
         "method", ["improved", "baseline", "bottomup", "topdown",

@@ -34,9 +34,8 @@ NEVER = (
     "repro.cliques", "repro.bench", "repro.core.parallel",
     "repro.core.dist", "repro.core.bottomup", "repro.core.topdown",
     "repro.core.mapreduce_truss", "repro.core.semi_external",
-    "repro.core.hierarchy", "repro.core.edge_runs", "repro.exio.diskgraph",
-    "repro.exio.extsort", "repro.graph.builders", "repro.graph.io",
-    "repro.graph.components", "repro.triangles.listing",
+    "repro.core.hierarchy", "repro.core.edge_runs", "repro.graph.builders",
+    "repro.graph.io", "repro.graph.components", "repro.triangles.listing",
     "repro.triangles.external",
 )
 

@@ -183,6 +183,14 @@ class TestBuilderProperty:
                 assert sup[e] == oracle[(labels[eu[e]], labels[ev[e]])]
 
 
+def route_to(monkeypatch, storage):
+    """Make the engines' size-based choice land on ``storage``: the
+    default cutoff keeps a small index in RAM, a cutoff of 1 byte
+    spills any index with a wedge to disk."""
+    if storage == "mmap":
+        monkeypatch.setattr(ib, "_AUTO_MMAP_INDEX_BYTES", 1)
+
+
 class TestDecompositionParity:
     @pytest.mark.parametrize("storage", ["ram", "mmap"])
     @pytest.mark.parametrize("chunk", [1, 16])
@@ -190,15 +198,17 @@ class TestDecompositionParity:
         monkeypatch.setattr(ib, "_WEDGE_CHUNK", chunk)
         g = random_graph(24, 0.3, seed=71)
         ref = truss_decomposition_improved(g)
-        td = truss_decomposition_flat(g, index_storage=storage)
+        route_to(monkeypatch, storage)
+        td = truss_decomposition_flat(g)
         assert td == ref
         assert td.stats.extra["index_storage"] == storage
 
     @pytest.mark.parametrize("storage", ["ram", "mmap"])
-    def test_pooled_peel_over_both_storages(self, storage):
+    def test_pooled_peel_over_both_storages(self, monkeypatch, storage):
         g = random_graph(22, 0.35, seed=72)
         ref = truss_decomposition_flat(g)
-        td = truss_decomposition_parallel(g, jobs=2, index_storage=storage)
+        route_to(monkeypatch, storage)
+        td = truss_decomposition_parallel(g, jobs=2)
         assert td == ref, storage
         assert td.stats.extra["index_storage"] == storage
 
@@ -239,41 +249,24 @@ class TestEdgeCases:
             ), field
         assert reopened.storage == "mmap"
 
-    def test_auto_spill_without_dirpath_is_cleanable(self, monkeypatch):
-        # auto with no caller dirpath mkdtemps; the index owns that
-        # directory and cleanup() must remove it (and only that case)
-        monkeypatch.setattr(ib, "_AUTO_MMAP_INDEX_BYTES", 1)
-        csr = _as_csr(complete_graph(6))
-        tri = ib.build_triangle_index(csr, storage="auto")
-        assert tri.storage == "mmap" and tri.owns_dirpath
-        spilled = tri.dirpath
-        assert spilled.exists()
-        tri.cleanup()
-        assert not spilled.exists()
-        tri.cleanup()  # idempotent
-
-    def test_cleanup_leaves_caller_dirs_alone(self, tmp_path):
-        csr = _as_csr(complete_graph(5))
-        tri = ib.build_triangle_index(csr, storage="mmap", dirpath=tmp_path)
-        assert not tri.owns_dirpath
-        tri.cleanup()
-        assert (tmp_path / "tinc.npy").exists()
-
     def test_unknown_storage_rejected(self):
         csr = _as_csr(complete_graph(4))
         with pytest.raises(DecompositionError):
             ib.build_triangle_index(csr, storage="tape")
 
     def test_mmap_without_dirpath_rejected(self):
+        # "auto" may spill, so it needs the caller's directory too,
+        # even where the size bound would keep the index in RAM
         csr = _as_csr(complete_graph(4))
-        with pytest.raises(DecompositionError):
-            ib.build_triangle_index(csr, storage="mmap")
+        for storage in ("mmap", "auto"):
+            with pytest.raises(DecompositionError, match="needs a dirpath"):
+                ib.build_triangle_index(csr, storage=storage)
 
     def test_incidence_key_overflow_names_mmap(self):
         # the ram route sorts keys e * T + t below m * T: past int64
         # it must refuse and point at the chunked route
         col = np.zeros(3, dtype=np.int64)
-        with pytest.raises(DecompositionError, match="--index-storage mmap"):
+        with pytest.raises(DecompositionError, match='storage="mmap"'):
             ib._incidence_keys(
                 1 << 62, col, col, col, np.empty(9, dtype=np.int64)
             )
