@@ -9,17 +9,19 @@ The tri-index claims, measured and machine-recorded:
   (asserted before any time is reported);
 * peak extra memory drops: the legacy build holds the three triangle
   columns, their 3·|△G| concatenation, the global argsort result and
-  the tiled id array simultaneously (~15·|△G| int64 slots), the RAM
-  build holds the 6·|△G|-slot index plus one |△G|-long id column (and
-  a transient column copy while it concatenates the chunks), and the
-  mmap build keeps even the index out of the heap — O(m + chunk)
-  total.  On every triangle-dense dataset (|△G| comfortably above the
-  wedge chunk) the ordering ``mmap < ram < legacy`` is asserted on the
-  measured tracemalloc peaks;
+  the tiled id array simultaneously (~15·|△G| slots), the RAM build
+  holds the 6·|△G|-slot index plus the enumerated chunks it keeps,
+  released one by one as it fills the index, and one chunk's scatter
+  scratch, and the mmap build keeps even the index out of the heap —
+  O(m + chunk) total.  On every triangle-dense dataset (|△G|
+  comfortably above the wedge chunk) the ordering
+  ``mmap < ram < legacy`` is asserted on the measured tracemalloc
+  peaks;
 * wall time is compared, not hard-gated: the RAM build enumerates
-  wedges once and sorts its unique incidence keys once, in place; the
-  mmap build enumerates twice (count, then scatter) and sorts each
-  chunk's keys; the legacy build enumerates once and stable-argsorts
+  wedges once and keeps the chunks, the mmap build enumerates twice
+  (count, then scatter), and both lay ``tinc`` out the same way, one
+  sort of each chunk's incidence keys scattered at per-edge fill
+  cursors; the legacy build enumerates once and stable-argsorts
   (timsort) at triangle scale.  The legacy yardstick runs on the
   builder's own enumerator (out(a) wedges closed by ``b->c``, not the
   seed's out(b) wedges), so the comparison isolates the incidence

@@ -55,7 +55,11 @@ from multiprocessing import get_context
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.decomposition import DecompositionStats, TrussDecomposition
-from repro.core.flat import _as_csr, result_from_phi
+from repro.core.flat import (
+    _as_csr,
+    _record_index_build,
+    result_from_phi,
+)
 from repro.dist.checkpoint import latest_common_epoch
 from repro.dist.faults import FaultInjectingTransport, FaultPlan
 from repro.dist.rank import Rank, TriangleIndex
@@ -608,12 +612,8 @@ def truss_decomposition_dist(
         t0 = time.perf_counter()
         # the ranks map the files, so the index always streams to disk
         tri = build_triangle_index(csr, storage="mmap", dirpath=index_dir)
-        build_s = time.perf_counter() - t0
-        stats.record("index_build_s", round(build_s, 6))
+        _record_index_build(tri, time.perf_counter() - t0, stats, tr)
         n_tri = tri.num_triangles
-        if tr.enabled:
-            tr.complete_span("index_build", build_s, storage=tri.storage,
-                             triangles=int(n_tri))
         # shard weights need only the O(m) incidence runs, so the
         # driver's peel-time state is O(m) however large |△G| gets
         plan = plan_edge_shards(m, nranks, weights=tri.initial_supports())

@@ -282,13 +282,15 @@ def _peel_waves(
 
 
 def _record_index_build(tri, seconds, stats, tracer) -> None:
-    """Log one index build into the stats gauge and the trace."""
+    """Log one index build into the stats gauges and the trace."""
     if stats is not None:
         stats.record("index_build_s", round(seconds, 6))
+        stats.record("index_dtype", str(tri.dtype))
     if tracer.enabled:
         tracer.complete_span(
             "index_build", seconds,
             storage=str(tri.storage), triangles=int(tri.num_triangles),
+            dtype=str(tri.dtype),
         )
 
 

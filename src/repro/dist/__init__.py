@@ -13,10 +13,13 @@ Triangle-index files
 The index every rank mmaps is produced by the streaming two-pass
 counting builder (:func:`repro.triangles.index_builder.
 build_triangle_index` with ``storage="mmap"``): one directory holding
-five little-endian int64 ``.npy`` files — ``e1``/``e2``/``e3`` (the
+five little-endian ``.npy`` files — ``e1``/``e2``/``e3`` (the
 per-triangle edge columns, length |△G|), ``tptr`` (incidence pointers,
-length m+1) and ``tinc`` (incidence slots, length 3·|△G|, each edge's
-window ascending in triangle id).  :class:`~repro.dist.rank.
+int64, length m+1) and ``tinc`` (incidence slots, length 3·|△G|, each
+edge's window ascending in triangle id).  ``e1``/``e2``/``e3``/``tinc``
+are int32 when m and the wedge count are both below 2**31, int64
+otherwise; each ``.npy`` header names its dtype, so the ranks need no
+other format flag.  :class:`~repro.dist.rank.
 TriangleIndex` (re-exported here, defined next to the builder) is the
 read side: ``open()`` maps all five read-only, so rank processes on one
 host share the page cache.  The driver streams the arrays straight

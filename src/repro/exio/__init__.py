@@ -5,7 +5,7 @@ Components::
     IOStats           block-granular I/O counters (scan(N) accounting)
     MemoryBudget      the paper's M, in |G| = n + m units
     BlockReader/BlockWriter   sequential block-buffered file access
-    RecordCodec       fixed-width record encode/decode (EDGE, ATTR_EDGE)
+    RecordCodec       fixed-width record encode/decode (ATTR_EDGE)
     DiskEdgeFile      attributed edge file (the on-disk Gnew)
 
 Each name resolves on first use: the in-memory methods need only
@@ -25,7 +25,6 @@ __all__ = [
     "file_size",
     "remove_if_exists",
     "RecordCodec",
-    "EDGE",
     "ATTR_EDGE",
     "DiskEdgeFile",
     "AttrEdge",
@@ -40,7 +39,7 @@ _SOURCES = {
     "repro.exio.edgefile": ("AttrEdge", "DiskEdgeFile"),
     "repro.exio.iostats": ("DEFAULT_BLOCK_SIZE", "IOStats"),
     "repro.exio.memory": ("UNBOUNDED", "MemoryBudget"),
-    "repro.exio.records": ("ATTR_EDGE", "EDGE", "RecordCodec"),
+    "repro.exio.records": ("ATTR_EDGE", "RecordCodec"),
 }
 
 __getattr__, __dir__ = lazy_names(globals(), _SOURCES)

@@ -2,12 +2,10 @@
 
 Everything the external algorithms spill to disk is a stream of
 fixed-width little-endian records, so sequential scans never parse —
-they slice.  Two record shapes cover the whole paper:
-
-* ``EDGE``       — ``(u, v)``: raw graph edges;
-* ``ATTR_EDGE``  — ``(u, v, attr)``: edges of ``Gnew`` carrying the
-  lower bound φ(e) (bottom-up), the support sup(e) / upper bound ψ(e)
-  (top-down), or a class label.
+they slice.  One record shape covers the whole paper:
+``ATTR_EDGE`` — ``(u, v, attr)``: edges of ``Gnew`` carrying the lower
+bound φ(e) (bottom-up), the support sup(e) / upper bound ψ(e)
+(top-down), or a class label.
 """
 
 from __future__ import annotations
@@ -97,5 +95,4 @@ class RecordCodec:
         return nbytes // self.size
 
 
-EDGE = RecordCodec("edge", "<qq")
 ATTR_EDGE = RecordCodec("attr_edge", "<qqq")

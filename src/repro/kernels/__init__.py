@@ -17,7 +17,9 @@ A backend implements five operations over the flat eid-indexed peel
 state the engines already share — the ``sup``/``alive``/``phi``/
 ``hist`` arrays plus the :class:`~repro.triangles.index_builder.
 TriangleIndex` columns (``e1``/``e2``/``e3``/``tptr``/``tinc``, plain
-ndarrays or read-only mmaps; a kernel must accept either):
+ndarrays or read-only mmaps; a kernel must accept either).  ``tptr``
+is int64; ``e1``/``e2``/``e3``/``tinc`` are int32 or int64, whichever
+width the builder chose, and every output is int64 at either width:
 
 * :meth:`~PeelKernel.pop_frontier` — pop a wave's frontier: set
   ``phi`` to the current level ``k``, debit the alive-support
@@ -75,9 +77,9 @@ Backends
     ``kernel="auto"`` when importable).  Compiled lazily with
     ``cache=True`` so worker processes and ranks reuse the on-disk
     compilation cache instead of each paying the JIT warm-up;
-    construction pre-compiles every entry point on arrays of the real
-    dtypes.  Never required: ``"auto"`` picks ``numpy`` when
-    the import fails.
+    construction pre-compiles every entry point on int64 arrays, and
+    an int32 index compiles its own specialization on first use.
+    Never required: ``"auto"`` picks ``numpy`` when the import fails.
 
 Every backend runs over numpy arrays, so the CSR engines need numpy:
 without it :func:`resolve_kernel` raises one

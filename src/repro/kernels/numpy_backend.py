@@ -59,7 +59,9 @@ class NumpyKernel(PeelKernel):
         empty = _np.zeros(0, dtype=_np.int64)
         if not len(tris):
             return empty, empty
-        partners = _np.concatenate((e1[tris], e2[tris], e3[tris]))
+        partners = _np.concatenate(
+            (e1[tris], e2[tris], e3[tris]), dtype=_np.int64
+        )
         if lo is not None:
             partners = partners[(partners >= lo) & (partners < hi)]
         if base:

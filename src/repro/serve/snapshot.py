@@ -122,6 +122,17 @@ class RowMap(Mapping):
     def items(self):
         return _RowItems(self)
 
+    def __eq__(self, other):
+        # Mapping.__eq__ builds a dict of each side first: two
+        # transient m-entry dicts per comparison
+        if not isinstance(other, Mapping):
+            return NotImplemented
+        if len(self) != len(other):
+            return False
+        missing = object()
+        get = other.get
+        return all(get(k, missing) == v for k, v in self.items())
+
     def __repr__(self) -> str:
         return f"RowMap({dict(self.items())!r})"
 

@@ -5,14 +5,16 @@ Public surface::
     iter_triangles, triangle_count      compact-forward O(m^1.5) listing
     edge_supports, supports_within      Definition 1's sup(e)
     external_edge_supports              partitioned, I/O-accounted variant
-    build_triangle_index                out(a) wedges, key-sorted incidence
+    build_triangle_index                out(a) wedges, chunk-scattered incidence
     count_edge_incidence                its counting pass (supports only)
     TriangleIndex                       the index bundle + on-disk format
 
 The triangle index (``e1``/``e2``/``e3`` per-triangle edge columns,
 ``tptr``/``tinc`` edge->triangle incidence with ascending windows) is
 the structure every CSR peel engine — ``flat``, ``parallel``, ``dist``
-— runs over; :mod:`repro.triangles.index_builder` documents the build
+— runs over.  ``tptr`` is int64; the other four are int32 when m and
+the wedge count are both below 2**31, int64 otherwise, in RAM and on
+disk alike.  :mod:`repro.triangles.index_builder` documents the build
 contract and the on-disk ``.npy`` layout that
 :meth:`TriangleIndex.open` memory-maps.
 

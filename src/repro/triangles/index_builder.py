@@ -15,50 +15,58 @@ The triangles come from a chunked, re-runnable wedge enumerator
 (:class:`_WedgeDAG`): each triangle ``a < b < c`` (degree-rank order)
 is closed once, from the wedge of out(a) at ``b`` and ``c``, by
 probing the closing edge ``b->c`` — the paper's intersection of
-out(a) with out(b), Σ C(d⁺(v), 2) wedges in all.  Two routes turn that
-stream into the index:
+out(a) with out(b), Σ C(d⁺(v), 2) wedges in all.  Both routes turn
+that stream into the index the same way:
 
-* ``storage="ram"`` enumerates wedges **once** and keeps the chunks
-  (they are the index's own ``e1``/``e2``/``e3``, concatenated once).
-  ``tinc`` is then laid out by one in-place sort: the buffer is filled
-  with the unique key ``e * |△G| + t`` of every incidence entry
-  (edge ``e``, triangle ``t``), sorted, and reduced modulo |△G|.
-  Unique keys make any sort algorithm give the same layout — grouped
-  by edge, ascending triangle id in each window.  Peak: the index plus
-  one |△G|-long id column and one transient column copy.
+1. **count** — a per-edge incidence count over the chunks: this is
+   ``sup`` (Definition 1's initial supports), and its exclusive prefix
+   sum is ``tptr``;
+2. **scatter** — ``e1``/``e2``/``e3``/``tinc`` are preallocated, and
+   each chunk's incidence entries are placed at per-edge fill cursors
+   (``fill = tptr[:-1]``).  A chunk groups its entries by edge with one
+   sort of its unique chunk-local keys ``e << s | local_t``
+   (``2**s`` > the chunk's triangle count), so every window comes out
+   ascending in triangle id at any chunk size.
+
+They differ only in where the chunks and the arrays live:
+
+* ``storage="ram"`` enumerates wedges **once**, keeps the chunks for
+  the scatter, and releases each one as soon as it is laid out into
+  plain ndarrays.  Peak: the index plus the kept chunks' columns,
+  which shrink as the index fills.
 * ``storage="mmap"`` holds *nothing* triangle-length in RAM, which is
-  what keeps the ``dist`` driver's build at O(m + chunk):
-
-  1. **count** — one enumeration keeps only a per-edge incidence count:
-     this is ``sup`` (Definition 1's initial supports), and its
-     exclusive prefix sum is ``tptr``;
-  2. **scatter** — the five on-disk arrays of the
-     :class:`TriangleIndex` ``.npy`` layout are preallocated through
-     ``np.lib.format.open_memmap``, and a second enumeration places
-     each chunk's incidence entries at per-edge fill cursors
-     (``fill = tptr[:-1]``).  A chunk groups its entries by edge with
-     one sort of the unique chunk-local keys ``e * c + local_t``, so
-     every window comes out ascending in triangle id at any chunk size.
+  what keeps the ``dist`` driver's build at O(m + chunk): it counts on
+  one enumeration and scatters from a second into the five
+  ``.npy`` files of the :class:`TriangleIndex` layout, preallocated
+  through ``np.lib.format.open_memmap``.
 
 ``storage="auto"`` picks between them up front using the DAG's total
 wedge count — a free upper bound on |△G|; it is the route of the flat
 and parallel engines.  ``dist`` asks for ``"mmap"``: its ranks map the
-files.  Both routes, at any chunk size, emit the same index bit for
-bit.
+files.  Both routes, at any chunk size, emit the same index value for
+value.
+
+Width: ``e1``/``e2``/``e3``/``tinc`` hold edge ids (below m) and
+triangle ids (below the wedge count), so the builder stores them as
+int32 when m and the wedge count are both below 2**31, and as int64
+otherwise; ``tptr`` is always int64.  The DAG picks the width once,
+for both routes.
 
 On-disk format (``TriangleIndex.FIELDS``, written by the mmap storage,
 read by :meth:`TriangleIndex.open`):
-one directory with five little-endian int64 ``.npy`` files —
-``e1.npy``/``e2.npy``/``e3.npy`` (length |△G|), ``tptr.npy`` (length
-m+1), ``tinc.npy`` (length 3·|△G|).  Readers mmap them read-only, so
-rank/worker processes on one host share the page cache instead of each
-holding a private copy.
+one directory with five little-endian ``.npy`` files —
+``e1.npy``/``e2.npy``/``e3.npy`` (length |△G|), ``tptr.npy`` (int64,
+length m+1), ``tinc.npy`` (length 3·|△G|); the four triangle-length
+files are int32 or int64 by the rule above, and each ``.npy`` header
+names its dtype.  Readers mmap them read-only, so rank/worker
+processes on one host share the page cache instead of each holding a
+private copy.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterator, Optional, Tuple
+from typing import Iterable, Iterator, Optional, Tuple
 
 from repro.errors import DecompositionError
 from repro.graph.csr import CSRGraph, load_npy
@@ -69,22 +77,32 @@ try:  # numpy-only; the CSR engines resolve their kernel first, which
 except ImportError:  # pragma: no cover
     _np = None
 
-#: wedge-buffer cap for the chunked enumerator (~16 MB/array); the
-#: builder's peak scratch memory is a few multiples of this
-_WEDGE_CHUNK = 2_000_000
+#: wedge-buffer cap for the chunked enumerator (~1 MB per int64
+#: working array); the builder's peak scratch memory is a few
+#: multiples of this.  Measured on the 293,676-edge skitter@3 graph
+#: (2,251,013 wedges): the cold build took the same time from 100K to
+#: 250K, while its high-water mark rose with the chunk (103, 105, 112
+#: and 124 MB at 100K, 125K, 175K and 250K; 135 MB at 500K)
+_WEDGE_CHUNK = 125_000
 
-#: ``storage="auto"`` spills to mmap once the index's 6·|△G| int64
-#: slots (e1+e2+e3+tinc) *could* exceed this — judged by the DAG's
-#: total wedge count, a free upper bound on |△G|
+#: the index columns are int32 when m and the DAG's wedge count (an
+#: upper bound on every triangle id) are both below this, else int64
+_INT32_INDEX_LIMIT = 1 << 31
+
+#: ``storage="auto"`` spills to mmap once the index's 6·|△G| slots
+#: (e1+e2+e3+tinc, at the chosen width) *could* exceed this — judged
+#: by the DAG's total wedge count, a free upper bound on |△G|
 _AUTO_MMAP_INDEX_BYTES = 1 << 30
 
 
 class TriangleIndex:
     """The materialized triangle index, in RAM or mmapped from disk.
 
-    Five int64 arrays: the per-triangle edge columns ``e1``/``e2``/
-    ``e3`` and the edge->triangle incidence ``tptr``/``tinc``.  Built
-    by :func:`build_triangle_index`; the mmap storage streams one
+    Five arrays: the per-triangle edge columns ``e1``/``e2``/``e3``
+    and the edge->triangle incidence ``tptr``/``tinc``.  ``tptr`` is
+    int64; the other four share one width, int32 or int64
+    (:attr:`dtype`, chosen by the builder from m and the wedge count).
+    Built by :func:`build_triangle_index`; the mmap storage streams one
     ``.npy`` file per field, reopened memory-mapped by :meth:`open` —
     the read side every :class:`repro.dist.rank.Rank` and mmap-mode
     pool worker uses, so processes share the page cache instead of
@@ -112,6 +130,11 @@ class TriangleIndex:
     @property
     def num_edges(self) -> int:
         return len(self.tptr) - 1
+
+    @property
+    def dtype(self):
+        """The width of ``e1``/``e2``/``e3``/``tinc``."""
+        return self.tinc.dtype
 
     def initial_supports(self):
         """A fresh mutable support array: each edge's incidence count."""
@@ -145,15 +168,17 @@ class _WedgeDAG:
     run, the tips ``c > b`` of out(a); a triangle ``ra < rb < rc`` is
     closed exactly once, at its wedge ``(a->b, a->c)``, by locating
     the closing edge's key ``rb*n + rc`` among the sorted keys.  That
-    is Σ C(d⁺(v), 2) wedges (``cum[-1]``), each triangle closing one
+    is Σ C(d⁺(v), 2) wedges (:attr:`wedges`), each triangle closing one
     of them.  All state is O(m) (the one sort here is over *edges*,
     never triangles); the enumeration itself streams in bounded chunks
     and is re-runnable, which is what lets the mmap route count on
     pass 1 and scatter on pass 2 without ever materializing the full
-    triangle list.
+    triangle list.  :attr:`dtype` is the index width, and the
+    enumerated edge ids come out in it.
     """
 
-    __slots__ = ("n", "total", "key", "e_of", "rb", "wc", "cum")
+    __slots__ = ("n", "total", "key", "e_of", "rb", "wc", "cum",
+                 "wedges", "dtype")
 
     def __init__(self, csr: CSRGraph) -> None:
         n = csr.num_vertices
@@ -171,7 +196,6 @@ class _WedgeDAG:
         self.key = key[srt]
         ra = self.key // n  # == sorted oriented sources, rank space
         self.rb = self.key - ra * n
-        self.e_of = eids[fwd][srt]
         self.total = len(self.key)
         if self.total:
             # wedges per slot: the slots after it in its source's run
@@ -180,8 +204,17 @@ class _WedgeDAG:
             self.cum = _np.concatenate(
                 (_np.zeros(1, dtype=_np.int64), _np.cumsum(self.wc))
             )
+            self.wedges = int(self.cum[-1])
         else:
             self.wc = self.cum = None
+            self.wedges = 0
+        limit = _INT32_INDEX_LIMIT
+        self.dtype = _np.dtype(
+            _np.int32
+            if self.wedges < limit and csr.num_edges < limit
+            else _np.int64
+        )
+        self.e_of = eids[fwd][srt].astype(self.dtype)
 
     def iter_triangle_chunks(
         self, chunk: Optional[int] = None
@@ -192,7 +225,8 @@ class _WedgeDAG:
         ascending ``(rank a, rank b, rank c)`` — so triangle ids
         (positions in this stream) are stable across passes and chunk
         settings.  Each yielded array holds at most ``chunk`` slots
-        (plus the overshoot of a single oversized wedge run).
+        (plus the overshoot of a single oversized wedge run), in
+        :attr:`dtype`.
         """
         if not self.total:
             return
@@ -209,47 +243,65 @@ class _WedgeDAG:
             if n_wedges == 0:
                 t0 = t1
                 continue
-            first = _np.arange(t0, t1, dtype=_np.int64)
-            ab = _np.repeat(first, w)
-            # the tips: slot ab + 1 + the wedge's offset in its run
+            # the tips: the wedge's own slot + 1 + its offset in the run
             ac = _np.arange(n_wedges, dtype=_np.int64) + _np.repeat(
-                first + 1 - (cum[t0:t1] - cum[t0]), w
+                _np.arange(t0 + 1, t1 + 1, dtype=_np.int64)
+                - (cum[t0:t1] - cum[t0]),
+                w,
             )
             want = _np.repeat(rb[t0:t1] * n, w) + rb[ac]
             at = _np.minimum(_np.searchsorted(key, want), total - 1)
             hit = key[at] == want
             if hit.any():
-                yield e_of[ab[hit]], e_of[at[hit]], e_of[ac[hit]]
+                yield (
+                    _np.repeat(e_of[t0:t1], w)[hit], e_of[at[hit]],
+                    e_of[ac[hit]],
+                )
             t0 = t1
 
 
-def count_edge_incidence(
-    csr: CSRGraph, chunk: Optional[int] = None, dag: Optional[_WedgeDAG] = None
-) -> Tuple["_np.ndarray", int]:
-    """Pass 1: ``(sup, n_triangles)`` in O(m + chunk) peak memory.
-
-    ``sup[e]`` is edge ``e``'s triangle count (the initial support);
-    this is also the incidence run length, so ``cumsum`` of it is the
-    index's ``tptr``.  The mmap route's first pass; support-only
-    callers need exactly this and nothing else.
-    """
-    m = csr.num_edges
+def _count_incidence(chunks: Iterable, m: int) -> Tuple["_np.ndarray", int]:
+    """``(sup, n_triangles)`` over an iterable of triangle chunks."""
     sup = _np.zeros(m, dtype=_np.int64)
     n_tri = 0
-    dag = dag if dag is not None else _WedgeDAG(csr)
-    for e_ab, e_bc, e_ac in dag.iter_triangle_chunks(chunk):
-        n_tri += len(e_ab)
-        sup += _np.bincount(
-            _np.concatenate((e_ab, e_bc, e_ac)), minlength=m
-        )
+    for cols in chunks:
+        n_tri += len(cols[0])
+        sup += _np.bincount(_np.concatenate(cols), minlength=m)
     return sup, n_tri
 
 
+def count_edge_incidence(
+    csr: CSRGraph, chunk: Optional[int] = None
+) -> Tuple["_np.ndarray", int]:
+    """The counting pass: ``(sup, n_triangles)`` in O(m + chunk) memory.
+
+    ``sup[e]`` is edge ``e``'s triangle count (the initial support);
+    this is also the incidence run length, so ``cumsum`` of it is the
+    index's ``tptr``.  Support-only callers need exactly this and
+    nothing else.
+    """
+    dag = _WedgeDAG(csr)
+    return _count_incidence(dag.iter_triangle_chunks(chunk), csr.num_edges)
+
+
 # ---------------------------------------------------------------------------
-# the on-disk destination (the ram route fills plain ndarrays inline)
+# the two destinations
 # ---------------------------------------------------------------------------
+class _RamSlots:
+    """Destination of the in-RAM route: plain ndarrays."""
+
+    storage = "ram"
+    dirpath = None
+
+    def alloc(self, name: str, length: int, dtype):
+        return _np.empty(length, dtype=dtype)
+
+    def put_tptr(self, tptr):
+        return tptr
+
+
 class _MmapSlots:
-    """Pass-2 destination: the on-disk ``TriangleIndex`` layout.
+    """Destination of the mmap route: the on-disk ``TriangleIndex`` layout.
 
     Triangle-length arrays are created as writable ``.npy`` memmaps
     (``np.lib.format.open_memmap``) and filled in place — the pages
@@ -257,19 +309,21 @@ class _MmapSlots:
     ``tptr`` is O(m) and saved whole.
     """
 
+    storage = "mmap"
+
     def __init__(self, dirpath) -> None:
         self.dirpath = Path(dirpath)
 
-    def alloc(self, name: str, length: int):
+    def alloc(self, name: str, length: int, dtype):
         path = self.dirpath / f"{name}.npy"
         if length == 0:
             # mmap cannot map zero bytes; the read side falls back to a
             # plain load for these (see TriangleIndex.open)
-            empty = _np.zeros(0, dtype=_np.int64)
+            empty = _np.zeros(0, dtype=dtype)
             _np.save(path, empty)
             return empty
         return _np.lib.format.open_memmap(
-            path, mode="w+", dtype=_np.int64, shape=(length,)
+            path, mode="w+", dtype=dtype, shape=(length,)
         )
 
     def put_tptr(self, tptr):
@@ -280,58 +334,60 @@ class _MmapSlots:
 # ---------------------------------------------------------------------------
 # the builder
 # ---------------------------------------------------------------------------
-def _incidence_keys(m: int, e1, e2, e3, out) -> "_np.ndarray":
-    """Write the key ``e * T + t`` of every incidence entry into ``out``.
+def _chunk_keys(m: int, e_ab, e_bc, e_ac) -> Tuple["_np.ndarray", int]:
+    """``(key, s)``: the chunk-local key ``e << s | t`` of each entry.
 
-    Entry (edge ``e``, triangle ``t``) for each of the ``T = len(e1)``
-    triangles and its three edge columns, column by column into the
-    ``3·T`` slots of ``out``.  The keys are unique, so sorting them
-    groups the entries by edge with ascending triangle id inside each
-    group, whatever the sort algorithm.  Edge ids are below ``m``, so
-    the keys are below ``m * T``; past int64 this raises.
+    Entry (edge ``e``, chunk-local triangle ``t``) for each of the
+    ``c = len(e_ab)`` triangles and its three edge columns, column by
+    column into ``3·c`` int64 slots; ``s`` is the bit length of ``c``,
+    so ``t < 2**s``.  The keys are unique, so sorting them groups the
+    entries by edge with ascending triangle id inside each group,
+    whatever the sort algorithm.  Edge ids are below ``m``, so the keys
+    are below ``m << s``; past int64 this raises.
     """
-    n = len(e1)
-    if m * n > _np.iinfo(_np.int64).max:
+    c = len(e_ab)
+    s = c.bit_length()
+    if m << s > 1 << 63:
         raise DecompositionError(
-            f"incidence keys overflow int64 ({m:,} edges x {n:,} "
-            'triangles); build the index with storage="mmap", '
-            "which keys each chunk on its own"
+            f"incidence keys overflow int64 ({m:,} edges x a chunk of "
+            f"{c:,} triangles); build with a smaller chunk"
         )
-    t = _np.arange(n, dtype=_np.int64)
-    for i, col in enumerate((e1, e2, e3)):
-        part = out[i * n:(i + 1) * n]
-        _np.multiply(col, n, out=part)
-        part += t
-    return out
+    key = _np.empty(3 * c, dtype=_np.int64)
+    t = _np.arange(c, dtype=_np.int64)
+    for i, col in enumerate((e_ab, e_bc, e_ac)):
+        part = key[i * c:(i + 1) * c]
+        part[...] = col
+        part <<= s
+        part |= t
+    return key, s
 
 
 def _scatter_chunk(tinc, fill, e_ab, e_bc, e_ac, t0: int) -> None:
     """Scatter one chunk's incidence entries into ``tinc``.
 
-    One sort of the chunk's unique keys ``edge * c + local_t``
-    (:func:`_incidence_keys`, c = the chunk's triangle count) groups
-    the entries by edge, ascending in triangle id inside each group.
-    Each entry lands at its edge's fill cursor plus its rank within
-    the group, so the windows end up ascending in triangle id at any
-    chunk size.
+    One sort of the chunk's keys (:func:`_chunk_keys`) groups the
+    entries by edge, ascending in triangle id inside each group.  Each
+    group lands at its edge's fill cursor, in key order, so the windows
+    end up ascending in triangle id at any chunk size.
     """
-    c = len(e_ab)
-    key = _incidence_keys(
-        len(fill), e_ab, e_bc, e_ac, _np.empty(3 * c, dtype=_np.int64)
-    )
+    key, s = _chunk_keys(len(fill), e_ab, e_bc, e_ac)
     key.sort()
-    inc_s = key // c
-    is_start = _np.empty(3 * c, dtype=bool)
+    n = len(key)
+    edge = key >> s
+    is_start = _np.empty(n, dtype=bool)
     is_start[0] = True
-    _np.not_equal(inc_s[1:], inc_s[:-1], out=is_start[1:])
-    start_pos = _np.flatnonzero(is_start)
-    # within-group offsets: position minus the group's first position
-    offs = (
-        _np.arange(3 * c, dtype=_np.int64)
-        - start_pos[_np.cumsum(is_start) - 1]
-    )
-    tinc[fill[inc_s] + offs] = key - inc_s * c + t0
-    fill[inc_s[start_pos]] += _np.diff(_np.append(start_pos, 3 * c))
+    _np.not_equal(edge[1:], edge[:-1], out=is_start[1:])
+    start = _np.flatnonzero(is_start)
+    first = edge[start]
+    runs = _np.diff(start, append=n)
+    dest = _np.repeat(fill[first] - start, runs)
+    dest += _np.arange(n, dtype=_np.int64)
+    # the triangle ids, narrowed to tinc's width before the scatter
+    t = _np.empty(n, dtype=tinc.dtype)
+    _np.bitwise_and(key, (1 << s) - 1, out=t, casting="unsafe")
+    t += t0
+    tinc[dest] = t
+    fill[first] += runs
 
 
 def _tptr_from_counts(sup) -> "_np.ndarray":
@@ -341,56 +397,21 @@ def _tptr_from_counts(sup) -> "_np.ndarray":
     return tptr
 
 
-def _build_ram(dag: _WedgeDAG, m: int, chunk: Optional[int]) -> TriangleIndex:
-    """The in-RAM route: one wedge enumeration, one in-place key sort.
+def _lay_out(slots, sup, n_tri: int, dtype, chunks) -> TriangleIndex:
+    """Allocate the index at ``slots`` and fill it from ``chunks``.
 
-    The edge columns are the index's own ``e1``/``e2``/``e3``, so
-    keeping the enumerated chunks costs little beyond the result (one
-    transient column copy during the concatenation).  ``tinc`` is its
-    own sort buffer: it is filled with the unique incidence keys
-    ``e * |△G| + t``, sorted in place, and reduced modulo |△G| to the
-    triangle ids — the only other scratch is one |△G|-long id column.
+    ``chunks`` must yield the triangles counted in ``sup``, in stream
+    order: each is copied into the edge columns at its triangle ids
+    and scattered into ``tinc``.
     """
-    parts = list(dag.iter_triangle_chunks(chunk))
-    if parts:
-        e1, e2, e3 = (_np.concatenate(cols) for cols in zip(*parts))
-    else:
-        e1 = e2 = e3 = _np.zeros(0, dtype=_np.int64)
-    del parts
-    sup = _np.zeros(m, dtype=_np.int64)
-    for col in (e1, e2, e3):
-        sup += _np.bincount(col, minlength=m)
-    n_tri = len(e1)
-    tinc = _incidence_keys(
-        m, e1, e2, e3, _np.empty(3 * n_tri, dtype=_np.int64)
-    )
-    tinc.sort()
-    if n_tri:
-        tinc %= n_tri
-    return TriangleIndex(
-        e1, e2, e3, _tptr_from_counts(sup), tinc, storage="ram"
-    )
-
-
-def _build_mmap(
-    dag: _WedgeDAG, csr: CSRGraph, m: int, chunk: Optional[int], dirpath
-) -> TriangleIndex:
-    """The bounded-memory route: count, preallocate on disk, scatter.
-
-    Two wedge enumerations bracket the ``open_memmap`` preallocation,
-    so no triangle-length array ever enters the heap — peak memory is
-    O(m + chunk) however large |△G| gets.
-    """
-    sup, n_tri = count_edge_incidence(csr, chunk, dag=dag)
-    slots = _MmapSlots(dirpath)
-    e1 = slots.alloc("e1", n_tri)
-    e2 = slots.alloc("e2", n_tri)
-    e3 = slots.alloc("e3", n_tri)
-    tinc = slots.alloc("tinc", 3 * n_tri)
+    e1 = slots.alloc("e1", n_tri, dtype)
+    e2 = slots.alloc("e2", n_tri, dtype)
+    e3 = slots.alloc("e3", n_tri, dtype)
+    tinc = slots.alloc("tinc", 3 * n_tri, dtype)
     tptr = slots.put_tptr(_tptr_from_counts(sup))
     fill = tptr[:-1].copy()  # per-edge incidence cursors
     t0 = 0
-    for e_ab, e_bc, e_ac in dag.iter_triangle_chunks(chunk):
+    for e_ab, e_bc, e_ac in chunks:
         c = len(e_ab)
         e1[t0:t0 + c] = e_ab
         e2[t0:t0 + c] = e_bc
@@ -398,8 +419,16 @@ def _build_mmap(
         _scatter_chunk(tinc, fill, e_ab, e_bc, e_ac, t0)
         t0 += c
     return TriangleIndex(
-        e1, e2, e3, tptr, tinc, storage="mmap", dirpath=slots.dirpath
+        e1, e2, e3, tptr, tinc, storage=slots.storage,
+        dirpath=slots.dirpath,
     )
+
+
+def _drain(parts: list) -> Iterator:
+    """Yield the kept chunks in order, dropping each one as it goes."""
+    parts.reverse()
+    while parts:
+        yield parts.pop()
 
 
 def build_triangle_index(
@@ -412,15 +441,13 @@ def build_triangle_index(
 
     Args:
         csr: the CSR snapshot (canonical edge ids index everything).
-        storage: ``"ram"`` (ndarrays: one wedge enumeration, then one
-            in-place sort of the incidence keys that become ``tinc``),
+        storage: ``"ram"`` (ndarrays: one wedge enumeration whose
+            chunks are kept for the count and the scatter),
             ``"mmap"`` (count + scatter enumerations streaming into
-            the on-disk ``.npy`` layout under ``dirpath``, each chunk
-            sorted on its own keys, O(m + chunk) peak; it is also the
-            route for indexes whose ram keys would overflow int64),
-            or ``"auto"`` (mmap once the DAG's wedge
-            count — an upper bound on |△G| — says the index could
-            exceed :data:`_AUTO_MMAP_INDEX_BYTES`, ram below).
+            the on-disk ``.npy`` layout under ``dirpath``, O(m + chunk)
+            peak), or ``"auto"`` (mmap once the DAG's wedge count — an
+            upper bound on |△G| — says the index could exceed
+            :data:`_AUTO_MMAP_INDEX_BYTES`, ram below).
         dirpath: destination directory, required for ``"mmap"`` and
             ``"auto"``; the caller owns it and its lifetime.
         chunk: wedge-buffer cap override (default
@@ -428,11 +455,12 @@ def build_triangle_index(
             chunks, the layout is identical at any value.
 
     Returns a :class:`TriangleIndex` whose ``storage`` attribute names
-    the destination actually used.  Both routes emit bit-identical
-    bundles: ``tinc`` windows are ascending in triangle id, and
-    triangle ``t`` is the ``t``-th in ascending ``(rank a, rank b,
-    rank c)`` order under the ``(degree, id)`` ranks, with columns
-    ``e1, e2, e3 = a-b, b-c, a-c`` (:meth:`_WedgeDAG.iter_triangle_chunks`).
+    the destination actually used.  Both routes emit the same arrays:
+    ``tinc`` windows are ascending in triangle id, and triangle ``t``
+    is the ``t``-th in ascending ``(rank a, rank b, rank c)`` order
+    under the ``(degree, id)`` ranks, with columns ``e1, e2, e3 = a-b,
+    b-c, a-c`` (:meth:`_WedgeDAG.iter_triangle_chunks`), int32 where m
+    and the wedge count fit (see the module doc).
     """
     if storage not in ("ram", "mmap", "auto"):
         raise DecompositionError(
@@ -445,11 +473,17 @@ def build_triangle_index(
         )
     m = csr.num_edges
     dag = _WedgeDAG(csr)
+    dtype = dag.dtype
     if storage == "auto":
-        wedges = int(dag.cum[-1]) if dag.total else 0
-        storage = (
-            "mmap" if 6 * wedges * 8 > _AUTO_MMAP_INDEX_BYTES else "ram"
-        )
+        nbytes = 6 * dag.wedges * dtype.itemsize
+        storage = "mmap" if nbytes > _AUTO_MMAP_INDEX_BYTES else "ram"
     if storage == "ram":
-        return _build_ram(dag, m, chunk)
-    return _build_mmap(dag, csr, m, chunk, dirpath)
+        parts = list(dag.iter_triangle_chunks(chunk))
+        del dag  # its O(m) arrays are done with before the layout
+        sup, n_tri = _count_incidence(parts, m)
+        return _lay_out(_RamSlots(), sup, n_tri, dtype, _drain(parts))
+    sup, n_tri = _count_incidence(dag.iter_triangle_chunks(chunk), m)
+    return _lay_out(
+        _MmapSlots(dirpath), sup, n_tri, dtype,
+        dag.iter_triangle_chunks(chunk),
+    )

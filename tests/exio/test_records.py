@@ -5,18 +5,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import FormatError
-from repro.exio import ATTR_EDGE, EDGE, BlockReader, BlockWriter, IOStats
+from repro.exio import ATTR_EDGE, BlockReader, BlockWriter, IOStats
 
 i64 = st.integers(min_value=-(2**62), max_value=2**62)
 
 
 class TestCodecBasics:
     def test_sizes(self):
-        assert EDGE.size == 16
         assert ATTR_EDGE.size == 24
 
     def test_arity(self):
-        assert EDGE.arity == 2
         assert ATTR_EDGE.arity == 3
 
     def test_pack_unpack(self):
@@ -48,16 +46,16 @@ class TestStreams:
         stats = IOStats()
         p = tmp_path / "r.bin"
         with BlockWriter(p, stats) as w:
-            assert EDGE.write_stream(w, []) == 0
+            assert ATTR_EDGE.write_stream(w, []) == 0
         with BlockReader(p, stats) as r:
-            assert list(EDGE.read_stream(r)) == []
+            assert list(ATTR_EDGE.read_stream(r)) == []
 
     def test_truncated_stream_raises(self, tmp_path):
         stats = IOStats()
         p = tmp_path / "r.bin"
-        p.write_bytes(b"\x00" * 20)  # not a multiple of 16
+        p.write_bytes(b"\x00" * 30)  # not a multiple of 24
         with BlockReader(p, stats) as r:
-            it = EDGE.read_stream(r)
-            assert next(it) == (0, 0)
+            it = ATTR_EDGE.read_stream(r)
+            assert next(it) == (0, 0, 0)
             with pytest.raises(EOFError):
                 next(it)

@@ -43,6 +43,10 @@ DIST_SWEEP: Tuple[Tuple[int, str], ...] = tuple(
     for ranks in (1, 2, 4)
 )
 
+#: the two triangle-index widths, each with the value of
+#: ``repro.triangles.index_builder._INT32_INDEX_LIMIT`` that forces it
+INDEX_WIDTHS = (("int32", 1 << 31), ("int64", 0))
+
 
 def random_graph(n: int, p: float, seed: int) -> Graph:
     """Seeded G(n, p) used by deterministic randomized tests."""

@@ -10,7 +10,8 @@ run's wave/level schedule exactly.  A numba leg mirrors the sweep and
 skips wherever the optional package is absent (tier-1 CI); the tier-2
 job installs numba and runs it for real.  Op by op, every registered
 backend is compared against :class:`oracles.ReferenceKernel`, the same
-five ops as plain loops.
+five ops as plain loops, over int32 and int64 index columns, both as
+plain arrays and as read-only maps, and every output must be int64.
 """
 
 import pytest
@@ -19,7 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from repro.core import truss_decomposition
 from repro.kernels import kernel_available
 
-from helpers import peel_graphs
+from helpers import INDEX_WIDTHS, peel_graphs
 from oracles import ReferenceKernel, brute_trussness
 
 try:
@@ -42,6 +43,38 @@ ENGINE_SWEEP = (
 
 #: the schedule stats every engine records and every run must match
 SCHEDULE_KEYS = ("waves", "levels", "max_wave")
+
+def index_variants(g, tmp_path):
+    """``(label, index)`` for ``g`` at both widths, plain and mapped.
+
+    The mapped variants are what the dist ranks read: the builder's
+    on-disk files reopened read-only.
+    """
+    import repro.triangles.index_builder as ib
+    from repro.core.flat import _as_csr
+
+    csr = _as_csr(g)
+    out = []
+    for width, limit in INDEX_WIDTHS:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ib, "_INT32_INDEX_LIMIT", limit)
+            out.append((f"{width}-ram", ib.build_triangle_index(csr)))
+            d = tmp_path / width
+            d.mkdir()
+            ib.build_triangle_index(csr, storage="mmap", dirpath=d)
+        mapped = ib.TriangleIndex.open(d)
+        if mapped.num_triangles:
+            assert isinstance(mapped.tinc, np.memmap)
+            assert not mapped.tinc.flags.writeable
+        out.append((f"{width}-mmap", mapped))
+    for label, tri in out:
+        assert tri.dtype == label.split("-")[0], label
+    return out
+
+
+def assert_int64_outputs(label, name, *arrays):
+    for arr in arrays:
+        assert arr.dtype == np.int64, (label, name, arr.dtype)
 
 
 def _sweep_backend(g, backend):
@@ -90,14 +123,43 @@ class TestBackendEngineParity:
         _sweep_backend(g, "numba")
 
 
+def drive_waves(kern, tri):
+    """Peel ``tri`` with ``kern``'s five ops alone, from the first wave
+    to the last; returns the final ``(phi, hist, sup)`` and every wave's
+    op outputs."""
+    m = tri.num_edges
+    sup = tri.initial_supports()
+    alive = np.ones(m, dtype=bool)
+    phi = np.zeros(m, dtype=np.int64)
+    hist = np.bincount(sup, minlength=1)
+    tdead = np.zeros(tri.num_triangles, dtype=bool)
+    k, remaining, waves = 2, m, []
+    while remaining:
+        k = max(k, int(sup[alive].min()) + 2)
+        frontier = np.flatnonzero(alive & (sup <= k - 2))
+        while frontier.size:
+            kern.pop_frontier(sup, alive, phi, hist, frontier, k)
+            remaining -= frontier.size
+            hit = kern.gather_incident(tri.tptr, tri.tinc, frontier, tdead)
+            tdead[hit] = True
+            touched, dec = kern.count_decrements(
+                tri.e1, tri.e2, tri.e3, hit, alive
+            )
+            merged = kern.merge_decrements([(touched, dec)])
+            frontier = kern.apply_decrements(sup, hist, touched, dec, k)
+            waves.append((hit, touched, dec, *merged, frontier))
+    return (phi, hist, sup), waves
+
+
 class TestBackendOpBitIdentity:
     """The five kernel ops, each backend vs the reference loops, on
     real wave inputs.
 
     The engine sweep above checks end-to-end results; this pins the
-    per-op contract — same sorted/deduped arrays, element for element —
-    on the first wave of real graphs, where a drift would otherwise be
-    masked by downstream merging.
+    per-op contract — same sorted/deduped int64 arrays, element for
+    element — on every wave of real graphs from the first on, where a
+    drift would otherwise be masked by downstream merging, over both
+    index widths, plain and mapped.
     """
 
     def _backends(self):
@@ -108,55 +170,31 @@ class TestBackendOpBitIdentity:
         ]
 
     @pytest.mark.parametrize("seed", [3, 17, 44])
-    def test_first_wave_ops_identical(self, seed):
-        from repro.core.flat import _as_csr
-        from repro.triangles.index_builder import build_triangle_index
-
+    def test_first_wave_ops_identical(self, seed, tmp_path):
         from helpers import random_graph
 
         g = random_graph(24, 0.3, seed=seed)
-        csr = _as_csr(g)
-        m = csr.num_edges
-        tri = build_triangle_index(csr)
-        if not tri.num_triangles:
+        variants = index_variants(g, tmp_path)
+        if not variants[0][1].num_triangles:
             pytest.skip("seed produced a triangle-free graph")
-        sup0 = tri.initial_supports()
-        k = int(sup0.min()) + 2
-        frontier0 = np.flatnonzero(sup0 <= k - 2)
-        outputs = []
-        for name, kern in self._backends():
-            sup = sup0.copy()
-            alive = np.ones(m, dtype=bool)
-            phi = np.zeros(m, dtype=np.int64)
-            hist = np.bincount(sup)
-            tdead = np.zeros(tri.num_triangles, dtype=bool)
-            kern.pop_frontier(sup, alive, phi, hist, frontier0, k)
-            hit = kern.gather_incident(
-                tri.tptr, tri.tinc, frontier0, tdead
-            )
-            tdead[hit] = True
-            touched, dec = kern.count_decrements(
-                tri.e1, tri.e2, tri.e3, hit, alive
-            )
-            merged = kern.merge_decrements([(touched, dec)])
-            nxt = kern.apply_decrements(sup, hist, touched, dec, k)
-            outputs.append(
-                (name, phi, hist, hit, touched, dec, merged, nxt, sup)
-            )
-        ref = outputs[0]
-        for other in outputs[1:]:
-            for field, a, b in zip(
-                ("phi", "hist", "hit", "touched", "dec",
-                 "merged", "next", "sup"),
-                ref[1:], other[1:],
-            ):
-                if field == "merged":
-                    assert np.array_equal(a[0], b[0])
-                    assert np.array_equal(a[1], b[1])
-                else:
-                    assert np.array_equal(a, b), (
-                        field, ref[0], other[0]
-                    )
+        ref = None
+        for label, tri in variants:
+            for name, kern in self._backends():
+                final, waves = drive_waves(kern, tri)
+                assert any(len(wave[0]) for wave in waves)  # triangles died
+                for wave in waves:
+                    assert_int64_outputs(label, name, *wave)
+                if ref is None:
+                    # the reference loops over the first variant: every
+                    # backend and every width must match it
+                    ref = final, waves
+                    continue
+                for a, b in zip(ref[0], final):
+                    assert np.array_equal(a, b), (label, name)
+                assert len(waves) == len(ref[1]), (label, name)
+                for i, (want, got) in enumerate(zip(ref[1], waves)):
+                    for a, b in zip(want, got):
+                        assert np.array_equal(a, b), (label, name, i)
 
     @pytest.mark.parametrize("nbuf", [2, 3])
     def test_merge_decrements_multi_buffer(self, nbuf):
@@ -182,55 +220,75 @@ class TestGatherOverMappedIndex:
     Ranks gather with ``tdead=None`` (a triangle's liveness is decided
     by its hash owner) straight from the ``np.load(mmap_mode="r")``
     arrays, and frontiers share triangles, so the dedupe must do real
-    work without ever writing into the map.
+    work without ever writing into the map.  Each case runs over both
+    index widths, mapped and as plain arrays.
     """
 
     @pytest.fixture
-    def mapped(self, tmp_path):
-        from repro.core.flat import _as_csr
+    def variants(self, tmp_path):
         from repro.graph import complete_graph
-        from repro.triangles.index_builder import (
-            TriangleIndex,
-            build_triangle_index,
-        )
 
         g = complete_graph(7)
         g.add_edges([(0, 10), (1, 10), (10, 11), (0, 11)])
-        build_triangle_index(_as_csr(g), storage="mmap", dirpath=tmp_path)
-        tri = TriangleIndex.open(tmp_path)
-        assert isinstance(tri.tinc, np.memmap)
-        assert not tri.tinc.flags.writeable
-        return tri
+        return index_variants(g, tmp_path)
 
     @pytest.mark.parametrize("masked", [False, True])
-    def test_numpy_gather_matches_python(self, mapped, masked):
+    def test_numpy_gather_matches_python(self, variants, masked):
         """Every registered backend against the python reference loops."""
         from repro.kernels import available_kernels, get_kernel
 
         reference = ReferenceKernel()
-        before = np.array(mapped.tinc)
-        m, n_tri = mapped.num_edges, mapped.num_triangles
-        tdead = None
-        if masked:
-            tdead = np.zeros(n_tri, dtype=bool)
-            tdead[::3] = True
-        rng = np.random.default_rng(5)
-        frontiers = [
-            np.arange(m, dtype=np.int64),  # every triangle, thrice
-            np.array([0, 1, 2], dtype=np.int64),
-            np.array([m - 1], dtype=np.int64),
-        ] + [
-            np.sort(rng.choice(m, size=size, replace=False))
-            for size in (2, 5, m // 2)
-        ]
-        for frontier in frontiers:
-            expect = reference.gather_incident(
-                mapped.tptr, mapped.tinc, frontier, tdead
-            )
-            for name in available_kernels():
-                got = get_kernel(name).gather_incident(
-                    mapped.tptr, mapped.tinc, frontier, tdead
+        for label, tri in variants:
+            before = np.array(tri.tinc)
+            m, n_tri = tri.num_edges, tri.num_triangles
+            tdead = None
+            if masked:
+                tdead = np.zeros(n_tri, dtype=bool)
+                tdead[::3] = True
+            rng = np.random.default_rng(5)
+            frontiers = [
+                np.arange(m, dtype=np.int64),  # every triangle, thrice
+                np.array([0, 1, 2], dtype=np.int64),
+                np.array([m - 1], dtype=np.int64),
+            ] + [
+                np.sort(rng.choice(m, size=size, replace=False))
+                for size in (2, 5, m // 2)
+            ]
+            for frontier in frontiers:
+                expect = reference.gather_incident(
+                    tri.tptr, tri.tinc, frontier, tdead
                 )
-                assert got.dtype == np.int64
-                assert np.array_equal(got, expect), (name, frontier)
-        assert np.array_equal(mapped.tinc, before)
+                for name in available_kernels():
+                    got = get_kernel(name).gather_incident(
+                        tri.tptr, tri.tinc, frontier, tdead
+                    )
+                    assert_int64_outputs(label, name, got)
+                    assert np.array_equal(got, expect), (
+                        label, name, frontier
+                    )
+            assert np.array_equal(tri.tinc, before)
+
+    def test_bounded_count_matches_python(self, variants):
+        """The shard owners' count (``lo``/``hi``/``base``) at both
+        widths, against the python reference loops."""
+        from repro.kernels import available_kernels, get_kernel
+
+        reference = ReferenceKernel()
+        for label, tri in variants:
+            m, n_tri = tri.num_edges, tri.num_triangles
+            tris = np.arange(n_tri, dtype=np.int64)
+            for lo, hi in ((0, m), (0, m // 2), (m // 3, m)):
+                alive = np.ones(hi - lo, dtype=bool)
+                alive[::4] = False
+                expect = reference.count_decrements(
+                    tri.e1, tri.e2, tri.e3, tris, alive,
+                    lo=lo, hi=hi, base=lo,
+                )
+                for name in available_kernels():
+                    got = get_kernel(name).count_decrements(
+                        tri.e1, tri.e2, tri.e3, tris, alive,
+                        lo=lo, hi=hi, base=lo,
+                    )
+                    assert_int64_outputs(label, name, *got)
+                    for a, b in zip(got, expect):
+                        assert np.array_equal(a, b), (label, name, lo, hi)

@@ -32,6 +32,16 @@ class TestGenerations:
         phi, sup, wal_seq = snap.load_generation(tmp_path, 0)
         assert (phi, sup, wal_seq) == (PHI, SUP, 7)
 
+    def test_row_map_equality_is_dict_equality(self, tmp_path):
+        snap.write_generation(tmp_path, 0, PHI, SUP, wal_seq=0)
+        phi, sup, _ = snap.load_generation(tmp_path, 0)
+        assert phi == PHI and PHI == phi and phi == dict(phi.items())
+        assert phi == phi and phi != sup
+        other = {(0, 1): 3, (0, 2): 3, (1, 3): 4}  # one key differs
+        for unequal in ({**PHI, (0, 1): 4}, other, {}, {**PHI, (5, 6): 1}):
+            assert phi != unequal and unequal != phi, unequal
+        assert phi != list(PHI.items()) and phi != 3
+
     def test_want_sup_false(self, tmp_path):
         snap.write_generation(tmp_path, 0, PHI, SUP, wal_seq=0)
         phi, sup, _ = snap.load_generation(tmp_path, 0, want_sup=False)

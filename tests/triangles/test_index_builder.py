@@ -1,12 +1,12 @@
 """Tests for the streaming triangle-index builder.
 
-The contract under test: both storages, at *any* wedge-chunk size
-(including one wedge run per chunk), produce bit-identical
-``(e1, e2, e3, tptr, tinc)`` bundles whose supports match the brute
-oracle, whose triangles come in one pinned order (ascending degree
-ranks, columns ab/bc/ac), whose incidence windows are ascending in
-triangle id, and over which every CSR peel engine computes the same
-trussness map as the dict-based methods.
+The contract under test: both storages, at both index widths and at
+*any* wedge-chunk size (including one wedge run per chunk), produce
+value-identical ``(e1, e2, e3, tptr, tinc)`` bundles whose supports
+match the brute oracle, whose triangles come in one pinned order
+(ascending degree ranks, columns ab/bc/ac), whose incidence windows
+are ascending in triangle id, and over which every CSR peel engine
+computes the same trussness map as the dict-based methods.
 """
 
 import tempfile
@@ -22,7 +22,7 @@ from repro.core.truss_improved import truss_decomposition_improved
 from repro.errors import DecompositionError
 from repro.graph import CSRGraph, Graph, complete_graph
 
-from helpers import peel_graphs, random_graph, small_edge_lists
+from helpers import INDEX_WIDTHS, peel_graphs, random_graph, small_edge_lists
 from oracles import brute_all_supports, brute_triangles
 
 np = pytest.importorskip("numpy")
@@ -66,20 +66,27 @@ def reference_triangles(csr):
 
 
 def build_all_ways(csr, tmp_path, chunks=(1, 7, None)):
-    """The same index through every storage and several chunk sizes."""
+    """The same index at every width, storage and several chunk sizes.
+
+    Returns ``(width, storage, chunk, index)`` rows; each index is
+    checked to be stored at the width its row names.
+    """
     built = []
-    for chunk in chunks:
-        built.append(("ram", chunk, ib.build_triangle_index(csr, chunk=chunk)))
-        d = tempfile.mkdtemp(dir=tmp_path)
-        built.append(
-            (
-                "mmap",
-                chunk,
-                ib.build_triangle_index(
+    for width, limit in INDEX_WIDTHS:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ib, "_INT32_INDEX_LIMIT", limit)
+            for chunk in chunks:
+                built.append((width, "ram", chunk,
+                              ib.build_triangle_index(csr, chunk=chunk)))
+                d = tempfile.mkdtemp(dir=tmp_path)
+                built.append((width, "mmap", chunk, ib.build_triangle_index(
                     csr, storage="mmap", dirpath=d, chunk=chunk
-                ),
-            )
-        )
+                )))
+    for width, storage, chunk, tri in built:
+        for field in ("e1", "e2", "e3", "tinc"):
+            assert getattr(tri, field).dtype == width, (storage, chunk, field)
+        assert tri.tptr.dtype == np.int64
+        assert tri.dtype == width
     return built
 
 
@@ -125,13 +132,13 @@ class TestBuilderProperty:
         csr = _as_csr(g)
         tmp = tmp_path_factory.mktemp("triidx")
         built = build_all_ways(csr, tmp)
-        ref = built[0][2]
-        for storage, chunk, tri in built[1:]:
+        ref = built[0][3]
+        for width, storage, chunk, tri in built[1:]:
             for field in ib.TriangleIndex.FIELDS:
                 assert np.array_equal(
                     np.asarray(getattr(tri, field)),
                     np.asarray(getattr(ref, field)),
-                ), (storage, chunk, field)
+                ), (width, storage, chunk, field)
         assert_index_matches_oracle(g, csr, ref)
 
     @settings(max_examples=25, deadline=None)
@@ -145,10 +152,10 @@ class TestBuilderProperty:
             np.zeros(0, dtype=np.int64)
         ] * 3
         tmp = tmp_path_factory.mktemp("triorder")
-        for storage, chunk, tri in build_all_ways(csr, tmp):
+        for width, storage, chunk, tri in build_all_ways(csr, tmp):
             for field, col in zip(("e1", "e2", "e3"), cols):
                 assert np.array_equal(np.asarray(getattr(tri, field)), col), (
-                    storage, chunk, field
+                    width, storage, chunk, field
                 )
 
     @settings(max_examples=25, deadline=None)
@@ -164,9 +171,9 @@ class TestBuilderProperty:
             d_out = sum(1 for w in nbrs[v] if rank[w] > rank[v])
             pairs += d_out * (d_out - 1) // 2
         dag = ib._WedgeDAG(csr)
-        wedges = int(dag.cum[-1]) if dag.total else 0
-        assert wedges == pairs
-        assert wedges >= len(brute_triangles(g))
+        assert dag.wedges == (int(dag.cum[-1]) if dag.total else 0)
+        assert dag.wedges == pairs
+        assert dag.wedges >= len(brute_triangles(g))
 
     @settings(max_examples=20, deadline=None)
     @given(small_edge_lists())
@@ -221,8 +228,34 @@ class TestDecompositionParity:
         assert td == truss_decomposition_improved(g)
 
     def test_auto_threshold_default_is_ram(self):
+        # and the default width is int32
         td = truss_decomposition_flat(complete_graph(6))
         assert td.stats.extra["index_storage"] == "ram"
+        assert td.stats.extra["index_dtype"] == "int32"
+
+    @pytest.mark.parametrize("storage", ["ram", "mmap"])
+    def test_forced_int64_width_same_trussness(self, monkeypatch, storage):
+        g = random_graph(24, 0.3, seed=73)
+        ref = truss_decomposition_flat(g)
+        monkeypatch.setattr(ib, "_INT32_INDEX_LIMIT", 0)
+        route_to(monkeypatch, storage)
+        td = truss_decomposition_flat(g)
+        assert td == ref
+        assert td.stats.extra["index_dtype"] == "int64"
+        assert td.stats.extra["index_storage"] == storage
+
+    def test_auto_cutoff_counts_bytes_at_the_width(self, monkeypatch):
+        # a cutoff of exactly 6 int32 slots per wedge keeps the int32
+        # index in RAM; the same index at int64 is twice that and spills
+        g = complete_graph(6)
+        wedges = ib._WedgeDAG(_as_csr(g)).wedges
+        monkeypatch.setattr(ib, "_AUTO_MMAP_INDEX_BYTES", 6 * wedges * 4)
+        td = truss_decomposition_flat(g)
+        assert td.stats.extra["index_storage"] == "ram"
+        monkeypatch.setattr(ib, "_INT32_INDEX_LIMIT", 0)
+        td = truss_decomposition_flat(g)
+        assert td.stats.extra["index_storage"] == "mmap"
+        assert td.stats.extra["index_dtype"] == "int64"
 
 
 class TestEdgeCases:
@@ -262,20 +295,31 @@ class TestEdgeCases:
             with pytest.raises(DecompositionError, match="needs a dirpath"):
                 ib.build_triangle_index(csr, storage=storage)
 
-    def test_incidence_key_overflow_names_mmap(self):
-        # the ram route sorts keys e * T + t below m * T: past int64
-        # it must refuse and point at the chunked route
-        col = np.zeros(3, dtype=np.int64)
-        with pytest.raises(DecompositionError, match='storage="mmap"'):
-            ib._incidence_keys(
-                1 << 62, col, col, col, np.empty(9, dtype=np.int64)
-            )
+    def test_width_limit_is_strict(self):
+        # int32 only while m and the wedge count are both below the
+        # limit: at the limit itself the index is int64
+        csr = _as_csr(complete_graph(5))
+        dag = ib._WedgeDAG(csr)
+        top = max(dag.wedges, csr.num_edges)
+        for limit, width in ((top + 1, "int32"), (top, "int64")):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ib, "_INT32_INDEX_LIMIT", limit)
+                assert ib.build_triangle_index(csr).dtype == width, limit
 
-    def test_incidence_keys_at_the_int64_limit(self):
-        # m * T == 2**63 - 1 exactly: the largest key still fits
-        m, n = (2**63 - 1) // 7, 7
-        col = np.full(n, m - 1, dtype=np.int64)
-        keys = ib._incidence_keys(
-            m, col, col, col, np.empty(3 * n, dtype=np.int64)
-        )
-        assert keys.tolist() == [(m - 1) * n + t for t in range(n)] * 3
+    def test_chunk_key_overflow_raises(self):
+        # a chunk's keys e << s | t are below m << s: past int64 the
+        # key function must refuse instead of wrapping
+        col = np.zeros(3, dtype=np.int64)
+        with pytest.raises(DecompositionError, match="overflow int64"):
+            ib._chunk_keys(1 << 62, col, col, col)
+
+    def test_chunk_keys_at_the_int64_limit(self):
+        # 7 triangles take s = 3 bits and m << 3 == 2**63, so the
+        # largest key the check allows, (m - 1) << 3 | 7, is 2**63 - 1
+        m, c = 1 << 60, 7
+        col = np.full(c, m - 1, dtype=np.int64)
+        keys, s = ib._chunk_keys(m, col, col, col)
+        assert s == 3
+        assert keys.tolist() == [(m - 1) << 3 | t for t in range(c)] * 3
+        with pytest.raises(DecompositionError, match="overflow int64"):
+            ib._chunk_keys(m + 1, col, col, col)
