@@ -9,9 +9,10 @@ style of Kabir & Madduri — same unique trussness map, 2-3x faster than
 the improved method end to end.  The index itself comes from the
 streaming builder (:mod:`repro.triangles.index_builder`), which keeps
 it in RAM or spills it to a temporary directory by the input's size.
-The ram route concatenates the enumerated chunks, then sorts the keys
-that become ``tinc`` once, in place; the mmap route holds no
-triangle-length array at all.
+Both routes lay ``tinc`` out one wedge chunk at a time (one sort of
+the chunk's keys, then a scatter at per-edge fill cursors); the ram
+route keeps the enumerated chunks only until each is laid out, and
+the mmap route holds no triangle-length array at all.
 
 The wave peel needs numpy.  Without it, every CSR method (flat,
 parallel, dist) fails with the kernel registry's one error

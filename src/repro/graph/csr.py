@@ -10,9 +10,12 @@ cache-friendly scans.  It is the in-memory analogue of the paper's
 on-disk adjacency lists: vertices in ascending id order, each with its
 sorted neighbour list.
 
-Every constructor ends in one builder, which sort-dedupes the
-canonical pairs and gives each edge its position among the sorted keys
-as its id:
+Every constructor ends in one builder.  It maps the ids to compact
+ones (through a lookup table over the id span when the span is small,
+else by sorting the ends), sort-dedupes the canonical pairs and gives
+each edge its position among the sorted keys as its id, then lays the
+rows out from those m keys.  Past the sort route's copy of the ends,
+no temporary holds one value per endpoint.  The constructors:
 
 * :meth:`CSRGraph.from_graph` snapshots a mutable dict-of-set
   :class:`~repro.graph.adjacency.Graph` (isolated vertices keep empty
@@ -63,6 +66,16 @@ _BYTE_CLASS = bytes(
 
 #: longest token the digit path converts: 18 digits always fit in int64
 _MAX_DIGITS = 18
+
+#: the builder maps ids through a lookup table over their span (max -
+#: min + 1) when the span is at most this many times the number of
+#: ends; wider spans sort the ends and ``searchsorted``.  At 1 the
+#: table's int64 column is no larger than the copy of the ends that the
+#: sort route concatenates.  Time sets no tighter bound: on 356,094
+#: random pairs the table took 19 ms at a span of one id per end,
+#: against 162 ms for the sort route, and was still ahead at 16 ids per
+#: end (128 against 160 ms)
+_TABLE_SPAN_PER_END = 1
 
 
 def _require_numpy() -> None:
@@ -135,7 +148,11 @@ class CSRGraph:
         (``#`` comment lines and blank lines skipped, the first two
         columns of each row used), so peak memory stays a few multiples
         of the chunk size plus the output arrays and no per-line Python
-        object churn happens on the hot path.
+        object churn happens on the hot path.  Lines end where Python's
+        universal newlines end them (LF, CRLF or a lone CR, as
+        :func:`repro.graph.io.iter_edge_list` reads them): each block's
+        ends become LFs before it is cut, a CRLF split by a read counts
+        once, and error line numbers count from the start of the file.
 
         This is the ingest fast path of ``repro decompose``: on
         decompose-from-file workloads it replaces the
@@ -147,12 +164,18 @@ class CSRGraph:
         parts: List["_np.ndarray"] = []
         with open(path, "rb") as f:
             carry = b""
-            lineno = 0  # newlines consumed, for file-absolute errors
+            lineno = 0  # line ends consumed, for file-absolute errors
+            after_cr = False  # the last read ended in a CR
             while True:
                 blob = f.read(chunk_bytes)
                 if not blob:
                     break
-                blob = carry + blob
+                if after_cr and blob.startswith(b"\n"):
+                    blob = blob[1:]  # the LF of a CRLF the read split
+                after_cr = blob.endswith(b"\r")
+                # replace() returns the block itself when it has no CR
+                blob = (carry + blob).replace(b"\r\n", b"\n")
+                blob = blob.replace(b"\r", b"\n")
                 cut = blob.rfind(b"\n")
                 if cut < 0:
                     carry = blob
@@ -170,6 +193,7 @@ class CSRGraph:
         if not parts:
             return cls._from_flat_pairs(_np.zeros(0, dtype=_np.int64))
         flat = parts[0] if len(parts) == 1 else _np.concatenate(parts)
+        del parts
         return cls._from_flat_pairs(flat)
 
     @classmethod
@@ -182,34 +206,38 @@ class CSRGraph:
         ``labels`` (sorted, distinct, covering every endpoint) keeps
         vertices with no edge as empty runs; by default the labels are
         the endpoints.  Each edge's id is its position among the sorted
-        unique keys, so the ids come free with the dedupe.
+        unique keys ``cu * n + cv`` of its compact ends, so the ids come
+        free with the dedupe.
+
+        Compact ids come from :func:`_compact_ids` and the slots from
+        :func:`_rows`; every other temporary holds at most one int64
+        per pair.  The input is not modified.
         """
         u, v = flat[0::2], flat[1::2]
         keep = u != v  # drop self-loops
-        u, v = u[keep], v[keep]
-        ends = _np.concatenate((_np.minimum(u, v), _np.maximum(u, v)))
-        if labels is None:
-            labels = sorted_unique(ends)
+        if not keep.all():
+            u, v = u[keep], v[keep]
+        del keep
+        labels, cu, cv = _compact_ids(u, v, labels)
+        del u, v
         n = len(labels)
-        # labels are sorted, so searchsorted IS the original->compact map
-        comp = _np.searchsorted(labels, ends)
-        key = comp[: len(u)] * n + comp[len(u) :]
-        if len(key) > 1 and bool(_np.all(key[1:] > key[:-1])):
-            # already canonical, sorted, duplicate-free (the repo's own
-            # write_edge_list emits exactly this): skip the dedupe sort
-            ukey = key
-        else:
-            ukey = sorted_unique(key)  # dedupe; ascending == canonical
-        cu = ukey // n
-        cv = ukey - cu * n
-        src = _np.concatenate((cu, cv))
-        dst = _np.concatenate((cv, cu))
-        indptr, by_row = _rows(src, dst, n)
-        m = len(ukey)
-        eids = _np.concatenate(
-            (_np.arange(m, dtype=_np.int64), _np.arange(m, dtype=_np.int64))
-        )[by_row]
-        return cls(indptr, dst[by_row], eids, labels)
+        # compaction keeps the order, so the smaller compact id is the
+        # smaller label's
+        key = _np.minimum(cu, cv)
+        _np.maximum(cu, cv, out=cv)
+        del cu
+        key *= n
+        key += cv
+        del cv
+        if len(key) > 1 and not bool(_np.all(key[1:] > key[:-1])):
+            # not canonical, sorted and duplicate-free (the repo's own
+            # write_edge_list emits exactly that, which skips the sort)
+            key.sort()
+            key = key[_first_of_runs(key)]  # ascending == canonical
+        cu, cv = _np.divmod(key, n)
+        del key
+        indptr, indices, eids = _rows(cu, cv, n)
+        return cls(indptr, indices, eids, labels)
 
     # ------------------------------------------------------------------
     @property
@@ -226,18 +254,17 @@ class CSRGraph:
         """Compact endpoint arrays ``(eu, ev)`` indexed by edge id.
 
         ``eu[e] < ev[e]`` for every id ``e``; together with :attr:`eids`
-        this is the full edge<->id bijection.
+        this is the full edge<->id bijection.  The forward slots
+        (``src < dst``) in slot order are the edges in ascending
+        ``(i, j)`` order, which is id order, so no scatter by
+        :attr:`eids` is needed.
         """
         indptr, dst = self.indptr, self.indices
         src = _np.repeat(
             _np.arange(self.num_vertices, dtype=_np.int64), _np.diff(indptr)
         )
         fwd = src < dst
-        eu = _np.empty(self.num_edges, dtype=_np.int64)
-        ev = _np.empty(self.num_edges, dtype=_np.int64)
-        eu[self.eids[fwd]] = src[fwd]
-        ev[self.eids[fwd]] = dst[fwd]
-        return eu, ev
+        return src[fwd], dst[fwd]
 
 
 def sorted_unique(a: "_np.ndarray") -> "_np.ndarray":
@@ -248,10 +275,15 @@ def sorted_unique(a: "_np.ndarray") -> "_np.ndarray":
     the numpy paths calls this one helper.
     """
     s = _np.sort(a)
+    return s[_first_of_runs(s)]
+
+
+def _first_of_runs(s: "_np.ndarray") -> "_np.ndarray":
+    """The mask of the first element of each run of equal values."""
     keep = _np.empty(len(s), dtype=bool)
     keep[:1] = True
     _np.not_equal(s[1:], s[:-1], out=keep[1:])
-    return s[keep]
+    return keep
 
 
 #: the signed 64-bit range every id and value of the int64 arrays fits
@@ -272,6 +304,27 @@ def pair_order(u: "_np.ndarray", v: "_np.ndarray") -> "_np.ndarray":
     if (int(u.max()) - u0 + 1) * width <= INT64_MAX:
         return _np.argsort((u - u0) * width + (v - v0))
     return _np.lexsort((v, u))
+
+
+def pair_ranks(u, v, xu, xv) -> "_np.ndarray":
+    """How many of the pairs ``(u[i], v[i])`` sort below each query
+    ``(xu[j], xv[j])``.
+
+    ``(u, v)`` must be in ascending order.  ``searchsorted`` finds each
+    query's run of equal ``u``, and a bisection over all the queries at
+    once finds ``xv`` in the run's ``v``.  Unlike a combined key, this
+    cannot overflow, and it allocates nothing as long as ``u``.
+    """
+    lo = _np.searchsorted(u, xu, side="left")
+    hi = _np.searchsorted(u, xu, side="right")
+    while True:
+        todo = _np.flatnonzero(lo < hi)
+        if not len(todo):
+            return lo
+        mid = (lo[todo] + hi[todo]) >> 1
+        below = v[mid] < xv[todo]
+        lo[todo[below]] = mid[below] + 1
+        hi[todo[~below]] = mid[~below]
 
 
 def edge_rows(*maps) -> "_np.ndarray":
@@ -308,16 +361,95 @@ def edge_rows(*maps) -> "_np.ndarray":
     return out[pair_order(out[:, 0], out[:, 1])]
 
 
-def _rows(src: "_np.ndarray", dst: "_np.ndarray", n: int):
-    """``(indptr, by_row)`` of the directed slots ``src -> dst``.
+def _compact_ids(u: "_np.ndarray", v: "_np.ndarray", labels=None):
+    """``(labels, cu, cv)``: the sorted labels and the compact ids of
+    the ends ``u`` and ``v``.
 
-    ``by_row`` orders the slots by ``(src, dst)``: one argsort of the
-    combined key, which is unique because the slots are, so any sort
-    order is the same permutation.
+    Without ``labels`` the labels are the distinct ends.  Where the id
+    span (max - min + 1) is at most :data:`_TABLE_SPAN_PER_END` times
+    the number of ends, a lookup table over the span maps every end:
+    a presence mask's cumulative sum, or ``arange`` scattered at the
+    given labels.  Wider spans (the int64 extremes, say) keep one sort
+    of the ends and a ``searchsorted``, which works at any span.
     """
+    if not len(u):
+        none = _np.zeros(0, dtype=_np.int64)
+        return none if labels is None else labels, none, none
+    if labels is None:
+        lo = min(int(u.min()), int(v.min()))
+        hi = max(int(u.max()), int(v.max()))
+    else:
+        lo, hi = int(labels[0]), int(labels[-1])
+    span = hi - lo + 1
+    if span > _TABLE_SPAN_PER_END * 2 * len(u):
+        if labels is None:
+            labels = sorted_unique(_np.concatenate((u, v)))
+        return (
+            labels, _np.searchsorted(labels, u), _np.searchsorted(labels, v)
+        )
+    at = _np.subtract(u, lo)  # one offset buffer, reused for each end
+    if labels is None:
+        table = _np.zeros(span, dtype=bool)  # the ids that occur
+        table[at] = True
+        table[_np.subtract(v, lo, out=at)] = True
+        labels = _np.flatnonzero(table)
+        labels += lo
+        table = _np.cumsum(table, dtype=_np.int64)
+        table -= 1
+    else:
+        table = _np.empty(span, dtype=_np.int64)
+        table[labels - lo] = _np.arange(len(labels), dtype=_np.int64)
+    cu = table[_np.subtract(u, lo, out=at)]
+    cv = table[_np.subtract(v, lo, out=at)]
+    return labels, cu, cv
+
+
+def _rows(cu: "_np.ndarray", cv: "_np.ndarray", n: int):
+    """``(indptr, indices, eids)`` of the edges ``cu[e] < cv[e]``,
+    given in ascending ``(cu, cv)`` order, which is id order.
+
+    Row ``r`` holds its reverse slots (edges with ``cv == r``, the
+    neighbours below ``r``) and then its forward slots (``cu == r``).
+    In id order the forward slots are sorted already, so only the
+    reverse half is sorted, by ``(cv, id)``, which is ``(cv, cu)``: one
+    value sort of the unique keys ``cv * m + id``, or a stable argsort
+    of ``cv`` when ``n * m`` would overflow int64.  Then, with slots
+    counted per row:
+
+    * forward edge ``e`` lands at ``e`` + (reverse slots in rows up to
+      and including its own);
+    * the reverse slot at sorted position ``k`` lands at ``k`` +
+      (forward slots in earlier rows).
+
+    Both runs arrive row by row, so ``np.repeat`` of the per-row counts
+    gives those offsets.
+    """
+    m = len(cu)
+    fwd = _np.bincount(cu, minlength=n)
+    rev = _np.bincount(cv, minlength=n)
     indptr = _np.zeros(n + 1, dtype=_np.int64)
-    _np.cumsum(_np.bincount(src, minlength=n), out=indptr[1:])
-    return indptr, _np.argsort(src * n + dst)
+    _np.cumsum(fwd + rev, out=indptr[1:])
+    indices = _np.empty(2 * m, dtype=_np.int64)
+    eids = _np.empty(2 * m, dtype=_np.int64)
+    ids = _np.arange(m, dtype=_np.int64)
+    at = _np.repeat(_np.cumsum(rev), fwd)
+    at += ids
+    indices[at] = cv
+    eids[at] = ids
+    if n * m <= INT64_MAX:
+        order = cv * m
+        order += ids
+        order.sort()
+        order %= m
+    else:
+        order = _np.argsort(cv, kind="stable")
+    del cv, at
+    at = _np.repeat(_np.cumsum(fwd) - fwd, rev)
+    at += ids
+    del ids
+    indices[at] = cu[order]
+    eids[at] = order
+    return indptr, indices, eids
 
 
 def _line_token_counts(chunk: bytes):
@@ -330,7 +462,8 @@ def _line_token_counts(chunk: bytes):
     """
     arr = _np.frombuffer(chunk, dtype=_np.uint8)
     is_nl = arr == 0x0A
-    is_ws = is_nl | (arr == 0x20) | (arr == 0x09) | (arr == 0x0D)
+    # what bytes.split() splits at: space, and TAB, LF, VT, FF and CR
+    is_ws = (arr == 0x20) | ((arr >= 0x09) & (arr <= 0x0D))
     tok_start = ~is_ws
     tok_start[1:] &= is_ws[:-1]
     csum = _np.cumsum(tok_start)
@@ -436,18 +569,20 @@ def _parse_edge_chunk(
 def _parse_digit_block(chunk: bytes) -> Optional["_np.ndarray"]:
     """The first two columns of a digit-only block, or ``None``.
 
-    ``chunk`` starts with a data line.  The block qualifies when it
-    holds only digits, spaces, tabs, CRs and LFs, every line with
-    tokens holds the same number of them (at least 2), and no kept id
-    is longer than 18 digits; ``None`` sends any other block to the
-    general path, which parses it or reports its first bad line.
+    ``chunk`` starts with a data line and ends its lines with LFs.  The
+    block qualifies when it holds only digits, spaces, tabs, CRs and
+    LFs, every line with tokens holds the same number of them (at least
+    2), and no token is longer than 18 digits; ``None`` sends any other
+    block to the general path, which parses it or reports its first bad
+    line.
 
     Every byte is classified through :data:`_BYTE_CLASS` (one byte
     each), token starts and ends are where the class changes, and
     each line's token count comes from where its newline falls among
-    the token starts.  Values are built right to left, one
-    multiply-add pass per digit position over the tokens that still
-    have digits (longest first, so they are a prefix).
+    the token starts.  A qualifying block is then converted in C by
+    ``np.fromstring(chunk, sep=" ")``, which skips any whitespace and
+    reads each token as a base-10 integer: exact for 18-digit and
+    zero-padded ids, with no Python object per token.
     """
     cls = _np.zeros(len(chunk) + 2, dtype=_np.uint8)  # padded with spaces
     cls[1:-1] = _np.frombuffer(chunk.translate(_BYTE_CLASS), dtype=_np.uint8)
@@ -456,31 +591,20 @@ def _parse_digit_block(chunk: bytes) -> Optional["_np.ndarray"]:
     bounds = _np.flatnonzero(cls[1:] != cls[:-1])
     del cls
     starts, ends = bounds[0::2], bounds[1::2]  # token i is [starts, ends)
+    if int((ends - starts).max()) > _MAX_DIGITS:
+        return None
     raw = _np.frombuffer(chunk, dtype=_np.uint8)
     before = _np.searchsorted(starts, _np.flatnonzero(raw == 0x0A))
     per_line = _np.diff(before, prepend=0, append=len(starts))
+    del bounds, starts, ends, before
     per_line = per_line[per_line > 0]  # blank lines carry no tokens
     ncols = int(per_line[0])
     if ncols < 2 or not bool(_np.all(per_line == ncols)):
         return None
+    vals = _np.fromstring(chunk, dtype=_np.int64, sep=" ")
     if ncols > 2:
-        starts = starts.reshape(-1, ncols)[:, :2].reshape(-1)
-        ends = ends.reshape(-1, ncols)[:, :2].reshape(-1)
-    lens = ends - starts
-    top = int(lens.max())
-    if top > _MAX_DIGITS:
-        return None
-    order, have = _longest_first(lens.astype(_np.uint8))
-    pos = ends[order]
-    vals = _np.zeros(len(pos), dtype=_np.int64)
-    for j in range(top):
-        k = int(have[j + 1])
-        p = pos[:k]
-        p -= 1
-        vals[:k] += (raw[p] - 0x30) * _np.int64(10**j)
-    out = _np.empty_like(vals)
-    out[order] = vals
-    return out
+        vals = vals.reshape(-1, ncols)[:, :2].reshape(-1)
+    return vals
 
 
 def _longest_first(digits: "_np.ndarray"):

@@ -41,15 +41,28 @@ def write_edge_list(g: Graph, path: PathLike, header: bool = True) -> None:
 
 
 def iter_edge_list(path: PathLike) -> Iterator[Tuple[int, int]]:
-    """Stream ``(u, v)`` pairs from a text edge list, skipping comments."""
-    with open(path, "r", encoding="ascii") as f:
+    """Stream ``(u, v)`` pairs from a text edge list, skipping comments.
+
+    Tokenizes bytes the way the CSR ingest
+    (:meth:`repro.graph.csr.CSRGraph.from_edge_list_file`) does: lines
+    end at LF, CRLF or a lone CR (universal newlines), tokens split at
+    ASCII whitespace (``bytes.split``), and an id is ``int`` of its
+    bytes, so a non-ASCII byte or a control byte such as ``\x1c`` is a
+    non-integer id, never a decode error or a separator.  Latin-1 maps
+    each byte to one character and back, which keeps the bytes while
+    the text layer splits the lines.
+    """
+    with open(path, "r", encoding="latin-1") as f:
         for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
+            ln = line.encode("latin-1").strip()
+            if not ln or ln.startswith(b"#"):
                 continue
-            parts = line.split()
+            parts = ln.split()
             if len(parts) < 2:
-                raise FormatError(f"{path}:{lineno}: expected 'u v', got {line!r}")
+                raise FormatError(
+                    f"{path}:{lineno}: expected 'u v', got "
+                    f"{ln.decode(errors='replace')!r}"
+                )
             try:
                 yield int(parts[0]), int(parts[1])
             except ValueError as exc:

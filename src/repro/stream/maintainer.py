@@ -52,6 +52,7 @@ from repro.graph.csr import (
     CSRGraph,
     edge_rows,
     pair_order,
+    pair_ranks,
 )
 from repro.kernels import resolve_kernel
 from repro.obs import NULL_TRACER, warn_degraded
@@ -364,32 +365,43 @@ class TrussMaintainer:
         """Fresh rows of the live ids.  An edge inserted by a batch
         still under repair has trussness -1.
 
-        The column views are temporaries: a live ``np.frombuffer`` view
-        would block the columns' appends."""
+        The live base rows are in ``(u, v)`` order already, so only the
+        appended rows are sorted, then merged in by their rank among
+        the base rows (:func:`repro.graph.csr.pair_ranks`).  Each column
+        is gathered straight into the rows.  The column views are
+        temporaries: a live ``np.frombuffer`` view would block the
+        columns' appends."""
         if self._ends is None:
             labels = self._base.labels
             eu, ev = self._base.edge_endpoints()
-            self._ends = (labels[eu], labels[ev])
+            self._ends = (
+                _np.take(labels, eu, out=eu), _np.take(labels, ev, out=ev)
+            )
         bu, bv = self._ends
         nb = self._nbase
         ids = _np.flatnonzero(_np.frombuffer(self._live, dtype=_np.bool_))
         n = int(_np.searchsorted(ids, nb))  # the live base ids come first
-        u, v = bu[ids[:n]], bv[ids[:n]]
-        if n < len(ids):
-            # the live base rows are in (u, v) order already; only
-            # appended rows need sorting in
-            add = ids[n:] - nb
-            u = _np.concatenate(
-                (u, _np.frombuffer(self._xu, dtype=_np.int64)[add])
-            )
-            v = _np.concatenate(
-                (v, _np.frombuffer(self._xv, dtype=_np.int64)[add])
-            )
-            order = pair_order(u, v)
-            ids, u, v = ids[order], u[order], v[order]
+        add = ids[n:]
+        if len(add):
+            xu = _np.frombuffer(self._xu, dtype=_np.int64)[add - nb]
+            xv = _np.frombuffer(self._xv, dtype=_np.int64)[add - nb]
+            order = pair_order(xu, xv)
+            add, xu, xv = add[order], xu[order], xv[order]
+            # the live base rows below each appended row: pair_ranks
+            # counts the base rows below it, deleted ones too, and the
+            # search keeps the live ones
+            rank = _np.searchsorted(ids[:n], pair_ranks(bu, bv, xu, xv))
+            ids = _np.insert(ids[:n], rank, add)
         rows = _np.empty((len(ids), 4), dtype=_np.int64)
-        rows[:, 0] = u
-        rows[:, 1] = v
+        if n:
+            # an appended id reads the last base row here ("clip"); its
+            # row is rewritten below
+            rows[:, 0] = bu.take(ids, mode="clip")
+            rows[:, 1] = bv.take(ids, mode="clip")
+        if len(add):
+            at = rank + _np.arange(len(add))
+            rows[at, 0] = xu
+            rows[at, 1] = xv
         rows[:, 2] = _np.frombuffer(self._phi, dtype=_np.int64)[ids]
         rows[:, 3] = _np.frombuffer(self._sup, dtype=_np.int64)[ids]
         return rows

@@ -6,7 +6,8 @@ dense edge-id bijection that both slots of an edge share.
 """
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import repro.graph.csr as csr_mod
 from repro.core.edge_runs import EdgeRuns
@@ -15,7 +16,7 @@ from repro.graph import CSRGraph, Graph, complete_graph
 from repro.graph.csr import sorted_unique
 from repro.kernels import NUMPY_REQUIRED
 
-from helpers import needs_numpy, small_edge_lists
+from helpers import ID_ROUTES, needs_numpy, small_edge_lists
 
 try:
     import numpy as np
@@ -208,3 +209,120 @@ class TestSortedUnique:
         a = np.array([5, 1, 5, 3, 1], dtype=np.int64)
         a.flags.writeable = False
         assert sorted_unique(a).tolist() == [1, 3, 5]
+
+
+def reference_arrays(pairs, labels=None):
+    """``(indptr, indices, eids, labels)`` as plain lists, built edge by
+    edge: the arrays every constructor must produce."""
+    edges = sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v})
+    if labels is None:
+        labels = sorted({x for e in edges for x in e})
+    compact = {x: i for i, x in enumerate(labels)}
+    rows = [[] for _ in labels]
+    for e, (u, v) in enumerate(edges):  # label order is compact order
+        rows[compact[u]].append((compact[v], e))
+        rows[compact[v]].append((compact[u], e))
+    indptr, indices, eids = [0], [], []
+    for row in rows:
+        row.sort()
+        indices += [j for j, _ in row]
+        eids += [e for _, e in row]
+        indptr.append(len(indices))
+    return indptr, indices, eids, list(labels)
+
+
+def assert_arrays(c, expected):
+    for field, want in zip(("indptr", "indices", "eids", "labels"), expected):
+        arr = getattr(c, field)
+        assert isinstance(arr, np.ndarray) and arr.dtype == np.int64, field
+        assert arr.tolist() == want, field
+
+
+def forward_eids(c):
+    src = np.repeat(np.arange(c.num_vertices), np.diff(c.indptr))
+    return c.eids[src < c.indices]
+
+
+@needs_numpy
+@pytest.mark.parametrize("span_per_end", [v for _, v in ID_ROUTES],
+                         ids=[k for k, _ in ID_ROUTES])
+class TestBuilderRoutes:
+    """Both id compactions (lookup table, sort + ``searchsorted``) and
+    the m-key row layout build the reference arrays."""
+
+    @pytest.fixture(autouse=True)
+    def _route(self, monkeypatch, span_per_end):
+        monkeypatch.setattr(csr_mod, "_TABLE_SPAN_PER_END", span_per_end)
+
+    def test_from_graph_keeps_isolated_vertices(self):
+        g = Graph([(10, 3), (7, 3), (12, 10), (3, 12)])
+        for v in (5, 20, 1):
+            g.add_vertex(v)
+        c = CSRGraph.from_graph(g)
+        assert_arrays(c, reference_arrays(g.edges(), g.sorted_vertices()))
+        assert run_of(c, 0) == [] and run_of(c, 6) == []
+
+    def test_only_isolated_vertices(self):
+        g = Graph()
+        g.add_vertex(4)
+        g.add_vertex(-2)
+        assert_arrays(CSRGraph.from_graph(g), ([0, 0, 0], [], [], [-2, 4]))
+
+    def test_unsorted_duplicate_reversed_pairs(self):
+        pairs = [(9, 1), (1, 5), (5, 1), (3, 9), (9, 3), (1, 3), (3, 3),
+                 (5, 3), (1, 9)]
+        assert_arrays(CSRGraph.from_edges(pairs), reference_arrays(pairs))
+
+    def test_sorted_canonical_pairs_skip_the_dedupe(self):
+        pairs = [(1, 3), (1, 5), (3, 5), (3, 9)]
+        assert_arrays(CSRGraph.from_edges(pairs), reference_arrays(pairs))
+
+    @pytest.mark.parametrize("pairs", [[], [(1, 1)], [(1, 1), (7, 7)]])
+    def test_empty_and_self_loops_only(self, pairs):
+        assert_arrays(CSRGraph.from_edges(pairs), ([0], [], [], []))
+
+    def test_int64_limits(self):
+        lo, hi = -(1 << 63), (1 << 63) - 1
+        pairs = [(hi, lo), (lo, lo + 1), (hi - 1, hi), (lo + 1, hi)]
+        assert_arrays(CSRGraph.from_edges(pairs), reference_arrays(pairs))
+
+    def test_forward_slots_hold_ids_in_order(self, tmp_path):
+        from repro.stream import TrussMaintainer
+
+        pairs = [(4, 1), (2, 8), (1, 2), (8, 4), (2, 4), (6, 6)]
+        path = tmp_path / "g.txt"
+        path.write_text("".join(f"{u} {v}\n" for u, v in pairs))
+        g = Graph([p for p in pairs if p[0] != p[1]])
+        tm = TrussMaintainer.from_graph(g)
+        tm.delete_edge(1, 2)
+        twin = TrussMaintainer.from_state(tm.trussness, tm.supports)
+        for c in (
+            CSRGraph.from_graph(g), CSRGraph.from_edges(pairs),
+            CSRGraph.from_edge_list_file(path), twin._base,
+        ):
+            assert forward_eids(c).tolist() == list(range(c.num_edges))
+
+    @settings(deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        st.sampled_from((0, -50, 1 << 40, -(1 << 63), (1 << 63) - 30)),
+        st.lists(st.tuples(st.integers(0, 27), st.integers(0, 27)),
+                 max_size=60),
+    )
+    def test_matches_reference(self, base, offsets):
+        pairs = [(base + a, base + b) for a, b in offsets]
+        assert_arrays(CSRGraph.from_edges(pairs), reference_arrays(pairs))
+        g = Graph([p for p in pairs if p[0] != p[1]])
+        g.add_vertex(base + 29)  # isolated
+        assert_arrays(
+            CSRGraph.from_graph(g),
+            reference_arrays(g.edges(), g.sorted_vertices()),
+        )
+
+
+@needs_numpy
+def test_reverse_slots_sort_without_the_packed_key(monkeypatch):
+    # past int64, the reverse half is ordered by a stable argsort of cv
+    pairs = [(9, 1), (1, 5), (3, 9), (1, 3), (5, 3), (2, 9), (0, 5)]
+    monkeypatch.setattr(csr_mod, "INT64_MAX", 0)
+    assert_arrays(CSRGraph.from_edges(pairs), reference_arrays(pairs))

@@ -12,10 +12,14 @@ route is the one the paper's methods take without numpy
 build the same arrays and report the same errors.
 """
 
+import os
 import random
+import re
+import tempfile
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.graph.csr as csr_mod
 from repro.core import truss_decomposition_flat, truss_decomposition_improved
@@ -386,3 +390,170 @@ class TestEndToEnd:
         write_edge_list(g, path)
         td = truss_decomposition_flat(CSRGraph.from_edge_list_file(path))
         assert td == truss_decomposition_improved(read_edge_list(path))
+
+
+# ---------------------------------------------------------------------------
+# byte-level differential property: the CSR ingest against the text reader
+# ---------------------------------------------------------------------------
+#: tokens that are no vertex id for either reader: letters, a float, a
+#: hex literal, a double sign, non-ASCII bytes, control bytes that
+#: str.split() (but not bytes.split()) would split at
+_BAD_TOKENS = (
+    b"x", b"1.5", b"0x1f", b"--1", b"\xff", b"\xc3\xa9", b"1\x1c2",
+    b"7\x1f", b"\x85", b"\xa0",
+)
+#: what may separate two tokens, or pad a line
+_SEPARATORS = (b" ", b"\t", b"  ", b" \t", b"\x0b", b"\x0c")
+_LINE_ENDS = (b"\n", b"\r\n", b"\r")
+
+
+@st.composite
+def _id_tokens(draw, ids):
+    """One id as text: a sign, leading zeros, or plain digits."""
+    value = draw(ids)
+    text = str(abs(value)).encode()
+    zeros = draw(st.sampled_from((0, 0, 0, 1, 3, 20)))
+    text = b"0" * zeros + text
+    if value < 0:
+        return b"-" + text
+    return draw(st.sampled_from((b"", b"", b"", b"+"))) + text
+
+
+@st.composite
+def byte_edge_lists(draw):
+    """A text edge list as bytes, with ids dense or sparse.
+
+    Dense ids sit in a span of a few ids (sometimes next to an int64
+    limit), so the builder maps them through its lookup table; sparse
+    ids are spread up to both int64 limits, which takes the sort route.
+    Lines mix LF, CRLF and lone-CR ends, comments (some indented, some
+    with non-ASCII bytes), blank and whitespace-only lines, extra
+    columns, signs, leading zeros, bad tokens and short rows.
+    """
+    if draw(st.booleans()):
+        base = draw(st.sampled_from((0, 1000, INT64_MIN, INT64_MAX - 7)))
+        ids = st.integers(0, 7).map(lambda i: base + i)
+    else:
+        ids = st.one_of(
+            st.integers(0, 40),
+            st.integers(-(10**12), 10**12),
+            st.sampled_from((INT64_MIN, INT64_MAX, INT64_MIN + 1, 10**18)),
+        )
+    token = _id_tokens(ids)
+    bad = draw(st.booleans())  # half the files may hold bad rows
+    out = []
+    for _ in range(draw(st.integers(0, 24))):
+        kind = draw(st.sampled_from(
+            ("edge",) * 6 + ("wide", "comment", "blank")
+            + (("short", "bad") if bad else ())
+        ))
+        if kind == "comment":
+            pad = draw(st.sampled_from((b"", b" ", b"\t")))
+            line = pad + b"#" + draw(st.sampled_from((b"", b" note", b"\xe9")))
+        elif kind == "blank":
+            line = draw(st.sampled_from((b"",) + _SEPARATORS))
+        else:
+            row = [draw(token) for _ in range(1 if kind == "short" else 2)]
+            if kind == "wide":
+                row += [
+                    draw(st.one_of(token, st.sampled_from(_BAD_TOKENS + (b"0.5",))))
+                    for _ in range(draw(st.integers(1, 3)))
+                ]
+            if kind == "bad":
+                row[draw(st.integers(0, 1))] = draw(st.sampled_from(_BAD_TOKENS))
+            line = row[0]
+            for tok in row[1:]:
+                line += draw(st.sampled_from(_SEPARATORS)) + tok
+            if draw(st.booleans()):
+                line = draw(st.sampled_from(_SEPARATORS)) + line
+            if draw(st.booleans()):
+                line += draw(st.sampled_from(_SEPARATORS))
+        out.append(line + draw(st.sampled_from(_LINE_ENDS)))
+    text = b"".join(out)
+    if out and draw(st.booleans()):  # the last line may lack its end
+        text = text.rstrip(b"\r\n")
+    return text
+
+
+def _outcome(build):
+    """The four arrays a build gives, or the line its error names."""
+    try:
+        csr = build()
+    except FormatError as exc:
+        return ("error", re.search(r"\.txt:(\d+): ", str(exc)).group(1))
+    return ("arrays", [
+        (getattr(csr, f).dtype.str, getattr(csr, f).tobytes())
+        for f in ("indptr", "indices", "eids", "labels")
+    ])
+
+
+class TestDifferentialIngest:
+    """``from_edge_list_file``, at any ``chunk_bytes``, builds exactly
+    what ``read_edge_list`` + ``from_graph`` builds, or both raise a
+    :class:`FormatError` naming the same line."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        byte_edge_lists(),
+        st.one_of(st.integers(1, 48), st.just(csr_mod._INGEST_CHUNK_BYTES)),
+    )
+    def test_matches_text_reader(self, text, chunk_bytes):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "g.txt")
+            with open(path, "wb") as fh:
+                fh.write(text)
+            got = _outcome(
+                lambda: CSRGraph.from_edge_list_file(path, chunk_bytes)
+            )
+            want = _outcome(lambda: CSRGraph.from_graph(read_edge_list(path)))
+        assert got == want
+
+    @pytest.mark.parametrize("text, edges", [
+        (b"1 2\r3 4\r5 6\r", [(1, 2), (3, 4), (5, 6)]),
+        (b"1 2\r\n\r\r\n3 4\r", [(1, 2), (3, 4)]),
+        (b"\r\r\r1 2", [(1, 2)]),
+        (b"1\x0b2 3\n4 5\n", [(1, 2), (4, 5)]),
+    ])
+    @pytest.mark.parametrize("chunk_bytes", [1, 2, 3, None])
+    def test_universal_line_ends(self, ingest_mode, tmp_path, text, edges,
+                                 chunk_bytes):
+        path = tmp_path / "g.txt"
+        path.write_bytes(text)
+        if ingest_mode is CSRGraph and chunk_bytes is not None:
+            csr = CSRGraph.from_edge_list_file(path, chunk_bytes)
+        else:
+            csr = ingest_mode.from_edge_list_file(path)
+        assert sorted(edges_of(csr)) == edges
+
+    @pytest.mark.parametrize("text, line", [
+        (b"1\r2\n3 4\n", 1),  # a lone CR ends the line holding '1'
+        (b"1 2\r\n\r\r\n3\n", 4),  # CRLF, CR, CRLF: three line ends
+        (b"1 2\n\xff 3\n", 2),  # a non-ASCII byte is a bad id
+        (b"1\x1c2 3\n", 1),  # \x1c is no separator
+    ])
+    @pytest.mark.parametrize("chunk_bytes", [1, 2, None])
+    def test_errors_name_the_same_line(self, ingest_mode, tmp_path, text,
+                                       line, chunk_bytes):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(text)
+        kwargs = {}
+        if ingest_mode is CSRGraph and chunk_bytes is not None:
+            kwargs["chunk_bytes"] = chunk_bytes
+        with pytest.raises(FormatError, match=rf"bad\.txt:{line}: "):
+            ingest_mode.from_edge_list_file(path, **kwargs)
+
+    def test_cr_only_file_keeps_a_small_carry(self, tmp_path, monkeypatch):
+        # every CR ends a line, so no block is carried whole into the next
+        path = tmp_path / "cr.txt"
+        path.write_bytes(b"".join(b"%d %d\r" % (i, i + 1) for i in range(200)))
+        sizes = []
+        real = csr_mod._parse_edge_chunk
+
+        def spy(chunk, *args, **kwargs):
+            sizes.append(len(chunk))
+            return real(chunk, *args, **kwargs)
+
+        monkeypatch.setattr(csr_mod, "_parse_edge_chunk", spy)
+        csr = CSRGraph.from_edge_list_file(path, chunk_bytes=64)
+        assert csr.num_edges == 200
+        assert max(sizes) <= 64 + 8

@@ -50,6 +50,22 @@ class TestEdgeListText:
         g = read_edge_list(p)
         assert g.num_edges == 1
 
+    def test_universal_line_ends(self, tmp_path):
+        p = tmp_path / "g.txt"
+        p.write_bytes(b"1 2\r2\x0b3\r\n\r3\t4")
+        assert sorted(read_edge_list(p).edges()) == [(1, 2), (2, 3), (3, 4)]
+
+    @pytest.mark.parametrize("text, line", [
+        (b"1 2\n\xff 3\n", 2),  # a non-ASCII byte is no id, not a decode error
+        (b"1\x1c2 3\n", 1),  # str.split() would split at \x1c; bytes do not
+        (b"1 2\r\n\r\r\n3\n", 4),  # CRLF, CR and CRLF end three lines
+    ])
+    def test_bytes_errors_name_their_line(self, tmp_path, text, line):
+        p = tmp_path / "bad.txt"
+        p.write_bytes(text)
+        with pytest.raises(FormatError, match=rf"bad\.txt:{line}: "):
+            read_edge_list(p)
+
 
 class TestAdjacencyListText:
     def test_roundtrip(self, tmp_path):

@@ -16,6 +16,7 @@ import random
 from typing import List, Optional, Tuple
 
 import pytest
+from hypothesis import example
 from hypothesis import strategies as st
 
 from repro.datasets import erdos_renyi, powerlaw_graph, star_heavy_graph
@@ -46,6 +47,11 @@ DIST_SWEEP: Tuple[Tuple[int, str], ...] = tuple(
 #: the two triangle-index widths, each with the value of
 #: ``repro.triangles.index_builder._INT32_INDEX_LIMIT`` that forces it
 INDEX_WIDTHS = (("int32", 1 << 31), ("int64", 0))
+
+#: the CSR builder's two id compactions, each with the value of
+#: ``repro.graph.csr._TABLE_SPAN_PER_END`` that forces it on inputs
+#: whose ids span at most a few thousand
+ID_ROUTES = (("table", 1 << 16), ("search", 0))
 
 
 def random_graph(n: int, p: float, seed: int) -> Graph:
@@ -164,6 +170,45 @@ def update_streams(
             u, v = v, u
         updates.append((op, u, v))
     return g, updates
+
+
+#: ``(graph, updates)`` streams that pin the maintainer's compaction,
+#: which merges the sorted appended rows into the live base rows: only
+#: deletes; inserts that land before, between, inside and after the
+#: base rows (a new smallest vertex, a vertex the base lacks, a new
+#: neighbour inside a base vertex's run, a vertex past every base one);
+#: and deleted base edges inserted again, once reversed
+_COMPACT_BASE = ((0, 2), (0, 4), (2, 4), (2, 6), (4, 6), (6, 8))
+COMPACT_STREAMS = (
+    (Graph(_COMPACT_BASE),
+     [("delete", 0, 2), ("delete", 6, 4), ("delete", 6, 8)]),
+    (Graph(_COMPACT_BASE),
+     [("insert", 0, 3), ("insert", 1, 2), ("insert", 4, 3),
+      ("insert", 2, 5), ("insert", 8, 9), ("insert", -1, 0),
+      ("insert", 6, 0), ("insert", 4, 6)]),
+    (Graph(_COMPACT_BASE),
+     [("delete", 2, 4), ("insert", 4, 2), ("delete", 0, 4),
+      ("insert", 3, 4), ("insert", 0, 4), ("delete", 3, 4)]),
+)
+
+
+def with_compact_streams(test):
+    """``test`` with each of :data:`COMPACT_STREAMS` as an explicit
+    hypothesis example."""
+    for stream in COMPACT_STREAMS:
+        test = example(stream)(test)
+    return test
+
+
+def assert_state_rows(tm, mirror: Graph) -> None:
+    """``tm``'s compacted rows are ``mirror``'s ``(u, v, phi, sup)``
+    rows, sorted by ``(u, v)``."""
+    from oracles import brute_all_supports, brute_trussness
+
+    phi, sup = brute_trussness(mirror), brute_all_supports(mirror)
+    assert [tuple(r) for r in tm.state_rows().tolist()] == [
+        (u, v, phi[u, v], sup[u, v]) for u, v in sorted(phi)
+    ]
 
 
 # ---------------------------------------------------------------------------

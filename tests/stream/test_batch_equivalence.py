@@ -10,7 +10,12 @@ from __future__ import annotations
 
 from hypothesis import given, settings
 
-from helpers import needs_numpy, update_streams
+from helpers import (
+    assert_state_rows,
+    needs_numpy,
+    update_streams,
+    with_compact_streams,
+)
 from oracles import brute_trussness
 from repro.core import truss_decomposition
 from repro.stream import TrussMaintainer
@@ -33,6 +38,7 @@ def _final_mirror(g, updates):
 
 @settings(deadline=None)
 @given(update_streams(max_updates=12))
+@with_compact_streams
 def test_batch_equals_sequential(stream):
     g, updates = stream
     seq = TrussMaintainer.from_graph(g)
@@ -49,6 +55,7 @@ def test_batch_equals_sequential(stream):
     mirror = _final_mirror(g, updates)
     assert dict(bat.trussness) == brute_trussness(mirror)
     assert bat.as_decomposition() == truss_decomposition(mirror, method="flat")
+    assert_state_rows(bat, mirror)
 
 
 @settings(deadline=None, max_examples=30)

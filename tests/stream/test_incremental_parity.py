@@ -11,7 +11,12 @@ from __future__ import annotations
 
 from hypothesis import given, settings
 
-from helpers import needs_numpy, update_streams
+from helpers import (
+    assert_state_rows,
+    needs_numpy,
+    update_streams,
+    with_compact_streams,
+)
 from oracles import brute_trussness
 from repro.core import truss_decomposition
 from repro.stream import TrussMaintainer
@@ -31,6 +36,7 @@ def _mirror_apply(mirror, op, u, v):
 
 @settings(deadline=None)
 @given(update_streams())
+@with_compact_streams
 def test_prefix_parity_against_oracle_and_flat(stream):
     g, updates = stream
     tm = TrussMaintainer.from_graph(g)
@@ -51,6 +57,7 @@ def test_prefix_parity_against_oracle_and_flat(stream):
         edges = set(want)
         assert set(tm.last_affected) <= edges
         assert set(tm.trussness) == edges
+        assert_state_rows(tm, mirror)
 
 
 @settings(deadline=None)
