@@ -28,13 +28,12 @@ Run explicitly (the tier-1 suite collects only tests/)::
     PYTHONPATH=src python -m pytest benchmarks/bench_ablation_dist_transport.py -s
 """
 
-import json
 import os
-from pathlib import Path
 
 import pytest
 
-from repro.bench.harness import dist_transport_rows, print_table
+from record import best_of, write_json
+from repro.bench import print_table
 from repro.core import truss_decomposition_dist, truss_decomposition_flat
 from repro.datasets import (
     IN_MEMORY_DATASETS,
@@ -45,14 +44,62 @@ from repro.datasets import (
 
 RANKS_LIST = (1, 2, 4)
 TRANSPORTS = ("loopback", "tcp")
+REPEATS = 2
 
 #: the acceptance bar names *every* registry dataset, not just the
 #: massive trio the timing sweep uses
 ALL_DATASETS = SMALL_DATASETS + IN_MEMORY_DATASETS + MASSIVE_DATASETS
 
 
-def _json_path() -> Path:
-    return Path(os.environ.get("REPRO_BENCH_DIST_JSON", "BENCH_dist.json"))
+def dist_transport_rows(scale):
+    """``method="dist"`` across transports and rank counts, parity-checked.
+
+    Every run is asserted bit-identical to the flat engine before its
+    time is reported (the rank count and transport never change the
+    wave schedule).  Alongside best-of-``REPEATS`` wall time, each
+    configuration reports the transport's own accounting:
+    ``B/wave`` is the total on-the-wire message volume (frame headers
+    included, summed over all ranks) divided by the wave count, and
+    ``dedupe (B)`` is the *peak per-rank* dedupe-state size — the
+    hash-partitioned dead-triangle bitmap, which must shrink as ranks
+    grow because no rank holds the global triangle set.
+    """
+    rows = []
+    for name in MASSIVE_DATASETS:
+        g = load_dataset(name, scale=scale)
+        flat_s, (ref,) = best_of(lambda: truss_decomposition_flat(g), 1)
+        row = {
+            "dataset": name,
+            "|E|": g.num_edges,
+            "kmax": ref.kmax,
+            "flat (s)": flat_s,
+        }
+        for transport in TRANSPORTS:
+            for ranks in RANKS_LIST:
+                seconds, results = best_of(
+                    lambda: truss_decomposition_dist(
+                        g, ranks=ranks, transport=transport
+                    ),
+                    REPEATS,
+                )
+                for result in results:
+                    assert result == ref, (
+                        name, transport, ranks,
+                    )
+                extra = results[-1].stats.extra
+                key = f"{transport} r={ranks}"
+                row[f"{key} (s)"] = seconds
+                row[f"{key} peel (s)"] = extra.get("peel_s", 0.0)
+                row[f"{key} B/wave"] = extra.get("bytes_per_wave", 0)
+                row[f"{key} dedupe (B)"] = extra.get(
+                    "dedupe_peak_bytes", 0
+                )
+        # the schedule is config-invariant, so one column each suffices
+        row["waves"] = extra.get("waves", 0)
+        row["triangles"] = extra.get("triangles", 0)
+        row["index_build (s)"] = extra.get("index_build_s", 0.0)
+        rows.append(row)
+    return rows
 
 
 @pytest.mark.parametrize("name", ALL_DATASETS)
@@ -69,13 +116,7 @@ def test_dist_parity(name, scale):
 
 def test_dist_transport_ablation(scale):
     """The transport/rank sweep, recorded as BENCH_dist.json."""
-    rows = dist_transport_rows(
-        scale=scale,
-        names=MASSIVE_DATASETS,
-        ranks_list=RANKS_LIST,
-        transports=TRANSPORTS,
-        repeats=2,
-    )
+    rows = dist_transport_rows(scale)
     print_table(
         "dist_transport",
         rows,
@@ -117,8 +158,7 @@ def test_dist_transport_ablation(scale):
             "(or hosts) are real — the per-wave byte and per-rank "
             "dedupe columns are the host-independent signal."
         )
-    path = _json_path()
-    path.write_text(json.dumps(doc, indent=2, default=float) + "\n")
+    path = write_json(doc, "BENCH_dist.json", "REPRO_BENCH_DIST_JSON")
     print(
         f"\nwrote {path} (dedupe peak by ranks: "
         + ", ".join(

@@ -24,14 +24,18 @@ Run explicitly (the tier-1 suite collects only tests/)::
     PYTHONPATH=src python -m pytest benchmarks/bench_ablation_faults.py -s
 """
 
-import json
-import os
-from pathlib import Path
-
-from repro.bench.harness import fault_recovery_rows, print_table
-from repro.datasets import MASSIVE_DATASETS
+from record import best_of, write_json
+from repro.bench import print_table
+from repro.core import truss_decomposition_dist, truss_decomposition_flat
+from repro.datasets import MASSIVE_DATASETS, load_dataset
+from repro.dist.faults import FaultPlan
 
 INTERVALS = (4, 8, 16)
+RANKS = 2
+REPEATS = 2
+
+#: the scripted kill's earliest round (see ``fault_recovery_rows``)
+KILL_ROUND = 8
 
 #: overhead ceiling asserted at the default barrier interval — generous
 #: because CI hosts are noisy, but tight enough that an accidentally
@@ -39,21 +43,72 @@ INTERVALS = (4, 8, 16)
 MAX_DEFAULT_OVERHEAD = 0.5
 
 
-def _json_path() -> Path:
-    return Path(
-        os.environ.get("REPRO_BENCH_FAULTS_JSON", "BENCH_faults.json")
-    )
+def fault_recovery_rows(scale):
+    """Checkpoint cost and crash-recovery time for ``method="dist"``.
+
+    Three measurements per dataset, all parity-checked against the
+    flat engine before any time is reported:
+
+    * ``ckpt off (s)`` — the recovering supervisor with snapshots
+      disabled (``checkpoint_interval=0``), the overhead baseline;
+    * ``ckpt@I …`` — wall time, snapshot count and fractional overhead
+      vs that baseline at each barrier interval ``I`` (smaller
+      interval = more barriers = more insurance and more cost);
+    * ``recovery …`` — a scripted mid-run crash under
+      ``on_failure="retry"``: end-to-end wall time including the
+      respawn and the rewind, plus the epoch the mesh resumed from
+      (``-1`` means no barrier had passed yet and it restarted).  The
+      kill round is ``max(KILL_ROUND, waves)`` — roughly mid-peel,
+      since a rank sends about three frames per wave — so runs long
+      enough to have passed a barrier demonstrate a real rewind.
+    """
+    rows = []
+    for name in MASSIVE_DATASETS:
+        g = load_dataset(name, scale=scale)
+        flat_s, (ref,) = best_of(lambda: truss_decomposition_flat(g), 1)
+        row = {
+            "dataset": name,
+            "|E|": g.num_edges,
+            "kmax": ref.kmax,
+            "flat (s)": flat_s,
+            "ranks": RANKS,
+        }
+
+        def timed_dist(**kwargs):
+            seconds, results = best_of(
+                lambda: truss_decomposition_dist(
+                    g, ranks=RANKS, on_failure="retry", **kwargs
+                ),
+                REPEATS,
+            )
+            for result in results:
+                assert result == ref, (name, kwargs)
+            return seconds, results[-1].stats.extra
+
+        base, extra = timed_dist(checkpoint_interval=0)
+        row["ckpt off (s)"] = base
+        row["waves"] = extra.get("waves", 0)
+        for interval in INTERVALS:
+            seconds, extra = timed_dist(checkpoint_interval=interval)
+            row[f"ckpt@{interval} (s)"] = seconds
+            row[f"ckpt@{interval} snaps"] = extra.get("checkpoints", 0)
+            row[f"ckpt@{interval} ovh"] = seconds / max(base, 1e-9) - 1
+        seconds, extra = timed_dist(
+            checkpoint_interval=INTERVALS[len(INTERVALS) // 2],
+            fault_plan=FaultPlan.kill(
+                1, round=max(KILL_ROUND, int(row["waves"]))
+            ),
+        )
+        assert extra.get("retries") == 1, (name, extra)
+        row["recovery (s)"] = seconds
+        row["resumed epoch"] = extra.get("resumed_from_epoch", -1)
+        rows.append(row)
+    return rows
 
 
 def test_fault_ablation(scale):
     """The checkpoint/recovery sweep, recorded as BENCH_faults.json."""
-    rows = fault_recovery_rows(
-        scale=scale,
-        names=MASSIVE_DATASETS,
-        intervals=INTERVALS,
-        ranks=2,
-        repeats=2,
-    )
+    rows = fault_recovery_rows(scale)
     print_table(
         "faults",
         rows,
@@ -73,8 +128,7 @@ def test_fault_ablation(scale):
             row["dataset"]: row["recovery (s)"] for row in rows
         },
     }
-    path = _json_path()
-    path.write_text(json.dumps(doc, indent=2, default=float) + "\n")
+    path = write_json(doc, "BENCH_faults.json", "REPRO_BENCH_FAULTS_JSON")
     print(
         f"\nwrote {path} (worst default-interval overhead: "
         f"{doc['overhead_by_interval']['ckpt@8']:+.1%})"

@@ -26,22 +26,101 @@ Run explicitly (the tier-1 suite collects only tests/)::
     PYTHONPATH=src python -m pytest benchmarks/bench_ablation_incr.py -s
 """
 
-import json
 import os
-from pathlib import Path
+import random
 
-from repro.bench.harness import incremental_rows, print_table
+from record import write_json
+from repro.bench import measure, print_table
+from repro.core import truss_decomposition_flat
+from repro.datasets import MASSIVE_DATASETS, load_dataset
+from repro.stream import TrussMaintainer
 
 BATCH_SIZES = (1, 16, 256)
+N_UPDATES = 256
+SEED = 2012
 
 
-def _json_path() -> Path:
-    return Path(os.environ.get("REPRO_BENCH_INCR_JSON", "BENCH_incr.json"))
+def incremental_rows(scale):
+    """Incremental repair vs from-scratch recompute, per batch size.
+
+    Picks the largest massive-registry dataset (by edge count at this
+    scale), generates a seeded update stream over its vertex range
+    (alternating fresh inserts and deletes of original edges, so most
+    updates are effective and triangle-touching), and replays it in
+    chunks of each batch size through (a) the incremental maintainer's
+    ``apply_batch`` and (b) what a server without a write path would
+    pay — mutate a mirror, full flat recompute per chunk.  The two end
+    states are asserted bit-identical before any time is reported.
+
+    The from-scratch side makes long streams unaffordable at small
+    batch sizes, so each row replays ``min(N_UPDATES, max(24, B))``
+    updates and reports *per-update* milliseconds alongside the raw
+    walls — the per-update columns are the comparable ones.
+    """
+    graphs = {
+        name: load_dataset(name, scale=scale) for name in MASSIVE_DATASETS
+    }
+    name, g = max(graphs.items(), key=lambda kv: kv[1].num_edges)
+    rng = random.Random(SEED)
+    verts = sorted(g.vertices())
+    originals = sorted(g.edges())
+    rng.shuffle(originals)
+    updates = []
+    for i in range(N_UPDATES):
+        if i % 2 and i // 2 < len(originals):
+            updates.append(("delete", *originals[i // 2]))
+        else:
+            u, v = rng.sample(verts, 2)
+            updates.append(("insert", u, v))
+    rows = []
+    for batch in BATCH_SIZES:
+        ups = updates[: min(N_UPDATES, max(24, batch))]
+        tm = TrussMaintainer.from_graph(g)
+        inc = measure(
+            lambda: [
+                tm.apply_batch(ups[i : i + batch])
+                for i in range(0, len(ups), batch)
+            ],
+            track_memory=False,
+        )
+        mirror = g.copy()
+        last = {}
+
+        def replay_scratch():
+            td = None
+            for i in range(0, len(ups), batch):
+                for op, u, v in ups[i : i + batch]:
+                    if op == "insert":
+                        mirror.add_edge(u, v)
+                    else:
+                        mirror.discard_edge(u, v)
+                td = truss_decomposition_flat(mirror)
+            last["td"] = td
+
+        scratch = measure(replay_scratch, track_memory=False)
+        assert dict(tm.trussness) == dict(last["td"].trussness), (
+            name, batch,
+        )
+        extra = tm.stats.extra
+        repairs = max(1, int(extra.get("repairs", 1)))
+        rows.append({
+            "dataset": name,
+            "|E|": g.num_edges,
+            "batch": batch,
+            "updates": len(ups),
+            "incremental (s)": inc.seconds,
+            "scratch (s)": scratch.seconds,
+            "incremental/update (ms)": 1e3 * inc.seconds / len(ups),
+            "scratch/update (ms)": 1e3 * scratch.seconds / len(ups),
+            "speedup": scratch.seconds / max(inc.seconds, 1e-9),
+            "affected/repair": extra.get("affected_edges", 0) / repairs,
+        })
+    return rows
 
 
 def test_incremental_vs_scratch_ablation(scale):
     """The update-batch comparison, recorded as BENCH_incr.json."""
-    rows = incremental_rows(scale=scale, batch_sizes=BATCH_SIZES)
+    rows = incremental_rows(scale)
     print_table(
         "incremental_updates",
         rows,
@@ -58,8 +137,7 @@ def test_incremental_vs_scratch_ablation(scale):
         "single_update_speedup": single["speedup"],
         "single_update_repair_ms": single["incremental/update (ms)"],
     }
-    path = _json_path()
-    path.write_text(json.dumps(doc, indent=2, default=float) + "\n")
+    path = write_json(doc, "BENCH_incr.json", "REPRO_BENCH_INCR_JSON")
     print(f"\nwrote {path} (dataset={single['dataset']})")
 
     # the acceptance contract: parity was asserted inside

@@ -22,13 +22,12 @@ Run explicitly (the tier-1 suite collects only tests/)::
     PYTHONPATH=src python -m pytest benchmarks/bench_ablation_kernel.py -s
 """
 
-import json
 import os
-from pathlib import Path
 
 import pytest
 
-from repro.bench.harness import kernel_ablation_rows, print_table
+from record import best_of, write_json
+from repro.bench import print_table
 from repro.core import (
     truss_decomposition_flat,
     truss_decomposition_parallel,
@@ -39,8 +38,45 @@ from repro.kernels import available_kernels, kernel_available
 REPEATS = 2
 
 
-def _json_path() -> Path:
-    return Path(os.environ.get("REPRO_BENCH_KERNEL_JSON", "BENCH_kernel.json"))
+def kernel_ablation_rows(scale):
+    """The :mod:`repro.kernels` backends on the flat engine, same truth.
+
+    Every backend's run is asserted equal to the first backend's result
+    before its time is reported — the kernel contract says the wave
+    schedule (and therefore the map) is backend-invariant.  The
+    backends are every one constructible in this process (the numba
+    column only appears where the optional package is installed), on
+    the small registry pair.
+    """
+    rows = []
+    for name in SMALL_DATASETS:
+        g = load_dataset(name, scale=scale)
+        ref = None
+        row = {"dataset": name, "|E|": g.num_edges}
+        for backend in available_kernels():
+            seconds, results = best_of(
+                lambda: truss_decomposition_flat(g, kernel=backend), REPEATS
+            )
+            if ref is None:
+                ref = results[0]
+            for result in results:
+                assert result == ref, (name, backend)
+            row[f"{backend} (s)"] = seconds
+            # the engine-recorded phase split: the index build is
+            # backend-invariant, the peel is where backends differ
+            phases = results[-1].stats.extra
+            row[f"{backend} peel (s)"] = phases.get("peel_s", 0.0)
+            row["index_build (s)"] = phases.get("index_build_s", 0.0)
+        row["kmax"] = ref.kmax
+        extra = ref.stats.extra
+        row["waves"] = extra.get("waves", 0)
+        row["triangles"] = extra.get("triangles", 0)
+        if "numba (s)" in row and "numpy (s)" in row:
+            row["numba speedup vs numpy"] = row["numpy (s)"] / max(
+                row["numba (s)"], 1e-9
+            )
+        rows.append(row)
+    return rows
 
 
 @pytest.mark.parametrize("name", SMALL_DATASETS)
@@ -59,7 +95,7 @@ def test_kernel_parity_on_registry_datasets(name, scale):
 
 def test_kernel_backend_ablation(scale):
     """The backend comparison, recorded as BENCH_kernel.json."""
-    rows = kernel_ablation_rows(scale=scale, repeats=REPEATS)
+    rows = kernel_ablation_rows(scale)
     print_table(
         "kernel_backends",
         rows,
@@ -88,8 +124,7 @@ def test_kernel_backend_ablation(scale):
                 "loops' per-call dispatch competes with numpy's fused "
                 "ufuncs; the delta is recorded, not gated."
             )
-    path = _json_path()
-    path.write_text(json.dumps(doc, indent=2, default=float) + "\n")
+    path = write_json(doc, "BENCH_kernel.json", "REPRO_BENCH_KERNEL_JSON")
     print(f"\nwrote {path} (backends={doc['backends']})")
 
     # the acceptance contract of the ablation: every row carries a

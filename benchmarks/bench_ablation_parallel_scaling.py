@@ -27,30 +27,105 @@ Run explicitly (the tier-1 suite collects only tests/)::
     PYTHONPATH=src python -m pytest benchmarks/bench_ablation_parallel_scaling.py -s
 """
 
-import json
 import os
-from pathlib import Path
 
 import pytest
 
-from repro.bench.harness import (
-    ingest_fastpath_rows,
-    parallel_scaling_rows,
-    print_table,
-)
+from record import best_of, write_json
+from repro.bench import print_table
 from repro.core import truss_decomposition_flat, truss_decomposition_parallel
 from repro.datasets import MASSIVE_DATASETS, load_dataset
 from repro.datasets.generators import erdos_renyi
-from repro.graph import write_edge_list
+from repro.graph import CSRGraph, read_edge_list, write_edge_list
 
 JOBS_SWEEP = (1, 2, 4, 8)
+REPEATS = 2
 
 #: the >= 100k-edge file the ingest claim is asserted on
 INGEST_EDGES = 120_000
 
 
-def _json_path() -> Path:
-    return Path(os.environ.get("REPRO_BENCH_JSON", "BENCH_parallel.json"))
+def parallel_scaling_rows(scale):
+    """``method="parallel"`` across worker counts, parity-checked.
+
+    Every run is asserted equal to the flat engine's result before its
+    time is reported (the wave schedule is worker-count-invariant, so
+    the maps must be identical).  Wave statistics from the first
+    worker count's run ride along so the scaling (or non-scaling) can
+    be explained: a graph peeled in a handful of huge waves amortizes
+    the per-wave IPC barriers; thousands of tiny waves cannot.
+    """
+    rows = []
+    for name in MASSIVE_DATASETS:
+        g = load_dataset(name, scale=scale)
+        flat_s, (ref,) = best_of(lambda: truss_decomposition_flat(g), 1)
+        row = {
+            "dataset": name,
+            "|E|": g.num_edges,
+            "kmax": ref.kmax,
+            "flat (s)": flat_s,
+        }
+        wave_stats = {}
+        for jobs in JOBS_SWEEP:
+            seconds, results = best_of(
+                lambda: truss_decomposition_parallel(g, jobs=jobs), REPEATS
+            )
+            for result in results:
+                assert result == ref, (name, jobs)
+            row[f"jobs={jobs} (s)"] = seconds
+            if not wave_stats:
+                extra = results[-1].stats.extra
+                wave_stats = {
+                    k: extra[k]
+                    for k in (
+                        "waves", "levels", "max_wave", "triangles",
+                        "index_build_s", "peel_s",
+                    )
+                    if k in extra
+                }
+        first, last = JOBS_SWEEP[0], JOBS_SWEEP[-1]
+        row["speedup max-jobs"] = (
+            row[f"jobs={first} (s)"] / max(row[f"jobs={last} (s)"], 1e-9)
+        )
+        row.update(wave_stats)
+        rows.append(row)
+    return rows
+
+
+def ingest_fastpath_row(path):
+    """File->trussness through both ingest routes, end to end.
+
+    Fast path: ``CSRGraph.from_edge_list_file`` -> flat engine.  Legacy
+    path: ``read_edge_list`` (dict-of-set build) -> the same engine
+    (which snapshots the graph to CSR internally).  Each legacy result
+    is asserted identical to its fast twin; both the parse-only and
+    end-to-end timings are reported, best-of-``REPEATS``.
+    """
+    # [0]: the parsed graphs are dropped before the end-to-end runs
+    fast_parse = best_of(
+        lambda: CSRGraph.from_edge_list_file(path), REPEATS
+    )[0]
+    legacy_parse = best_of(lambda: read_edge_list(path), REPEATS)[0]
+    fast_total, fast = best_of(
+        lambda: truss_decomposition_flat(CSRGraph.from_edge_list_file(path)),
+        REPEATS,
+    )
+    legacy_total, legacy = best_of(
+        lambda: truss_decomposition_flat(read_edge_list(path)), REPEATS
+    )
+    for reference, result in zip(fast, legacy):
+        assert result == reference
+    return {
+        "file": str(path),
+        "method": "flat",
+        "fast parse (s)": fast_parse,
+        "legacy parse (s)": legacy_parse,
+        "|E|": fast[-1].num_edges,
+        "fast total (s)": fast_total,
+        "legacy total (s)": legacy_total,
+        "parse speedup": legacy_parse / max(fast_parse, 1e-9),
+        "end-to-end speedup": legacy_total / max(fast_total, 1e-9),
+    }
 
 
 @pytest.mark.parametrize("name", MASSIVE_DATASETS)
@@ -64,9 +139,7 @@ def test_parallel_parity(name, jobs, scale):
 
 def test_parallel_scaling_and_ingest_fastpath(scale, tmp_path):
     """The worker sweep + ingest comparison, recorded as BENCH_parallel.json."""
-    rows = parallel_scaling_rows(
-        scale=scale, names=MASSIVE_DATASETS, jobs_list=JOBS_SWEEP, repeats=2
-    )
+    rows = parallel_scaling_rows(scale)
     print_table(
         "parallel_scaling",
         rows,
@@ -77,7 +150,7 @@ def test_parallel_scaling_and_ingest_fastpath(scale, tmp_path):
     edge_file = tmp_path / "ingest_large.txt"
     g = erdos_renyi(40_000, INGEST_EDGES, seed=1234)
     write_edge_list(g, edge_file)
-    ingest = ingest_fastpath_rows(edge_file, method="flat", repeats=2)
+    ingest = ingest_fastpath_row(edge_file)
     print_table(
         "ingest_fastpath",
         [ingest],
@@ -116,8 +189,7 @@ def test_parallel_scaling_and_ingest_fastpath(scale, tmp_path):
             "below the crossover, which lands higher (larger inputs, "
             "more cores) by design of the level-synchronous protocol."
         )
-    path = _json_path()
-    path.write_text(json.dumps(doc, indent=2, default=float) + "\n")
+    path = write_json(doc, "BENCH_parallel.json", "REPRO_BENCH_JSON")
     print(f"\nwrote {path} (cpu_count={cpu_count}, 4v1={speedup_4v1:.2f}x)")
 
     # parity is asserted inside parallel_scaling_rows; the scaling claim

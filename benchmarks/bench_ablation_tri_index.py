@@ -38,16 +38,11 @@ Run explicitly (the tier-1 suite collects only tests/)::
     PYTHONPATH=src python -m pytest benchmarks/bench_ablation_tri_index.py -s
 """
 
-import json
-import os
-import time
-import tracemalloc
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-from repro.bench.harness import print_table
+from record import write_json
+from repro.bench import measure, print_table
 from repro.core.flat import _as_csr
 from repro.datasets import MASSIVE_DATASETS, load_dataset
 from repro.triangles.index_builder import (
@@ -64,12 +59,6 @@ CHUNK = 16_384
 #: the memory-ordering assertion only fires where the index dwarfs the
 #: chunk scratch; below this the peaks are all scratch-dominated noise
 MIN_ASSERT_TRIANGLES = 100_000
-
-
-def _json_path() -> Path:
-    return Path(
-        os.environ.get("REPRO_BENCH_TRIINDEX_JSON", "BENCH_triindex.json")
-    )
 
 
 def _legacy_argsort_index(csr, m):
@@ -98,17 +87,6 @@ def _legacy_argsort_index(csr, m):
     return e1, e2, e3, tptr, tinc, sup
 
 
-def _measured(fn):
-    """Run a build under tracemalloc; (result, seconds, peak_bytes)."""
-    tracemalloc.start()
-    start = time.perf_counter()
-    result = fn()
-    seconds = time.perf_counter() - start
-    _cur, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    return result, seconds, peak
-
-
 def _canonical_legacy_tinc(tptr, tinc):
     """Legacy tinc re-sorted into the builder's canonical window order.
 
@@ -129,22 +107,19 @@ def test_streaming_vs_legacy_argsort(scale, tmp_path):
         g = load_dataset(name, scale=scale)
         csr = _as_csr(g)
         m = csr.num_edges
-        legacy, legacy_s, legacy_peak = _measured(
-            lambda: _legacy_argsort_index(csr, m)
-        )
-        e1, e2, e3, tptr, tinc, sup = legacy
-        ram, ram_s, ram_peak = _measured(
-            lambda: build_triangle_index(csr, chunk=CHUNK)
-        )
+        # each build runs under tracemalloc (``measure``'s default)
+        legacy = measure(lambda: _legacy_argsort_index(csr, m))
+        ram = measure(lambda: build_triangle_index(csr, chunk=CHUNK))
         mmap_dir = tmp_path / name
         mmap_dir.mkdir()
-        mm, mmap_s, mmap_peak = _measured(
+        mm = measure(
             lambda: build_triangle_index(
                 csr, storage="mmap", dirpath=mmap_dir, chunk=CHUNK
             )
         )
+        e1, e2, e3, tptr, tinc, sup = legacy.result
         # parity before any time is reported: same index, both storages
-        for built in (ram, mm):
+        for built in (ram.result, mm.result):
             assert np.array_equal(np.asarray(built.e1), e1), name
             assert np.array_equal(np.asarray(built.e2), e2), name
             assert np.array_equal(np.asarray(built.e3), e3), name
@@ -157,22 +132,23 @@ def test_streaming_vs_legacy_argsort(scale, tmp_path):
         # and the on-disk layout is the ranks' read format
         reopened = TriangleIndex.open(mmap_dir)
         assert np.array_equal(
-            np.asarray(reopened.tinc), np.asarray(mm.tinc)
+            np.asarray(reopened.tinc), np.asarray(mm.result.tinc)
         ), name
-        n_tri = ram.num_triangles
         rows.append(
             {
                 "dataset": name,
                 "|E|": m,
-                "triangles": n_tri,
-                "legacy (s)": legacy_s,
-                "ram (s)": ram_s,
-                "mmap (s)": mmap_s,
-                "legacy peak (B)": legacy_peak,
-                "ram peak (B)": ram_peak,
-                "mmap peak (B)": mmap_peak,
-                "ram peak vs legacy": ram_peak / max(legacy_peak, 1),
-                "mmap peak vs legacy": mmap_peak / max(legacy_peak, 1),
+                "triangles": ram.result.num_triangles,
+                "legacy (s)": legacy.seconds,
+                "ram (s)": ram.seconds,
+                "mmap (s)": mm.seconds,
+                "legacy peak (B)": legacy.peak_bytes,
+                "ram peak (B)": ram.peak_bytes,
+                "mmap peak (B)": mm.peak_bytes,
+                "ram peak vs legacy": ram.peak_bytes
+                / max(legacy.peak_bytes, 1),
+                "mmap peak vs legacy": mm.peak_bytes
+                / max(legacy.peak_bytes, 1),
             }
         )
     print_table(
@@ -201,8 +177,9 @@ def test_streaming_vs_legacy_argsort(scale, tmp_path):
             "no dataset reached the triangle floor at this scale; peak "
             "ordering not asserted (all builds are scratch-dominated)"
         )
-    path = _json_path()
-    path.write_text(json.dumps(doc, indent=2, default=float) + "\n")
+    path = write_json(
+        doc, "BENCH_triindex.json", "REPRO_BENCH_TRIINDEX_JSON"
+    )
     print(f"\nwrote {path} (chunk={CHUNK})")
 
     # the memory trajectory the tentpole claims, where the index is

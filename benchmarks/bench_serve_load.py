@@ -22,13 +22,12 @@ Run explicitly (the tier-1 suite collects only tests/)::
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
-from pathlib import Path
 
-from repro.bench.harness import print_table
+from record import write_json
+from repro.bench import print_table
 from repro.graph import complete_graph, write_edge_list
 from repro.serve.chaos import ServerProcess, flood
 
@@ -36,10 +35,6 @@ READ_CLIENTS = 4
 READS_PER_CLIENT = 60
 WRITE_CLIENTS = 2
 WRITES_PER_CLIENT = 15
-
-
-def _json_path() -> Path:
-    return Path(os.environ.get("REPRO_BENCH_SERVE_JSON", "BENCH_serve.json"))
 
 
 def _graph_file(tmp_path, scale: float):
@@ -188,8 +183,7 @@ def test_serve_load(scale, tmp_path):
         "recovery_after_kill_s": recovery_s,
         "flood": storm,
     }
-    path = _json_path()
-    path.write_text(json.dumps(doc, indent=2, default=float) + "\n")
+    path = write_json(doc, "BENCH_serve.json", "REPRO_BENCH_SERVE_JSON")
     print(
         f"\nwrote {path} (read p99 "
         f"{doc['read_p99_ms']:.1f} ms, recovery {recovery_s:.2f} s, "

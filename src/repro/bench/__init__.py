@@ -3,9 +3,11 @@
 Public surface::
 
     table2_rows .. table6_rows, figure1_rows, figure2_rows
-    flat_engine_rows (ablation: flat engine vs TD-inmem/TD-inmem+)
     measure, external_budget
     render_table, render_markdown, print_table
+
+The ablation rows of the package's own engines are built by the
+``benchmarks/bench_ablation_*.py`` script that runs each one.
 """
 
 from repro.bench.harness import (
@@ -13,8 +15,6 @@ from repro.bench.harness import (
     external_budget,
     figure1_rows,
     figure2_rows,
-    flat_engine_rows,
-    kernel_ablation_rows,
     measure,
     print_table,
     table2_rows,
@@ -39,8 +39,6 @@ __all__ = [
     "table4_rows",
     "table5_rows",
     "table6_rows",
-    "flat_engine_rows",
-    "kernel_ablation_rows",
     "figure1_rows",
     "figure2_rows",
     "print_table",

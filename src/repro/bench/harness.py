@@ -9,31 +9,30 @@ benchmark suite.
 All experiments take a ``scale`` so CI-speed runs and fuller runs share
 one code path.  Determinism: datasets are seeded, and memory budgets
 derive from graph size, so rows only vary in the timing columns.
+
+Only the paper's methods run here.  The ablations of this package's own
+engines (flat, the kernels, parallel, dist, faults, the incremental
+maintainer, ingest) build their rows in the ``benchmarks/`` script that
+asserts on them.
 """
 
 from __future__ import annotations
 
-import random
 import time
 import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.bench.tables import render_table
 from repro.core import (
     truss_decomposition_baseline,
     truss_decomposition_bottomup,
-    truss_decomposition_dist,
-    truss_decomposition_flat,
     truss_decomposition_improved,
     truss_decomposition_mapreduce,
-    truss_decomposition_parallel,
     truss_decomposition_topdown,
 )
-from repro.graph.csr import CSRGraph
-from repro.graph.io import read_edge_list
-from repro.cores import GraphStatistics, average_clustering, max_core, median_degree
+from repro.cores import GraphStatistics, average_clustering, max_core
 from repro.datasets import (
     IN_MEMORY_DATASETS,
     MASSIVE_DATASETS,
@@ -140,569 +139,6 @@ def table3_rows(scale: float = 1.0, names: Optional[Sequence[str]] = None) -> Li
             }
         )
     return rows
-
-
-# ---------------------------------------------------------------------------
-# Ablation — flat edge-indexed engine vs the paper's in-memory pair
-# ---------------------------------------------------------------------------
-def flat_engine_rows(
-    scale: float = 1.0,
-    names: Optional[Sequence[str]] = None,
-    include_baseline: bool = True,
-    repeats: int = 2,
-) -> List[Dict]:
-    """The flat engine against TD-inmem+ and TD-inmem, same trussness.
-
-    Timing is best-of-``repeats`` *without* tracemalloc (its allocation
-    hooks would distort the comparison: the dict-based engines allocate
-    many more small objects than the array-based one).  Every run is
-    checked for equality against the improved result before its time is
-    reported.
-    """
-    def timed(fn, reference=None):
-        seconds = None
-        result = None
-        for _ in range(max(1, repeats)):
-            run = measure(fn, track_memory=False)
-            result = run.result
-            seconds = run.seconds if seconds is None else min(seconds, run.seconds)
-            if reference is not None:
-                assert result == reference
-        return seconds, result
-
-    rows = []
-    for name in names or (IN_MEMORY_DATASETS + MASSIVE_DATASETS):
-        g = load_dataset(name, scale=scale)
-        t_impr, ref = timed(lambda: truss_decomposition_improved(g))
-        t_flat, flat_run = timed(
-            lambda: truss_decomposition_flat(g), reference=ref
-        )
-        t_base = None
-        if include_baseline:
-            t_base, _ = timed(
-                lambda: truss_decomposition_baseline(g), reference=ref
-            )
-        phases = flat_run.stats.extra
-        rows.append(
-            {
-                "dataset": name,
-                "|E|": g.num_edges,
-                "kmax": ref.kmax,
-                "TD-inmem (s)": t_base,
-                "TD-inmem+ (s)": t_impr,
-                "flat (s)": t_flat,
-                "flat index (s)": phases.get("index_build_s", 0.0),
-                "flat peel (s)": phases.get("peel_s", 0.0),
-                "speedup vs inmem+": t_impr / max(t_flat, 1e-9),
-            }
-        )
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Ablation — pluggable wave-step kernels: numpy vs numba
-# ---------------------------------------------------------------------------
-def kernel_ablation_rows(
-    scale: float = 1.0,
-    names: Optional[Sequence[str]] = None,
-    kernels: Optional[Sequence[str]] = None,
-    repeats: int = 2,
-) -> List[Dict]:
-    """The :mod:`repro.kernels` backends on the flat engine, same truth.
-
-    Every backend's run is asserted equal to the first backend's result
-    before its time is reported — the kernel contract says the wave
-    schedule (and therefore the map) is backend-invariant.  Timing is
-    best-of-``repeats`` without tracemalloc.  ``kernels`` defaults to
-    every backend constructible in this process (the numba column only
-    appears where the optional package is installed); datasets default
-    to the small registry pair.
-    """
-    from repro.kernels import available_kernels
-
-    backends = list(kernels) if kernels else list(available_kernels())
-    rows = []
-    for name in names or SMALL_DATASETS:
-        g = load_dataset(name, scale=scale)
-        ref = None
-        row: Dict = {"dataset": name, "|E|": g.num_edges}
-        for backend in backends:
-            seconds = None
-            for _ in range(max(1, repeats)):
-                run = measure(
-                    lambda: truss_decomposition_flat(g, kernel=backend),
-                    track_memory=False,
-                )
-                if ref is None:
-                    ref = run.result
-                else:
-                    assert run.result == ref, (name, backend)
-                seconds = (
-                    run.seconds
-                    if seconds is None
-                    else min(seconds, run.seconds)
-                )
-            row[f"{backend} (s)"] = seconds
-            # the engine-recorded phase split: the index build is
-            # backend-invariant, the peel is where backends differ
-            phases = run.result.stats.extra
-            row[f"{backend} peel (s)"] = phases.get("peel_s", 0.0)
-            row["index_build (s)"] = phases.get("index_build_s", 0.0)
-        row["kmax"] = ref.kmax
-        extra = ref.stats.extra
-        row["waves"] = extra.get("waves", 0)
-        row["triangles"] = extra.get("triangles", 0)
-        if "numba (s)" in row and "numpy (s)" in row:
-            row["numba speedup vs numpy"] = row["numpy (s)"] / max(
-                row["numba (s)"], 1e-9
-            )
-        rows.append(row)
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Ablation — parallel wave peel: worker-count sweep
-# ---------------------------------------------------------------------------
-def parallel_scaling_rows(
-    scale: float = 1.0,
-    names: Optional[Sequence[str]] = None,
-    jobs_list: Sequence[int] = (1, 2, 4, 8),
-    repeats: int = 2,
-) -> List[Dict]:
-    """``method="parallel"`` across worker counts, parity-checked.
-
-    Every run is asserted equal to the flat engine's result before its
-    time is reported (the wave schedule is worker-count-invariant, so
-    the maps must be identical).  Timing is best-of-``repeats`` without
-    tracemalloc.  Wave statistics from the ``jobs_list[0]`` run ride
-    along so the scaling (or non-scaling) can be explained: a graph
-    peeled in a handful of huge waves amortizes the per-wave IPC
-    barriers; thousands of tiny waves cannot.
-    """
-    rows = []
-    for name in names or MASSIVE_DATASETS:
-        g = load_dataset(name, scale=scale)
-        ref = measure(
-            lambda: truss_decomposition_flat(g), track_memory=False
-        )
-        row: Dict = {
-            "dataset": name,
-            "|E|": g.num_edges,
-            "kmax": ref.result.kmax,
-            "flat (s)": ref.seconds,
-        }
-        wave_stats: Dict = {}
-        for jobs in jobs_list:
-            seconds = None
-            for _ in range(max(1, repeats)):
-                run = measure(
-                    lambda: truss_decomposition_parallel(g, jobs=jobs),
-                    track_memory=False,
-                )
-                assert run.result == ref.result, (name, jobs)
-                seconds = (
-                    run.seconds
-                    if seconds is None
-                    else min(seconds, run.seconds)
-                )
-            row[f"jobs={jobs} (s)"] = seconds
-            if not wave_stats:
-                extra = run.result.stats.extra
-                wave_stats = {
-                    k: extra[k]
-                    for k in (
-                        "waves", "levels", "max_wave", "triangles",
-                        "index_build_s", "peel_s",
-                    )
-                    if k in extra
-                }
-        first, last = jobs_list[0], jobs_list[-1]
-        row["speedup max-jobs"] = (
-            row[f"jobs={first} (s)"] / max(row[f"jobs={last} (s)"], 1e-9)
-        )
-        row.update(wave_stats)
-        rows.append(row)
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Ablation — distributed peel: transports, rank counts, dedupe footprint
-# ---------------------------------------------------------------------------
-def dist_transport_rows(
-    scale: float = 1.0,
-    names: Optional[Sequence[str]] = None,
-    ranks_list: Sequence[int] = (1, 2, 4),
-    transports: Sequence[str] = ("loopback", "tcp"),
-    repeats: int = 2,
-) -> List[Dict]:
-    """``method="dist"`` across transports and rank counts, parity-checked.
-
-    Every run is asserted bit-identical to the flat engine before its
-    time is reported (the rank count and transport never change the
-    wave schedule).  Alongside best-of-``repeats`` wall time, each
-    configuration reports the transport's own accounting:
-    ``B/wave`` is the total on-the-wire message volume (frame headers
-    included, summed over all ranks) divided by the wave count, and
-    ``dedupe (B)`` is the *peak per-rank* dedupe-state size — the
-    hash-partitioned dead-triangle bitmap, which must shrink as ranks
-    grow because no rank holds the global triangle set.
-    """
-    rows = []
-    for name in names or MASSIVE_DATASETS:
-        g = load_dataset(name, scale=scale)
-        ref = measure(
-            lambda: truss_decomposition_flat(g), track_memory=False
-        )
-        row: Dict = {
-            "dataset": name,
-            "|E|": g.num_edges,
-            "kmax": ref.result.kmax,
-            "flat (s)": ref.seconds,
-        }
-        extra: Dict = {}
-        for transport in transports:
-            for ranks in ranks_list:
-                seconds = None
-                for _ in range(max(1, repeats)):
-                    run = measure(
-                        lambda: truss_decomposition_dist(
-                            g, ranks=ranks, transport=transport
-                        ),
-                        track_memory=False,
-                    )
-                    assert run.result == ref.result, (
-                        name, transport, ranks,
-                    )
-                    extra = run.result.stats.extra
-                    seconds = (
-                        run.seconds
-                        if seconds is None
-                        else min(seconds, run.seconds)
-                    )
-                key = f"{transport} r={ranks}"
-                row[f"{key} (s)"] = seconds
-                row[f"{key} peel (s)"] = extra.get("peel_s", 0.0)
-                row[f"{key} B/wave"] = extra.get("bytes_per_wave", 0)
-                row[f"{key} dedupe (B)"] = extra.get(
-                    "dedupe_peak_bytes", 0
-                )
-        # the schedule is config-invariant, so one column each suffices
-        row["waves"] = extra.get("waves", 0)
-        row["triangles"] = extra.get("triangles", 0)
-        row["index_build (s)"] = extra.get("index_build_s", 0.0)
-        rows.append(row)
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Ablation — survivability: checkpoint overhead and crash recovery
-# ---------------------------------------------------------------------------
-def fault_recovery_rows(
-    scale: float = 1.0,
-    names: Optional[Sequence[str]] = None,
-    intervals: Sequence[int] = (4, 8, 16),
-    ranks: int = 2,
-    repeats: int = 2,
-    kill_round: int = 8,
-) -> List[Dict]:
-    """Checkpoint cost and crash-recovery time for ``method="dist"``.
-
-    Three measurements per dataset, all parity-checked against the
-    flat engine before any time is reported:
-
-    * ``ckpt off (s)`` — the recovering supervisor with snapshots
-      disabled (``checkpoint_interval=0``), the overhead baseline;
-    * ``ckpt@I …`` — wall time, snapshot count and fractional overhead
-      vs that baseline at each barrier interval ``I`` (smaller
-      interval = more barriers = more insurance and more cost);
-    * ``recovery …`` — a scripted mid-run crash under
-      ``on_failure="retry"``: end-to-end wall time including the
-      respawn and the rewind, plus the epoch the mesh resumed from
-      (``-1`` means no barrier had passed yet and it restarted).  The
-      kill round is ``max(kill_round, waves)`` — roughly mid-peel,
-      since a rank sends about three frames per wave — so runs long
-      enough to have passed a barrier demonstrate a real rewind.
-    """
-    from repro.dist.faults import FaultPlan
-
-    rows = []
-    for name in names or MASSIVE_DATASETS:
-        g = load_dataset(name, scale=scale)
-        ref = measure(
-            lambda: truss_decomposition_flat(g), track_memory=False
-        )
-        row: Dict = {
-            "dataset": name,
-            "|E|": g.num_edges,
-            "kmax": ref.result.kmax,
-            "flat (s)": ref.seconds,
-            "ranks": ranks,
-        }
-
-        def best_of(**kwargs) -> Tuple[float, Dict]:
-            seconds, extra = None, {}
-            for _ in range(max(1, repeats)):
-                run = measure(
-                    lambda: truss_decomposition_dist(
-                        g, ranks=ranks, on_failure="retry", **kwargs
-                    ),
-                    track_memory=False,
-                )
-                assert run.result == ref.result, (name, kwargs)
-                extra = run.result.stats.extra
-                seconds = (
-                    run.seconds
-                    if seconds is None
-                    else min(seconds, run.seconds)
-                )
-            return seconds, extra
-
-        base, extra = best_of(checkpoint_interval=0)
-        row["ckpt off (s)"] = base
-        row["waves"] = extra.get("waves", 0)
-        for interval in intervals:
-            seconds, extra = best_of(checkpoint_interval=interval)
-            row[f"ckpt@{interval} (s)"] = seconds
-            row[f"ckpt@{interval} snaps"] = extra.get("checkpoints", 0)
-            row[f"ckpt@{interval} ovh"] = seconds / max(base, 1e-9) - 1
-        seconds, extra = best_of(
-            checkpoint_interval=intervals[len(intervals) // 2],
-            fault_plan=FaultPlan.kill(
-                1, round=max(kill_round, int(row["waves"]))
-            ),
-        )
-        assert extra.get("retries") == 1, (name, extra)
-        row["recovery (s)"] = seconds
-        row["resumed epoch"] = extra.get("resumed_from_epoch", -1)
-        rows.append(row)
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Ablation — observability: tracing-on vs tracing-off, per engine
-# ---------------------------------------------------------------------------
-def obs_overhead_rows(
-    scale: float = 1.0,
-    names: Optional[Sequence[str]] = None,
-    engines: Sequence[str] = ("flat", "parallel", "dist"),
-    repeats: int = 2,
-) -> List[Dict]:
-    """What :mod:`repro.obs` tracing costs each engine, same truth.
-
-    Per dataset and engine the peel runs best-of-``repeats`` with
-    tracing off (the ``NULL_TRACER`` fast path every untraced caller
-    takes) and again with an enabled in-memory :class:`repro.obs.Tracer`
-    attached; the two trussness maps are asserted identical before any
-    time is reported.  Each traced run's event stream is
-    schema-validated and its trace-derived phase split (index build vs
-    peel wall clock) rides along in the row, so the JSON artifact
-    documents both the overhead ratio *and* where the traced run spent
-    its time.  The ratio is recorded, not hard-gated: at CI scale the
-    runs are milliseconds and the quotient is noisy — the suite's
-    deterministic <5%% pin on the off path lives in the test tier.
-    """
-    from repro.obs import Tracer, validate_event
-    from repro.obs.report import phase_durations
-
-    runners = {
-        "flat": lambda g, tr: truss_decomposition_flat(g, trace=tr),
-        "parallel": lambda g, tr: truss_decomposition_parallel(
-            g, jobs=2, trace=tr
-        ),
-        "dist": lambda g, tr: truss_decomposition_dist(
-            g, ranks=2, trace=tr
-        ),
-    }
-    rows = []
-    for name in names or MASSIVE_DATASETS:
-        g = load_dataset(name, scale=scale)
-        for engine in engines:
-            run_one = runners[engine]
-            t_off, ref = None, None
-            for _ in range(max(1, repeats)):
-                run = measure(lambda: run_one(g, None), track_memory=False)
-                ref = run.result
-                t_off = (
-                    run.seconds
-                    if t_off is None
-                    else min(t_off, run.seconds)
-                )
-            t_on, events = None, []
-            for _ in range(max(1, repeats)):
-                tracer = Tracer(sink=None)
-                run = measure(
-                    lambda: run_one(g, tracer), track_memory=False
-                )
-                assert run.result == ref, (name, engine)
-                events = tracer.drain()
-                t_on = (
-                    run.seconds if t_on is None else min(t_on, run.seconds)
-                )
-            for event in events:
-                validate_event(event)
-            phases = phase_durations(events)
-            rows.append({
-                "dataset": name,
-                "|E|": g.num_edges,
-                "engine": engine,
-                "off (s)": t_off,
-                "on (s)": t_on,
-                "overhead": t_on / max(t_off, 1e-9) - 1,
-                "events": len(events),
-                "trace index (s)": phases.get("index_build", 0.0),
-                "trace peel (s)": phases.get("peel", 0.0),
-            })
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Ablation — dict-free streaming ingest vs the Graph round trip
-# ---------------------------------------------------------------------------
-def incremental_rows(
-    scale: float = 1.0,
-    batch_sizes: Sequence[int] = (1, 16, 256),
-    n_updates: int = 256,
-    seed: int = 2012,
-) -> List[Dict]:
-    """Incremental repair vs from-scratch recompute, per batch size.
-
-    Picks the largest massive-registry dataset (by edge count at this
-    scale), generates a seeded update stream over its vertex range
-    (alternating fresh inserts and deletes of original edges, so most
-    updates are effective and triangle-touching), and replays it in
-    chunks of each batch size through (a) the incremental maintainer's
-    ``apply_batch`` and (b) what a server without a write path would
-    pay — mutate a mirror, full flat recompute per chunk.  The two end
-    states are asserted bit-identical before any time is reported.
-
-    The from-scratch side makes long streams unaffordable at small
-    batch sizes, so each row replays ``min(n_updates, max(24, B))``
-    updates and reports *per-update* milliseconds alongside the raw
-    walls — the per-update columns are the comparable ones.
-    """
-    from repro.stream import TrussMaintainer
-
-    graphs = {
-        name: load_dataset(name, scale=scale) for name in MASSIVE_DATASETS
-    }
-    name, g = max(graphs.items(), key=lambda kv: kv[1].num_edges)
-    rng = random.Random(seed)
-    verts = sorted(g.vertices())
-    originals = sorted(g.edges())
-    rng.shuffle(originals)
-    updates = []
-    for i in range(n_updates):
-        if i % 2 and i // 2 < len(originals):
-            updates.append(("delete", *originals[i // 2]))
-        else:
-            u, v = rng.sample(verts, 2)
-            updates.append(("insert", u, v))
-    rows: List[Dict] = []
-    for batch in batch_sizes:
-        ups = updates[: min(n_updates, max(24, batch))]
-        tm = TrussMaintainer.from_graph(g)
-        inc = measure(
-            lambda: [
-                tm.apply_batch(ups[i : i + batch])
-                for i in range(0, len(ups), batch)
-            ],
-            track_memory=False,
-        )
-        mirror = g.copy()
-        last = {}
-
-        def replay_scratch():
-            td = None
-            for i in range(0, len(ups), batch):
-                for op, u, v in ups[i : i + batch]:
-                    if op == "insert":
-                        mirror.add_edge(u, v)
-                    else:
-                        mirror.discard_edge(u, v)
-                td = truss_decomposition_flat(mirror)
-            last["td"] = td
-
-        scratch = measure(replay_scratch, track_memory=False)
-        assert dict(tm.trussness) == dict(last["td"].trussness), (
-            name, batch,
-        )
-        extra = tm.stats.extra
-        repairs = max(1, int(extra.get("repairs", 1)))
-        rows.append({
-            "dataset": name,
-            "|E|": g.num_edges,
-            "batch": batch,
-            "updates": len(ups),
-            "incremental (s)": inc.seconds,
-            "scratch (s)": scratch.seconds,
-            "incremental/update (ms)": 1e3 * inc.seconds / len(ups),
-            "scratch/update (ms)": 1e3 * scratch.seconds / len(ups),
-            "speedup": scratch.seconds / max(inc.seconds, 1e-9),
-            "affected/repair": extra.get("affected_edges", 0) / repairs,
-        })
-    return rows
-
-
-def ingest_fastpath_rows(
-    path,
-    method: str = "flat",
-    jobs: Optional[int] = None,
-    repeats: int = 2,
-) -> Dict:
-    """File->trussness through both ingest routes, end to end.
-
-    Fast path: ``CSRGraph.from_edge_list_file`` -> flat/parallel engine.
-    Legacy path: ``read_edge_list`` (dict-of-set build) -> the same
-    engine (which snapshots the graph to CSR internally).  Results are
-    asserted identical; both the parse-only and end-to-end timings are
-    reported, best-of-``repeats``.
-    """
-    engine = (
-        (lambda g: truss_decomposition_parallel(g, jobs=jobs))
-        if method == "parallel"
-        else truss_decomposition_flat
-    )
-
-    def fast():
-        return engine(CSRGraph.from_edge_list_file(path))
-
-    def legacy():
-        return engine(read_edge_list(path))
-
-    row: Dict = {"file": str(path), "method": method}
-    fast_total = legacy_total = None
-    reference = None
-    for _ in range(max(1, repeats)):
-        parse = measure(
-            lambda: CSRGraph.from_edge_list_file(path), track_memory=False
-        )
-        row["fast parse (s)"] = min(
-            row.get("fast parse (s)", parse.seconds), parse.seconds
-        )
-        run = measure(fast, track_memory=False)
-        reference = run.result
-        fast_total = (
-            run.seconds if fast_total is None else min(fast_total, run.seconds)
-        )
-        parse = measure(lambda: read_edge_list(path), track_memory=False)
-        row["legacy parse (s)"] = min(
-            row.get("legacy parse (s)", parse.seconds), parse.seconds
-        )
-        run = measure(legacy, track_memory=False)
-        assert run.result == reference
-        legacy_total = (
-            run.seconds
-            if legacy_total is None
-            else min(legacy_total, run.seconds)
-        )
-    row["|E|"] = reference.num_edges
-    row["fast total (s)"] = fast_total
-    row["legacy total (s)"] = legacy_total
-    row["parse speedup"] = row["legacy parse (s)"] / max(
-        row["fast parse (s)"], 1e-9
-    )
-    row["end-to-end speedup"] = legacy_total / max(fast_total, 1e-9)
-    return row
 
 
 # ---------------------------------------------------------------------------
@@ -946,10 +382,6 @@ TABLE_HEADERS = {
     "table6": [
         "dataset", "|V_T|", "|V_C|", "|E_T|", "|E_C|", "kmax", "cmax",
         "CC_T", "CC_C", "paper kmax/cmax", "paper CC_T/CC_C",
-    ],
-    "flat_engine": [
-        "dataset", "|E|", "kmax", "TD-inmem (s)", "TD-inmem+ (s)",
-        "flat (s)", "speedup vs inmem+",
     ],
     "figure1": ["subgraph", "|V|", "|E|", "CC", "paper CC"],
     "figure2": ["k", "|Phi_k| measured", "|Phi_k| paper", "match"],

@@ -382,7 +382,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         client_timeout=args.client_timeout,
         refresh_ms=args.refresh_ms,
         kernel=args.kernel,
-        fsync=not args.no_fsync,
         trace=args.trace,
     )
     try:
@@ -754,12 +753,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=_KERNEL_CHOICES,
         help="wave-step backend of the seeding and full re-peels "
         "(default: auto)",
-    )
-    p.add_argument(
-        "--no-fsync",
-        action="store_true",
-        help="skip per-append WAL fsync (benchmarking the durability "
-        "tax only — voids the recovery contract)",
     )
     p.add_argument(
         "--trace",

@@ -84,14 +84,17 @@ def write_adjacency_list(g: Graph, path: PathLike) -> None:
 
 
 def read_adjacency_list(path: PathLike) -> Graph:
-    """Load an adjacency-list text file (isolated vertices preserved)."""
+    """Load an adjacency-list text file (isolated vertices preserved).
+
+    Tokenizes bytes the way :func:`iter_edge_list` does.
+    """
     g = Graph()
-    with open(path, "r", encoding="ascii") as f:
+    with open(path, "r", encoding="latin-1") as f:
         for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
+            line = line.encode("latin-1").strip()
+            if not line or line.startswith(b"#"):
                 continue
-            head, _, tail = line.partition(":")
+            head, _, tail = line.partition(b":")
             if not _:
                 raise FormatError(f"{path}:{lineno}: missing ':' separator")
             try:

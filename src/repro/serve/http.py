@@ -43,7 +43,7 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro.obs import NULL_TRACER, MetricsRegistry
 from repro.serve.service import LATENCY_BUCKETS, ServeError
-from repro.stream.updates import Update, parse_update_line
+from repro.stream.updates import Update, read_update_lines
 
 #: request body cap — a bulk update batch, not an upload service
 MAX_BODY_BYTES = 8 << 20
@@ -342,15 +342,10 @@ class TrussRequestHandler(BaseHTTPRequestHandler):
         return route, 200, False
 
     def _post_updates(self, deadline: float):
-        text = self._body().decode("utf-8", "replace")
-        updates: List[Update] = []
-        for lineno, line in enumerate(text.splitlines(), 1):
-            try:
-                parsed = parse_update_line(line, where=f"body:{lineno}")
-            except ValueError as exc:
-                raise _HTTPError(400, str(exc)) from None
-            if parsed is not None:
-                updates.append(parsed)
+        try:
+            updates = read_update_lines(self._body().splitlines(), "body")
+        except ValueError as exc:
+            raise _HTTPError(400, str(exc)) from None
         result = self._apply(updates, deadline)
         self._reply_json(200, result)
         return "/updates", 200, False

@@ -82,7 +82,6 @@ class ServeConfig:
     client_timeout: float = 10.0
     refresh_ms: float = 50.0
     kernel: Optional[str] = None
-    fsync: bool = True
     trace: Optional[str] = None
 
 
@@ -323,7 +322,6 @@ def run_server(cfg: ServeConfig,
         kernel=cfg.kernel,
         queue_depth=cfg.queue_depth,
         snapshot_every=cfg.snapshot_every,
-        fsync=cfg.fsync,
         tracer=tracer,
     )
     if threading.current_thread() is threading.main_thread():

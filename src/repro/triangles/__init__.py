@@ -6,7 +6,6 @@ Public surface::
     edge_supports, supports_within      Definition 1's sup(e)
     external_edge_supports              partitioned, I/O-accounted variant
     build_triangle_index                out(a) wedges, chunk-scattered incidence
-    count_edge_incidence                its counting pass (supports only)
     TriangleIndex                       the index bundle + on-disk format
 
 The triangle index (``e1``/``e2``/``e3`` per-triangle edge columns,
@@ -28,7 +27,6 @@ from repro._lazy import lazy_names
 __all__ = [
     "TriangleIndex",
     "build_triangle_index",
-    "count_edge_incidence",
     "external_edge_supports",
     "external_supports_to_file",
     "external_triangle_count",
@@ -49,7 +47,7 @@ _SOURCES = {
         "external_triangle_count",
     ),
     "repro.triangles.index_builder": (
-        "TriangleIndex", "build_triangle_index", "count_edge_incidence",
+        "TriangleIndex", "build_triangle_index",
     ),
     "repro.triangles.listing": (
         "degree_ranks", "iter_triangles", "oriented_adjacency",

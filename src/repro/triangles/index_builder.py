@@ -270,20 +270,6 @@ def _count_incidence(chunks: Iterable, m: int) -> Tuple["_np.ndarray", int]:
     return sup, n_tri
 
 
-def count_edge_incidence(
-    csr: CSRGraph, chunk: Optional[int] = None
-) -> Tuple["_np.ndarray", int]:
-    """The counting pass: ``(sup, n_triangles)`` in O(m + chunk) memory.
-
-    ``sup[e]`` is edge ``e``'s triangle count (the initial support);
-    this is also the incidence run length, so ``cumsum`` of it is the
-    index's ``tptr``.  Support-only callers need exactly this and
-    nothing else.
-    """
-    dag = _WedgeDAG(csr)
-    return _count_incidence(dag.iter_triangle_chunks(chunk), csr.num_edges)
-
-
 # ---------------------------------------------------------------------------
 # the two destinations
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 
 import repro
 import repro.graph.csr as csr_mod
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.core import METHODS, TrussDecomposition
 from repro.graph import complete_graph, read_edge_list, write_edge_list
 from repro.kernels import available_kernels
@@ -373,6 +373,21 @@ class TestErrors:
         ])
         assert f"{malformed_file}:2: non-integer vertex id" in line
 
+    @needs_numpy
+    @pytest.mark.parametrize("data", [
+        b"+ 1 2\n+ \xff 3\n",
+        "+ 1 2\n+ \u0661 3\n".encode(),  # int() of the str reads 1
+    ], ids=["byte-ff", "arabic-indic-one"])
+    def test_update_non_ascii_id_names_file_and_line(
+        self, graph_file, tmp_path, capsys, data
+    ):
+        updates = tmp_path / "updates.txt"
+        updates.write_bytes(data)
+        line = self._fails_cleanly(capsys, [
+            "update", str(graph_file), str(updates),
+        ])
+        assert line.startswith(f"error: {updates}:2: non-integer vertex id")
+
     @needs_int64
     @pytest.mark.parametrize("command", ["decompose", "update"])
     def test_vertex_id_outside_int64(self, tmp_path, capsys, command):
@@ -528,6 +543,15 @@ def test_serve_without_numpy_is_one_error_line(graph_file, tmp_path):
     assert len(lines) == 1, proc.stderr
     assert lines[0].startswith("error: ") and "numpy" in lines[0]
     assert not data.exists()
+
+
+def test_serve_has_no_fsync_opt_out(graph_file, tmp_path, capsys):
+    """Every acked write is fsynced: no flag turns the WAL's off."""
+    argv = ["serve", str(graph_file), "--data", str(tmp_path), "--no-fsync"]
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --no-fsync" in capsys.readouterr().err
 
 
 class TestOtherCommands:

@@ -89,6 +89,26 @@ class TestAdjacencyListText:
         with pytest.raises(FormatError):
             read_adjacency_list(p)
 
+    @pytest.mark.parametrize("data", [
+        b"1: 2\n\xff: 3\n",  # was a bare UnicodeDecodeError
+        "1: 2\n3: \u0661\n".encode(),  # int() of the str reads 1
+        b"1: 2\n3: 4\x1c5\n",  # str.split() splits at \x1c
+    ], ids=["byte-ff", "arabic-indic-one", "file-separator"])
+    def test_bytes_tokenize_like_edge_lists(self, tmp_path, data):
+        p = tmp_path / "bad.adj"
+        p.write_bytes(data)
+        with pytest.raises(FormatError, match=r"bad\.adj:2: non-integer"):
+            read_adjacency_list(p)
+        edges = tmp_path / "bad.txt"
+        edges.write_bytes(data.replace(b":", b""))
+        with pytest.raises(FormatError, match=r"bad\.txt:2: non-integer"):
+            read_edge_list(edges)
+
+    def test_lines_end_at_lf_crlf_and_lone_cr(self, tmp_path):
+        p = tmp_path / "g.adj"
+        p.write_bytes(b"0: 1\r1: 2\r\n2: 0\n")
+        assert set(read_adjacency_list(p).edges()) == {(0, 1), (1, 2), (0, 2)}
+
 
 class TestBinaryEdges:
     def test_roundtrip(self, tmp_path):

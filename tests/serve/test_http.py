@@ -204,6 +204,19 @@ class TestWrites:
         assert status == 400
         assert "body:2" in json.loads(data)["error"]
 
+    @pytest.mark.parametrize("body", [
+        "+ 1 2\n+ \u0661 3\n".encode(),  # int() of the str reads 1
+        b"+ 1 2\n+ 1\x1c2 3\n",  # str lines also end at \x1c
+        b"+ 1 2\r+ \xff 3\n",
+    ], ids=["arabic-indic-one", "file-separator", "byte-ff"])
+    def test_post_updates_non_ascii_id_is_400(self, served, body):
+        status, _, data = _request(served, "POST", "/updates", body=body)
+        assert status == 400
+        assert json.loads(data)["error"].startswith(
+            "body:2: non-integer vertex id"
+        )
+        assert served.svc._wal.last_seq == 0  # nothing logged
+
     def test_post_updates_id_outside_int64_is_400(self, served):
         body = "+ 1 2\n+ 3 -9223372036854775809\n"
         status, _, data = _request(served, "POST", "/updates", body=body)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import re
 
 import pytest
 
@@ -82,6 +83,60 @@ class TestStreams:
         monkeypatch.setattr("sys.stdin", io.StringIO("zap\n"))
         with pytest.raises(ValueError, match="<stdin>:1:"):
             read_update_stream("-")
+
+
+#: the Arabic-Indic digit one: ``int()`` of the str reads it as 1
+ARABIC_ONE = "\u0661"
+
+
+class TestBytesTokens:
+    """Update streams tokenize bytes the way the edge-list readers do."""
+
+    @pytest.mark.parametrize("bad", [b"\xff", ARABIC_ONE.encode()],
+                             ids=["byte-ff", "arabic-indic-one"])
+    def test_non_ascii_id_in_a_file_names_the_line(self, tmp_path, bad):
+        path = tmp_path / "u.txt"
+        path.write_bytes(b"+ 1 2\n+ " + bad + b" 3\n")
+        with pytest.raises(
+            ValueError,
+            match=f"^{re.escape(str(path))}:2: non-integer vertex id",
+        ):
+            read_update_stream(path)
+
+    @pytest.mark.parametrize("wrap", [
+        lambda data: io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"),
+        lambda data: io.StringIO(data.decode()),
+    ], ids=["binary-buffer", "text-only"])
+    def test_non_ascii_digit_on_stdin_is_not_an_id(self, monkeypatch, wrap):
+        data = f"+ 1 2\n- 3 {ARABIC_ONE}\n".encode()
+        monkeypatch.setattr("sys.stdin", wrap(data))
+        with pytest.raises(
+            ValueError, match="^<stdin>:2: non-integer vertex id"
+        ):
+            read_update_stream("-")
+
+    @pytest.mark.parametrize("line", [
+        f"+ {ARABIC_ONE} 3",
+        f"+ {ARABIC_ONE} 3".encode(),
+        b"+ 1\x1c2 3",  # str.split() splits at \x1c-\x1f and NEL
+        b"+ 1\x852 3",
+    ])
+    def test_only_ascii_ids_and_separators(self, line):
+        with pytest.raises(ValueError, match="non-integer vertex id"):
+            parse_update_line(line)
+
+    def test_ascii_whitespace_separates(self):
+        assert parse_update_line(b"+\t1\x0b2\x0c") == ("insert", 1, 2)
+
+    def test_lines_end_at_lf_crlf_and_lone_cr(self, tmp_path):
+        path = tmp_path / "u.txt"
+        path.write_bytes(b"+ 1 2\r- 3 4\r\n+ 5 6\n")
+        assert read_update_stream(path) == [
+            ("insert", 1, 2), ("delete", 3, 4), ("insert", 5, 6),
+        ]
+        path.write_bytes(b"+ 1 2\r+ x 3\n")
+        with pytest.raises(ValueError, match=":2: non-integer vertex id"):
+            read_update_stream(path)
 
 
 class TestFormat:

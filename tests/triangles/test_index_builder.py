@@ -178,16 +178,26 @@ class TestBuilderProperty:
     @settings(max_examples=20, deadline=None)
     @given(small_edge_lists())
     def test_counting_pass_matches_oracle(self, edges):
+        # the counting pass sets both routes' supports and triangle count
         g = Graph(edges)
         csr = _as_csr(g)
         for chunk in (1, 5, None):
-            sup, n_tri = ib.count_edge_incidence(csr, chunk=chunk)
-            assert n_tri == len(brute_triangles(g))
-            oracle = brute_all_supports(g)
-            labels = csr.labels.tolist()
-            eu, ev = csr.edge_endpoints()
-            for e in range(csr.num_edges):
-                assert sup[e] == oracle[(labels[eu[e]], labels[ev[e]])]
+            with tempfile.TemporaryDirectory() as d:
+                for tri in (
+                    ib.build_triangle_index(csr, chunk=chunk),
+                    ib.build_triangle_index(
+                        csr, storage="mmap", dirpath=d, chunk=chunk
+                    ),
+                ):
+                    sup, n_tri = tri.initial_supports(), tri.num_triangles
+                    assert n_tri == len(brute_triangles(g))
+                    oracle = brute_all_supports(g)
+                    labels = csr.labels.tolist()
+                    eu, ev = csr.edge_endpoints()
+                    for e in range(csr.num_edges):
+                        assert sup[e] == oracle[
+                            (labels[eu[e]], labels[ev[e]])
+                        ]
 
 
 def route_to(monkeypatch, storage):
