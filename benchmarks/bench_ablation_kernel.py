@@ -17,15 +17,21 @@ is the machine-readable artifact the tier-2 CI job uploads: per-dataset
 wall clock per backend, the numba delta when present, and host
 context.
 
+No option picks a backend (:func:`repro.kernels.get_kernel` chooses one
+per process), so each run here pins the process's backend the way the
+kernel tests do, by setting ``repro.kernels._KERNEL``.
+
 Run explicitly (the tier-1 suite collects only tests/)::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_ablation_kernel.py -s
 """
 
 import os
+from contextlib import contextmanager
 
 import pytest
 
+import repro.kernels as kernels
 from record import best_of, write_json
 from repro.bench import print_table
 from repro.core import (
@@ -33,9 +39,33 @@ from repro.core import (
     truss_decomposition_parallel,
 )
 from repro.datasets import SMALL_DATASETS, load_dataset
-from repro.kernels import available_kernels, kernel_available
 
 REPEATS = 2
+
+
+def _backend_classes() -> dict:
+    from repro.kernels.numpy_backend import NumpyKernel
+
+    classes = {"numpy": NumpyKernel}
+    try:
+        from repro.kernels.numba_backend import NumbaKernel
+    except ImportError:
+        return classes
+    classes["numba"] = NumbaKernel
+    return classes
+
+
+#: name -> class of every backend this process imports (numba's only
+#: where the optional package is installed)
+BACKENDS = _backend_classes()
+
+
+@contextmanager
+def pinned_kernel(name):
+    """Run every engine on backend ``name`` inside the block."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_KERNEL", BACKENDS[name]())
+        yield
 
 
 def kernel_ablation_rows(scale):
@@ -44,7 +74,7 @@ def kernel_ablation_rows(scale):
     Every backend's run is asserted equal to the first backend's result
     before its time is reported — the kernel contract says the wave
     schedule (and therefore the map) is backend-invariant.  The
-    backends are every one constructible in this process (the numba
+    backends are every one importable in this process (the numba
     column only appears where the optional package is installed), on
     the small registry pair.
     """
@@ -53,10 +83,11 @@ def kernel_ablation_rows(scale):
         g = load_dataset(name, scale=scale)
         ref = None
         row = {"dataset": name, "|E|": g.num_edges}
-        for backend in available_kernels():
-            seconds, results = best_of(
-                lambda: truss_decomposition_flat(g, kernel=backend), REPEATS
-            )
+        for backend in BACKENDS:
+            with pinned_kernel(backend):
+                seconds, results = best_of(
+                    lambda: truss_decomposition_flat(g), REPEATS
+                )
             if ref is None:
                 ref = results[0]
             for result in results:
@@ -83,14 +114,14 @@ def kernel_ablation_rows(scale):
 def test_kernel_parity_on_registry_datasets(name, scale):
     """Every backend, flat and pooled, one truth on real datasets."""
     g = load_dataset(name, scale=scale)
-    ref = truss_decomposition_flat(g, kernel="numpy")
-    for backend in available_kernels():
-        assert truss_decomposition_flat(g, kernel=backend) == ref, (
-            name, backend,
-        )
-        assert truss_decomposition_parallel(
-            g, jobs=2, kernel=backend
-        ) == ref, (name, backend)
+    with pinned_kernel("numpy"):
+        ref = truss_decomposition_flat(g)
+    for backend in BACKENDS:
+        with pinned_kernel(backend):
+            assert truss_decomposition_flat(g) == ref, (name, backend)
+            assert truss_decomposition_parallel(g, jobs=2) == ref, (
+                name, backend,
+            )
 
 
 def test_kernel_backend_ablation(scale):
@@ -106,12 +137,12 @@ def test_kernel_backend_ablation(scale):
         "suite": "bench_ablation_kernel",
         "scale": scale,
         "cpu_count": os.cpu_count() or 1,
-        "backends": list(available_kernels()),
+        "backends": list(BACKENDS),
         "repeats": REPEATS,
         "datasets": rows,
         "largest_dataset": largest["dataset"],
     }
-    if kernel_available("numba"):
+    if "numba" in BACKENDS:
         doc["numba_speedup_vs_numpy_largest"] = largest[
             "numba speedup vs numpy"
         ]
@@ -130,5 +161,5 @@ def test_kernel_backend_ablation(scale):
     # the acceptance contract of the ablation: every row carries a
     # wall time per available backend
     for row in rows:
-        for backend in available_kernels():
+        for backend in BACKENDS:
             assert row[f"{backend} (s)"] is not None, (row, backend)

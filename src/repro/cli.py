@@ -36,11 +36,11 @@ sockets — ``--timeout SECONDS`` bounds every blocking transport step, and
 ``--on-failure raise|retry|fallback_flat`` picks the supervisor's
 policy when a rank dies mid-run (respawn + checkpoint rewind, or
 degrade to the flat engine).
-``--kernel auto|numpy|numba`` picks the pluggable wave-step backend
-from :mod:`repro.kernels` that every engine's inner loop runs.  The
-CSR methods and ``update`` need numpy: without it (or with ``--kernel
-numba`` and no numba) they print one ``error:`` line before reading
-any input.
+Every engine's inner loop runs the wave-step backend that
+:mod:`repro.kernels` picks for the process — numba's when it imports,
+numpy's otherwise; no flag picks it, and ``--metrics`` reports it as
+``kernel``.  The CSR methods and ``update`` need numpy: without it
+they print one ``error:`` line before reading any input.
 
 Profiling a decomposition
 -------------------------
@@ -106,10 +106,7 @@ from repro.core import CSR_METHODS, METHODS, truss_decomposition
 from repro.errors import ReproError
 from repro.graph import CSRGraph, Graph
 from repro.graph.csr import format_int_rows
-from repro.kernels import KERNELS, resolve_kernel
-
-#: the ``--kernel`` vocabulary of decompose, update and serve
-_KERNEL_CHOICES = ("auto",) + KERNELS
+from repro.kernels import get_kernel
 
 
 def _load(path: str) -> Graph:
@@ -235,11 +232,6 @@ def cmd_decompose(args: argparse.Namespace) -> int:
                 f"{flag} only applies to --method {owner} "
                 f"(got --method {args.method})"
             )
-    if args.kernel is not None and args.method not in CSR_METHODS:
-        return _error(
-            "--kernel only applies to --method "
-            f"{'|'.join(CSR_METHODS)} (got --method {args.method})"
-        )
     if args.method in CSR_METHODS and (
         args.top is not None or args.memory_fraction is not None
     ):
@@ -250,10 +242,10 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     io_stats = None
     try:
         if args.method in CSR_METHODS:
-            # a bad flag value or a missing backend fails here, before
+            # a bad flag value or a missing numpy fails here, before
             # the file is read
             _check_engine_flags(args)
-            resolve_kernel(args.kernel)
+            get_kernel()
             # ingest fast path: file -> CSR -> engine, no dict-of-set
             # build; like the legacy branch, time= covers only the
             # decomposition (the load line reports the ingest seconds)
@@ -270,7 +262,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
                 csr, method=args.method, jobs=args.jobs,
                 ranks=args.ranks, transport=args.transport,
                 timeout=args.timeout, on_failure=args.on_failure,
-                kernel=args.kernel, trace_path=args.trace,
+                trace_path=args.trace,
             )
         else:
             if args.method in ("bottomup", "topdown"):
@@ -315,8 +307,8 @@ def cmd_update(args: argparse.Namespace) -> int:
     if args.batch < 1:
         return _error(f"--batch must be >= 1 (got {args.batch})")
     try:
-        # a missing backend fails here, before either file is read
-        resolve_kernel(args.kernel)
+        # a missing numpy fails here, before either file is read
+        get_kernel()
         # one parser for the CLI, the server's bulk endpoint and the
         # WAL (repro.stream.updates); '-' reads the stream from stdin
         updates = read_update_stream(args.updates)
@@ -327,9 +319,7 @@ def cmd_update(args: argparse.Namespace) -> int:
         csr = CSRGraph.from_edge_list_file(args.input)
         tracer, owned = open_tracer(trace_path=args.trace)
         try:
-            tm = TrussMaintainer.from_graph(
-                csr, kernel=args.kernel, trace=tracer
-            )
+            tm = TrussMaintainer.from_graph(csr, trace=tracer)
             print(
                 f"loaded {args.input}: n={csr.num_vertices:,} "
                 f"m={csr.num_edges:,} "
@@ -381,7 +371,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         max_inflight=args.max_inflight,
         client_timeout=args.client_timeout,
         refresh_ms=args.refresh_ms,
-        kernel=args.kernel,
         trace=args.trace,
     )
     try:
@@ -488,10 +477,12 @@ def build_parser() -> argparse.ArgumentParser:
         "decompose",
         help="truss-decompose an edge list",
         description=(
-            "Truss-decompose an edge-list file.  Methods 'flat' and "
-            "'parallel' stream the file straight into CSR arrays (the "
-            "dict-free ingest fast path) instead of building a mutable "
-            "graph first."
+            "Truss-decompose an edge-list file.  Methods 'flat', "
+            "'parallel' and 'dist' stream the file straight into CSR "
+            "arrays (the dict-free ingest fast path) instead of building "
+            "a mutable graph first, and run their wave step on numba "
+            "when it imports, else on numpy (--metrics reports it as "
+            "'kernel')."
         ),
     )
     p.add_argument("input", help="edge-list file (u v per line)")
@@ -558,17 +549,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p.add_argument(
-        "--kernel",
-        default=None,
-        choices=_KERNEL_CHOICES,
-        help=(
-            "wave-step backend for the CSR methods: 'numpy' (the "
-            "vectorized reference), 'numba' (JIT-compiled, needs the "
-            "optional numba package), or 'auto' for numba when it "
-            "imports, else numpy (default: auto)"
-        ),
-    )
-    p.add_argument(
         "--memory-fraction",
         type=int,
         default=None,
@@ -623,13 +603,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="B",
         help="apply updates in batches of B, one repair per batch (default 1)",
-    )
-    p.add_argument(
-        "--kernel",
-        default=None,
-        choices=_KERNEL_CHOICES,
-        help="wave-step backend of the seeding and full re-peels "
-        "(default: auto)",
     )
     p.add_argument(
         "--trace",
@@ -746,13 +719,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="MS",
         help="worker read-view refresh throttle under --workers N "
         "(default 50)",
-    )
-    p.add_argument(
-        "--kernel",
-        default=None,
-        choices=_KERNEL_CHOICES,
-        help="wave-step backend of the seeding and full re-peels "
-        "(default: auto)",
     )
     p.add_argument(
         "--trace",

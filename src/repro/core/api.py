@@ -26,7 +26,9 @@ CSR snapshot's canonical edge ids — integer arrays instead of
 dict-of-set adjacency.  The three CSR methods need numpy; without it
 they raise one :class:`~repro.errors.DecompositionError` that names it
 and points at ``improved``, which, like every method of the paper, is
-pure stdlib.
+pure stdlib.  Their wave step runs on the process's backend from
+:mod:`repro.kernels` — numba's when it imports, numpy's otherwise —
+which no argument picks: the backends are bit-identical.
 ``parallel`` (see :mod:`repro.core.parallel`) fans the flat engine's
 level-synchronous waves out over a pool of worker processes sharing
 the triangle index through ``multiprocessing.shared_memory``; the
@@ -65,7 +67,7 @@ from repro.errors import DecompositionError
 from repro.graph.adjacency import Graph
 from repro.graph.csr import CSRGraph
 from repro.graph.edges import Edge
-from repro.kernels import resolve_kernel
+from repro.kernels import get_kernel
 from repro.obs import open_tracer
 
 if TYPE_CHECKING:
@@ -97,7 +99,6 @@ def truss_decomposition(
     transport: Optional[str] = None,
     timeout: Optional[float] = None,
     on_failure: Optional[str] = None,
-    kernel: Optional[str] = None,
     trace=None,
     trace_path=None,
 ) -> TrussDecomposition:
@@ -131,10 +132,6 @@ def truss_decomposition(
             newest common checkpoint barrier, bounded by a retry
             budget) or ``"fallback_flat"`` (retry, then degrade to the
             in-process flat engine instead of raising).
-        kernel: for the CSR methods (:data:`CSR_METHODS`), the
-            wave-step backend from :mod:`repro.kernels` — ``"auto"``
-            (default), ``"numpy"`` or ``"numba"``; one backend runs the
-            inner step of every engine, worker and rank alike.
         trace: an enabled :class:`repro.obs.Tracer` to receive the
             run's structured trace (spans, events, degradation
             warnings) — see :mod:`repro.obs` for the schema.  The CSR
@@ -159,8 +156,6 @@ def truss_decomposition(
         name for name, value, owner in gated
         if value is not None and method != owner
     ]
-    if kernel is not None and method not in CSR_METHODS:
-        bad.append("kernel")
     if bad:
         raise DecompositionError(
             f"method {method!r} does not accept: {', '.join(bad)}"
@@ -183,13 +178,13 @@ def truss_decomposition(
             return truss_decomposition_improved(g)
         if method == "flat":
             _reject_external_args(method, memory_budget, partitioner, io_stats, top_t)
-            return truss_decomposition_flat(g, kernel=kernel, trace=tracer)
+            return truss_decomposition_flat(g, trace=tracer)
         if method == "parallel":
             from repro.core.parallel import truss_decomposition_parallel
 
             _reject_external_args(method, memory_budget, partitioner, io_stats, top_t)
             return truss_decomposition_parallel(
-                g, jobs=jobs, kernel=kernel, trace=tracer,
+                g, jobs=jobs, trace=tracer,
             )
         if method == "dist":
             from repro.core.dist import truss_decomposition_dist
@@ -197,7 +192,7 @@ def truss_decomposition(
             _reject_external_args(method, memory_budget, partitioner, io_stats, top_t)
             return truss_decomposition_dist(
                 g, ranks=ranks, transport=transport, timeout=timeout,
-                on_failure=on_failure, kernel=kernel, trace=tracer,
+                on_failure=on_failure, trace=tracer,
             )
         if method == "baseline":
             from repro.core.truss_baseline import truss_decomposition_baseline
@@ -282,7 +277,6 @@ def decompose_file(
     transport: Optional[str] = None,
     timeout: Optional[float] = None,
     on_failure: Optional[str] = None,
-    kernel: Optional[str] = None,
     trace=None,
     trace_path=None,
     **kwargs,
@@ -293,19 +287,19 @@ def decompose_file(
     streamed straight into a :class:`~repro.graph.csr.CSRGraph` via
     :meth:`~repro.graph.csr.CSRGraph.from_edge_list_file` — no
     dict-of-set ``Graph`` is ever built, which is ~2x end-to-end on
-    parse-dominated inputs; their kernel is resolved first, so a
-    missing backend (numpy, or a named numba) fails before the file is
-    read.  Every other method falls back to ``read_edge_list`` and the
-    normal dispatcher (``kwargs`` are passed through to
-    :func:`truss_decomposition`).
+    parse-dominated inputs; their wave-step backend is chosen first
+    (:func:`repro.kernels.get_kernel`), so a missing numpy fails before
+    the file is read.  Every other method falls back to
+    ``read_edge_list`` and the normal dispatcher (``kwargs`` are passed
+    through to :func:`truss_decomposition`).
     """
     if method in CSR_METHODS:
-        resolve_kernel(kernel)
+        get_kernel()
         csr = CSRGraph.from_edge_list_file(path)
         return truss_decomposition(
             csr, method=method, jobs=jobs, ranks=ranks,
             transport=transport, timeout=timeout,
-            on_failure=on_failure, kernel=kernel, trace=trace,
+            on_failure=on_failure, trace=trace,
             trace_path=trace_path, **kwargs
         )
     from repro.graph.io import read_edge_list
@@ -313,7 +307,7 @@ def decompose_file(
     return truss_decomposition(
         read_edge_list(path), method=method, jobs=jobs,
         ranks=ranks, transport=transport, timeout=timeout,
-        on_failure=on_failure, kernel=kernel, trace=trace,
+        on_failure=on_failure, trace=trace,
         trace_path=trace_path, **kwargs
     )
 
@@ -323,7 +317,6 @@ def apply_updates(
     updates,
     *,
     batch_size: int = 1,
-    kernel: Optional[str] = None,
     trace=None,
     trace_path=None,
 ) -> TrussDecomposition:
@@ -351,7 +344,7 @@ def apply_updates(
     except ValueError as exc:
         raise DecompositionError(str(exc)) from None
     try:
-        tm = TrussMaintainer.from_graph(g, kernel=kernel, trace=tracer)
+        tm = TrussMaintainer.from_graph(g, trace=tracer)
         ups = list(updates)
         for i in range(0, len(ups), batch_size):
             tm.apply_batch(ups[i : i + batch_size])

@@ -41,7 +41,7 @@ at every rank count — with or without injected faults along the way —
 the acceptance bar the cross-method parity suite, the fault-schedule
 sweep and ``benchmarks/bench_ablation_dist_transport.py`` pin down.
 Like every CSR method it needs numpy: without it a run stops at the
-kernel registry's one error, before any shard plan is built.
+kernel layer's one error, before any shard plan is built.
 """
 
 from __future__ import annotations
@@ -73,11 +73,11 @@ from repro.dist.transport import (
     open_listener,
 )
 from repro.errors import DecompositionError
-from repro.kernels import resolve_kernel
+from repro.kernels import PeelKernel, get_kernel
 from repro.obs import NULL_TRACER, warn_degraded
 from repro.partition.edge_shards import plan_edge_shards
 
-try:  # the peel needs it; resolve_kernel reports its absence
+try:  # the peel needs it; get_kernel reports its absence
     import numpy as _np
 except ImportError:  # pragma: no cover
     _np = None
@@ -167,7 +167,7 @@ def _run_loopback(
     nranks: int,
     index_dir: str,
     bounds: List[int],
-    kernel: Optional[str] = None,
+    kernel: PeelKernel,
     timeout: float = DEFAULT_TIMEOUT,
     ckpt_dir: Optional[str] = None,
     ckpt_interval: int = 0,
@@ -260,7 +260,7 @@ def _tcp_rank_main(
     index_dir: str,
     bounds: List[int],
     timeout: float,
-    kernel: Optional[str] = None,
+    kernel: PeelKernel,
     ckpt_dir: Optional[str] = None,
     ckpt_interval: int = 0,
     resume_epoch: Optional[int] = None,
@@ -364,7 +364,7 @@ def _run_tcp(
     nranks: int,
     index_dir: str,
     bounds: List[int],
-    kernel: Optional[str] = None,
+    kernel: PeelKernel,
     timeout: float = DEFAULT_TIMEOUT,
     ckpt_dir: Optional[str] = None,
     ckpt_interval: int = 0,
@@ -442,7 +442,7 @@ def _supervise(
     index_dir: str,
     ckpt_dir: str,
     bounds: List[int],
-    kernel: Optional[str],
+    kernel: PeelKernel,
     timeout: float,
     on_failure: str,
     max_retries: int,
@@ -512,7 +512,6 @@ def truss_decomposition_dist(
     g,
     ranks: Optional[int] = None,
     transport: Optional[str] = None,
-    kernel: Optional[str] = None,
     *,
     timeout: Optional[float] = None,
     on_failure: Optional[str] = None,
@@ -534,9 +533,6 @@ def truss_decomposition_dist(
         transport: one of :data:`TRANSPORTS` — ``"loopback"`` (the
             default: in-process queue fabric) or ``"tcp"`` (rank
             processes over framed localhost sockets).
-        kernel: the wave-step backend (``"auto"``/``"numpy"``/
-            ``"numba"``; ``None``: auto), resolved once here and
-            pinned on every rank.
         timeout: deadline in seconds for any single blocking step on
             either transport (socket/queue receives, mesh dial, the
             driver's port/result gathering).  ``None`` uses
@@ -564,12 +560,13 @@ def truss_decomposition_dist(
             absorbs them here in rank order, so the file holds one
             merged, driver-ordered trace.
 
-    Returns the identical trussness map as ``method="flat"`` — neither
-    the rank count, the transport nor any survived fault schedule
-    changes the wave schedule.
+    The driver's backend (:func:`repro.kernels.get_kernel`) is pinned
+    on every rank.  Returns the identical trussness map as
+    ``method="flat"`` — neither the rank count, the transport nor any
+    survived fault schedule changes the wave schedule.
     """
     mode = _resolve_transport(transport)
-    kname = resolve_kernel(kernel)
+    kern = get_kernel()
     policy = _resolve_on_failure(on_failure)
     deadline = _resolve_timeout(timeout)
     interval = _resolve_checkpoint_interval(checkpoint_interval, policy)
@@ -589,11 +586,11 @@ def truss_decomposition_dist(
     stats.record("transport", mode)
     stats.record("ranks", nranks)
     stats.record("index_storage", "mmap")
-    stats.record("kernel", kname)
+    stats.record("kernel", kern.name)
     stats.record("on_failure", policy)
     stats.record("checkpoint_interval", interval)
     if tr.enabled:
-        tr.event("run_start", engine="dist", m=int(m), kernel=kname,
+        tr.event("run_start", engine="dist", m=int(m), kernel=kern.name,
                  transport=mode, ranks=int(nranks), on_failure=policy,
                  checkpoint_interval=int(interval))
     if not m:
@@ -623,17 +620,17 @@ def truss_decomposition_dist(
         del tri
         t_peel = time.perf_counter()
         out = _supervise(
-            mode, nranks, index_dir, ckpt_dir, bounds, kname,
+            mode, nranks, index_dir, ckpt_dir, bounds, kern,
             deadline, policy, retries, interval, fault_plan, stats,
             tracer=tr,
         )
         if out is None:
             # fallback_flat: the budget ran out; answer locally.  The
-            # flat engine shares the kernel layer, so the map is the
+            # flat engine runs the same backend, so the map is the
             # same bits the mesh would have produced.
             from repro.core.flat import truss_decomposition_flat
 
-            td = truss_decomposition_flat(csr, kernel=kname, trace=tr)
+            td = truss_decomposition_flat(csr, trace=tr)
             flat_extra = td.stats.extra
             for key, value in stats.extra.items():
                 # keep the flat run's own values; labeled series (the

@@ -15,7 +15,7 @@ route keeps the enumerated chunks only until each is laid out, and
 the mmap route holds no triangle-length array at all.
 
 The wave peel needs numpy.  Without it, every CSR method (flat,
-parallel, dist) fails with the kernel registry's one error
+parallel, dist) fails with the kernel layer's one error
 (:data:`repro.kernels.NUMPY_REQUIRED`) before it touches an array; the
 paper's own stdlib peel, ``method="improved"``, is what runs there.
 
@@ -45,14 +45,14 @@ from repro.core.decomposition import (
     require_int64_ids,
 )
 from repro.graph.csr import CSRGraph, sorted_unique
-from repro.kernels import PeelKernel, get_kernel, resolve_kernel
+from repro.kernels import PeelKernel, get_kernel
 from repro.obs import NULL_TRACER, CountingKernel
 from repro.triangles.index_builder import (
     TriangleIndex,
     build_triangle_index,
 )
 
-try:  # the peel needs it; resolve_kernel reports its absence
+try:  # the peel needs it; get_kernel reports its absence
     import numpy as _np
 except ImportError:  # pragma: no cover
     _np = None
@@ -63,7 +63,7 @@ def run_wave_peel(
     views,
     collect,
     decrement,
-    kernel: Optional[PeelKernel] = None,
+    kernel: PeelKernel,
     split_frontier=None,
     split_hits=None,
     run_map=None,
@@ -84,10 +84,9 @@ def run_wave_peel(
 
     The wave inner step itself — frontier pop, decrement-buffer merge,
     support/histogram commit — is executed by ``kernel``, a
-    :class:`repro.kernels.PeelKernel` backend (``None``: the process's
-    auto-selected backend); ``collect``/``decrement`` are expected to
-    route to the same kernel's gather/count entry points, so the
-    registry is the only wave-step code path.
+    :class:`repro.kernels.PeelKernel` backend; ``collect``/``decrement``
+    are expected to route to the same kernel's gather/count entry
+    points, so the kernel layer is the only wave-step code path.
 
     At level ``k``, every live edge with support <= k-2 pops in one
     wave (Kabir & Madduri's shared-memory style; supports stay *exact*:
@@ -121,7 +120,6 @@ def run_wave_peel(
     split_hits = split_hits or identity
     if run_map is None:
         run_map = lambda fn, parts: [fn(p) for p in parts]  # noqa: E731
-    kern = kernel if kernel is not None else get_kernel()
     tr = tracer if tracer is not None else NULL_TRACER
     trace_on = tr.enabled
     sup, alive, tdead = views["sup"], views["alive"], views["tdead"]
@@ -155,7 +153,7 @@ def run_wave_peel(
                 level_popped += wave_size
                 if metrics is not None:
                     metrics.observe("repro_wave_frontier_edges", wave_size)
-            kern.pop_frontier(sup, alive, phi, hist, frontier, k)
+            kernel.pop_frontier(sup, alive, phi, hist, frontier, k)
             remaining -= int(frontier.size)
             # gather: destroyed-triangle candidates per partition, with
             # a cross-partition dedupe (one partition needs none)
@@ -184,8 +182,8 @@ def run_wave_peel(
                 ipc_bytes += sum(
                     int(b[0].nbytes) + int(b[1].nbytes) for b in buffers
                 )
-            touched, dec = kern.merge_decrements(buffers)
-            frontier = kern.apply_decrements(sup, hist, touched, dec, k)
+            touched, dec = kernel.merge_decrements(buffers)
+            frontier = kernel.apply_decrements(sup, hist, touched, dec, k)
             if trace_on:
                 tr.complete_span(
                     "wave", _perf() - wave_t0, k=int(k),
@@ -224,7 +222,7 @@ def _peel_over_index(
     tri: TriangleIndex,
     m: int,
     stats: Optional[DecompositionStats],
-    kern: Optional[PeelKernel] = None,
+    kern: PeelKernel,
     tracer=None,
 ) -> Tuple["_np.ndarray", "_np.ndarray", int]:
     """:func:`run_wave_peel` with the identity map over a built index.
@@ -235,7 +233,6 @@ def _peel_over_index(
     """
     e1, e2, e3 = tri.e1, tri.e2, tri.e3
     tptr, tinc = tri.tptr, tri.tinc
-    kern = kern if kern is not None else get_kernel()
     views = _peel_state(tri, m)
     if stats is not None:
         stats.record("index_storage", tri.storage)
@@ -260,8 +257,8 @@ def _peel_over_index(
 def _peel_waves(
     csr: CSRGraph,
     m: int,
-    stats: Optional[DecompositionStats] = None,
-    kern: Optional[PeelKernel] = None,
+    stats: Optional[DecompositionStats],
+    kern: PeelKernel,
     tracer=None,
 ) -> Tuple["_np.ndarray", "_np.ndarray", int]:
     """Serial wave peeling over the streamed triangle index (numpy).
@@ -330,11 +327,7 @@ def result_from_phi(
     )
 
 
-def peel_flat_arrays(
-    csr: CSRGraph,
-    kernel: Optional[str] = None,
-    trace=None,
-):
+def peel_flat_arrays(csr: CSRGraph, trace=None):
     """The array core of :func:`truss_decomposition_flat`.
 
     Builds the triangle index, peels it and returns ``(phi, sup, k,
@@ -343,17 +336,16 @@ def peel_flat_arrays(
     top level.  One index build yields both maps, which is what
     :meth:`repro.stream.TrussMaintainer.from_graph` seeds from.
     """
-    kname = resolve_kernel(kernel)
+    kern = get_kernel()
     stats = DecompositionStats(method="flat")
     tr = trace if trace is not None else NULL_TRACER
     m = csr.num_edges
     if tr.enabled:
-        tr.event("run_start", engine="flat", m=int(m), kernel=kname)
+        tr.event("run_start", engine="flat", m=int(m), kernel=kern.name)
     if not m:
         empty = _np.zeros(0, dtype=_np.int64)
         return empty, empty, 2, stats
-    stats.record("kernel", kname)
-    kern = get_kernel(kname)
+    stats.record("kernel", kern.name)
     if tr.enabled:
         kern = CountingKernel(kern)
     t0 = _perf()
@@ -367,20 +359,15 @@ def peel_flat_arrays(
     return phi, sup, k, stats
 
 
-def truss_decomposition_flat(
-    g,
-    kernel: Optional[str] = None,
-    trace=None,
-) -> TrussDecomposition:
+def truss_decomposition_flat(g, trace=None) -> TrussDecomposition:
     """Run Algorithm 2 over flat edge arrays.
 
     ``g`` may be a :class:`Graph` (snapshotted, not modified) or a
-    :class:`CSRGraph` built by the streaming ingest.  ``kernel`` picks
-    the wave-step backend (``"auto"``/``"numpy"``/``"numba"``;
-    ``None``: auto).  ``trace`` takes an enabled
-    :class:`repro.obs.Tracer` to emit the run's spans and events into
-    (``None``: the no-op tracer).
+    :class:`CSRGraph` built by the streaming ingest.  The wave step
+    runs on the process's backend (:func:`repro.kernels.get_kernel`).
+    ``trace`` takes an enabled :class:`repro.obs.Tracer` to emit the
+    run's spans and events into (``None``: the no-op tracer).
     """
     csr = _as_csr(g)
-    phi, _sup, k, stats = peel_flat_arrays(csr, kernel, trace)
+    phi, _sup, k, stats = peel_flat_arrays(csr, trace)
     return result_from_phi(csr, phi, k, stats)

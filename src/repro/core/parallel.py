@@ -56,7 +56,7 @@ buffers are real messages, is ``method="dist"`` (:mod:`repro.core.dist`).
 ``jobs=1`` executes the identical protocol in-process (no pool, no
 shared-memory copies), which is also the fallback when the graph is
 too small for process fan-out to pay (see ``_resolve_jobs``).  Like
-every CSR method it needs numpy; without it the kernel registry's one
+every CSR method it needs numpy; without it the kernel layer's one
 error names ``method="improved"``, which runs on the stdlib.
 
 Scaling expectations: each wave costs two IPC round trips, so speedup
@@ -83,7 +83,7 @@ from repro.core.flat import (
     run_wave_peel,
 )
 from repro.errors import DecompositionError
-from repro.kernels import PeelKernel, get_kernel, resolve_kernel
+from repro.kernels import PeelKernel, get_kernel
 from repro.obs import NULL_TRACER, CountingKernel
 from repro.graph.csr import CSRGraph
 from repro.partition.edge_shards import balanced_prefix_cuts
@@ -92,7 +92,7 @@ from repro.triangles.index_builder import (
     build_triangle_index,
 )
 
-try:  # the peel needs it; resolve_kernel reports its absence
+try:  # the peel needs it; get_kernel reports its absence
     import numpy as _np
 except ImportError:  # pragma: no cover
     _np = None
@@ -104,17 +104,9 @@ _MIN_PARALLEL_EDGES = 50_000
 #: worker-side state: name -> numpy view over an attached shm block
 _WORKER_VIEWS: Dict[str, object] = {}
 
-#: worker-side kernel backend, pinned by the pool initializer so every
-#: worker runs the same backend the coordinator resolved
+#: worker-side kernel backend: the coordinator's, pinned by the pool
+#: initializer so one peel runs one backend
 _WORKER_KERNEL: Optional[PeelKernel] = None
-
-
-def _worker_kernel() -> PeelKernel:
-    """This process's pinned backend (auto-resolved outside a pool)."""
-    global _WORKER_KERNEL
-    if _WORKER_KERNEL is None:
-        _WORKER_KERNEL = get_kernel()
-    return _WORKER_KERNEL
 
 
 def _resolve_jobs(jobs: Optional[int], m: int) -> int:
@@ -133,10 +125,11 @@ def _resolve_jobs(jobs: Optional[int], m: int) -> int:
 # ---------------------------------------------------------------------------
 def _attach_worker(
     spec: Dict[str, Tuple[Optional[str], tuple, str]],
-    index_dir: Optional[str] = None,
-    kernel: Optional[str] = None,
+    index_dir: Optional[str],
+    kernel: PeelKernel,
 ) -> None:
-    """Pool initializer: map every shared block as a numpy view.
+    """Pool initializer: pin the coordinator's ``kernel`` and map every
+    shared block as a numpy view.
 
     Attaching must not register the blocks with the worker's resource
     tracker: the coordinator owns their lifetime, and a worker-side
@@ -157,7 +150,7 @@ def _attach_worker(
     from multiprocessing import resource_tracker
 
     global _WORKER_KERNEL
-    _WORKER_KERNEL = get_kernel(kernel)
+    _WORKER_KERNEL = kernel
     _WORKER_VIEWS.clear()
     segments = []
     original_register = resource_tracker.register
@@ -189,7 +182,7 @@ def _collect_hits(frontier):
     the shared-memory views this worker attached at pool init.
     """
     views = _WORKER_VIEWS
-    return _worker_kernel().gather_incident(
+    return _WORKER_KERNEL.gather_incident(
         views["tptr"], views["tinc"], frontier, views["tdead"]
     )
 
@@ -197,7 +190,7 @@ def _collect_hits(frontier):
 def _count_decrements(hit):
     """Phase 2 (in a worker): the decrement buffer for a triangle slice."""
     views = _WORKER_VIEWS
-    return _worker_kernel().count_decrements(
+    return _WORKER_KERNEL.count_decrements(
         views["e1"], views["e2"], views["e3"], hit, views["alive"]
     )
 
@@ -261,7 +254,7 @@ def _peel_waves_shared(
     m: int,
     jobs: int,
     stats: DecompositionStats,
-    kname: Optional[str] = None,
+    base: PeelKernel,
     tracer=None,
 ) -> Tuple["_np.ndarray", int]:
     """The wave peel of ``flat``, fanned out over ``jobs`` workers.
@@ -276,12 +269,11 @@ def _peel_waves_shared(
     streaming builder (``storage="auto"``): an index in RAM is shared
     with the workers through the same shm blocks, one spilled to disk
     is mapped read-only by every process (no triangle-length shm copy
-    exists anywhere).
+    exists anywhere).  Every worker pins ``base``, the coordinator's
+    backend.
     """
-    kern = get_kernel(kname)
     tr = tracer if tracer is not None else NULL_TRACER
-    if tr.enabled:
-        kern = CountingKernel(kern)
+    kern = CountingKernel(base) if tr.enabled else base
     with tempfile.TemporaryDirectory(prefix="repro-triidx-") as tmp:
         t0 = _perf()
         tri = build_triangle_index(csr, storage="auto", dirpath=tmp)
@@ -300,14 +292,14 @@ def _peel_waves_shared(
                 # mutable state is always shm
                 if tri.storage == "mmap":
                     blocks = _SharedBlocks(state)
-                    initargs = (blocks.spec, str(tri.dirpath), kern.name)
+                    initargs = (blocks.spec, str(tri.dirpath), base)
                 else:
                     index = {
                         name: getattr(tri, name)
                         for name in TriangleIndex.FIELDS
                     }
                     blocks = _SharedBlocks({**index, **state})
-                    initargs = (blocks.spec, None, kern.name)
+                    initargs = (blocks.spec, None, base)
                 pool = get_context().Pool(
                     processes=jobs,
                     initializer=_attach_worker,
@@ -363,7 +355,6 @@ def _peel_waves_shared(
 def truss_decomposition_parallel(
     g,
     jobs: Optional[int] = None,
-    kernel: Optional[str] = None,
     trace=None,
 ) -> TrussDecomposition:
     """Truss-decompose ``g`` with the shared-memory parallel wave peel.
@@ -376,28 +367,24 @@ def truss_decomposition_parallel(
             serial in-process run below that; an explicit value is
             honored exactly (``jobs=1`` forces the serial path) and
             must be at least 1.
-        kernel: the wave-step backend (``"auto"``/``"numpy"``/
-            ``"numba"``; ``None``: auto), pinned on the coordinator
-            *and* every pool worker.
 
-    Returns the identical trussness map as ``method="flat"`` and
-    ``method="improved"`` — neither the worker count, the index
-    storage nor the kernel changes the wave schedule.
+    The coordinator's backend (:func:`repro.kernels.get_kernel`) is
+    pinned on every pool worker.  Returns the identical trussness map
+    as ``method="flat"`` and ``method="improved"`` — neither the worker
+    count, the index storage nor the backend changes the wave schedule.
     """
-    kname = resolve_kernel(kernel)
+    kern = get_kernel()
     njobs = _resolve_jobs(jobs, g.num_edges)
     stats = DecompositionStats(method="parallel")
     tr = trace if trace is not None else NULL_TRACER
     csr = _as_csr(g)
     m = csr.num_edges
     stats.record("jobs", njobs)
-    stats.record("kernel", kname)
+    stats.record("kernel", kern.name)
     if tr.enabled:
-        tr.event("run_start", engine="parallel", m=int(m), kernel=kname,
-                 jobs=int(njobs))
+        tr.event("run_start", engine="parallel", m=int(m),
+                 kernel=kern.name, jobs=int(njobs))
     if not m:
         return result_from_phi(csr, _np.zeros(0, _np.int64), 2, stats)
-    phi, k = _peel_waves_shared(
-        csr, m, njobs, stats, kname, tracer=tr
-    )
+    phi, k = _peel_waves_shared(csr, m, njobs, stats, kern, tracer=tr)
     return result_from_phi(csr, phi, k, stats)

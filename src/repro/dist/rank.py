@@ -40,7 +40,7 @@ from repro.dist.checkpoint import (
 from repro.dist.exchange import allgather, alltoallv
 from repro.dist.transport import DistError, Transport
 from repro.graph.csr import sorted_unique
-from repro.kernels import PeelKernel, get_kernel
+from repro.kernels import PeelKernel
 from repro.obs import NULL_TRACER, CountingKernel, Tracer
 from repro.partition.edge_shards import route_dead_triangles
 
@@ -77,7 +77,7 @@ class Rank:
         transport: Transport,
         bounds: Sequence[int],
         tri: TriangleIndex,
-        kernel: Optional[str] = None,
+        kernel: PeelKernel,
         checkpoint_dir: Optional[str] = None,
         checkpoint_interval: int = 0,
         resume_epoch: Optional[int] = None,
@@ -107,9 +107,9 @@ class Rank:
             checkpoint_interval if checkpoint_dir else 0
         )
         self.resume_epoch = resume_epoch
-        # the wave-step backend; every rank pins the name the driver
-        # resolved, so one peel never mixes kernels across ranks
-        self.kernel: PeelKernel = get_kernel(kernel)
+        # the wave-step backend: the driver's, so one peel never mixes
+        # backends across ranks
+        self.kernel = kernel
         # tracing is a bool knob, not a Tracer: ranks may be other OS
         # processes, so each records into its own in-memory tracer and
         # ships the events home inside the stats dict it already returns

@@ -1,4 +1,4 @@
-"""The pluggable peel-kernel layer: one wave inner step, every engine.
+"""The peel-kernel layer: one wave inner step, every engine.
 
 Every CSR peel engine — ``flat`` serial waves
 (:func:`repro.core.flat.run_wave_peel`), the shared-memory ``parallel``
@@ -7,9 +7,9 @@ peel (:meth:`repro.dist.rank.Rank.run`) —
 executes the same bulk-synchronous wave inner step, the loop Kabir &
 Madduri's PKT (arXiv:1707.02000) shows saturating shared-memory
 hardware when it is a tight kernel.  This package owns that step behind
-one interface, :class:`PeelKernel`, so a compiled backend dropped in
-here speeds up all three engines simultaneously; no engine carries a
-private gather/decrement implementation anymore.
+one interface, :class:`PeelKernel`, so a compiled backend speeds up all
+three engines at once; no engine carries a private gather/decrement
+implementation.
 
 The kernel contract
 -------------------
@@ -59,59 +59,45 @@ the contract says so — engines searchsorted/route/split these arrays
 and every backend must be bit-for-bit interchangeable: an admissible
 backend produces, on every input, exactly the arrays the ``numpy``
 reference backend produces (the cross-backend hypothesis sweep in
-``tests/kernels/`` enforces this against the brute-force oracle, the
-per-op tests against plain loops in ``tests/oracles.py``, and
-``kernel="numpy"`` is pinned as the bit-identity reference for the
-pre-refactor engines).  A new backend registers a factory in
-``_FACTORIES`` and passes that sweep; nothing else in the engines
-needs to change.
+``tests/kernels/`` enforces this against the brute-force oracle, and
+the per-op tests against plain loops in ``tests/oracles.py``).
 
 Backends
 --------
-``numpy``
-    The vectorized implementation the engines shipped with, moved here
-    verbatim — the bit-identity reference and the default when numba
-    is not installed.
-``numba``
-    Optional ``@njit``-compiled gather/scatter loops (auto-selected by
-    ``kernel="auto"`` when importable).  Compiled lazily with
-    ``cache=True`` so worker processes and ranks reuse the on-disk
+``numpy`` (:mod:`repro.kernels.numpy_backend`)
+    The vectorized implementation the engines shipped with — the
+    bit-identity reference.
+``numba`` (:mod:`repro.kernels.numba_backend`)
+    Optional ``@njit``-compiled gather/scatter loops, compiled lazily
+    with ``cache=True`` so worker processes and ranks reuse the on-disk
     compilation cache instead of each paying the JIT warm-up;
     construction pre-compiles every entry point on int64 arrays, and
     an int32 index compiles its own specialization on first use.
-    Never required: ``"auto"`` picks ``numpy`` when the import fails.
+
+Since the backends are bit-identical, which one runs is a speed
+choice, and the code makes it: :func:`get_kernel` takes numba's
+backend when its module imports and numpy's otherwise, once per
+process, and every engine, pool worker and rank of a peel runs that
+one.  No option picks a backend.
 
 Every backend runs over numpy arrays, so the CSR engines need numpy:
-without it :func:`resolve_kernel` raises one
-:class:`~repro.errors.DecompositionError` naming numpy, and every CSR
-entry point resolves its kernel before it touches an array.  The
-paper's own methods (``method="improved"`` and the rest) are stdlib
-and run without it.
-
-Selection is threaded end to end as ``kernel="auto"|"numpy"|"numba"``
-through ``truss_decomposition``/``decompose_file``/the CLI's
-``--kernel`` flag; ``"auto"`` resolves via :func:`resolve_kernel` to
-the best available backend.  The
-follow-on the ROADMAP names — a cython/C extension — is one more
-factory in this registry.
+without it :func:`get_kernel` raises one
+:class:`~repro.errors.DecompositionError` naming numpy
+(:data:`NUMPY_REQUIRED`), and every CSR entry point calls it before it
+touches an array.  The paper's own methods (``method="improved"`` and
+the rest) are stdlib and run without it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Optional
 
 from repro.errors import DecompositionError
 
-try:  # every backend needs it; its absence is resolve_kernel's error
+try:  # every backend needs it; its absence is get_kernel's error
     import numpy as _np
 except ImportError:  # pragma: no cover
     _np = None
-
-#: every kernel name the knob accepts (besides ``"auto"``/``None``)
-KERNELS = ("numpy", "numba")
-
-#: ``"auto"`` preference order: most-compiled first
-_AUTO_ORDER = ("numba", "numpy")
 
 #: the one error of every CSR entry point when numpy is missing
 NUMPY_REQUIRED = (
@@ -153,92 +139,29 @@ class PeelKernel:
         raise NotImplementedError
 
 
-def _make_numpy() -> PeelKernel:
-    from repro.kernels.numpy_backend import NumpyKernel
-
-    return NumpyKernel()
-
-
-def _make_numba() -> PeelKernel:
-    try:
-        from repro.kernels.numba_backend import NumbaKernel
-    except ImportError as exc:
-        raise DecompositionError(
-            "kernel 'numba' needs the optional numba package, which is "
-            f"not installed ({exc}); use kernel='auto' to fall back"
-        ) from None
-    return NumbaKernel()
+#: the process's backend, chosen by the first :func:`get_kernel` call
+#: and kept, so a failed numba import is never retried (tests pin a
+#: backend by setting this name)
+_KERNEL: Optional[PeelKernel] = None
 
 
-_FACTORIES: Dict[str, Callable[[], PeelKernel]] = {
-    "numpy": _make_numpy,
-    "numba": _make_numba,
-}
+def get_kernel() -> PeelKernel:
+    """The process's wave-step backend: numba's when
+    :mod:`repro.kernels.numba_backend` imports, numpy's otherwise.
 
-#: one stateless instance per backend per process
-_INSTANCES: Dict[str, PeelKernel] = {}
-
-#: the factory's message for each backend that failed to construct; a
-#: failed import is never retried, so every ``resolve_kernel("auto")``
-#: of a repair stays a dict lookup
-_FAILED: Dict[str, str] = {}
-
-
-def kernel_available(name: str) -> bool:
-    """Whether backend ``name`` can be constructed in this process."""
-    if _np is None or name not in _FACTORIES or name in _FAILED:
-        return False
-    if name in _INSTANCES:
-        return True
-    try:
-        _INSTANCES[name] = _FACTORIES[name]()
-    except DecompositionError as exc:
-        _FAILED[name] = str(exc)
-        return False
-    return True
-
-
-def available_kernels() -> Tuple[str, ...]:
-    """The constructible backends, in registry order."""
-    return tuple(name for name in KERNELS if kernel_available(name))
-
-
-def resolve_kernel(kernel: Optional[str]) -> str:
-    """Validate the kernel knob; ``None``/``"auto"`` picks the best.
-
-    Shared by the flat, parallel and dist front doors so the accepted
-    vocabulary (:data:`KERNELS`) can never drift between methods.
-    Raises :class:`~repro.errors.DecompositionError` without numpy
-    (:data:`NUMPY_REQUIRED`, whatever the name), for unknown names and
-    for named backends that are not available; with numpy, ``"auto"``
-    never fails.
+    Raises :class:`~repro.errors.DecompositionError`
+    (:data:`NUMPY_REQUIRED`) without numpy.
     """
+    global _KERNEL
     if _np is None:
         raise DecompositionError(NUMPY_REQUIRED)
-    if kernel is None or kernel == "auto":
-        return next(name for name in _AUTO_ORDER if kernel_available(name))
-    if kernel not in KERNELS:
-        raise DecompositionError(
-            f"unknown kernel {kernel!r}; expected one of "
-            f"{('auto',) + KERNELS}"
-        )
-    if not kernel_available(kernel):
-        # surface the factory's specific message (missing numba)
-        raise DecompositionError(_FAILED[kernel])
-    return kernel
+    if _KERNEL is None:
+        try:
+            from repro.kernels.numba_backend import NumbaKernel as backend
+        except ImportError:
+            from repro.kernels.numpy_backend import NumpyKernel as backend
+        _KERNEL = backend()
+    return _KERNEL
 
 
-def get_kernel(kernel: Optional[str] = None) -> PeelKernel:
-    """The shared backend instance for ``kernel`` (default: auto)."""
-    return _INSTANCES[resolve_kernel(kernel)]
-
-
-__all__ = [
-    "KERNELS",
-    "NUMPY_REQUIRED",
-    "PeelKernel",
-    "available_kernels",
-    "get_kernel",
-    "kernel_available",
-    "resolve_kernel",
-]
+__all__ = ["NUMPY_REQUIRED", "PeelKernel", "get_kernel"]

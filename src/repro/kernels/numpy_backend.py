@@ -1,6 +1,6 @@
 """The vectorized reference backend (the engines' original wave code).
 
-This is the bit-identity baseline of the kernel registry: the gather
+This is the bit-identity baseline of the kernel layer: the gather
 (`repro.core.flat._collect_hits_arrays` before the extraction) and
 scatter count (``_count_decrements_arrays``), plus the frontier pop and
 support/histogram commit the engines used to inline, with the same

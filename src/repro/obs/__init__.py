@@ -49,8 +49,8 @@ Every engine emits the same catalogue:
 **Events** (``kind="event"``, instantaneous):
 
 ``run_start``
-    emitted once per engine run — attrs ``engine``, ``m`` (edges) and
-    the resolved knobs (``kernel``, ...).
+    emitted once per engine run — attrs ``engine``, ``m`` (edges),
+    the wave-step backend (``kernel``) and the resolved knobs.
 ``checkpoint``
     a dist rank wrote a wave checkpoint — attrs ``epoch``, ``waves``.
 ``degraded``

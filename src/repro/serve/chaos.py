@@ -69,7 +69,6 @@ class ServerProcess:
         deadline_ms: float = 2000.0,
         max_inflight: int = 64,
         client_timeout: float = 10.0,
-        kernel: Optional[str] = None,
         env: Optional[Dict[str, str]] = None,
         log_name: str = "server.log",
     ) -> None:
@@ -93,8 +92,6 @@ class ServerProcess:
         ]
         if graph is not None:
             self._cmd.insert(4, str(graph))
-        if kernel:
-            self._cmd += ["--kernel", kernel]
 
     # ---------------------------------------------------------- lifecycle
     def start(self, timeout: float = 60.0,

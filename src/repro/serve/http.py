@@ -52,6 +52,13 @@ _EDGE_ROUTE = re.compile(r"^/edge/(-?\d+)/(-?\d+)/trussness$")
 _COMMUNITY_ROUTE = re.compile(r"^/community/(-?\d+)$")
 
 
+def _query_int(query, name: str) -> int:
+    """The ``?name=`` value as ``int()`` of its UTF-8 bytes, the rule
+    of the update streams: a non-ASCII decimal digit is no number.
+    ``ValueError`` otherwise."""
+    return int(query[name][0].encode())
+
+
 class _HTTPError(Exception):
     """Internal short-circuit carrying a status + JSON error body."""
 
@@ -277,7 +284,7 @@ class TrussRequestHandler(BaseHTTPRequestHandler):
         view, stale = self._view()
         if "k" in query:
             try:
-                k = int(query["k"][0])
+                k = _query_int(query, "k")
             except ValueError:
                 raise _HTTPError(400, "k must be an integer") from None
         else:
@@ -332,7 +339,7 @@ class TrussRequestHandler(BaseHTTPRequestHandler):
                 )
         elif "u" in query and "v" in query:
             try:
-                u, v = int(query["u"][0]), int(query["v"][0])
+                u, v = _query_int(query, "u"), _query_int(query, "v")
             except ValueError:
                 raise _HTTPError(400, "u and v must be integers") from None
         if u is None:

@@ -81,7 +81,6 @@ class ServeConfig:
     max_inflight: int = 64
     client_timeout: float = 10.0
     refresh_ms: float = 50.0
-    kernel: Optional[str] = None
     trace: Optional[str] = None
 
 
@@ -319,7 +318,6 @@ def run_server(cfg: ServeConfig,
     service = TrussService(
         cfg.data_dir,
         cfg.graph,
-        kernel=cfg.kernel,
         queue_depth=cfg.queue_depth,
         snapshot_every=cfg.snapshot_every,
         tracer=tracer,

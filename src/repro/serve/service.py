@@ -105,7 +105,6 @@ class TrussService:
         data_dir,
         graph_path=None,
         *,
-        kernel: Optional[str] = None,
         queue_depth: int = 16,
         snapshot_every: int = 1,
         fsync: bool = True,
@@ -115,7 +114,6 @@ class TrussService:
         self.graph_path = graph_path
         self.snapshot_root = self.data_dir / "snapshots"
         self.wal_root = self.data_dir / "wal"
-        self._kernel = kernel
         self._snapshot_every = max(1, int(snapshot_every))
         self._fsync = fsync
         self._tracer = tracer if tracer is not None else NULL_TRACER
@@ -175,15 +173,13 @@ class TrussService:
             from repro.graph import CSRGraph
 
             csr = CSRGraph.from_edge_list_file(self.graph_path)
-            self._tm = TrussMaintainer.from_graph(
-                csr, kernel=self._kernel, trace=self._tracer
-            )
+            self._tm = TrussMaintainer.from_graph(csr, trace=self._tracer)
             base_seq = 0
             self._gen = -1
         else:
             gen, phi, sup, wal_seq = chosen
             self._tm = TrussMaintainer.from_state(
-                phi, sup, kernel=self._kernel, trace=self._tracer
+                phi, sup, trace=self._tracer
             )
             base_seq = wal_seq
             self._gen = gen

@@ -13,9 +13,11 @@ holding one text record per line::
 
 ``<op> <u> <v>`` is exactly the ``'+ u v'`` update-stream format of
 :mod:`repro.stream.updates` — the WAL replay path and the CLI parse one
-format with one code path — and the CRC32 covers the record text before
-the checksum field.  Sequence numbers are global, contiguous and start
-at 1; within a segment they start at the segment's name.
+format with one code path — and the CRC32 covers the record's bytes
+before the checksum field.  Sequence numbers are global, contiguous and
+start at 1; within a segment they start at the segment's name.  Records
+are read as bytes, so a byte no writer produces (a non-ASCII one
+included) is a torn record like any other corruption.
 
 Torn records cannot lie: a record whose line is truncated, whose CRC
 mismatches, or whose seq breaks the contiguous chain ends replay of the
@@ -61,29 +63,47 @@ def _record_line(seq: int, payload: str) -> str:
     return f"{body} {zlib.crc32(body.encode('ascii')):08x}\n"
 
 
-def _parse_record(line: str) -> Optional[Tuple[int, str, int, int]]:
-    """``(seq, op, u, v)`` for a valid record line, else ``None``."""
-    if not line.endswith("\n"):
+def _parse_record(line: bytes) -> Optional[Tuple[int, Update]]:
+    """``(seq, (op, u, v))`` for a valid record line, else ``None``."""
+    if not line.endswith(b"\n"):
         return None  # torn tail: the final newline never made it out
     parts = line.split()
     if len(parts) != 5:
         return None
-    body = " ".join(parts[:4])
+    body = b" ".join(parts[:4])
     try:
         crc = int(parts[4], 16)
     except ValueError:
         return None
-    if len(parts[4]) != 8 or zlib.crc32(body.encode("ascii")) != crc:
+    if len(parts[4]) != 8 or zlib.crc32(body) != crc:
         return None
     try:
         seq = int(parts[0])
-        parsed = parse_update_line(" ".join(parts[1:4]))
+        parsed = parse_update_line(b" ".join(parts[1:4]))
     except ValueError:
         return None
     if parsed is None or seq < 1:
         return None
-    op, u, v = parsed
-    return seq, op, u, v
+    return seq, parsed
+
+
+def _read_segment(
+    path: Path, first_seq: int
+) -> Tuple[List[Tuple[int, Update]], int, bool]:
+    """``(records, nbytes, intact)`` of the segment at ``path``: its
+    valid prefix as ``(seq, update)`` records, each valid and
+    continuing the seq chain from ``first_seq``, that prefix's length
+    in bytes, and whether it is the whole segment.  ``OSError``
+    propagates."""
+    records, nbytes = [], 0
+    with open(path, "rb") as fh:
+        for raw in fh:
+            rec = _parse_record(raw)
+            if rec is None or rec[0] != first_seq + len(records):
+                return records, nbytes, False
+            records.append(rec)
+            nbytes += len(raw)
+    return records, nbytes, True
 
 
 class WriteAheadLog:
@@ -144,20 +164,11 @@ class WriteAheadLog:
     @staticmethod
     def _scan_segment(path: Path, first_seq: int) -> Tuple[int, int]:
         """``(last valid seq or 0, byte length of the valid prefix)``."""
-        last_seq, valid_bytes = 0, 0
-        expect = first_seq
         try:
-            with open(path, "rb") as fh:
-                for raw in fh:
-                    rec = _parse_record(raw.decode("ascii", "replace"))
-                    if rec is None or rec[0] != expect:
-                        break
-                    last_seq = rec[0]
-                    expect += 1
-                    valid_bytes += len(raw)
+            records, valid_bytes, _ = _read_segment(path, first_seq)
         except OSError as exc:
             raise WalError(f"unreadable WAL segment {path}: {exc}") from exc
-        return last_seq, valid_bytes
+        return (records[-1][0] if records else 0), valid_bytes
 
     # ------------------------------------------------------------- writes
     @property
@@ -247,20 +258,17 @@ class WriteAheadLog:
             )
             if last_possible is not None and last_possible <= after_seq:
                 continue
-            path = self.root / _segment_name(first)
-            expect = first
             try:
-                with open(path, "rb") as fh:
-                    for raw in fh:
-                        rec = _parse_record(raw.decode("ascii", "replace"))
-                        if rec is None or rec[0] != expect:
-                            return  # torn/corrupt: the log ends here
-                        seq, op, u, v = rec
-                        expect += 1
-                        if seq > after_seq:
-                            yield seq, (op, u, v)
+                records, _, intact = _read_segment(
+                    self.root / _segment_name(first), first
+                )
             except OSError:
                 return
+            for seq, upd in records:
+                if seq > after_seq:
+                    yield seq, upd
+            if not intact:
+                return  # torn/corrupt: the log ends here
 
     def replay_updates(self, after_seq: int = 0) -> List[Update]:
         """The replayable updates after ``after_seq``, as a list."""

@@ -54,21 +54,18 @@ from repro.graph.csr import (
     pair_order,
     pair_ranks,
 )
-from repro.kernels import resolve_kernel
+from repro.kernels import get_kernel
 from repro.obs import NULL_TRACER, warn_degraded
 from repro.stream.affected import expand_region
 from repro.stream.repeel import repeel_region
+from repro.stream.updates import UPDATE_OPS, Update
 
 try:
     import numpy as _np
-except ImportError:  # resolve_kernel refuses every maintainer without it
+except ImportError:  # get_kernel refuses every maintainer without it
     _np = None
 
 Edge = Tuple[int, int]
-Update = Tuple[str, int, int]
-
-_INSERT_OPS = frozenset(("insert", "+", "i", "add"))
-_DELETE_OPS = frozenset(("delete", "-", "d", "remove"))
 
 # info tuple per applied mutation: (u, v, edge id, the destroyed
 # triangles as (w, id of (u, w), id of (v, w))); an insert's ends are
@@ -193,14 +190,10 @@ class TrussMaintainer:
         base: CSRGraph,
         phi,
         sup,
-        kernel: Optional[str] = None,
         trace=None,
     ) -> None:
         """``phi``/``sup``: int64 arrays indexed by ``base``'s edge ids."""
-        # a bad kernel name fails here, before any update touches state;
-        # the caller's value is kept so repairs degrade exactly as asked
-        resolve_kernel(kernel)
-        self._kernel = kernel
+        get_kernel()  # no numpy: fail before any update touches state
         self._tracer = trace if trace is not None else NULL_TRACER
         # sorted edge tuples, or the rows of a full re-peel
         self._last_affected = ()
@@ -228,9 +221,7 @@ class TrussMaintainer:
         self._dicts: Dict[int, Dict[Edge, int]] = {}
 
     @classmethod
-    def from_graph(
-        cls, g, kernel: Optional[str] = None, trace=None
-    ) -> "TrussMaintainer":
+    def from_graph(cls, g, trace=None) -> "TrussMaintainer":
         """Decompose ``g`` (a :class:`Graph` or CSR snapshot) once.
 
         One triangle-index build gives both the trussness and the
@@ -241,17 +232,14 @@ class TrussMaintainer:
         warnings) into it.
         """
         csr = _as_csr(g)
-        phi, sup, _k, _stats = peel_flat_arrays(
-            csr, kernel=kernel, trace=trace
-        )
-        return cls(csr, phi, sup, kernel=kernel, trace=trace)
+        phi, sup, _k, _stats = peel_flat_arrays(csr, trace=trace)
+        return cls(csr, phi, sup, trace=trace)
 
     @classmethod
     def from_state(
         cls,
         phi: Mapping[Edge, int],
         sup: Mapping[Edge, int],
-        kernel: Optional[str] = None,
         trace=None,
     ) -> "TrussMaintainer":
         """Rebuild a maintainer from snapshotted phi/support maps.
@@ -269,7 +257,7 @@ class TrussMaintainer:
         a maintainer that never round-tripped, pinned by the snapshot
         tests.
         """
-        resolve_kernel(kernel)  # no numpy or a bad name: fail before rows
+        get_kernel()  # no numpy: fail before rows
         try:
             rows = edge_rows(phi, sup)
         except (TypeError, ValueError, OverflowError) as exc:
@@ -296,7 +284,7 @@ class TrussMaintainer:
         # sorted canonical pairs skip the build's dedupe, so edge id i
         # is row i
         base = CSRGraph._from_flat_pairs(rows[:, :2].reshape(-1))
-        tm = cls(base, rows[:, 2], rows[:, 3], kernel=kernel, trace=trace)
+        tm = cls(base, rows[:, 2], rows[:, 3], trace=trace)
         tm._rows = rows
         return tm
 
@@ -432,12 +420,10 @@ class TrussMaintainer:
         """
         steps = []
         for op, u, v in updates:
-            if op in _INSERT_OPS:
-                step = self._do_insert
-            elif op in _DELETE_OPS:
-                step = self._do_delete
-            else:
+            sym = UPDATE_OPS.get(op)
+            if sym is None:
                 raise DecompositionError(f"unknown update op: {op!r}")
+            step = self._do_insert if sym == "+" else self._do_delete
             try:
                 # index() takes ints and numpy integers; int() would
                 # truncate 1.5 and parse "7"
@@ -517,7 +503,7 @@ class TrussMaintainer:
         rebase onto the result; every edge counts as affected."""
         rows = self._compact()
         csr = CSRGraph._from_flat_pairs(rows[:, :2].reshape(-1))
-        td = truss_decomposition_flat(csr, kernel=self._kernel)
+        td = truss_decomposition_flat(csr)
         rows[:, 2] = td.columns[2]  # edge id i is row i
         self._rebase(csr, rows[:, 2], rows[:, 3])
         self._rows = rows

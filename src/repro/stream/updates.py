@@ -39,11 +39,9 @@ OPS = {"+": "insert", "-": "delete"}
 #: the same table over the opcode's bytes
 _BYTE_OPS = {op.encode(): name for op, name in OPS.items()}
 
-#: maintainer op (or line opcode) -> line opcode
-_SYMBOL = {"insert": "+", "delete": "-", "+": "+", "-": "-"}
-
-#: the ops an update stream (and so the server's WAL) can carry
-UPDATE_OPS = frozenset(_SYMBOL)
+#: every op an update stream (and so the server's WAL and the
+#: maintainer) takes: maintainer op or line opcode -> line opcode
+UPDATE_OPS = {"insert": "+", "delete": "-", "+": "+", "-": "-"}
 
 
 def parse_update_line(
@@ -111,7 +109,7 @@ def read_update_stream(path) -> List[Update]:
 def format_update(op: str, u: int, v: int) -> str:
     """The canonical ``'+ u v'`` text of one update (parse's inverse)."""
     try:
-        sym = _SYMBOL[op]
+        sym = UPDATE_OPS[op]
     except KeyError:
         raise ValueError(f"unknown update op: {op!r}") from None
     return f"{sym} {int(u)} {int(v)}"

@@ -71,7 +71,7 @@ from typing import Iterable, Iterator, Optional, Tuple
 from repro.errors import DecompositionError
 from repro.graph.csr import CSRGraph, load_npy
 
-try:  # numpy-only; the CSR engines resolve their kernel first, which
+try:  # numpy-only; the CSR engines call get_kernel first, which
     # raises the one missing-numpy error before any build
     import numpy as _np
 except ImportError:  # pragma: no cover

@@ -53,9 +53,9 @@ class TestDispatch:
 
 
 class TestCsrMethodsNeedNumpy:
-    """Without numpy every CSR entry point raises the registry's one
-    error (numpy is hidden from the registry here; on the numpy-free
-    leg it is absent)."""
+    """Without numpy every CSR entry point raises the kernel layer's
+    one error (numpy is hidden from it here; on the numpy-free leg it
+    is absent)."""
 
     @pytest.fixture(autouse=True)
     def no_numpy(self, monkeypatch):

@@ -13,7 +13,6 @@ import repro.graph.csr as csr_mod
 from repro.cli import build_parser, main
 from repro.core import METHODS, TrussDecomposition
 from repro.graph import complete_graph, read_edge_list, write_edge_list
-from repro.kernels import available_kernels
 
 from helpers import needs_numpy
 
@@ -349,22 +348,6 @@ class TestErrors:
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
     @needs_numpy
-    @pytest.mark.skipif(
-        "numba" in available_kernels(), reason="numba is installed"
-    )
-    @pytest.mark.parametrize("command", ["decompose", "update"])
-    def test_absent_numba_kernel(self, graph_file, tmp_path, capsys, command):
-        argv = [command, str(graph_file)]
-        if command == "update":
-            updates = tmp_path / "updates.txt"
-            updates.write_text("+ 1 10\n")
-            argv.append(str(updates))
-        else:
-            argv += ["--method", "flat"]
-        line = self._fails_cleanly(capsys, [*argv, "--kernel", "numba"])
-        assert "numba" in line
-
-    @needs_numpy
     def test_update_malformed_graph(self, malformed_file, tmp_path, capsys):
         updates = tmp_path / "updates.txt"
         updates.write_text("+ 1 10\n")
@@ -552,6 +535,21 @@ def test_serve_has_no_fsync_opt_out(graph_file, tmp_path, capsys):
         build_parser().parse_args(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments: --no-fsync" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["decompose", "update", "serve"])
+def test_no_command_has_a_kernel_flag(graph_file, tmp_path, capsys,
+                                      command):
+    """The process picks the wave-step backend: no flag does."""
+    argv = {
+        "decompose": ["decompose", str(graph_file)],
+        "update": ["update", str(graph_file), "-"],
+        "serve": ["serve", str(graph_file), "--data", str(tmp_path)],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([*argv, "--kernel", "numpy"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --kernel" in capsys.readouterr().err
 
 
 class TestOtherCommands:

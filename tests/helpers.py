@@ -13,6 +13,7 @@ that makes this module (and ``oracles``) importable.
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from typing import List, Optional, Tuple
 
 import pytest
@@ -28,11 +29,47 @@ except ImportError:  # pragma: no cover
     numpy = None
 
 #: the skip of every test that reaches a CSR engine (flat, parallel,
-#: dist, the kernel registry, the stream maintainer) on the numpy-free
-#: leg, where those stop at the registry's one missing-numpy error
+#: dist, the kernel layer, the stream maintainer) on the numpy-free
+#: leg, where those stop at the kernel layer's one missing-numpy error
 needs_numpy = pytest.mark.skipif(
     numpy is None, reason="the CSR engines need numpy"
 )
+
+
+def _backend_classes() -> dict:
+    if numpy is None:
+        return {}
+    from repro.kernels.numpy_backend import NumpyKernel
+
+    classes = {"numpy": NumpyKernel}
+    try:
+        from repro.kernels.numba_backend import NumbaKernel
+    except ImportError:
+        return classes
+    classes["numba"] = NumbaKernel
+    return classes
+
+
+#: name -> class of every wave-step backend this process imports:
+#: numpy's (the bit-identity reference), then numba's where the
+#: optional package is installed; none without numpy
+BACKENDS = _backend_classes()
+
+
+@contextmanager
+def pinned_kernel(name: str):
+    """Run every CSR engine on backend ``name`` inside the block.
+
+    Sets the backend :func:`repro.kernels.get_kernel` chose for the
+    process (its ``_KERNEL``), as the index tests pin
+    ``_INT32_INDEX_LIMIT``; pool workers and dist ranks get the
+    driver's backend, so a whole peel runs on it.
+    """
+    import repro.kernels as kernels
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_KERNEL", BACKENDS[name]())
+        yield
 
 #: the (ranks, transport) matrix the dist parity sweeps cover: every
 #: rank count the acceptance bar names, on both fabrics.  Loopback

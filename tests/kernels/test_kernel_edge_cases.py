@@ -8,7 +8,7 @@ remaining``, so the histogram empties in one pop), and a triangle
 strip (every edge lands in one trussness class but the level needs two
 waves, so the sub-frontier path and the empty-frontier pop both run).
 Each case pins the exact wave/level schedule across every engine and
-available backend, plus direct unit pins for the empty-input kernel
+importable backend, plus direct unit pins for the empty-input kernel
 calls the engines make on those paths, each checked against
 :class:`oracles.ReferenceKernel` as well.
 """
@@ -19,8 +19,8 @@ import pytest
 
 from repro.core import truss_decomposition
 from repro.graph import Graph, complete_graph
-from repro.kernels import available_kernels, get_kernel
 
+from helpers import BACKENDS, pinned_kernel
 from oracles import ReferenceKernel
 
 try:
@@ -41,11 +41,10 @@ ENGINES = (
 
 
 def _sweep(g, expect_phi, expect_waves, expect_levels):
-    for backend in available_kernels():
+    for backend in BACKENDS:
         for method, knobs in ENGINES:
-            td = truss_decomposition(
-                g, method=method, kernel=backend, **knobs
-            )
+            with pinned_kernel(backend):
+                td = truss_decomposition(g, method=method, **knobs)
             assert dict(td.trussness) == expect_phi, (method, backend)
             assert td.stats.extra["waves"] == expect_waves, (
                 method, knobs, backend
@@ -86,11 +85,10 @@ class TestDegenerateShapes:
     def test_empty_graph(self):
         g = Graph()
         g.add_vertex(0)
-        for backend in available_kernels():
+        for backend in BACKENDS:
             for method, knobs in ENGINES:
-                td = truss_decomposition(
-                    g, method=method, kernel=backend, **knobs
-                )
+                with pinned_kernel(backend):
+                    td = truss_decomposition(g, method=method, **knobs)
                 assert dict(td.trussness) == {}
                 assert td.kmax == 2
 
@@ -98,13 +96,13 @@ class TestDegenerateShapes:
 class TestEmptyInputOps:
     """The kernel calls the engines make on degenerate waves.
 
-    Each pin runs on every registered backend and on the reference
+    Each pin runs on every importable backend and on the reference
     loops, and the two must agree.
     """
 
-    @pytest.mark.parametrize("backend", available_kernels())
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_empty_frontier_pop_is_noop(self, backend):
-        for kern in (get_kernel(backend), ReferenceKernel()):
+        for kern in (BACKENDS[backend](), ReferenceKernel()):
             sup = np.array([1, 2], dtype=np.int64)
             alive = np.ones(2, dtype=bool)
             phi = np.zeros(2, dtype=np.int64)
@@ -114,9 +112,9 @@ class TestEmptyInputOps:
             assert alive.all() and not phi.any()
             assert np.array_equal(hist, np.bincount(sup))
 
-    @pytest.mark.parametrize("backend", available_kernels())
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_empty_inputs_round_trip(self, backend):
-        for kern in (get_kernel(backend), ReferenceKernel()):
+        for kern in (BACKENDS[backend](), ReferenceKernel()):
             empty = np.zeros(0, dtype=np.int64)
             tptr = np.zeros(3, dtype=np.int64)
             assert kern.gather_incident(tptr, empty, empty).size == 0
@@ -132,16 +130,16 @@ class TestEmptyInputOps:
             assert out.size == 0
             assert np.array_equal(hist, np.bincount(sup))
 
-    @pytest.mark.parametrize("backend", available_kernels())
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_single_buffer_merge_passes_through(self, backend):
         ids = np.array([1, 4, 9], dtype=np.int64)
         cnt = np.array([2, 1, 3], dtype=np.int64)
-        for kern in (get_kernel(backend), ReferenceKernel()):
+        for kern in (BACKENDS[backend](), ReferenceKernel()):
             touched, dec = kern.merge_decrements([(ids, cnt)])
             assert np.array_equal(touched, ids)
             assert np.array_equal(dec, cnt)
 
-    @pytest.mark.parametrize("backend", available_kernels())
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_bounded_count_respects_shard_window(self, backend):
         """Partners outside [lo, hi) are skipped; base shifts outputs."""
         # one triangle with partners 1, 3, 5; the owner of [2, 6) sees
@@ -151,7 +149,7 @@ class TestEmptyInputOps:
         e3 = np.array([5], dtype=np.int64)
         tris = np.array([0], dtype=np.int64)
         alive = np.ones(4, dtype=bool)
-        for kern in (get_kernel(backend), ReferenceKernel()):
+        for kern in (BACKENDS[backend](), ReferenceKernel()):
             touched, dec = kern.count_decrements(
                 e1, e2, e3, tris, alive, lo=2, hi=6, base=2
             )

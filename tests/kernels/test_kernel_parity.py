@@ -6,21 +6,22 @@ hypothesis property: every generated graph is decomposed by every
 available backend under every engine configuration — flat, parallel at
 jobs 1/2, dist at ranks 1/2 over loopback — and
 every run must reproduce the brute-force oracle *and* the reference
-run's wave/level schedule exactly.  A numba leg mirrors the sweep and
-skips wherever the optional package is absent (tier-1 CI); the tier-2
-job installs numba and runs it for real.  Op by op, every registered
-backend is compared against :class:`oracles.ReferenceKernel`, the same
-five ops as plain loops, over int32 and int64 index columns, both as
-plain arrays and as read-only maps, and every output must be int64.
+run's wave/level schedule exactly.  Each run pins its backend for the
+process (``helpers.pinned_kernel``), so the engines, pool workers and
+ranks all run it.  A numba leg mirrors the sweep and skips wherever
+the optional package is absent (tier-1 CI); the tier-2 job installs
+numba and runs it for real.  Op by op, every importable backend is
+compared against :class:`oracles.ReferenceKernel`, the same five ops
+as plain loops, over int32 and int64 index columns, both as plain
+arrays and as read-only maps, and every output must be int64.
 """
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.core import truss_decomposition
-from repro.kernels import kernel_available
 
-from helpers import INDEX_WIDTHS, peel_graphs
+from helpers import BACKENDS, INDEX_WIDTHS, peel_graphs, pinned_kernel
 from oracles import ReferenceKernel, brute_trussness
 
 try:
@@ -80,7 +81,8 @@ def assert_int64_outputs(label, name, *arrays):
 def _sweep_backend(g, backend):
     """Run the full engine matrix on one backend vs oracle + reference."""
     oracle = brute_trussness(g)
-    ref = truss_decomposition(g, method="flat", kernel="numpy")
+    with pinned_kernel("numpy"):
+        ref = truss_decomposition(g, method="flat")
     assert dict(ref.trussness) == oracle
     # an edgeless graph returns before any wave runs (no stats at all)
     schedule = {
@@ -89,7 +91,8 @@ def _sweep_backend(g, backend):
         if g.num_edges
     }
     for method, knobs in ENGINE_SWEEP:
-        td = truss_decomposition(g, method=method, kernel=backend, **knobs)
+        with pinned_kernel(backend):
+            td = truss_decomposition(g, method=method, **knobs)
         assert dict(td.trussness) == oracle, (method, knobs, backend)
         got = {key: td.stats.extra[key] for key in schedule}
         assert got == schedule, (method, knobs, backend)
@@ -110,7 +113,7 @@ class TestBackendEngineParity:
         _sweep_backend(g, "numpy")
 
     @pytest.mark.skipif(
-        not kernel_available("numba"),
+        "numba" not in BACKENDS,
         reason="optional numba backend not installed (tier-2 covers it)",
     )
     @settings(
@@ -163,10 +166,8 @@ class TestBackendOpBitIdentity:
     """
 
     def _backends(self):
-        from repro.kernels import available_kernels, get_kernel
-
         return [("reference", ReferenceKernel())] + [
-            (name, get_kernel(name)) for name in available_kernels()
+            (name, cls()) for name, cls in BACKENDS.items()
         ]
 
     @pytest.mark.parametrize("seed", [3, 17, 44])
@@ -234,9 +235,7 @@ class TestGatherOverMappedIndex:
 
     @pytest.mark.parametrize("masked", [False, True])
     def test_numpy_gather_matches_python(self, variants, masked):
-        """Every registered backend against the python reference loops."""
-        from repro.kernels import available_kernels, get_kernel
-
+        """Every importable backend against the python reference loops."""
         reference = ReferenceKernel()
         for label, tri in variants:
             before = np.array(tri.tinc)
@@ -258,8 +257,8 @@ class TestGatherOverMappedIndex:
                 expect = reference.gather_incident(
                     tri.tptr, tri.tinc, frontier, tdead
                 )
-                for name in available_kernels():
-                    got = get_kernel(name).gather_incident(
+                for name, cls in BACKENDS.items():
+                    got = cls().gather_incident(
                         tri.tptr, tri.tinc, frontier, tdead
                     )
                     assert_int64_outputs(label, name, got)
@@ -271,8 +270,6 @@ class TestGatherOverMappedIndex:
     def test_bounded_count_matches_python(self, variants):
         """The shard owners' count (``lo``/``hi``/``base``) at both
         widths, against the python reference loops."""
-        from repro.kernels import available_kernels, get_kernel
-
         reference = ReferenceKernel()
         for label, tri in variants:
             m, n_tri = tri.num_edges, tri.num_triangles
@@ -284,8 +281,8 @@ class TestGatherOverMappedIndex:
                     tri.e1, tri.e2, tri.e3, tris, alive,
                     lo=lo, hi=hi, base=lo,
                 )
-                for name in available_kernels():
-                    got = get_kernel(name).count_decrements(
+                for name, cls in BACKENDS.items():
+                    got = cls().count_decrements(
                         tri.e1, tri.e2, tri.e3, tris, alive,
                         lo=lo, hi=hi, base=lo,
                     )

@@ -1,5 +1,12 @@
-"""The kernel registry's selection, gating and degradation contract."""
+"""The process's wave-step backend: its choice, gating and degradation.
 
+No option picks a backend: :func:`repro.kernels.get_kernel` takes
+numba's when its module imports and numpy's otherwise, once per
+process.  Tests that compare backends pin the choice with
+``helpers.pinned_kernel``.
+"""
+
+import inspect
 import os
 import subprocess
 import sys
@@ -9,132 +16,138 @@ from pathlib import Path
 import pytest
 
 import repro
+import repro.kernels as kernels
 from repro.core import truss_decomposition
 from repro.errors import DecompositionError
 from repro.graph import complete_graph
-from repro.kernels import (
-    KERNELS,
-    NUMPY_REQUIRED,
-    available_kernels,
-    get_kernel,
-    kernel_available,
-    resolve_kernel,
-)
+from repro.kernels import NUMPY_REQUIRED, get_kernel
 
-from helpers import needs_numpy
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None
+from helpers import BACKENDS, needs_numpy
 
 
 class TestRegistry:
-    @pytest.mark.skipif(np is None, reason="numpy not installed")
+    @needs_numpy
     def test_numpy_backend_available_with_numpy(self):
-        assert kernel_available("numpy")
-        assert get_kernel("numpy").name == "numpy"
+        assert BACKENDS["numpy"]().name == "numpy"
+        # numba's backend extends numpy's, so this holds either way
+        assert isinstance(get_kernel(), BACKENDS["numpy"])
 
     @needs_numpy
-    def test_auto_prefers_most_compiled_available(self):
-        order = ("numba", "numpy")
-        expect = next(n for n in order if kernel_available(n))
-        assert resolve_kernel(None) == expect
-        assert resolve_kernel("auto") == expect
+    def test_auto_prefers_most_compiled_available(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_KERNEL", None)  # choose afresh
+        expect = "numba" if "numba" in BACKENDS else "numpy"
         assert get_kernel().name == expect
 
     @needs_numpy
     def test_instances_are_cached_per_process(self):
-        assert get_kernel("numpy") is get_kernel("numpy")
-
-    @needs_numpy
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(DecompositionError, match="unknown kernel"):
-            resolve_kernel("cython")
-
-    @needs_numpy
-    def test_unavailable_named_backend_raises_specific_message(self):
-        if kernel_available("numba"):
-            pytest.skip("numba installed; unavailability not testable")
-        with pytest.raises(DecompositionError, match="numba"):
-            resolve_kernel("numba")
+        assert get_kernel() is get_kernel()
 
     def test_registry_vocabulary(self):
-        assert KERNELS == ("numpy", "numba")
-        assert set(available_kernels()) <= set(KERNELS)
+        """No registry is left: the contract, the missing-numpy error
+        and the one chooser, which takes no name."""
+        assert sorted(kernels.__all__) == [
+            "NUMPY_REQUIRED", "PeelKernel", "get_kernel",
+        ]
+        for gone in ("KERNELS", "available_kernels", "kernel_available",
+                     "resolve_kernel"):
+            assert not hasattr(kernels, gone), gone
+        assert not inspect.signature(get_kernel).parameters
 
     def test_without_numpy_every_name_is_one_error(self, monkeypatch):
-        import repro.kernels as kernels
-
+        """Without numpy, whatever backend the process holds (none yet,
+        or any importable one), get_kernel raises the one error."""
         monkeypatch.setattr(kernels, "_np", None)
-        assert available_kernels() == ()
-        for name in (None, "auto", "numpy", "numba", "cython"):
+        for held in [None, *(cls() for cls in BACKENDS.values())]:
+            monkeypatch.setattr(kernels, "_KERNEL", held)
             with pytest.raises(DecompositionError) as info:
-                resolve_kernel(name)
+                get_kernel()
             assert str(info.value) == NUMPY_REQUIRED
         assert "numpy" in NUMPY_REQUIRED
         assert "--method improved" in NUMPY_REQUIRED
 
     @needs_numpy
     def test_failed_factory_is_tried_once(self, monkeypatch):
-        import repro.kernels as kernels
-
+        """A numba backend that fails to import is never tried again."""
         calls = []
 
-        def broken():
-            calls.append(1)
-            raise DecompositionError("kernel 'numba' is broken here")
+        class _BrokenNumba:
+            def find_spec(self, name, path=None, target=None):
+                if name == "repro.kernels.numba_backend":
+                    calls.append(name)
+                    raise ImportError("numba is broken here")
+                return None
 
-        monkeypatch.setitem(kernels._FACTORIES, "numba", broken)
-        monkeypatch.delitem(kernels._INSTANCES, "numba", raising=False)
-        monkeypatch.setattr(kernels, "_FAILED", {})
+        monkeypatch.setattr(kernels, "_KERNEL", None)
+        monkeypatch.delitem(
+            sys.modules, "repro.kernels.numba_backend", raising=False
+        )
+        monkeypatch.setattr(
+            sys, "meta_path", [_BrokenNumba(), *sys.meta_path]
+        )
         for _ in range(5):
-            assert resolve_kernel("auto") != "numba"
-        assert len(calls) == 1
-        # a named request still reports the factory's own message
-        with pytest.raises(DecompositionError, match="broken here"):
-            resolve_kernel("numba")
+            assert get_kernel().name == "numpy"
         assert len(calls) == 1
 
 
 class TestApiGating:
-    """The ``kernel`` knob is accepted by the CSR methods only."""
+    """No method takes a ``kernel``: the process picks the backend."""
 
     @pytest.mark.parametrize(
         "method", ["improved", "baseline", "bottomup", "topdown",
                     "mapreduce"]
     )
     def test_kernel_rejected_off_csr_methods(self, method):
-        with pytest.raises(DecompositionError, match="kernel"):
+        with pytest.raises(TypeError, match="kernel"):
             truss_decomposition(
                 complete_graph(4), method=method, kernel="numpy"
             )
 
-    @pytest.mark.skipif(np is None, reason="numpy not installed")
     @pytest.mark.parametrize("method", ["flat", "parallel", "dist"])
     def test_unknown_kernel_rejected_eagerly(self, method):
-        with pytest.raises(DecompositionError, match="unknown kernel"):
+        with pytest.raises(TypeError, match="kernel"):
             truss_decomposition(
                 complete_graph(4), method=method, kernel="bogus"
             )
 
-    @pytest.mark.skipif(np is None, reason="numpy not installed")
+    def test_no_entry_point_takes_a_kernel(self):
+        from repro.core import apply_updates, decompose_file
+        from repro.core.dist import truss_decomposition_dist
+        from repro.core.flat import (
+            peel_flat_arrays,
+            truss_decomposition_flat,
+        )
+        from repro.core.parallel import truss_decomposition_parallel
+        from repro.serve.chaos import ServerProcess
+        from repro.serve.server import ServeConfig
+        from repro.serve.service import TrussService
+        from repro.stream import TrussMaintainer
+
+        for entry in (
+            truss_decomposition, decompose_file, apply_updates,
+            truss_decomposition_flat, truss_decomposition_parallel,
+            truss_decomposition_dist, peel_flat_arrays, TrussMaintainer,
+            TrussMaintainer.from_graph, TrussMaintainer.from_state,
+            TrussService, ServeConfig, ServerProcess,
+        ):
+            assert "kernel" not in inspect.signature(entry).parameters, (
+                entry
+            )
+
+    @needs_numpy
     def test_decompose_file_threads_kernel(self, tmp_path):
         from repro.core import decompose_file
         from repro.graph import write_edge_list
 
         path = tmp_path / "g.txt"
         write_edge_list(complete_graph(5), path)
-        td = decompose_file(path, method="flat", kernel="numpy")
-        assert td.stats.extra["kernel"] == "numpy"
+        td = decompose_file(path, method="flat")
+        assert td.stats.extra["kernel"] == get_kernel().name
         assert td.kmax == 5
 
     @needs_numpy
     def test_missing_numba_degrades_not_crashes(self):
-        """``kernel="auto"`` never fails, with or without numba."""
-        td = truss_decomposition(
-            complete_graph(4), method="flat", kernel="auto"
-        )
+        """The choice never fails with numpy, with or without numba."""
+        td = truss_decomposition(complete_graph(4), method="flat")
         assert td.kmax == 4
 
 
@@ -150,30 +163,28 @@ class TestCliGating:
     def test_kernel_rejected_off_csr_methods(self, graph_file, capsys):
         from repro.cli import main
 
-        assert main([
-            "decompose", str(graph_file), "--method", "improved",
-            "--kernel", "numpy",
-        ]) == 2
-        assert "--kernel only applies" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "decompose", str(graph_file), "--method", "improved",
+                "--kernel", "numpy",
+            ])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --kernel" in capsys.readouterr().err
 
-    @pytest.mark.skipif(np is None, reason="numpy not installed")
-    @pytest.mark.parametrize("kernel", ["auto", "numpy"])
-    def test_kernel_flag_matches_flat_default(
-        self, graph_file, tmp_path, kernel
-    ):
+    @needs_numpy
+    @pytest.mark.parametrize("method", ["flat", "parallel", "dist"])
+    def test_metrics_name_the_backend(self, graph_file, tmp_path, method):
+        import json
+
         from repro.cli import main
 
-        out = tmp_path / "phi.txt"
+        metrics = tmp_path / "m.json"
         assert main([
-            "decompose", str(graph_file), "-o", str(out),
-            "--method", "flat", "--kernel", kernel,
+            "decompose", str(graph_file), "--method", method,
+            "--metrics", str(metrics), "-o", str(tmp_path / "phi.txt"),
         ]) == 0
-        reference = tmp_path / "ref.txt"
-        assert main([
-            "decompose", str(graph_file), "-o", str(reference),
-            "--method", "flat",
-        ]) == 0
-        assert out.read_text() == reference.read_text()
+        info = json.loads(metrics.read_text())["info"]
+        assert info["kernel"][""] == get_kernel().name
 
 
 #: prelude of the subprocess tests: a meta-path finder that blocks
@@ -227,47 +238,16 @@ class TestNumbaAbsentImportGuard:
             """
             from repro.core import truss_decomposition
             from repro.graph import complete_graph
-            from repro.kernels import available_kernels, resolve_kernel
+            from repro.kernels import get_kernel
 
-            kernels = available_kernels()
-            assert "numba" not in kernels, kernels
-            assert "numpy" in kernels, kernels
-            assert resolve_kernel("auto") != "numba"
-            td = truss_decomposition(
-                complete_graph(5), method="flat", kernel="auto"
-            )
+            assert get_kernel().name == "numpy", get_kernel().name
+            td = truss_decomposition(complete_graph(5), method="flat")
             assert td.kmax == 5, td.kmax
+            assert td.stats.extra["kernel"] == "numpy", td.stats.extra
             print("guard-ok")
             """
         )
         assert "guard-ok" in out
-
-    def test_named_numba_fails_before_reading_input(self, tmp_path):
-        """``--kernel numba`` without numba names numba, not the
-        missing input: the kernel is resolved before any file is read."""
-        missing = tmp_path / "MISSING.txt"
-        out = _run_without_numba(
-            f"""
-            import contextlib, io
-            from repro.cli import main
-
-            for argv in (
-                ["decompose", {str(missing)!r}, "--method", "flat",
-                 "--kernel", "numba"],
-                ["update", {str(missing)!r}, {str(tmp_path / "U.txt")!r},
-                 "--kernel", "numba"],
-            ):
-                err = io.StringIO()
-                with contextlib.redirect_stderr(err):
-                    rc = main(argv)
-                print(rc, err.getvalue().strip())
-            """
-        )
-        lines = out.splitlines()
-        assert len(lines) == 2, out
-        for line in lines:
-            assert line.startswith("2 error: ") and "numba" in line, line
-            assert "MISSING" not in line, line
 
 
 @needs_numpy

@@ -127,9 +127,9 @@ def _int64(values):
 class ReferenceKernel(PeelKernel):
     """The five wave-step ops as plain loops: the per-op oracle.
 
-    Not registered in :mod:`repro.kernels`.  The kernel tests feed every
-    registered backend and this class the same wave inputs and compare
-    the outputs element for element.  It reads its inputs one element
+    Never a process's backend.  The kernel tests feed every importable
+    backend and this class the same wave inputs and compare the
+    outputs element for element.  It reads its inputs one element
     at a time, so ndarrays and read-only maps work alike.
     """
 

@@ -109,10 +109,10 @@ class TestRoutedDecrementParity:
     @pytest.mark.parametrize("n_shards", [1, 2, 5])
     def test_one_wave_routed_equals_serial(self, seed, n_shards):
         from repro.core.flat import _as_csr
-        from repro.kernels import get_kernel
+        from repro.kernels.numpy_backend import NumpyKernel
         from repro.triangles.index_builder import build_triangle_index
 
-        kern = get_kernel("numpy")
+        kern = NumpyKernel()
 
         g = random_graph(30, 0.25, seed=seed)
         csr = _as_csr(g)

@@ -106,6 +106,11 @@ class TestReads:
         status, _, doc = _get_json(served, "/community/0?k=banana")
         assert status == 400 and "integer" in doc["error"]
 
+    def test_community_non_ascii_k_is_400(self, served):
+        # int() of the decoded value would read the Arabic-Indic 4
+        status, _, doc = _get_json(served, "/community/0?k=%D9%A4")
+        assert status == 400 and "integer" in doc["error"]
+
     def test_community_unknown_vertex_is_404(self, served):
         status, _, _ = _get_json(served, "/community/99?k=3")
         assert status == 404
@@ -157,6 +162,16 @@ class TestWrites:
         status, _, data = _request(served, "DELETE", "/edges?u=4&v=5")
         assert status == 200 and json.loads(data)["applied"] == 1
         assert _get_json(served, "/edge/4/5/trussness")[0] == 404
+
+    def test_delete_edge_non_ascii_query_id_is_400(self, served):
+        # int() of the decoded value would read the Arabic-Indic 1 and
+        # delete edge (1, 3)
+        status, _, data = _request(served, "DELETE", "/edges?u=%D9%A1&v=3")
+        assert status == 400 and "integers" in json.loads(data)["error"]
+        assert served.svc._wal.last_seq == 0  # nothing logged
+        assert _get_json(served, "/edge/1/3/trussness")[0] == 200
+        status, _, data = _request(served, "DELETE", "/edges?u=1&v=3")
+        assert status == 200 and json.loads(data)["applied"] == 1
 
     def test_post_edge_bad_body_is_400(self, served):
         status, _, _ = _request(served, "POST", "/edges", body="not json")

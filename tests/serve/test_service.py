@@ -125,6 +125,25 @@ class TestRecovery:
         assert "serve_wal_torn" in svc2.registry.to_prometheus()
         svc2.close()
 
+    def test_non_ascii_wal_record_is_torn_not_fatal(self, tmp_path,
+                                                   graph_file):
+        with _service(tmp_path, graph_file, snapshot_every=100) as svc:
+            svc.apply_write([("insert", 5, 7), ("insert", 6, 7)])
+            svc._wal.close()  # a crash: no publish covers the records
+        seg = max((tmp_path / "data" / "wal").glob("wal_*.log"))
+        seg.write_bytes(
+            seg.read_bytes().replace(b"+ 6 7", b"+ \xb5 7")
+        )
+        svc2 = _service(tmp_path, None)
+        svc2.open()
+        assert svc2.applied_seq == 1
+        assert svc2.maintainer.has_edge(5, 7)
+        assert not svc2.maintainer.has_edge(6, 7)
+        assert svc2.registry.value(
+            "repro_degraded_total", path="serve_wal_torn"
+        ) == 1
+        svc2.close()
+
     @pytest.mark.parametrize("shape", [[1, 2], 7, "x"],
                              ids=["list", "int", "str"])
     def test_wrong_shaped_manifests_are_skipped(self, tmp_path, graph_file,

@@ -105,6 +105,20 @@ class TestTornTails:
         with WriteAheadLog(tmp_path) as wal:
             assert wal.replay_updates() == UPDATES[:1]
 
+    def test_non_ascii_byte_is_a_torn_record(self, tmp_path):
+        # records are bytes: a byte no writer produces fails the CRC
+        # like any other corruption, never the decode
+        with WriteAheadLog(tmp_path) as wal:
+            wal.append([("insert", 1, 2), ("insert", 5, 6)])
+            seg = tmp_path / _segments(tmp_path)[-1]
+        data = seg.read_bytes()
+        second = len(data.splitlines(keepends=True)[1])
+        seg.write_bytes(data.replace(b"+ 5 6", b"+ \xb5 6"))
+        with WriteAheadLog(tmp_path) as wal:
+            assert wal.torn_bytes == second
+            assert [seq for seq, _ in wal.replay()] == [1]
+            assert wal.next_seq == 2
+
     def test_fully_torn_fresh_segment(self, tmp_path):
         with WriteAheadLog(tmp_path) as wal:
             wal.append(UPDATES)

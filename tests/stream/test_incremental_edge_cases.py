@@ -135,10 +135,16 @@ def test_noop_updates_return_false():
         (4, [("delete", 0, 1), ("insert", 1 << 63, 2)]),
         (4, [("delete", 0, 1), ("insert", 1.5, 7)]),
         (4, [("delete", 0, 1), ("insert", "7", 8)]),
+        # the update stream's ops are the only ones: no aliases
+        (3, [("add", 0, 5)]),
+        (3, [("i", 0, 5)]),
+        (4, [("remove", 0, 1)]),
+        (4, [("d", 0, 1)]),
     ],
     ids=["upsert-only", "delete-then-bogus", "insert-then-upsert",
          "non-integer-endpoint", "endpoint-outside-int64",
-         "float-endpoint", "numeric-string-endpoint"],
+         "float-endpoint", "numeric-string-endpoint",
+         "alias-add", "alias-i", "alias-remove", "alias-d"],
 )
 def test_unknown_op_raises_before_mutating(n, batch):
     # every update is checked before the first one is applied, so a
@@ -286,10 +292,9 @@ def test_stats_counters_accumulate():
     ids=["from_graph-empty", "from_graph", "from_state-empty", "from_state"],
 )
 def test_bad_kernel_name_fails_at_construction(build):
-    # a bad name used to be accepted here and fail in the first repair,
-    # after that update had already changed the adjacency and supports
+    # the process picks the wave-step backend: no constructor takes one
     tm = None
-    with pytest.raises(DecompositionError, match="unknown kernel"):
+    with pytest.raises(TypeError, match="kernel"):
         tm = build()
     assert tm is None
 
